@@ -19,7 +19,6 @@ from .decomposition import (
     Decomposition,
     StructuralMetrics,
     classify_and_components,
-    common_neighbor_counts,
     compute_friend_edges,
     decompose,
     decomposition_to_dict,
@@ -96,7 +95,6 @@ __all__ = [
     "classify_and_components",
     "coloring_failures",
     "commit_colors",
-    "common_neighbor_counts",
     "compute_friend_edges",
     "count_good_colors",
     "decompose",

@@ -9,6 +9,7 @@ them against saved colorings.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .graph import BLANK, Graph
 from .state import ColoringState, recompute_residuals
@@ -116,6 +117,7 @@ def decomposition_failures(graph: Graph, decomp) -> list[str]:
         v = int(np.flatnonzero(seen != 1)[0])
         out.append(f"vertex {v} appears in {int(seen[v])} parts of the decomposition")
 
+    friends = decomp.friend_graph.sparse_adjacency()
     leaders = [c.leader for c in decomp.cliques]
     if len(set(leaders)) != len(leaders):
         out.append("leader IDs are not distinct across almost-cliques")
@@ -128,17 +130,8 @@ def decomposition_failures(graph: Graph, decomp) -> list[str]:
         if np.any(decomp.membership[clique.members] != j):
             out.append(f"almost-clique {j}: membership array disagrees with member list")
         # Connectivity under friend edges restricted to this clique.
-        members = set(int(v) for v in clique.members)
-        stack = [int(clique.members[0])]
-        reached = {stack[0]}
-        while stack:
-            u = stack.pop()
-            for w in decomp.friend_graph.neighbors(u):
-                w = int(w)
-                if w in members and w not in reached:
-                    reached.add(w)
-                    stack.append(w)
-        if len(reached) != len(members):
+        induced = friends[clique.members][:, clique.members]
+        if connected_components(induced, directed=False)[0] != 1:
             out.append(f"almost-clique {j} is not connected under friend edges")
     return out
 

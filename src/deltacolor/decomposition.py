@@ -21,7 +21,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
-from .graph import _DENSE_MATMUL_LIMIT, BLANK, Graph, build_graph
+from .graph import BLANK, Graph, common_counts, edge_common_counts
 from .state import ColoringState
 
 # Threshold comparisons against (1 - eps) * max_degree use this slack so
@@ -101,48 +101,27 @@ def _validate_epsilon(epsilon: float) -> float:
     return epsilon
 
 
-def common_neighbor_counts(graph: Graph) -> np.ndarray:
-    """Dense matrix of |N(u) & N(v)| for all pairs (n x n, int-valued)."""
-    if graph.n > _DENSE_MATMUL_LIMIT:
-        raise ValidationError(
-            f"dense common-neighbor matrix only supported up to n={_DENSE_MATMUL_LIMIT}"
-        )
-    a = graph.adjacency_matrix().astype(np.float32)
-    return a @ a.T
-
-
-def compute_friend_edges(
-    graph: Graph, epsilon: float, counts: np.ndarray | None = None
-) -> Graph:
+def compute_friend_edges(graph: Graph, epsilon: float) -> Graph:
     """Friend edges of ``graph`` at density ``epsilon``, as a graph.
 
     An edge qualifies when its endpoints share at least
     (1 - eps) * max_degree neighbors. The returned graph has the same
     vertex set; its degrees are the per-vertex friend counts.
 
-    ``counts`` may carry a precomputed common-neighbor matrix to avoid
-    repeating the matrix product across epsilon values.
+    A shared count never exceeds either endpoint's degree, so only
+    vertices of degree at least the threshold are counted at all.
     """
     epsilon = _validate_epsilon(epsilon)
-    n = graph.n
     threshold = (1.0 - epsilon) * graph.max_degree - THRESHOLD_TOL
-    if graph.num_edges == 0:
-        return build_graph(np.zeros((0, 2), dtype=np.int64), n=n)
-
-    if counts is not None or n <= _DENSE_MATMUL_LIMIT:
-        if counts is None:
-            counts = common_neighbor_counts(graph)
-        edges = graph.edge_array()
-        keep = counts[edges[:, 0], edges[:, 1]] >= threshold
-        friend_edges = edges[keep]
-    else:
-        rows = []
-        for u, v in graph.edges():
-            shared = np.intersect1d(graph.neighbors(u), graph.neighbors(v), assume_unique=True)
-            if shared.size >= threshold:
-                rows.append((u, v))
-        friend_edges = np.array(rows, dtype=np.int64).reshape(-1, 2)
-    return build_graph(friend_edges, n=n)
+    counts = edge_common_counts(graph, keep=graph.degrees() >= threshold)
+    # Counts are symmetric, so the friend slots already form a valid CSR graph.
+    friend = np.flatnonzero(counts >= threshold)
+    indptr = np.searchsorted(friend, graph.indptr)
+    indices = graph.indices[friend]
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    degrees = np.diff(indptr)
+    return Graph(n=graph.n, indptr=indptr, indices=indices, max_degree=int(degrees.max()))
 
 
 def classify_and_components(graph: Graph, friend_graph: Graph, epsilon: float) -> Decomposition:
@@ -168,14 +147,7 @@ def classify_and_components(graph: Graph, friend_graph: Graph, epsilon: float) -
     dense_ids = np.flatnonzero(dense_mask)
     cliques: list[AlmostClique] = []
     if dense_ids.size:
-        sub = csr_matrix(
-            (
-                np.ones(friend_graph.indices.size, dtype=np.int8),
-                friend_graph.indices,
-                friend_graph.indptr,
-            ),
-            shape=(n, n),
-        )[dense_ids][:, dense_ids]
+        sub = friend_graph.sparse_adjacency()[dense_ids][:, dense_ids]
         _, labels = connected_components(sub, directed=False)
         for label in np.unique(labels):
             members = dense_ids[labels == label]
@@ -193,17 +165,14 @@ def classify_and_components(graph: Graph, friend_graph: Graph, epsilon: float) -
     )
 
 
-def decompose(graph: Graph, epsilon: float, counts: np.ndarray | None = None) -> Decomposition:
+def decompose(graph: Graph, epsilon: float) -> Decomposition:
     """Convenience wrapper: friend edges plus classification."""
-    friend_graph = compute_friend_edges(graph, epsilon, counts=counts)
+    friend_graph = compute_friend_edges(graph, epsilon)
     return classify_and_components(graph, friend_graph, epsilon)
 
 
 def structural_metrics(
-    graph: Graph,
-    decomp: Decomposition,
-    state: ColoringState | None = None,
-    counts: np.ndarray | None = None,
+    graph: Graph, decomp: Decomposition, state: ColoringState | None = None
 ) -> StructuralMetrics:
     """External degrees, anti-degrees, weak diameters and clique sizes.
 
@@ -216,45 +185,35 @@ def structural_metrics(
     else:
         uncolored = np.ones(graph.n, dtype=bool)
 
-    dense_uncolored = uncolored & (decomp.membership >= 0)
-    external: dict[int, int] = {}
-    anti: dict[int, int] = {}
-    diameters: list[int] = []
-    sizes: list[int] = []
+    live = np.flatnonzero(uncolored & (decomp.membership >= 0))
+    adjacency = graph.sparse_adjacency()
+    rows = adjacency[live]
+    local = np.repeat(np.arange(live.size), np.diff(rows.indptr))
+    own = decomp.membership[live]
+    other = decomp.membership[rows.indices]
+    live_neighbor = uncolored[rows.indices] & (other >= 0)
+    same = other == own[local]
+    external = np.bincount(local[live_neighbor & ~same], minlength=live.size)
+    inside = np.bincount(local[live_neighbor & same], minlength=live.size)
+    sizes = np.bincount(own, minlength=len(decomp.cliques))
+    anti = sizes[own] - 1 - inside
 
-    use_counts = counts
-    if use_counts is None and graph.n <= _DENSE_MATMUL_LIMIT and decomp.cliques:
-        largest = max(c.members.size for c in decomp.cliques)
-        if largest > 64:
-            use_counts = common_neighbor_counts(graph)
-    adj_matrix = graph.adjacency_matrix() if use_counts is not None else None
-
-    for j, clique in enumerate(decomp.cliques):
-        members = clique.members[uncolored[clique.members]]
-        sizes.append(int(members.size))
-        for v in members:
-            nb = graph.neighbors(v)
-            live = nb[dense_uncolored[nb]]
-            external[int(v)] = int(np.count_nonzero(decomp.membership[live] != j))
-            inside = int(np.count_nonzero(np.isin(live, members, assume_unique=True))) if live.size else 0
-            # np.isin over sorted unique arrays; v is never its own neighbor.
-            anti[int(v)] = int(members.size) - 1 - inside
-        diameters.append(_weak_diameter(graph, members, use_counts, adj_matrix))
-
+    # clique by clique, members ascending: the order of the loop this replaces
+    order = np.argsort(own, kind="stable")
+    vertices = live[order].tolist()
+    diameters = [
+        _weak_diameter(adjacency, clique.members[uncolored[clique.members]])
+        for clique in decomp.cliques
+    ]
     return StructuralMetrics(
-        external_degree=external,
-        anti_degree=anti,
+        external_degree=dict(zip(vertices, external[order].tolist())),
+        anti_degree=dict(zip(vertices, anti[order].tolist())),
         weak_diameter=diameters,
-        clique_size=sizes,
+        clique_size=sizes.tolist(),
     )
 
 
-def _weak_diameter(
-    graph: Graph,
-    members: np.ndarray,
-    counts: np.ndarray | None,
-    adj_matrix: np.ndarray | None = None,
-) -> int:
+def _weak_diameter(adjacency: csr_matrix, members: np.ndarray) -> int:
     """Max pairwise distance in the full graph, reported as min(dist, 3).
 
     Distances beyond 2 are all mapped to DIAMETER_EXCEEDED: the theory
@@ -263,29 +222,12 @@ def _weak_diameter(
     m = members.size
     if m <= 1:
         return 0
-    if adj_matrix is not None:
-        adj = adj_matrix[np.ix_(members, members)]
-    else:
-        adj = np.zeros((m, m), dtype=bool)
-        for i, v in enumerate(members):
-            adj[i] = np.isin(members, graph.neighbors(v), assume_unique=True)
-    if counts is not None:
-        within_two = adj | (counts[np.ix_(members, members)] > 0)
-    else:
-        within_two = adj.copy()
-        pending = np.argwhere(~adj)
-        for i, k in pending:
-            if i >= k:
-                continue
-            shared = np.intersect1d(
-                graph.neighbors(int(members[i])), graph.neighbors(int(members[k])), assume_unique=True
-            )
-            if shared.size:
-                within_two[i, k] = within_two[k, i] = True
-    off_diag = ~np.eye(m, dtype=bool)
-    if not within_two[off_diag].all():
-        return DIAMETER_EXCEEDED
-    return 1 if adj[off_diag].all() else 2
+    rows = adjacency[members]
+    apart = np.flatnonzero(rows[:, members].toarray().ravel() == 0)
+    apart = apart[apart % (m + 1) != 0]  # the diagonal is no pair
+    if apart.size == 0:
+        return 1
+    return 2 if np.all(common_counts(rows, apart) > 0) else DIAMETER_EXCEEDED
 
 
 def decomposition_to_dict(

@@ -14,7 +14,7 @@ import numpy as np
 
 from .decomposition import THRESHOLD_TOL, AlmostClique, Decomposition
 from .errors import GenerationError, ValidationError
-from .graph import _DENSE_MATMUL_LIMIT, Graph, build_graph
+from .graph import Graph, build_graph, edge_common_counts, segment_sum
 
 _BRUTE_FORCE_LIMIT = 500
 _LOCALLY_SPARSE_ATTEMPTS = 50
@@ -152,18 +152,7 @@ def generate(spec: GeneratorSpec) -> Graph:
 
 def neighborhood_edge_counts(graph: Graph) -> np.ndarray:
     """Number of edges inside G[N(v)] for every vertex v."""
-    if graph.n <= _DENSE_MATMUL_LIMIT:
-        a = graph.adjacency_matrix().astype(np.float32)
-        common = a @ a.T
-        return ((common * a).sum(axis=1) / 2.0).astype(np.int64)
-    counts = np.zeros(graph.n, dtype=np.int64)
-    for v in range(graph.n):
-        nb = graph.neighbors(v)
-        total = 0
-        for w in nb:
-            total += int(np.intersect1d(graph.neighbors(int(w)), nb, assume_unique=True).size)
-        counts[v] = total // 2
-    return counts
+    return segment_sum(edge_common_counts(graph), graph.indptr) // 2
 
 
 def is_locally_sparse(graph: Graph, delta: float) -> bool:

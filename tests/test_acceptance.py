@@ -19,7 +19,6 @@ from deltacolor import (
     build_graph,
     build_schedule,
     canonical_palettes,
-    common_neighbor_counts,
     count_good_colors,
     decompose,
     dense_coloring_step,
@@ -173,10 +172,9 @@ def test_criterion_02_decomposition_theorems():
     pairs_checked = 0
     for spec in DECOMP_GRAPH_SPECS:
         graph = generate(spec)
-        counts = common_neighbor_counts(graph)
         for eps in (0.05, 0.1, 0.19):
-            decomp = decompose(graph, eps, counts=counts)
-            metrics = structural_metrics(graph, decomp, counts=counts)
+            decomp = decompose(graph, eps)
+            metrics = structural_metrics(graph, decomp)
             assert decomposition_failures(graph, decomp) == [], (spec.kind, eps)
             assert decomposition_bound_failures(graph, decomp, metrics) == [], (spec.kind, eps)
             bound = (1 - 2 * eps) * graph.max_degree
@@ -186,7 +184,9 @@ def test_criterion_02_decomposition_theorems():
                 take = min(10, clique.members.size * (clique.members.size - 1) // 2)
                 for _ in range(take):
                     x, y = rng.choice(clique.members, size=2, replace=False)
-                    shared = counts[int(x), int(y)]
+                    shared = np.intersect1d(
+                        graph.neighbors(int(x)), graph.neighbors(int(y)), assume_unique=True
+                    ).size
                     assert shared >= bound - 1e-9, (spec.kind, eps, int(x), int(y))
                     pairs_checked += 1
     assert pairs_checked >= 100, f"only {pairs_checked} intra-clique pairs sampled"

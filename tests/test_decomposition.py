@@ -18,8 +18,14 @@ from deltacolor import (
     is_locally_sparse,
     structural_metrics,
 )
+from deltacolor import graph as graph_module
 from deltacolor.checks import decomposition_bound_failures, decomposition_failures
-from deltacolor.decomposition import decomposition_to_dict
+from deltacolor.decomposition import (
+    DIAMETER_EXCEEDED,
+    AlmostClique,
+    Decomposition,
+    decomposition_to_dict,
+)
 
 
 def cycle(n):
@@ -175,3 +181,83 @@ def test_weak_diameter_two_detected():
 def test_oracle_equivalence_property(n, seed, p, eps):
     g = generate(GeneratorSpec("gnp", {"n": n, "p": p}, seed=seed))
     assert decompose(g, eps).same_as(brute_force_decomposition(g, eps))
+
+
+def one_clique(g, members):
+    """A hand-made decomposition declaring ``members`` one almost-clique."""
+    members = np.asarray(members, dtype=np.int64)
+    membership = np.full(g.n, -1, dtype=np.int64)
+    membership[members] = 0
+    return Decomposition(
+        epsilon=0.1,
+        friend_graph=g,
+        sparse=np.flatnonzero(membership < 0),
+        cliques=(AlmostClique(leader=int(members.min()), members=members),),
+        membership=membership,
+    )
+
+
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
+@pytest.mark.parametrize(
+    "edges, members, expected",
+    [
+        ([(0, 1), (1, 2), (0, 2)], [0, 1, 2], 1),
+        ([(0, 1), (1, 2)], [0, 1, 2], 2),
+        ([(0, 1), (1, 2), (2, 3)], [0, 1, 2, 3], DIAMETER_EXCEEDED),
+        ([(0, 4), (4, 1), (1, 5), (5, 2)], [0, 1, 2], DIAMETER_EXCEEDED),
+    ],
+)
+def test_weak_diameter_values(monkeypatch, backend, edges, members, expected):
+    # force one backend of the shared-neighbour kernel by zeroing the other's cost
+    slow = "_SPARSE_SECONDS_PER_MULTIPLY" if backend == "sparse" else "_DENSE_SECONDS_PER_MULTIPLY"
+    monkeypatch.setattr(graph_module, slow, 0.0)
+    g = build_graph(edges)
+    m = structural_metrics(g, one_clique(g, members))
+    assert m.weak_diameter == [expected]
+
+
+def test_disconnected_clique_is_reported():
+    g = build_graph([(0, 1), (2, 3)])
+    assert decomposition_failures(g, one_clique(g, [0, 1, 2, 3])) == [
+        "almost-clique 0 is not connected under friend edges"
+    ]
+    assert decomposition_failures(g, one_clique(g, [0, 1])) == []
+
+
+def loop_metrics(g, d, uncolored):
+    """External and anti-degrees by a per-member loop over neighbour sets."""
+    external, anti = {}, {}
+    for j, clique in enumerate(d.cliques):
+        members = {int(v) for v in clique.members if uncolored[v]}
+        for v in sorted(members):
+            live = [int(w) for w in g.neighbors(v) if uncolored[w] and d.membership[w] >= 0]
+            external[v] = sum(1 for w in live if d.membership[w] != j)
+            anti[v] = len(members) - 1 - sum(1 for w in live if w in members)
+    return external, anti
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_structural_metrics_match_per_member_loop(seed):
+    # four 30-cliques, each missing a few edges, plus random extra edges
+    g = generate(GeneratorSpec("clique_chain", {"size": 30, "count": 4}))
+    rng = np.random.default_rng(seed)
+    edges = g.edge_array()
+    extra = rng.integers(0, g.n, size=(12, 2))
+    edges = np.vstack((edges[rng.random(len(edges)) > 0.03], extra[extra[:, 0] != extra[:, 1]]))
+    g = build_graph(edges, n=g.n)
+    d = decompose(g, 0.19)
+    assert len(d.cliques) >= 2
+    state = init_state(g, canonical_palettes(g))
+    batch = {}
+    for v in rng.permutation(g.n)[: g.n // 3].tolist():
+        if not batch.keys() & g.neighbor_set(v):
+            batch[v] = 1 + v % (g.max_degree + 1)
+    commit_colors(state, batch)
+    uncolored = state.committed == 0
+    m = structural_metrics(g, d, state)
+    external, anti = loop_metrics(g, d, uncolored)
+    assert any(external.values()) and any(anti.values())
+    assert m.external_degree == external
+    assert m.anti_degree == anti
+    assert list(m.external_degree) == list(external)
+    assert m.clique_size == [int(uncolored[c.members].sum()) for c in d.cliques]

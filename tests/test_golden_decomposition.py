@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from deltacolor import GeneratorSpec, build_graph, decompose, generate, structural_metrics
+from deltacolor import graph as graph_module
 from deltacolor.decomposition import decomposition_to_dict
 
 FIXTURE = Path(__file__).parent / "golden" / "decomposition.json"
@@ -88,8 +89,14 @@ def case_hashes(name: str) -> dict[str, str]:
     }
 
 
+@pytest.mark.parametrize("backend", ["auto", "dense", "sparse"])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_decomposition_matches_golden_hashes(name):
+def test_decomposition_matches_golden_hashes(monkeypatch, name, backend):
+    # "dense" and "sparse" zero the other backend's cost, so the switch
+    # picks that backend wherever its memory bound allows
+    if backend != "auto":
+        free = "_DENSE" if backend == "dense" else "_SPARSE"
+        monkeypatch.setattr(graph_module, f"{free}_SECONDS_PER_MULTIPLY", 0.0)
     golden = json.loads(FIXTURE.read_text())
     assert case_hashes(name) == golden[name]
 

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltacolor import ValidationError, build_graph
-from deltacolor.graph import segment_any, segment_sum
+from deltacolor import GeneratorSpec, ValidationError, build_graph, generate
+from deltacolor import graph as graph_module
+from deltacolor.graph import edge_common_counts, segment_any, segment_sum
 from deltacolor.io import read_edge_list, write_edge_list
 
 
@@ -133,3 +134,99 @@ def test_segment_sum_matches_python_sums(segments):
     indptr = np.cumsum([0] + [len(seg) for seg in segments])
     expected = [sum(seg) for seg in segments]
     assert segment_sum(flat, np.asarray(indptr)).tolist() == expected
+
+
+def recount_common(g, keep):
+    """Per-slot |N(u) & N(v)| by set intersection, -1 outside ``keep``."""
+    out = []
+    for u in range(g.n):
+        for v in g.neighbors(u):
+            if keep[u] and keep[v]:
+                shared = np.intersect1d(g.neighbors(u), g.neighbors(int(v)), assume_unique=True)
+                out.append(shared.size)
+            else:
+                out.append(-1)
+    return np.array(out, dtype=np.int64)
+
+
+def kept_pairs(g, keep):
+    """The kept rows' adjacency and the row-major keys of their kept-kept slots."""
+    kept = np.flatnonzero(keep)
+    position = np.cumsum(keep) - 1
+    src = np.repeat(np.arange(g.n), g.degrees())
+    counted = keep[src] & keep[g.indices]
+    pairs = position[src[counted]] * kept.size + position[g.indices[counted]]
+    return g.sparse_adjacency()[kept], pairs, counted
+
+
+gnp_and_keep = st.tuples(
+    st.integers(2, 40),
+    st.sampled_from([0.05, 0.2, 0.5, 0.9]),
+    st.integers(0, 2**16),
+    st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gnp_and_keep)
+def test_edge_common_counts_match_recount(draw):
+    n, p, seed, keep_p = draw
+    g = generate(GeneratorSpec("gnp", {"n": n, "p": p}, seed=seed))
+    keep = np.random.default_rng(seed).random(n) < keep_p
+    expected = recount_common(g, keep)
+    assert edge_common_counts(g, keep).tolist() == expected.tolist()
+    everything = recount_common(g, np.ones(n, dtype=bool))
+    assert edge_common_counts(g).tolist() == everything.tolist()
+    rows, pairs, counted = kept_pairs(g, keep)
+    for backend in (graph_module._dense_common_counts, graph_module._sparse_common_counts):
+        assert backend(rows, pairs).tolist() == expected[counted].tolist(), backend.__name__
+
+
+@pytest.mark.parametrize("block", [1, 7, 100])
+def test_sparse_backend_row_blocks_match_recount(monkeypatch, block):
+    monkeypatch.setattr(graph_module, "_SPARSE_BLOCK_MULTIPLIES", block)
+    g = generate(GeneratorSpec("gnp", {"n": 60, "p": 0.3}, seed=4))
+    keep = np.random.default_rng(4).random(g.n) < 0.8
+    rows, pairs, counted = kept_pairs(g, keep)
+    expected = recount_common(g, keep)[counted]
+    assert graph_module._sparse_common_counts(rows, pairs).tolist() == expected.tolist()
+
+
+def test_edge_common_counts_mark_slots_outside_keep():
+    g = generate(GeneratorSpec("complete", {"n": 5}))
+    keep = np.array([True, True, False, True, False])
+    counts = edge_common_counts(g, keep)
+    src = np.repeat(np.arange(g.n), g.degrees())
+    inside = keep[src] & keep[g.indices]
+    assert np.all(counts[~inside] == -1)
+    assert np.all(counts[inside] == 3)
+    assert np.all(edge_common_counts(g, np.zeros(g.n, dtype=bool)) == -1)
+
+
+def test_edge_common_counts_rejects_bad_keep_mask():
+    g = build_graph([(0, 1), (1, 2)])
+    with pytest.raises(ValidationError, match="keep mask"):
+        edge_common_counts(g, np.ones(2, dtype=bool))
+
+
+def test_common_counts_refuse_degrees_that_float32_would_round(monkeypatch):
+    monkeypatch.setattr(graph_module, "_FLOAT32_EXACT", 3)
+    g = generate(GeneratorSpec("complete", {"n": 5}))
+    with pytest.raises(ValidationError, match="degrees below"):
+        edge_common_counts(g)
+
+
+def test_backend_switch_follows_cost(monkeypatch):
+    picked = []
+    for name in ("_dense_common_counts", "_sparse_common_counts"):
+        real = getattr(graph_module, name)
+
+        def record(rows, pairs, real=real, name=name):
+            picked.append(name)
+            return real(rows, pairs)
+
+        monkeypatch.setattr(graph_module, name, record)
+    edge_common_counts(generate(GeneratorSpec("gnp", {"n": 400, "p": 0.5}, seed=1)))
+    pairs = np.random.default_rng(1).integers(0, 20_000, size=(20_000, 2))
+    edge_common_counts(build_graph(pairs[pairs[:, 0] != pairs[:, 1]], n=20_000))
+    assert picked == ["_dense_common_counts", "_sparse_common_counts"]
