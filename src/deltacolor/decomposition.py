@@ -147,7 +147,7 @@ def classify_and_components(graph: Graph, friend_graph: Graph, epsilon: float) -
     dense_ids = np.flatnonzero(dense_mask)
     cliques: list[AlmostClique] = []
     if dense_ids.size:
-        sub = friend_graph.sparse_adjacency()[dense_ids][:, dense_ids]
+        sub = friend_graph.sparse_adjacency(dense_ids)[:, dense_ids]
         _, labels = connected_components(sub, directed=False)
         for label in np.unique(labels):
             members = dense_ids[labels == label]
@@ -186,8 +186,7 @@ def structural_metrics(
         uncolored = np.ones(graph.n, dtype=bool)
 
     live = np.flatnonzero(uncolored & (decomp.membership >= 0))
-    adjacency = graph.sparse_adjacency()
-    rows = adjacency[live]
+    rows = graph.sparse_adjacency(live)
     local = np.repeat(np.arange(live.size), np.diff(rows.indptr))
     own = decomp.membership[live]
     other = decomp.membership[rows.indices]
@@ -198,13 +197,13 @@ def structural_metrics(
     sizes = np.bincount(own, minlength=len(decomp.cliques))
     anti = sizes[own] - 1 - inside
 
-    # clique by clique, members ascending: the order of the loop this replaces
+    # report order: clique by clique, members ascending
     order = np.argsort(own, kind="stable")
     vertices = live[order].tolist()
-    diameters = [
-        _weak_diameter(adjacency, clique.members[uncolored[clique.members]])
-        for clique in decomp.cliques
-    ]
+    diameters = []
+    for clique in decomp.cliques:
+        members = clique.members[uncolored[clique.members]]
+        diameters.append(_weak_diameter(rows[np.searchsorted(live, members)], members))
     return StructuralMetrics(
         external_degree=dict(zip(vertices, external[order].tolist())),
         anti_degree=dict(zip(vertices, anti[order].tolist())),
@@ -213,16 +212,16 @@ def structural_metrics(
     )
 
 
-def _weak_diameter(adjacency: csr_matrix, members: np.ndarray) -> int:
+def _weak_diameter(rows: csr_matrix, members: np.ndarray) -> int:
     """Max pairwise distance in the full graph, reported as min(dist, 3).
 
-    Distances beyond 2 are all mapped to DIAMETER_EXCEEDED: the theory
-    promises at most 2, so the exact larger value carries no information.
+    ``rows`` are the full-graph adjacency rows of ``members``. Distances
+    beyond 2 are all mapped to DIAMETER_EXCEEDED: the theory promises at
+    most 2, so the exact larger value carries no information.
     """
     m = members.size
     if m <= 1:
         return 0
-    rows = adjacency[members]
     apart = np.flatnonzero(rows[:, members].toarray().ravel() == 0)
     apart = apart[apart % (m + 1) != 0]  # the diagonal is no pair
     if apart.size == 0:

@@ -89,10 +89,20 @@ class Graph:
         a[src, self.indices] = True
         return a
 
-    def sparse_adjacency(self) -> csr_matrix:
-        """0/1 adjacency as a float32 scipy CSR matrix sharing this layout."""
-        data = np.ones(self.indices.size, dtype=np.float32)
-        return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+    def sparse_adjacency(self, rows: np.ndarray | None = None) -> csr_matrix:
+        """0/1 adjacency as a float32 scipy CSR matrix: every row, or the
+        rows of the sorted distinct vertex IDs ``rows`` (len(rows) x n)."""
+        degrees = self.degrees()
+        if rows is None:
+            indptr, indices = self.indptr, self.indices
+        else:
+            chosen = np.zeros(self.n, dtype=bool)
+            chosen[rows] = True
+            indices = self.indices[np.repeat(chosen, degrees)]
+            indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+            np.cumsum(degrees[rows], out=indptr[1:])
+        data = np.ones(indices.size, dtype=np.float32)
+        return csr_matrix((data, indices, indptr), shape=(indptr.size - 1, self.n))
 
 
 def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int | None = None) -> Graph:
@@ -198,7 +208,7 @@ def edge_common_counts(graph: Graph, keep: np.ndarray | None = None) -> np.ndarr
     pairs = (np.repeat(position * k, degrees) + position[graph.indices])[counted]
     out = np.full(graph.indices.size, -1, dtype=np.int64)
     if pairs.size:
-        out[counted] = common_counts(graph.sparse_adjacency()[np.flatnonzero(keep)], pairs)
+        out[counted] = common_counts(graph.sparse_adjacency(np.flatnonzero(keep)), pairs)
     return out
 
 
@@ -208,10 +218,10 @@ def common_counts(rows: csr_matrix, pairs: np.ndarray) -> np.ndarray:
     ``rows`` holds k vertices' adjacency rows (k x n, as from
     :meth:`Graph.sparse_adjacency`); ``pairs`` are ascending row-major
     keys i * k + j, and entry t of the result counts the columns set in
-    both rows of pair t. The backend is whichever is estimated cheaper:
-    a row-blocked sparse product (one multiply per two entries sharing a
-    column) or a dense float32 product (k * k * n multiply-adds), the
-    latter only while its operand fits in memory.
+    both rows of pair t, as an exact float32. The backend is whichever is
+    estimated cheaper: a row-blocked sparse product (one multiply per two
+    entries sharing a column) or a dense float32 product (k * k * n
+    multiply-adds), the latter only while its operand fits in memory.
     """
     k, n = rows.shape
     if rows.nnz and np.diff(rows.indptr).max() >= _FLOAT32_EXACT:
@@ -231,7 +241,7 @@ def _dense_common_counts(rows: csr_matrix, pairs: np.ndarray) -> np.ndarray:
     rank-k update, half the work of a general product per row block.
     """
     dense = rows.toarray()
-    return (dense @ dense.T).ravel()[pairs].astype(np.int64)
+    return (dense @ dense.T).ravel()[pairs]
 
 
 def _sparse_common_counts(rows: csr_matrix, pairs: np.ndarray) -> np.ndarray:
@@ -246,7 +256,7 @@ def _sparse_common_counts(rows: csr_matrix, pairs: np.ndarray) -> np.ndarray:
     multiplies = segment_sum(np.diff(transposed.indptr)[rows.indices], rows.indptr)
     before = np.cumsum(multiplies) - multiplies
     starts = np.flatnonzero(np.diff(before // _SPARSE_BLOCK_MULTIPLIES, prepend=-1))
-    out = np.zeros(pairs.size, dtype=np.int64)
+    out = np.zeros(pairs.size, dtype=np.float32)
     for start, stop in zip(starts, np.append(starts[1:], k)):
         lo, hi = np.searchsorted(pairs, (start * k, stop * k))
         if lo == hi:
