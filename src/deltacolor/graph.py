@@ -203,9 +203,12 @@ def edge_common_counts(graph: Graph, keep: np.ndarray | None = None) -> np.ndarr
         raise ValidationError(f"keep mask has shape {keep.shape} for {graph.n} vertices")
     degrees = graph.degrees()
     counted = np.repeat(keep, degrees) & keep[graph.indices]
-    position = np.cumsum(keep) - 1
-    k = int(position[-1]) + 1
-    pairs = (np.repeat(position * k, degrees) + position[graph.indices])[counted]
+    k = int(np.count_nonzero(keep))
+    # int32 pair keys when they fit: less memory traffic on dense graphs
+    position = (np.cumsum(keep) - 1).astype(np.int32 if k * k < 2**31 else np.int64)
+    pairs = np.repeat(position * k, degrees)
+    pairs += position[graph.indices]
+    pairs = pairs[counted]
     out = np.full(graph.indices.size, -1, dtype=np.int64)
     if pairs.size:
         out[counted] = common_counts(graph.sparse_adjacency(np.flatnonzero(keep)), pairs)
