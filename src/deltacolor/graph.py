@@ -92,10 +92,10 @@ class Graph:
     def sparse_adjacency(self, rows: np.ndarray | None = None) -> csr_matrix:
         """0/1 adjacency as a float32 scipy CSR matrix: every row, or the
         rows of the sorted distinct vertex IDs ``rows`` (len(rows) x n)."""
-        degrees = self.degrees()
         if rows is None:
             indptr, indices = self.indptr, self.indices
         else:
+            degrees = self.degrees()
             chosen = np.zeros(self.n, dtype=bool)
             chosen[rows] = True
             indices = self.indices[np.repeat(chosen, degrees)]
