@@ -1,0 +1,113 @@
+"""Golden run-report hashes: full runs must stay byte-identical.
+
+Each case hashes the bytes ``dump_json`` writes for ``run(...).to_dict()``,
+through the API and through ``deltacolor run --mode full``. The hashes in
+``golden/reports.json`` were recorded from the engine whose ``run()`` held
+the phase plumbing in closures, before the phase driver replaced it. To
+record them again (only after a deliberate change of output), run
+
+    PYTHONPATH=src python tests/test_golden_reports.py --write
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from deltacolor import GeneratorSpec, canonical_palettes, generate, run
+from deltacolor.cli import main
+from deltacolor.io import dump_json
+
+FIXTURE = Path(__file__).parent / "golden" / "reports.json"
+
+
+def _random_list_palettes(graph, seed):
+    """Max degree + 1 distinct colours per vertex from {1..2(max degree + 1)}."""
+    rng = np.random.default_rng(seed)
+    need = graph.max_degree + 1
+    return [
+        sorted(int(c) for c in rng.choice(np.arange(1, 2 * need + 1), size=need, replace=False))
+        for _ in range(graph.n)
+    ]
+
+
+# name -> (generator spec, palette seed or None for canonical, run options)
+CASES = {
+    "gnp-80-0.4-seed5": ("gnp:80,0.4", None, {"seed": 5}),
+    "clique_chain-200x5-main-seed3": (
+        "clique_chain:200x5",
+        None,
+        {"seed": 3, "epsilon": 0.035, "k": 0.5, "force_main_path": True},
+    ),
+    "gnp-60-0.4-list-seed9": ("gnp:60,0.4", 9, {"seed": 9}),
+    "complete-21-K16": ("complete:21", None, {"seed": 7, "k": 16.0}),
+}
+
+
+def _sha(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _inputs(name):
+    spec, palette_seed, options = CASES[name]
+    graph = generate(GeneratorSpec.parse(spec, seed=options["seed"]))
+    if palette_seed is None:
+        return graph, canonical_palettes(graph), options
+    return graph, _random_list_palettes(graph, palette_seed), options
+
+
+def api_hash(name: str, workdir: Path) -> str:
+    graph, palettes, options = _inputs(name)
+    out = workdir / f"{name}.api.json"
+    dump_json(run(graph, palettes, **options).to_dict(), out)
+    return _sha(out)
+
+
+def cli_hash(name: str, workdir: Path) -> str:
+    spec, palette_seed, options = CASES[name]
+    argv = ["run", "--gen", spec, "--mode", "full", "--seed", str(options["seed"])]
+    if palette_seed is not None:
+        graph, palettes, _ = _inputs(name)
+        pal_file = workdir / f"{name}.palettes.json"
+        pal_file.write_text(json.dumps({str(v): p for v, p in enumerate(palettes)}))
+        argv += ["--palettes", str(pal_file)]
+    if "epsilon" in options:
+        argv += ["--epsilon", str(options["epsilon"])]
+    if "k" in options:
+        argv += ["--K", str(options["k"])]
+    if options.get("force_main_path"):
+        argv.append("--force-main-path")
+    out = workdir / f"{name}.cli.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    return _sha(out)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_full_reports_match_golden_hashes(tmp_path, name):
+    golden = json.loads(FIXTURE.read_text())[name]
+    assert api_hash(name, tmp_path) == golden
+    assert cli_hash(name, tmp_path) == golden
+
+
+def test_golden_cases_cover_every_phase(tmp_path):
+    # The main-path case must run the decomposition, the initial step, a
+    # dense step and fallback rounds; the list-palette case must not be
+    # canonical, or the fixture would pin less than it claims.
+    graph, palettes, options = _inputs("clique_chain-200x5-main-seed3")
+    kinds = {s.kind for s in run(graph, palettes, **options).steps}
+    assert kinds == {"decompose", "initial", "dense", "fallback"}
+    graph, palettes, _ = _inputs("gnp-60-0.4-list-seed9")
+    assert any(p != list(range(1, graph.max_degree + 2)) for p in palettes)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_golden_reports.py --write")
+    FIXTURE.parent.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {name: api_hash(name, Path(tmp)) for name in sorted(CASES)}
+    FIXTURE.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
