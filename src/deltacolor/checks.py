@@ -9,6 +9,7 @@ them against saved colorings.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .graph import BLANK, Graph
@@ -92,11 +93,10 @@ def verify_coloring(
         colors = arr
 
     out = []
-    palette_sets = [set(int(c) for c in p) for p in palettes]
     for v in range(graph.n):
         if colors[v] == BLANK:
             out.append(f"vertex {v} is uncolored")
-        elif int(colors[v]) not in palette_sets[v]:
+        elif int(colors[v]) not in palettes[v]:
             out.append(f"vertex {v} wears color {int(colors[v])} outside its own palette")
         if len(out) >= _REPORT_CAP:
             break
@@ -117,7 +117,8 @@ def decomposition_failures(graph: Graph, decomp) -> list[str]:
         v = int(np.flatnonzero(seen != 1)[0])
         out.append(f"vertex {v} appears in {int(seen[v])} parts of the decomposition")
 
-    friends = decomp.friend_graph.sparse_adjacency()
+    # a clique is connected iff all its members share one label
+    labels = _intra_clique_labels(decomp) if decomp.cliques else None
     leaders = [c.leader for c in decomp.cliques]
     if len(set(leaders)) != len(leaders):
         out.append("leader IDs are not distinct across almost-cliques")
@@ -129,11 +130,23 @@ def decomposition_failures(graph: Graph, decomp) -> list[str]:
             out.append(f"almost-clique {j}: leader {clique.leader} is not the smallest member")
         if np.any(decomp.membership[clique.members] != j):
             out.append(f"almost-clique {j}: membership array disagrees with member list")
-        # Connectivity under friend edges restricted to this clique.
-        induced = friends[clique.members][:, clique.members]
-        if connected_components(induced, directed=False)[0] != 1:
+        if np.any(labels[clique.members] != labels[clique.members[0]]):
             out.append(f"almost-clique {j} is not connected under friend edges")
     return out
+
+
+def _intra_clique_labels(decomp) -> np.ndarray:
+    """Component label per vertex under the friend edges whose endpoints
+    lie in the same almost-clique."""
+    friends = decomp.friend_graph
+    src = np.repeat(np.arange(friends.n, dtype=np.int64), friends.degrees())
+    owner = decomp.membership[src]
+    inside = (owner >= 0) & (owner == decomp.membership[friends.indices])
+    intra = csr_matrix(
+        (np.ones(int(np.count_nonzero(inside)), dtype=np.int8), (src[inside], friends.indices[inside])),
+        shape=(friends.n, friends.n),
+    )
+    return connected_components(intra, directed=False)[1]
 
 
 def decomposition_bound_failures(graph: Graph, decomp, metrics) -> list[str]:

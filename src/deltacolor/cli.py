@@ -2,9 +2,10 @@
 
 Subcommands:
 
-* ``run`` loads or generates a graph, executes the requested phase(s),
-  writes a JSON (or per-step CSV) report and exits 0 only when the run
-  produced no invariant failures.
+* ``run`` loads or generates a graph, runs the phases ``--mode``
+  selects (all of them, or one through the same phase driver with the
+  same per-step checks), writes a JSON (or per-step CSV) report and
+  exits 0 only when the run produced no invariant failures.
 * ``generate`` writes a generated graph as an edge-list file.
 
 Exit codes: 0 success, 1 invariant failure / incomplete coloring /
@@ -14,7 +15,6 @@ failed verification, 2 usage or IO error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -23,38 +23,36 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import (
-    coloring_failures,
-    decomposition_bound_failures,
-    decomposition_failures,
-    residual_consistency_failures,
-    verify_coloring,
-)
+from .checks import decomposition_bound_failures, decomposition_failures, verify_coloring
 from .decomposition import decompose, decomposition_to_dict, structural_metrics
 from .engine import (
     DEFAULT_MAX_FALLBACK_ITERS,
+    PhaseDriver,
     RunReport,
     StepStats,
-    count_good_colors,
-    dense_coloring_step,
-    fallback_coloring,
-    initial_coloring_step,
     run,
+    schedule_plan,
 )
 from .errors import DeltaColorError, InvariantViolation, ValidationError
 from .generators import GeneratorSpec, generate
 from .graph import Graph
 from .io import dump_json, json_ready, load_palettes, read_edge_list, write_edge_list
 from .schedule import DEFAULT_K, build_schedule
-from .state import init_state
 
 MODES = ("full", "decompose-only", "initial-only", "dense-steps", "fallback-only", "verify")
 STRICT_K = 256.0
 OUTPUT_DIR_ENV = "DELTACOLOR_OUT_DIR"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line (``-h`` prints the usage)."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="deltacolor",
         description="Randomized (max degree + 1) list-coloring simulator and verifier.",
     )
@@ -69,8 +67,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
                        help="'canonical' for {1..max_degree+1} everywhere, or a JSON map path")
     run_p.add_argument("--K", type=float, default=DEFAULT_K, dest="k",
                        help=f"trade-off constant (default {DEFAULT_K:g})")
-    run_p.add_argument("--epsilon-from-K", type=float, default=None, dest="epsilon_from_k",
-                       help="set K and derive epsilon from the density formula (same as --K)")
     run_p.add_argument("--epsilon", type=float, default=None,
                        help="override the density parameter (the formula yields tiny values "
                             "at small max degree, which leaves every vertex sparse)")
@@ -83,8 +79,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     run_p.add_argument("--format", choices=("json", "csv"), default="json")
     run_p.add_argument("--repetitions", type=int, default=1,
                        help="number of seeded runs to aggregate (seed, seed+1, ...)")
-    run_p.add_argument("--workers", type=int, default=0,
-                       help="worker threads for repetitions (0 = auto)")
     run_p.add_argument("--force-main-path", action="store_true",
                        help="run decomposition + dense steps even when the activation gate fails")
     run_p.add_argument("--max-fallback-iters", type=int, default=DEFAULT_MAX_FALLBACK_ITERS)
@@ -104,27 +98,27 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     return parser, run_p
 
 
-def _apply_config(
+def _parse_args(
     parser: argparse.ArgumentParser, run_p: argparse.ArgumentParser, argv: list[str]
 ) -> argparse.Namespace:
-    if "--config" in argv:
-        cfg_path = argv[argv.index("--config") + 1]
-        with open(cfg_path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ValidationError(f"{cfg_path}: config must be a JSON object")
-        known = {"input", "gen", "palettes", "k", "epsilon", "epsilon_from_k", "strict_k",
-                 "seed", "mode", "out", "format", "repetitions", "workers", "force_main_path",
-                 "max_fallback_iters", "steps", "step_delta", "coloring"}
-        defaults = {}
-        for key, value in cfg.items():
-            norm = key.replace("-", "_").lower()
-            if norm not in known:
-                raise ValidationError(f"{cfg_path}: unknown config key {key!r}")
-            defaults[norm] = value
-        # defaults must land on the subparser: it re-applies its own
-        # defaults over anything set on the parent
-        run_p.set_defaults(**defaults)
+    """Parse ``argv``; a ``--config`` file supplies defaults that flags override."""
+    args = parser.parse_args(argv)
+    if args.command != "run" or args.config is None:
+        return args
+    with open(args.config, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"{args.config}: config must be a JSON object")
+    known = {action.dest for action in run_p._actions} - {"help", "config"}
+    defaults = {}
+    for key, value in cfg.items():
+        norm = key.replace("-", "_").lower()
+        if norm not in known:
+            raise ValidationError(f"{args.config}: unknown config key {key!r}")
+        defaults[norm] = value
+    # defaults must land on the subparser: it re-applies its own
+    # defaults over anything set on the parent
+    run_p.set_defaults(**defaults)
     return parser.parse_args(argv)
 
 
@@ -174,25 +168,47 @@ def _emit(report: dict, steps: list[StepStats] | None, args) -> None:
         dump_json(report, out)
 
 
-def _single_run(graph: Graph, palettes, args, seed: int) -> RunReport:
-    return run(
-        graph,
-        palettes,
-        k=args.k,
-        seed=seed,
-        epsilon=args.epsilon,
-        force_main_path=args.force_main_path,
-        max_fallback_iters=args.max_fallback_iters,
-    )
+def _single_run(graph: Graph, palettes, args, seed: int) -> tuple[RunReport, dict]:
+    """One seeded run of the phases ``--mode`` selects, with the extra
+    report keys of a step mode."""
+    if args.mode == "full":
+        report = run(
+            graph,
+            palettes,
+            k=args.k,
+            seed=seed,
+            epsilon=args.epsilon,
+            force_main_path=args.force_main_path,
+            max_fallback_iters=args.max_fallback_iters,
+        )
+        return report, {}
+    driver = PhaseDriver(graph, palettes, k=args.k, seed=seed, epsilon=args.epsilon)
+    extras: dict = {"mode": args.mode}
+    if args.mode == "initial-only":
+        driver.initial()
+        good = driver.good
+        extras["good_colors"] = {
+            "max": int(good.good_counts.max()),
+            "total": int(good.good_counts.sum()),
+            "min_slack": int((good.s0 - good.good_counts).min()),
+            "oversized_palettes": good.oversized_palettes,
+        }
+    elif args.mode == "dense-steps":
+        driver.decompose()
+        if args.step_delta is None:
+            gammas, bounds = schedule_plan(driver.schedule, args.steps)
+        elif 0.0 < args.step_delta <= 0.25:
+            gammas, bounds = [1.0 - 2.0 * math.sqrt(args.step_delta)] * (args.steps or 1), None
+        else:
+            raise ValidationError("--step-delta must lie in (0, 0.25] so gamma stays in [0, 1]")
+        driver.dense(gammas, bounds)
+        extras.update(gammas=gammas, num_cliques=len(driver.decomp.cliques))
+    else:
+        driver.fallback(args.max_fallback_iters)
+    return driver.report(args.force_main_path), extras
 
 
-def _aggregate_full(graph: Graph, palettes, args) -> tuple[dict, int]:
-    seeds = list(range(args.seed, args.seed + args.repetitions))
-    workers = args.workers or min(8, os.cpu_count() or 1)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        reports = list(pool.map(lambda s: _single_run(graph, palettes, args, s), seeds))
-
-    failures = sum(1 for r in reports if r.invariant_failures or not r.complete)
+def _aggregate(reports: list[RunReport], seeds: list[int]) -> dict:
     dense_stats: dict[int, dict[str, int]] = {}
     kind_totals: dict[str, dict[str, float]] = {}
     for rep in reports:
@@ -208,10 +224,10 @@ def _aggregate_full(graph: Graph, palettes, args) -> tuple[dict, int]:
                 d["runs"] += 1
                 d["tried"] += s.colored + s.de_colored
                 d["de_colored"] += s.de_colored
-    aggregate = {
-        "repetitions": args.repetitions,
+    return {
+        "repetitions": len(reports),
         "seeds": seeds,
-        "runs_with_failures": failures,
+        "runs_with_failures": sum(1 for r in reports if r.invariant_failures),
         "mean_rounds_used": float(np.mean([r.rounds_used for r in reports])),
         "per_kind": kind_totals,
         "dense_de_coloring_frequency": {
@@ -219,19 +235,19 @@ def _aggregate_full(graph: Graph, palettes, args) -> tuple[dict, int]:
             for i, d in sorted(dense_stats.items())
         },
     }
-    return aggregate, (1 if failures else 0)
 
 
-def _mode_full(graph: Graph, palettes, args) -> int:
+def _mode_run(graph: Graph, palettes, args) -> int:
     if args.repetitions > 1:
-        aggregate, code = _aggregate_full(graph, palettes, args)
+        seeds = list(range(args.seed, args.seed + args.repetitions))
+        aggregate = _aggregate([_single_run(graph, palettes, args, s)[0] for s in seeds], seeds)
         _emit(aggregate, None, args)
-        return code
-    report = _single_run(graph, palettes, args, args.seed)
-    _emit(report.to_dict(), report.steps, args)
+        return 1 if aggregate["runs_with_failures"] else 0
+    report, extras = _single_run(graph, palettes, args, args.seed)
+    _emit({**report.to_dict(), **extras}, report.steps, args)
     for msg in report.invariant_failures:
         print(f"invariant failure: {msg}", file=sys.stderr)
-    return 1 if (report.invariant_failures or not report.complete) else 0
+    return 1 if report.invariant_failures else 0
 
 
 def _mode_decompose(graph: Graph, args) -> int:
@@ -247,88 +263,6 @@ def _mode_decompose(graph: Graph, args) -> int:
     _emit(report, None, args)
     for msg in failures:
         print(f"invariant failure: {msg}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def _mode_initial(graph: Graph, palettes, args) -> int:
-    state = init_state(graph, palettes)
-    pre = state.copy()
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    stats = initial_coloring_step(graph, state, rng)
-    diag = count_good_colors(graph, pre, state)
-    failures = residual_consistency_failures(graph, state)
-    if np.any(diag.s0 < diag.good_counts):
-        failures.append("good-color bound violated")
-    report = {
-        "mode": "initial-only",
-        "seed": args.seed,
-        "n": graph.n,
-        "delta": graph.max_degree,
-        "steps": [stats.to_dict()],
-        "good_colors": {
-            "max": int(diag.good_counts.max()),
-            "total": int(diag.good_counts.sum()),
-            "min_slack": int((diag.s0 - diag.good_counts).min()),
-            "oversized_palettes": diag.oversized_palettes,
-        },
-        "invariant_failures": failures,
-    }
-    _emit(report, [stats], args)
-    return 1 if failures else 0
-
-
-def _mode_dense(graph: Graph, palettes, args) -> int:
-    sched = build_schedule(max(graph.max_degree, 1), graph.n, args.k, epsilon=args.epsilon)
-    decomp = decompose(graph, sched.epsilon)
-    state = init_state(graph, palettes)
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-
-    if args.step_delta is not None:
-        if not 0.0 < args.step_delta <= 0.25:
-            raise ValidationError("--step-delta must lie in (0, 0.25] so gamma stays in [0, 1]")
-        gammas = [1.0 - 2.0 * math.sqrt(args.step_delta)] * (args.steps or 1)
-    else:
-        table = [r.gamma for r in sched.rounds[1:] if r.gamma is not None and r.gamma >= 0.0]
-        count = args.steps if args.steps is not None else min(
-            sched.num_dense_rounds, sched.regularity_horizon, len(table)
-        )
-        gammas = table[:count]
-
-    steps = []
-    failures: list[str] = []
-    for gamma in gammas:
-        result = dense_coloring_step(graph, state, decomp, gamma, rng.spawn(1)[0])
-        steps.append(result.stats)
-        failures.extend(residual_consistency_failures(graph, state))
-    report = {
-        "mode": "dense-steps",
-        "seed": args.seed,
-        "epsilon": sched.epsilon,
-        "gammas": gammas,
-        "num_cliques": len(decomp.cliques),
-        "steps": [s.to_dict() for s in steps],
-        "colored_total": int(sum(s.colored for s in steps)),
-        "invariant_failures": failures,
-    }
-    _emit(report, steps, args)
-    return 1 if failures else 0
-
-
-def _mode_fallback(graph: Graph, palettes, args) -> int:
-    state = init_state(graph, palettes)
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    result = fallback_coloring(graph, state, rng, max_iters=args.max_fallback_iters)
-    failures = coloring_failures(graph, state)
-    if result.exhausted:
-        failures.insert(0, f"fallback exhausted after {args.max_fallback_iters} rounds")
-    report = {
-        "mode": "fallback-only",
-        "seed": args.seed,
-        "steps": [s.to_dict() for s in result.steps],
-        "rounds_used": 2 * len(result.steps),
-        "invariant_failures": failures,
-    }
-    _emit(report, result.steps, args)
     return 1 if failures else 0
 
 
@@ -352,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, run_p = _build_parser()
     try:
-        args = _apply_config(parser, run_p, argv)
+        args = _parse_args(parser, run_p, argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (OSError, json.JSONDecodeError, DeltaColorError) as exc:
@@ -360,6 +294,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
+        if args.seed < 0:
+            raise ValidationError("--seed must be nonnegative")
         if args.command == "generate":
             graph = generate(GeneratorSpec.parse(args.gen, seed=args.seed))
             write_edge_list(graph, _resolve_out(args.out))
@@ -368,26 +304,20 @@ def main(argv: list[str] | None = None) -> int:
 
         if bool(args.input) == bool(args.gen):
             raise ValidationError("exactly one of --input / --gen is required")
-        if args.epsilon_from_k is not None:
-            args.k = args.epsilon_from_k
         if args.strict_k:
             args.k = max(args.k, STRICT_K)
         if args.repetitions < 1:
             raise ValidationError("--repetitions must be at least 1")
+        if args.repetitions > 1 and args.mode in ("decompose-only", "verify"):
+            raise ValidationError(f"--repetitions does not apply to --mode {args.mode}")
 
         graph = _load_graph(args)
         if args.mode == "decompose-only":
             return _mode_decompose(graph, args)
         palettes = load_palettes(args.palettes, graph)
-        if args.mode == "full":
-            return _mode_full(graph, palettes, args)
-        if args.mode == "initial-only":
-            return _mode_initial(graph, palettes, args)
-        if args.mode == "dense-steps":
-            return _mode_dense(graph, palettes, args)
-        if args.mode == "fallback-only":
-            return _mode_fallback(graph, palettes, args)
-        return _mode_verify(graph, palettes, args)
+        if args.mode == "verify":
+            return _mode_verify(graph, palettes, args)
+        return _mode_run(graph, palettes, args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1

@@ -38,9 +38,9 @@ from .checks import (
 )
 from .decomposition import Decomposition, decompose
 from .errors import InvariantViolation, ValidationError
-from .graph import BLANK, Graph, segment_any, segment_sum
-from .schedule import ACTIVATION_PROB, DEFAULT_K, ScheduleParams, build_schedule
-from .state import ColoringState, commit_colors, init_state
+from .graph import BLANK, Graph, segment_sum
+from .schedule import ACTIVATION_PROB, DEFAULT_K, RoundParams, ScheduleParams, build_schedule
+from .state import ColoringState, commit_colors, init_state, recompute_residuals
 
 DEFAULT_MAX_FALLBACK_ITERS = 500
 
@@ -172,7 +172,7 @@ def _conflicted(graph: Graph, tentative: np.ndarray) -> np.ndarray:
     """True where some neighbor holds the same non-blank tentative color."""
     own = np.repeat(tentative, graph.degrees())
     eq = (own == tentative[graph.indices]) & (own != BLANK)
-    return segment_any(eq, graph.indptr)
+    return segment_sum(eq, graph.indptr) > 0
 
 
 def _uniform_pick(state: ColoringState, v: int, rng: np.random.Generator) -> int:
@@ -249,11 +249,7 @@ def count_good_colors(
         in_pal = pre_step_state.palette[v, np.searchsorted(values, uniq)]
         good[v] = int(np.count_nonzero(cnt >= 1 + in_pal))
 
-    taken = np.zeros_like(post_step_state.original_palette)
-    for v in np.flatnonzero(committed != BLANK):
-        taken[graph.neighbors(v), post_step_state.color_index(int(committed[v]))] = True
-    q0 = (post_step_state.original_palette & ~taken).sum(axis=1).astype(np.int64)
-    d0 = segment_sum(committed[graph.indices] == BLANK, graph.indptr)
+    q0, d0 = recompute_residuals(post_step_state)
     return GoodColorDiag(
         good_counts=good,
         q0=q0,
@@ -458,31 +454,193 @@ def fallback_coloring(
     return FallbackResult(steps=steps, exhausted=remaining() > 0)
 
 
-class _InvariantMonitor:
-    """Runs the per-commit checks and accumulates failure messages."""
+class PhaseDriver:
+    """One run's state, RNG root, invariant monitor and step ledger.
 
-    def __init__(self, graph: Graph, state: ColoringState, enabled: bool):
+    Each phase method runs one phase of the pipeline and checks the
+    invariants after every commit. :func:`run` composes all of them; the
+    CLI's step modes select some. Every phase draws its own stream from
+    the root, so a phase's randomness depends only on the seed and on
+    the phases run before it. Call :meth:`report` once, at the end.
+    """
+
+    def __init__(
+        self,
+        graph: Graph,
+        palettes: Sequence[Sequence[int]],
+        k: float = DEFAULT_K,
+        seed: int = 0,
+        epsilon: float | None = None,
+        check_invariants: bool = True,
+    ):
+        if seed < 0:
+            raise ValidationError("seed must be nonnegative")
         self.graph = graph
-        self.state = state
-        self.enabled = enabled
+        self.seed = seed
+        self.state = init_state(graph, palettes)
+        self.schedule = build_schedule(max(graph.max_degree, 1), graph.n, k, epsilon=epsilon)
+        self.check_invariants = check_invariants
         self.failures: list[str] = []
-        self._prev_surplus = state.surplus().copy()
-        self._prev_uncolored = state.uncolored_mask().copy()
+        self.steps: list[StepStats] = []
+        self.decomp: Decomposition | None = None
+        self.good: GoodColorDiag | None = None
+        self._root = np.random.default_rng(np.random.SeedSequence(seed))
+        self._require_complete = False
+        self._prev_surplus = self.state.surplus()
+        self._prev_uncolored = self.state.uncolored_mask()
 
-    def after_step(self, tag: str) -> None:
-        if not self.enabled:
+    def _stream(self) -> np.random.Generator:
+        return self._root.spawn(1)[0]
+
+    def _finish_step(self, stats: StepStats) -> None:
+        """Record a committed step and run the per-commit checks."""
+        state = self.state
+        _fill_surplus(stats, state, self.decomp)
+        self.steps.append(stats)
+        if not self.check_invariants:
             return
-        still = self.state.uncolored_mask() & self._prev_uncolored
-        drop = still & (self.state.surplus() < self._prev_surplus)
+        tag = f"step {len(self.steps)} ({stats.kind})"
+        surplus = state.surplus()
+        uncolored = state.uncolored_mask()
+        drop = uncolored & self._prev_uncolored & (surplus < self._prev_surplus)
         if np.any(drop):
             v = int(np.flatnonzero(drop)[0])
             self.failures.append(f"{tag}: surplus of uncolored vertex {v} decreased")
-        self.failures.extend(f"{tag}: {msg}" for msg in properness_failures(self.graph, self.state.committed))
+        self.failures.extend(f"{tag}: {msg}" for msg in properness_failures(self.graph, state.committed))
         self.failures.extend(
-            f"{tag}: {msg}" for msg in residual_consistency_failures(self.graph, self.state)
+            f"{tag}: {msg}" for msg in residual_consistency_failures(self.graph, state)
         )
-        self._prev_surplus = self.state.surplus().copy()
-        self._prev_uncolored = self.state.uncolored_mask().copy()
+        self._prev_surplus = surplus
+        self._prev_uncolored = uncolored
+
+    def decompose(self) -> None:
+        """Split the graph into sparse vertices and almost-cliques."""
+        self.decomp = decompose(self.graph, self.schedule.epsilon)
+        self.steps.append(StepStats(kind="decompose", rounds=ROUND_COST_DECOMPOSE))
+
+    def initial(self) -> None:
+        """The initial step, then the good-color bound s0 >= |J|."""
+        pre = self.state.copy()
+        self._finish_step(initial_coloring_step(self.graph, self.state, self._stream()))
+        good = self.good = count_good_colors(self.graph, pre, self.state)
+        if np.any(good.s0 < good.good_counts):
+            v = int(np.flatnonzero(good.s0 < good.good_counts)[0])
+            self.failures.append(
+                f"good-color bound violated at vertex {v}: s0={int(good.s0[v])} < |J|={int(good.good_counts[v])}"
+            )
+
+    def dense(self, gammas: Sequence[float], bounds: Sequence[RoundParams] | None = None) -> None:
+        """One dense step per gamma, after :meth:`decompose`.
+
+        ``bounds[i]`` is the schedule row (D, Z) that step i + 1 starts
+        from; with it, each prefix vertex is checked against the palette
+        floor. Steps driven by a hand-picked gamma carry no bounds.
+        """
+        for i, gamma in enumerate(gammas, start=1):
+            q_pre = self.state.residual_palette_size.copy()
+            result = dense_coloring_step(self.graph, self.state, self.decomp, gamma, self._stream())
+            self._finish_step(result.stats)
+            if bounds is not None:
+                self._check_palette_floor(result, q_pre, bounds[i - 1], i)
+
+    def fallback(
+        self, max_iters: int, eligible: np.ndarray | None = None, phase: str | None = None
+    ) -> None:
+        """Trial rounds until every ``eligible`` vertex (all when None) is
+        colored; ``phase`` names the pass in the exhaustion message."""
+        fb = fallback_coloring(
+            self.graph,
+            self.state,
+            self._stream(),
+            max_iters=max_iters,
+            eligible=eligible,
+            after_round=self._finish_step,
+        )
+        self._require_complete |= eligible is None
+        if fb.exhausted:
+            name = "fallback" if phase is None else f"fallback ({phase} phase)"
+            self.failures.append(
+                f"{name} exhausted after {max_iters} rounds "
+                f"with {self.state.num_uncolored()} vertices uncolored"
+            )
+
+    def report(self, force_main_path: bool = False) -> RunReport:
+        """The run report, after the final check: proper and in-palette,
+        and complete once a fallback over all vertices has run; the
+        per-step colored counts must add up to the colored vertices."""
+        graph, state, sched = self.graph, self.state, self.schedule
+        failures = self.failures + coloring_failures(
+            graph, state, require_complete=self._require_complete
+        )
+        colored = graph.n - state.num_uncolored()
+        total_colored = sum(s.colored for s in self.steps)
+        if total_colored != colored:
+            failures.append(
+                f"per-step colored counts sum to {total_colored}, "
+                f"but {colored} vertices are colored"
+            )
+        return RunReport(
+            seed=self.seed,
+            n=graph.n,
+            delta=graph.max_degree,
+            epsilon=sched.epsilon,
+            k=sched.k,
+            main_path=sched.main_path,
+            forced_main_path=force_main_path and not sched.main_path,
+            rounds_used=sum(s.rounds for s in self.steps),
+            steps=self.steps,
+            schedule=sched,
+            invariant_failures=failures,
+            coloring=state.committed.copy(),
+            dense_steps_executed=sum(s.kind == "dense" for s in self.steps),
+            invariants_checked=self.check_invariants,
+            good_color=self.good,
+        )
+
+    def _check_palette_floor(
+        self, result: DenseStepResult, q_pre: np.ndarray, row: RoundParams, step_index: int
+    ) -> None:
+        """Palette floor of a regular dense step: every prefix vertex must
+        satisfy Q(v) - L_j >= Z sqrt(delta) + D for its clique's prefix L_j."""
+        if not self.check_invariants:
+            return
+        delta = row.d / row.z
+        floor = row.z * math.sqrt(delta) + row.d
+        for clique in self.decomp.cliques:
+            prefix = clique.members[result.in_prefix[clique.members]]
+            if prefix.size == 0:
+                continue
+            lj = int(prefix.size)
+            short = prefix[q_pre[prefix] - lj < floor - 1e-9]
+            if short.size:
+                v = int(short[0])
+                self.failures.append(
+                    f"dense step {step_index}: palette floor violated at vertex {v}: "
+                    f"Q={int(q_pre[v])}, L={lj}, floor={floor:.3f}"
+                )
+
+
+def schedule_plan(
+    sched: ScheduleParams, count: int | None = None
+) -> tuple[list[float], list[RoundParams]]:
+    """Gammas of the schedule-driven dense steps and the rows they start from.
+
+    Step i uses row i's gamma and row i - 1's bounds. The plan covers the
+    first ``count`` steps of the table (by default, up to the regularity
+    horizon) and stops before the first negative gamma.
+    """
+    if count is None:
+        count = min(sched.num_dense_rounds, sched.regularity_horizon)
+    gammas: list[float] = []
+    bounds: list[RoundParams] = []
+    for i in range(1, min(count, len(sched.rounds) - 1) + 1):
+        gamma = sched.rounds[i].gamma
+        assert gamma is not None
+        if gamma < 0.0:
+            break
+        gammas.append(gamma)
+        bounds.append(sched.rounds[i - 1])
+    return gammas, bounds
 
 
 def run(
@@ -503,115 +661,18 @@ def run(
     overrides the routing so the decomposition and dense machinery can
     be exercised, usually together with an epsilon override.
     """
-    if seed < 0:
-        raise ValidationError("seed must be nonnegative")
-    state = init_state(graph, palettes)
-    sched = build_schedule(max(graph.max_degree, 1), graph.n, k, epsilon=epsilon)
-    root = np.random.default_rng(np.random.SeedSequence(seed))
-    monitor = _InvariantMonitor(graph, state, check_invariants)
-    steps: list[StepStats] = []
-    rounds_used = 0
-    dense_steps_executed = 0
-    good: GoodColorDiag | None = None
-    decomp: Decomposition | None = None
-
-    use_dense_path = (sched.main_path or force_main_path) and graph.max_degree >= 1
-
-    def next_stream() -> np.random.Generator:
-        return root.spawn(1)[0]
-
-    def finish_step(stats: StepStats) -> None:
-        _fill_surplus(stats, state, decomp)
-        steps.append(stats)
-        monitor.after_step(f"step {len(steps)} ({stats.kind})")
-
-    if use_dense_path:
-        decomp = decompose(graph, sched.epsilon)
-        steps.append(StepStats(kind="decompose", rounds=ROUND_COST_DECOMPOSE))
-        rounds_used += ROUND_COST_DECOMPOSE
-
-        pre = state.copy()
-        stats = initial_coloring_step(graph, state, next_stream())
-        rounds_used += stats.rounds
-        finish_step(stats)
-        good = count_good_colors(graph, pre, state)
-        if np.any(good.s0 < good.good_counts):
-            v = int(np.flatnonzero(good.s0 < good.good_counts)[0])
-            monitor.failures.append(
-                f"good-color bound violated at vertex {v}: s0={int(good.s0[v])} < |J|={int(good.good_counts[v])}"
-            )
-
-        limit = min(sched.num_dense_rounds, sched.regularity_horizon)
-        for i in range(1, limit + 1):
-            row = sched.rounds[i]
-            assert row.gamma is not None
-            if row.gamma < 0.0:
-                break
-            prev = sched.rounds[i - 1]
-            q_pre = state.residual_palette_size.copy()
-            result = dense_coloring_step(graph, state, decomp, row.gamma, next_stream())
-            rounds_used += result.stats.rounds
-            dense_steps_executed += 1
-            finish_step(result.stats)
-            _check_palette_floor(monitor, decomp, result, q_pre, prev.d, prev.z, i)
-
+    driver = PhaseDriver(graph, palettes, k, seed, epsilon, check_invariants)
+    if (driver.schedule.main_path or force_main_path) and graph.max_degree >= 1:
+        driver.decompose()
+        driver.initial()
+        driver.dense(*schedule_plan(driver.schedule))
         sparse_mask = np.zeros(graph.n, dtype=bool)
-        sparse_mask[decomp.sparse] = True
-        for phase, mask in (("sparse", sparse_mask), ("residual", None)):
-            fb = fallback_coloring(
-                graph,
-                state,
-                next_stream(),
-                max_iters=max_fallback_iters,
-                eligible=mask,
-                after_round=finish_step,
-            )
-            rounds_used += ROUND_COST_FALLBACK * len(fb.steps)
-            if fb.exhausted:
-                monitor.failures.append(
-                    f"fallback ({phase} phase) exhausted after {max_fallback_iters} rounds "
-                    f"with {state.num_uncolored()} vertices uncolored"
-                )
+        sparse_mask[driver.decomp.sparse] = True
+        driver.fallback(max_fallback_iters, eligible=sparse_mask, phase="sparse")
+        driver.fallback(max_fallback_iters, phase="residual")
     else:
-        fb = fallback_coloring(
-            graph,
-            state,
-            next_stream(),
-            max_iters=max_fallback_iters,
-            after_round=finish_step,
-        )
-        rounds_used += ROUND_COST_FALLBACK * len(fb.steps)
-        if fb.exhausted:
-            monitor.failures.append(
-                f"fallback exhausted after {max_fallback_iters} rounds "
-                f"with {state.num_uncolored()} vertices uncolored"
-            )
-
-    monitor.failures.extend(coloring_failures(graph, state))
-    total_colored = sum(s.colored for s in steps)
-    if total_colored != graph.n - state.num_uncolored():
-        monitor.failures.append(
-            f"per-step colored counts sum to {total_colored}, "
-            f"but {graph.n - state.num_uncolored()} vertices are colored"
-        )
-
-    return RunReport(
-        seed=seed,
-        n=graph.n,
-        delta=graph.max_degree,
-        epsilon=sched.epsilon,
-        k=sched.k,
-        main_path=sched.main_path,
-        forced_main_path=force_main_path and not sched.main_path,
-        rounds_used=rounds_used,
-        steps=steps,
-        schedule=sched,
-        invariant_failures=monitor.failures,
-        coloring=state.committed.copy(),
-        dense_steps_executed=dense_steps_executed,
-        invariants_checked=check_invariants,
-        good_color=good,
-    )
+        driver.fallback(max_fallback_iters)
+    return driver.report(force_main_path)
 
 
 def _fill_surplus(stats: StepStats, state: ColoringState, decomp: Decomposition | None) -> None:
@@ -628,31 +689,3 @@ def _fill_surplus(stats: StepStats, state: ColoringState, decomp: Decomposition 
     stats.surplus_min = int(surplus.min())
     stats.surplus_mean = float(surplus.mean())
 
-
-def _check_palette_floor(
-    monitor: _InvariantMonitor,
-    decomp: Decomposition,
-    result: DenseStepResult,
-    q_pre: np.ndarray,
-    d_bound: float,
-    z_bound: float,
-    step_index: int,
-) -> None:
-    """Palette floor of a regular dense step: every prefix vertex must
-    satisfy Q(v) - L_j >= Z sqrt(delta) + D for its clique's prefix L_j."""
-    if not monitor.enabled:
-        return
-    delta = d_bound / z_bound
-    floor = z_bound * math.sqrt(delta) + d_bound
-    for clique in decomp.cliques:
-        prefix = clique.members[result.in_prefix[clique.members]]
-        if prefix.size == 0:
-            continue
-        lj = int(prefix.size)
-        short = prefix[q_pre[prefix] - lj < floor - 1e-9]
-        if short.size:
-            v = int(short[0])
-            monitor.failures.append(
-                f"dense step {step_index}: palette floor violated at vertex {v}: "
-                f"Q={int(q_pre[v])}, L={lj}, floor={floor:.3f}"
-            )

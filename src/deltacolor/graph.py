@@ -187,11 +187,6 @@ def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return sums
 
 
-def segment_any(flags: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Per-segment OR over a CSR layout; empty segments yield False."""
-    return segment_sum(flags, indptr) > 0
-
-
 def edge_common_counts(graph: Graph, keep: np.ndarray | None = None) -> np.ndarray:
     """|N(u) & N(v)| for every CSR slot (u, v), aligned with ``graph.indices``.
 

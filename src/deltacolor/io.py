@@ -31,7 +31,10 @@ def read_edge_list(path: str | Path) -> Graph:
                     raise ValidationError(f"{path}:{lineno}: header must come first")
                 if len(parts) != 2:
                     raise ValidationError(f"{path}:{lineno}: malformed header {line!r}")
-                declared_n = int(parts[1])
+                try:
+                    declared_n = int(parts[1])
+                except ValueError as exc:
+                    raise ValidationError(f"{path}:{lineno}: non-integer vertex count in {line!r}") from exc
                 continue
             if len(parts) != 2:
                 raise ValidationError(f"{path}:{lineno}: expected 'u v', got {line!r}")

@@ -89,8 +89,9 @@ def test_dense_steps_mode_with_step_delta(tmp_path):
     assert code == 0
     doc = read_json(out)
     assert doc["num_cliques"] == 4
-    assert len(doc["steps"]) == 1
-    assert doc["steps"][0]["colored"] > 0
+    dense = [s for s in doc["steps"] if s["kind"] == "dense"]
+    assert len(dense) == 1
+    assert dense[0]["colored"] > 0
     assert doc["gammas"][0] == pytest.approx(0.6)
 
 
@@ -178,18 +179,6 @@ def test_usage_errors_exit_two(tmp_path):
     assert main(["run", "--gen", "complete:10", "--epsilon", "0.3"]) == 2
 
 
-def test_epsilon_from_k_alias(tmp_path):
-    out = tmp_path / "r.json"
-    code = main([
-        "run", "--gen", "complete:21", "--epsilon-from-K", "16",
-        "--seed", "7", "--mode", "full", "--out", str(out),
-    ])
-    assert code == 0
-    doc = read_json(out)
-    assert doc["K"] == 16.0
-    assert doc["main_path"] is False
-
-
 def test_output_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("DELTACOLOR_OUT_DIR", str(tmp_path))
     code = main(["run", "--gen", "complete:10", "--mode", "full", "--out", "report.json"])
@@ -202,3 +191,116 @@ def test_stdout_report(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["complete"] is True
+
+
+STEP_MODES = {
+    "initial-only": ["--gen", "gnp:60,0.3"],
+    "dense-steps": ["--gen", "clique_chain:50x4", "--epsilon", "0.1", "--step-delta", "0.04"],
+    "fallback-only": ["--gen", "complete:30"],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(STEP_MODES))
+def test_step_modes_run_the_monitor_after_every_step(tmp_path, monkeypatch, mode):
+    import deltacolor.engine
+
+    monkeypatch.setattr(
+        deltacolor.engine, "residual_consistency_failures", lambda graph, state: ["injected"]
+    )
+    out = tmp_path / "r.json"
+    argv = ["run", *STEP_MODES[mode], "--seed", "1", "--mode", mode, "--out", str(out)]
+    assert main(argv) == 1
+    doc = read_json(out)
+    kind = {"initial-only": "initial", "dense-steps": "dense", "fallback-only": "fallback"}[mode]
+    assert any(msg.endswith(f"({kind}): injected") for msg in doc["invariant_failures"])
+
+
+@pytest.mark.parametrize("mode", sorted(STEP_MODES))
+def test_step_modes_write_run_reports_and_csv(tmp_path, mode):
+    out = tmp_path / "r.json"
+    argv = ["run", *STEP_MODES[mode], "--seed", "1", "--mode", mode]
+    assert main(argv + ["--out", str(out)]) == 0
+    doc = read_json(out)
+    assert doc["mode"] == mode
+    for key in ("seed", "n", "delta", "epsilon", "K", "rounds_used", "steps", "schedule",
+                "coloring", "complete", "invariant_failures"):
+        assert key in doc
+    assert doc["complete"] is (mode == "fallback-only")
+    assert doc["rounds_used"] == sum(s["rounds"] for s in doc["steps"])
+    csv = tmp_path / "r.csv"
+    assert main(argv + ["--format", "csv", "--out", str(csv)]) == 0
+    assert len(csv.read_text().splitlines()) == 1 + len(doc["steps"])
+
+
+def test_dense_steps_repetitions_aggregate(tmp_path):
+    out = tmp_path / "agg.json"
+    code = main([
+        "run", *STEP_MODES["dense-steps"], "--steps", "1", "--seed", "3",
+        "--mode", "dense-steps", "--repetitions", "8", "--out", str(out),
+    ])
+    assert code == 0
+    doc = read_json(out)
+    assert doc["repetitions"] == 8
+    assert doc["runs_with_failures"] == 0
+    assert doc["per_kind"]["dense"]["steps"] == 8
+    assert "1" in doc["dense_de_coloring_frequency"]
+
+
+def test_schedule_driven_dense_steps_are_clean(tmp_path):
+    out = tmp_path / "dense.json"
+    code = main([
+        "run", "--gen", "clique_chain:200x5", "--epsilon", "0.035", "--K", "0.5",
+        "--seed", "3", "--mode", "dense-steps", "--out", str(out),
+    ])
+    assert code == 0
+    doc = read_json(out)
+    assert len(doc["gammas"]) == doc["dense_steps_executed"] >= 1
+
+
+def _usage_error(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+def test_config_equals_form_is_honored(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"gen": "complete:21", "mode": "decompose-only", "epsilon": 0.1}))
+    out = tmp_path / "out.json"
+    assert main(["run", f"--config={cfg}", "--out", str(out)]) == 0
+    assert read_json(out)["num_cliques"] == 1
+
+
+def test_trailing_config_flag_is_a_usage_error(capsys):
+    assert "--config" in _usage_error(capsys, ["run", "--gen", "complete:5", "--config"])
+
+
+def test_config_keys_follow_the_run_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"gen": "complete:21", "max-fallback-iters": 50, "strict-K": True}))
+    out = tmp_path / "out.json"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert read_json(out)["K"] == 256.0
+    for removed in ("workers", "epsilon-from-K", "config"):
+        cfg.write_text(json.dumps({"gen": "complete:21", removed: 2}))
+        assert removed in _usage_error(capsys, ["run", "--config", str(cfg)])
+
+
+def test_non_integer_edge_list_header_is_a_usage_error(tmp_path, capsys):
+    graph_file = tmp_path / "g.edges"
+    graph_file.write_text("n x\n0 1\n")
+    assert "vertex count" in _usage_error(capsys, ["run", "--input", str(graph_file)])
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    _usage_error(capsys, ["run", "--gen", "gnp:20,0.3", "--seed", "-1"])
+    _usage_error(capsys, ["generate", "--gen", "gnp:20,0.3", "--seed", "-1",
+                          "--out", str(tmp_path / "g.edges")])
+
+
+def test_repetitions_need_a_coloring_mode(capsys):
+    for mode in ("decompose-only", "verify"):
+        _usage_error(capsys, ["run", "--gen", "complete:5", "--mode", mode, "--repetitions", "2"])

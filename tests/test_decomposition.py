@@ -224,6 +224,14 @@ def test_disconnected_clique_is_reported():
     assert decomposition_failures(g, one_clique(g, [0, 1])) == []
 
 
+def test_clique_connectivity_ignores_paths_outside_the_clique():
+    # 0-1 and 2-3 are joined only through vertex 4, which is not a member
+    g = build_graph([(0, 1), (2, 3), (0, 4), (4, 2)])
+    assert decomposition_failures(g, one_clique(g, [0, 1, 2, 3])) == [
+        "almost-clique 0 is not connected under friend edges"
+    ]
+
+
 def loop_metrics(g, d, uncolored):
     """External and anti-degrees by a per-member loop over neighbour sets."""
     external, anti = {}, {}

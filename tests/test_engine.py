@@ -395,3 +395,17 @@ def test_run_list_coloring_respects_palettes():
     assert report.invariant_failures == []
     for v in range(g.n):
         assert int(report.coloring[v]) in set(palettes[v])
+
+
+def test_driver_checks_palette_floor_only_with_schedule_bounds():
+    from deltacolor.engine import PhaseDriver
+    from deltacolor.schedule import RoundParams
+
+    g = generate(GeneratorSpec.parse("clique_chain:50x4"))
+    tight = RoundParams(d=1e3, z=2e3, delta=0.5, gamma=None)
+    for bounds, flagged in ((None, False), ([tight], True)):
+        driver = PhaseDriver(g, canonical_palettes(g), seed=1, epsilon=0.1)
+        driver.decompose()
+        driver.dense([0.6], bounds)
+        failures = driver.report().invariant_failures
+        assert any("palette floor violated" in msg for msg in failures) is flagged

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from deltacolor import GeneratorSpec, ValidationError, build_graph, generate
 from deltacolor import graph as graph_module
-from deltacolor.graph import edge_common_counts, segment_any, segment_sum
+from deltacolor.graph import edge_common_counts, segment_sum
 from deltacolor.io import read_edge_list, write_edge_list
 
 
@@ -120,7 +120,6 @@ def test_segment_helpers_handle_empty_segments():
     indptr = np.array([0, 0, 2, 2, 3])
     values = np.array([1, 0, 1])
     assert segment_sum(values, indptr).tolist() == [0, 1, 0, 1]
-    assert segment_any(values.astype(bool), indptr).tolist() == [False, True, False, True]
     # trailing empty segment must not swallow part of its predecessor
     indptr2 = np.array([0, 1, 2, 4, 4])
     values2 = np.array([1, 1, 1, 1])
