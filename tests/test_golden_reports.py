@@ -1,10 +1,13 @@
 """Golden run-report hashes: full runs must stay byte-identical.
 
 Each case hashes the bytes ``dump_json`` writes for ``run(...).to_dict()``,
-through the API and through ``deltacolor run --mode full``. The hashes in
-``golden/reports.json`` were recorded from the engine whose ``run()`` held
-the phase plumbing in closures, before the phase driver replaced it. To
-record them again (only after a deliberate change of output), run
+through the API and through ``deltacolor run --mode full``. The first four
+hashes in ``golden/reports.json`` were recorded from the engine whose
+``run()`` held the phase plumbing in closures, before the phase driver
+replaced it; ``pairs-2000-seed12`` and ``clique_chain-150x2-main-repeat-seed4``
+were recorded from the per-vertex commit, pick and recount loops, before
+their array rewrite. To record them again (only after a deliberate change
+of output), run
 
     PYTHONPATH=src python tests/test_golden_reports.py --write
 """
@@ -18,24 +21,38 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deltacolor import GeneratorSpec, canonical_palettes, generate, run
+from deltacolor import GeneratorSpec, build_graph, canonical_palettes, generate, run
 from deltacolor.cli import main
-from deltacolor.io import dump_json
+from deltacolor.io import dump_json, write_edge_list
 
 FIXTURE = Path(__file__).parent / "golden" / "reports.json"
 
 
-def _random_list_palettes(graph, seed):
-    """Max degree + 1 distinct colours per vertex from {1..2(max degree + 1)}."""
+def _random_list_palettes(graph, seed, repeat=False):
+    """Max degree + 1 distinct colours per vertex from {1..2(max degree + 1)};
+    with ``repeat``, every third palette lists its first colour twice."""
     rng = np.random.default_rng(seed)
     need = graph.max_degree + 1
-    return [
+    palettes = [
         sorted(int(c) for c in rng.choice(np.arange(1, 2 * need + 1), size=need, replace=False))
         for _ in range(graph.n)
     ]
+    if repeat:
+        for p in palettes[::3]:
+            p.append(p[0])
+    return palettes
 
 
-# name -> (generator spec, palette seed or None for canonical, run options)
+def _random_pairs_graph(n, pairs, seed):
+    """Uniform random vertex pairs, self-loops dropped (the many-small-rows regime)."""
+    edges = np.random.default_rng(seed).integers(0, n, size=(pairs, 2))
+    return build_graph(edges[edges[:, 0] != edges[:, 1]], n=n)
+
+
+# name -> (graph spec, palettes, run options). A graph spec is a generator
+# spec or "pairs:<n>,<pairs>" (see _random_pairs_graph, seeded by the run
+# seed); palettes are None for canonical, a seed for random lists, or
+# (seed, "repeat") for random lists with repeated colours.
 CASES = {
     "gnp-80-0.4-seed5": ("gnp:80,0.4", None, {"seed": 5}),
     "clique_chain-200x5-main-seed3": (
@@ -45,6 +62,12 @@ CASES = {
     ),
     "gnp-60-0.4-list-seed9": ("gnp:60,0.4", 9, {"seed": 9}),
     "complete-21-K16": ("complete:21", None, {"seed": 7, "k": 16.0}),
+    "pairs-2000-seed12": ("pairs:2000,20000", None, {"seed": 12}),
+    "clique_chain-150x2-main-repeat-seed4": (
+        "clique_chain:150x2",
+        (4, "repeat"),
+        {"seed": 4, "epsilon": 0.035, "k": 0.5, "force_main_path": True},
+    ),
 }
 
 
@@ -53,11 +76,17 @@ def _sha(path: Path) -> str:
 
 
 def _inputs(name):
-    spec, palette_seed, options = CASES[name]
-    graph = generate(GeneratorSpec.parse(spec, seed=options["seed"]))
-    if palette_seed is None:
+    spec, palette_spec, options = CASES[name]
+    if spec.startswith("pairs:"):
+        n, pairs = spec.removeprefix("pairs:").split(",")
+        graph = _random_pairs_graph(int(n), int(pairs), options["seed"])
+    else:
+        graph = generate(GeneratorSpec.parse(spec, seed=options["seed"]))
+    if palette_spec is None:
         return graph, canonical_palettes(graph), options
-    return graph, _random_list_palettes(graph, palette_seed), options
+    if isinstance(palette_spec, tuple):
+        return graph, _random_list_palettes(graph, palette_spec[0], repeat=True), options
+    return graph, _random_list_palettes(graph, palette_spec), options
 
 
 def api_hash(name: str, workdir: Path) -> str:
@@ -68,10 +97,16 @@ def api_hash(name: str, workdir: Path) -> str:
 
 
 def cli_hash(name: str, workdir: Path) -> str:
-    spec, palette_seed, options = CASES[name]
-    argv = ["run", "--gen", spec, "--mode", "full", "--seed", str(options["seed"])]
-    if palette_seed is not None:
-        graph, palettes, _ = _inputs(name)
+    spec, palette_spec, options = CASES[name]
+    graph, palettes, _ = _inputs(name)
+    if spec.startswith("pairs:"):
+        edge_file = workdir / f"{name}.edges"
+        write_edge_list(graph, edge_file)
+        argv = ["run", "--input", str(edge_file)]
+    else:
+        argv = ["run", "--gen", spec]
+    argv += ["--mode", "full", "--seed", str(options["seed"])]
+    if palette_spec is not None:
         pal_file = workdir / f"{name}.palettes.json"
         pal_file.write_text(json.dumps({str(v): p for v, p in enumerate(palettes)}))
         argv += ["--palettes", str(pal_file)]
@@ -102,6 +137,13 @@ def test_golden_cases_cover_every_phase(tmp_path):
     assert kinds == {"decompose", "initial", "dense", "fallback"}
     graph, palettes, _ = _inputs("gnp-60-0.4-list-seed9")
     assert any(p != list(range(1, graph.max_degree + 2)) for p in palettes)
+    # The repeat case must list a colour twice in some palette and still
+    # take the main path through a dense step.
+    graph, palettes, options = _inputs("clique_chain-150x2-main-repeat-seed4")
+    assert any(len(set(p)) < len(p) for p in palettes)
+    assert "dense" in {s.kind for s in run(graph, palettes, **options).steps}
+    graph, _, _ = _inputs("pairs-2000-seed12")
+    assert 30 <= graph.max_degree <= 50
 
 
 if __name__ == "__main__":
