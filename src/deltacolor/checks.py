@@ -63,14 +63,12 @@ def coloring_failures(
     if require_complete and uncolored.size:
         out.append(f"{uncolored.size} vertices left uncolored (first: {int(uncolored[0])})")
     colored = np.flatnonzero(state.committed != BLANK)
-    for v in colored:
-        idx = state._value_to_index.get(int(state.committed[v]))
-        if idx is None or not state.original_palette[v, idx]:
-            out.append(
-                f"vertex {int(v)} wears color {int(state.committed[v])} outside its own palette"
-            )
-            if len(out) >= _REPORT_CAP:
-                break
+    colors = state.committed[colored]
+    values = state.color_values
+    columns = np.minimum(np.searchsorted(values, colors), values.size - 1)
+    inside = (values[columns] == colors) & state.original_palette[colored, columns]
+    for v in colored[~inside][: _REPORT_CAP - len(out)]:
+        out.append(f"vertex {int(v)} wears color {int(state.committed[v])} outside its own palette")
     out.extend(properness_failures(graph, state.committed))
     return out
 

@@ -36,7 +36,7 @@ from .engine import (
 from .errors import DeltaColorError, InvariantViolation, ValidationError
 from .generators import GeneratorSpec, generate
 from .graph import Graph
-from .io import dump_json, json_ready, load_palettes, read_edge_list, write_edge_list
+from .io import dump_json, dumps_json, load_palettes, read_edge_list, write_edge_list
 from .schedule import DEFAULT_K, build_schedule
 
 MODES = ("full", "decompose-only", "initial-only", "dense-steps", "fallback-only", "verify")
@@ -162,8 +162,7 @@ def _emit(report: dict, steps: list[StepStats] | None, args) -> None:
             out.write_text(text, encoding="utf-8")
         return
     if out is None:
-        json.dump(json_ready(report), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(dumps_json(report) + "\n")
     else:
         dump_json(report, out)
 
@@ -198,7 +197,8 @@ def _single_run(graph: Graph, palettes, args, seed: int) -> tuple[RunReport, dic
         if args.step_delta is None:
             gammas, bounds = schedule_plan(driver.schedule, args.steps)
         elif 0.0 < args.step_delta <= 0.25:
-            gammas, bounds = [1.0 - 2.0 * math.sqrt(args.step_delta)] * (args.steps or 1), None
+            count = 1 if args.steps is None else args.steps
+            gammas, bounds = [1.0 - 2.0 * math.sqrt(args.step_delta)] * count, None
         else:
             raise ValidationError("--step-delta must lie in (0, 0.25] so gamma stays in [0, 1]")
         driver.dense(gammas, bounds)
@@ -310,6 +310,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ValidationError("--repetitions must be at least 1")
         if args.repetitions > 1 and args.mode in ("decompose-only", "verify"):
             raise ValidationError(f"--repetitions does not apply to --mode {args.mode}")
+        if args.steps is not None and args.steps < 1:
+            raise ValidationError("--steps must be at least 1")
 
         graph = _load_graph(args)
         if args.mode == "decompose-only":

@@ -160,7 +160,7 @@ class RunReport:
             "steps": [s.to_dict() for s in self.steps],
             "invariant_failures": list(self.invariant_failures),
             "schedule": self.schedule.to_dict(),
-            "coloring": {str(v): int(c) for v, c in enumerate(self.coloring)},
+            "coloring": dict(zip(map(str, range(self.n)), self.coloring.tolist())),
         }
 
 
@@ -175,11 +175,24 @@ def _conflicted(graph: Graph, tentative: np.ndarray) -> np.ndarray:
     return segment_sum(eq, graph.indptr) > 0
 
 
-def _uniform_pick(state: ColoringState, v: int, rng: np.random.Generator) -> int:
-    choices = np.flatnonzero(state.palette[v])
-    if choices.size == 0:
+def _uniform_pick(
+    state: ColoringState, vertices: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """A uniform residual-palette color for each of the ascending ``vertices``.
+
+    One draw ``rng.integers(0, sizes)`` consumes the generator exactly as
+    one scalar ``rng.integers(size)`` per vertex, in order, would.
+    """
+    if vertices.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    rank = np.cumsum(state.palette[vertices], axis=1, dtype=np.int32)
+    sizes = rank[:, -1]
+    if not sizes.all():
+        v = int(vertices[np.argmin(sizes)])
         raise InvariantViolation(f"vertex {v} has an empty residual palette")
-    return int(state.color_values[choices[int(rng.integers(choices.size))]])
+    k = rng.integers(0, sizes)
+    # the k-th set bit (from 0) is the first column whose running count exceeds k
+    return state.color_values[np.count_nonzero(rank <= k[:, None], axis=1)]
 
 
 def apply_initial_tentative(
@@ -194,15 +207,16 @@ def apply_initial_tentative(
     tentative = np.asarray(tentative, dtype=np.int64)
     if tentative.shape != (graph.n,):
         raise ValidationError("tentative array must have one entry per vertex")
-    for v in np.flatnonzero(tentative != BLANK):
-        idx = state._value_to_index.get(int(tentative[v]))
-        if idx is None or not state.palette[v, idx]:
-            raise ValidationError(
-                f"injected color {int(tentative[v])} is not in the palette of vertex {v}"
-            )
+    drawn = np.flatnonzero(tentative != BLANK)
+    ok = state.in_residual_palette(drawn, tentative[drawn])
+    if not ok.all():
+        v = int(drawn[np.argmin(ok)])
+        raise ValidationError(
+            f"injected color {int(tentative[v])} is not in the palette of vertex {v}"
+        )
     conflicted = _conflicted(graph, tentative)
     winners = np.flatnonzero((tentative != BLANK) & ~conflicted)
-    commit_colors(state, {int(v): int(tentative[v]) for v in winners})
+    commit_colors(state, winners, tentative[winners])
     state.tentative = tentative
     return StepStats(
         kind="initial",
@@ -226,8 +240,8 @@ def initial_coloring_step(
         raise ValidationError("initial coloring step requires a fresh state")
     draws = rng.random(graph.n)
     tentative = np.zeros(graph.n, dtype=np.int64)
-    for v in np.flatnonzero(draws < ACTIVATION_PROB):
-        tentative[v] = _uniform_pick(state, int(v), rng)
+    active = np.flatnonzero(draws < ACTIVATION_PROB)
+    tentative[active] = _uniform_pick(state, active, rng)
     return apply_initial_tentative(graph, state, tentative)
 
 
@@ -236,18 +250,14 @@ def count_good_colors(
 ) -> GoodColorDiag:
     """Good-color diagnostic comparing pre/post initial-step states."""
     n = graph.n
-    committed = post_step_state.committed
-    values = post_step_state.color_values
-    good = np.zeros(n, dtype=np.int64)
-    for v in range(n):
-        nb = graph.neighbors(v)
-        cc = committed[nb]
-        cc = cc[cc != BLANK]
-        if cc.size == 0:
-            continue
-        uniq, cnt = np.unique(cc, return_counts=True)
-        in_pal = pre_step_state.palette[v, np.searchsorted(values, uniq)]
-        good[v] = int(np.count_nonzero(cnt >= 1 + in_pal))
+    width = post_step_state.num_colors
+    # one (vertex, color column) key per slot of a committed neighbor
+    columns = post_step_state.color_columns(post_step_state.committed)[graph.indices]
+    held = columns < width
+    keys = np.repeat(np.arange(n, dtype=np.int64) * width, graph.degrees())[held] + columns[held]
+    pairs, counts = np.unique(keys, return_counts=True)
+    v, c = np.divmod(pairs, width)
+    good = np.bincount(v[counts >= 1 + pre_step_state.palette[v, c]], minlength=n)
 
     q0, d0 = recompute_residuals(post_step_state)
     return GoodColorDiag(
@@ -327,17 +337,21 @@ def apply_dense_tentative(
     if skipped is None:
         skipped = np.zeros(graph.n, dtype=bool)
 
-    for v in np.flatnonzero(tentative != BLANK):
-        v = int(v)
+    candidates = np.flatnonzero(tentative != BLANK)
+    ok = (
+        (decomp.membership[candidates] >= 0)
+        & (state.committed[candidates] == BLANK)
+        & state.in_residual_palette(candidates, tentative[candidates])
+    )
+    if not ok.all():
+        v = int(candidates[np.argmin(ok)])
         if decomp.membership[v] < 0:
             raise ValidationError(f"sparse vertex {v} cannot participate in a dense step")
         if state.committed[v] != BLANK:
             raise ValidationError(f"vertex {v} is already colored")
-        idx = state._value_to_index.get(int(tentative[v]))
-        if idx is None or not state.palette[v, idx]:
-            raise ValidationError(
-                f"injected color {int(tentative[v])} is not in the palette of vertex {v}"
-            )
+        raise ValidationError(
+            f"injected color {int(tentative[v])} is not in the palette of vertex {v}"
+        )
 
     for clique in decomp.cliques:
         vals = tentative[clique.members]
@@ -347,23 +361,25 @@ def apply_dense_tentative(
                 f"duplicate tentative colors inside the almost-clique led by {clique.leader}"
             )
 
+    # a candidate loses to a dense neighbor with a smaller leader that drew its color
     leader_of = decomp.leader_by_vertex()
-    de_colored = np.zeros(graph.n, dtype=bool)
-    candidates = np.flatnonzero(tentative != BLANK)
-    for v in candidates:
-        v = int(v)
-        nb = graph.neighbors(v)
-        clash = (tentative[nb] == tentative[v]) & (leader_of[nb] >= 0) & (leader_of[nb] < leader_of[v])
-        if clash.any():
-            de_colored[v] = True
+    slots, degrees = graph.row_slots(candidates)
+    neighbors = graph.indices[slots]
+    lead = leader_of[neighbors]
+    clash = (
+        (tentative[neighbors] == np.repeat(tentative[candidates], degrees))
+        & (lead >= 0)
+        & (lead < np.repeat(leader_of[candidates], degrees))
+    )
+    lost = segment_sum(clash, np.concatenate(([0], np.cumsum(degrees)))) > 0
 
-    winners = candidates[~de_colored[candidates]]
-    commit_colors(state, {int(v): int(tentative[v]) for v in winners})
+    winners = candidates[~lost]
+    commit_colors(state, winners, tentative[winners])
     state.tentative = tentative
     stats = StepStats(
         kind="dense",
         colored=int(winners.size),
-        de_colored=int(np.count_nonzero(de_colored)),
+        de_colored=int(np.count_nonzero(lost)),
         initially_uncolored=initially_uncolored,
         palette_exhausted=int(np.count_nonzero(skipped)),
         rounds=ROUND_COST_DENSE,
@@ -406,11 +422,11 @@ def fallback_round(
     if eligible is not None:
         mask &= eligible
     tentative = np.zeros(graph.n, dtype=np.int64)
-    for v in np.flatnonzero(mask):
-        tentative[v] = _uniform_pick(state, int(v), rng)
+    active = np.flatnonzero(mask)
+    tentative[active] = _uniform_pick(state, active, rng)
     conflicted = _conflicted(graph, tentative)
     winners = np.flatnonzero((tentative != BLANK) & ~conflicted)
-    commit_colors(state, {int(v): int(tentative[v]) for v in winners})
+    commit_colors(state, winners, tentative[winners])
     state.tentative = tentative
     return StepStats(
         kind="fallback",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -31,6 +32,8 @@ _DENSE_SECONDS_PER_MULTIPLY = 7e-12
 # bounds its k x k product) and the multiplies in one sparse block.
 _DENSE_OPERAND_ELEMENTS = 2**28
 _SPARSE_BLOCK_MULTIPLIES = 2**22
+# Largest vertex count whose square fits in int64 (build_graph's edge keys).
+_MAX_VERTICES = math.isqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +63,15 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor IDs of ``v`` (a read-only view)."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
+
+    def row_slots(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """CSR slots of the given rows, row after row, and each row's degree."""
+        starts = self.indptr[rows]
+        degrees = self.indptr[rows + 1] - starts
+        ends = np.cumsum(degrees)
+        slots = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64)
+        slots += np.repeat(starts - (ends - degrees), degrees)
+        return slots, degrees
 
     def neighbor_set(self, v: int) -> set[int]:
         return set(int(w) for w in self.neighbors(v))
@@ -150,11 +162,16 @@ def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int | None = N
             raise ValidationError(
                 f"edge references vertex {inferred - 1} but only {n} vertices were declared"
             )
+    if n > _MAX_VERTICES:
+        raise ValidationError(
+            f"{n} vertices exceed the limit of {_MAX_VERTICES}: "
+            "the edge dedupe key lo * n + hi must fit in int64"
+        )
 
     lo = np.minimum(arr[:, 0], arr[:, 1])
     hi = np.maximum(arr[:, 0], arr[:, 1])
     if lo.size:
-        # Dedupe via scalar keys; n < 2**31 keeps the key inside int64.
+        # Dedupe via scalar keys; n <= _MAX_VERTICES keeps them inside int64.
         keys = np.unique(lo * np.int64(n) + hi)
         lo = keys // n
         hi = keys % n

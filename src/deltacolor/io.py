@@ -92,25 +92,25 @@ def load_palettes(spec: str, graph: Graph) -> Sequence[Sequence[int]]:
     return read_palettes(spec, graph.n)
 
 
-def json_ready(obj):
-    """Recursively convert numpy scalars/arrays so json.dumps accepts them."""
-    if isinstance(obj, dict):
-        return {k: json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_ready(v) for v in obj]
+def _json_default(obj):
+    """Convert the numpy values ``json`` cannot encode itself."""
     if isinstance(obj, np.ndarray):
-        return [json_ready(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
+        return obj.tolist()
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, (np.bool_,)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def dumps_json(obj) -> str:
+    """Deterministic, byte-stable JSON text (no trailing newline)."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
 
 
 def dump_json(obj, path: str | Path) -> None:
-    """Write deterministic, byte-stable JSON."""
+    """Write :func:`dumps_json` text plus a newline in one write."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(json_ready(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(dumps_json(obj) + "\n")

@@ -9,10 +9,12 @@ always costs one degree and at most one palette entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import InvariantViolation, ValidationError
 from .graph import BLANK, Graph, segment_sum
@@ -23,8 +25,8 @@ class ColoringState:
     """Single-writer partial-coloring state for one run on one graph.
 
     Palettes are stored as a boolean matrix over the distinct colors
-    appearing in any palette (``color_values`` maps column -> color).
-    ``tentative`` and ``committed`` hold color values, with 0 = blank.
+    appearing in any palette; ``color_values`` (ascending) maps column ->
+    color. ``tentative`` and ``committed`` hold color values, 0 = blank.
     """
 
     graph: Graph
@@ -36,14 +38,17 @@ class ColoringState:
     residual_palette_size: np.ndarray
     residual_degree: np.ndarray
     has_oversized_palettes: bool
-    _value_to_index: dict[int, int] = field(repr=False, default_factory=dict)
 
     @property
     def num_colors(self) -> int:
         return self.color_values.size
 
     def color_index(self, value: int) -> int:
-        return self._value_to_index[value]
+        """Palette column of the color ``value``; KeyError if no palette has it."""
+        column = int(self.color_columns(np.array([value]))[0])
+        if column == self.num_colors:
+            raise KeyError(value)
+        return column
 
     def uncolored_mask(self) -> np.ndarray:
         return self.committed == BLANK
@@ -57,6 +62,20 @@ class ColoringState:
     def surplus(self) -> np.ndarray:
         """S(v) = Q(v) - d(v); meaningful for uncolored vertices."""
         return self.residual_palette_size - self.residual_degree
+
+    def color_columns(self, colors: np.ndarray) -> np.ndarray:
+        """Palette column of each color; ``num_colors`` for the blank and
+        any other value that is in no palette."""
+        columns = np.searchsorted(self.color_values, colors)
+        found = self.color_values[np.minimum(columns, self.num_colors - 1)] == colors
+        columns[~found] = self.num_colors
+        return columns
+
+    def in_residual_palette(self, vertices: np.ndarray, colors: np.ndarray) -> np.ndarray:
+        """True where ``colors[i]`` is in the residual palette of ``vertices[i]``."""
+        columns = self.color_columns(colors)
+        found = columns < self.num_colors
+        return found & self.palette[vertices, np.where(found, columns, 0)]
 
     def palette_of(self, v: int) -> set[int]:
         return set(int(c) for c in self.color_values[self.palette[v]])
@@ -75,7 +94,6 @@ class ColoringState:
             residual_palette_size=self.residual_palette_size.copy(),
             residual_degree=self.residual_degree.copy(),
             has_oversized_palettes=self.has_oversized_palettes,
-            _value_to_index=self._value_to_index,
         )
 
 
@@ -83,44 +101,47 @@ def init_state(graph: Graph, palettes: Sequence[Sequence[int]]) -> ColoringState
     """Validate palettes and build a fresh state.
 
     Every palette must have at least max_degree + 1 colors, all >= 1
-    (the blank 0 is reserved). Oversized palettes are accepted but
-    flagged, because the good-color diagnostic is calibrated for
-    palettes of exactly max_degree + 1 colors.
+    (the blank 0 is reserved); a color listed twice counts once.
+    Oversized palettes are accepted but flagged, because the good-color
+    diagnostic is calibrated for palettes of exactly max_degree + 1
+    colors.
     """
     if len(palettes) != graph.n:
         raise ValidationError(f"expected {graph.n} palettes, got {len(palettes)}")
     need = graph.max_degree + 1
 
-    canonical = all(
-        isinstance(p, range) and p.start == 1 and p.step == 1 and p.stop == need + 1
-        for p in palettes
-    ) and graph.n > 0
+    canonical = (
+        graph.n > 0
+        and set(map(type, palettes)) == {range}
+        and set(palettes) == {range(1, need + 1)}
+    )
 
     if canonical:
         values = np.arange(1, need + 1, dtype=np.int64)
         pal = np.ones((graph.n, need), dtype=bool)
         oversized = False
     else:
-        universe: set[int] = set()
-        cleaned: list[np.ndarray] = []
-        oversized = False
-        for v, p in enumerate(palettes):
-            arr = np.unique(np.fromiter((int(c) for c in p), dtype=np.int64))
-            if arr.size and arr[0] <= BLANK:
-                bad = int(arr[arr <= BLANK][0])
-                raise ValidationError(f"palette of vertex {v} contains reserved/invalid color {bad}")
-            if arr.size < need:
-                raise ValidationError(
-                    f"palette of vertex {v} has {arr.size} colors, need at least {need}"
-                )
-            if arr.size > need:
-                oversized = True
-            universe.update(int(c) for c in arr)
-            cleaned.append(arr)
-        values = np.array(sorted(universe), dtype=np.int64)
+        lengths = np.fromiter(map(len, palettes), dtype=np.int64, count=graph.n)
+        flat = np.fromiter(chain.from_iterable(palettes), dtype=np.int64, count=int(lengths.sum()))
+        owner = np.repeat(np.arange(graph.n), lengths)
+        values, column = np.unique(flat, return_inverse=True)
+        # the scatter dedupes colors listed twice in one palette
         pal = np.zeros((graph.n, values.size), dtype=bool)
-        for v, arr in enumerate(cleaned):
-            pal[v, np.searchsorted(values, arr)] = True
+        pal[owner, column] = True
+        sizes = np.count_nonzero(pal, axis=1)
+        bad = sizes < need
+        bad[owner[flat <= BLANK]] = True
+        if bad.any():
+            v = int(np.argmax(bad))
+            reserved = flat[(owner == v) & (flat <= BLANK)]
+            if reserved.size:
+                raise ValidationError(
+                    f"palette of vertex {v} contains reserved/invalid color {int(reserved.min())}"
+                )
+            raise ValidationError(
+                f"palette of vertex {v} has {int(sizes[v])} colors, need at least {need}"
+            )
+        oversized = bool(np.any(sizes > need))
 
     original = pal.copy()
     original.setflags(write=False)
@@ -134,60 +155,81 @@ def init_state(graph: Graph, palettes: Sequence[Sequence[int]]) -> ColoringState
         residual_palette_size=pal.sum(axis=1).astype(np.int64),
         residual_degree=graph.degrees().astype(np.int64),
         has_oversized_palettes=oversized,
-        _value_to_index={int(c): i for i, c in enumerate(values)},
     )
     return state
 
 
-def commit_colors(state: ColoringState, assignments: Mapping[int, int]) -> None:
-    """Commit a batch of vertex -> color assignments.
+def commit_colors(state: ColoringState, vertices: ArrayLike, colors: ArrayLike) -> None:
+    """Commit a batch: ``vertices[i]`` takes color ``colors[i]``.
 
     The batch must extend the current partial coloring properly and
     draw only from residual palettes. Violations raise
-    :class:`InvariantViolation`: callers (the coloring steps) are
-    supposed to pre-filter conflicts, so a bad batch is a bug, never
-    something to skip silently.
+    :class:`InvariantViolation` naming the first offending entry:
+    callers (the coloring steps) are supposed to pre-filter conflicts,
+    so a bad batch is a bug, never something to skip silently.
 
     Committed vertices leave the residual graph: uncolored neighbors
-    lose one residual degree and, if present, the committed color.
+    lose one residual degree per committed neighbor and, if present,
+    the committed color (once, however many neighbors wear it).
     """
-    if not assignments:
+    vertices = np.asarray(vertices, dtype=np.int64)
+    colors = np.asarray(colors, dtype=np.int64)
+    if vertices.ndim != 1 or vertices.shape != colors.shape:
+        raise InvariantViolation(
+            f"a batch needs 1-D vertex and color arrays of one length, "
+            f"got shapes {vertices.shape} and {colors.shape}"
+        )
+    if vertices.size == 0:
         return
     graph = state.graph
-    items = [(int(v), int(c)) for v, c in assignments.items()]
-
-    for v, c in items:
-        if not 0 <= v < graph.n:
+    known = (vertices >= 0) & (vertices < graph.n)
+    safe = np.where(known, vertices, 0)
+    ok = known & (state.committed[safe] == BLANK) & state.in_residual_palette(safe, colors)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        v, c = int(vertices[i]), int(colors[i])
+        if not known[i]:
             raise InvariantViolation(f"assignment to unknown vertex {v}")
         if state.committed[v] != BLANK:
             raise InvariantViolation(f"vertex {v} is already colored")
-        idx = state._value_to_index.get(c)
-        if idx is None or not state.palette[v, idx]:
-            raise InvariantViolation(f"color {c} is not in the residual palette of vertex {v}")
+        raise InvariantViolation(f"color {c} is not in the residual palette of vertex {v}")
 
     batch = np.zeros(graph.n, dtype=np.int64)
-    for v, c in items:
-        batch[v] = c
-    for v, c in items:
-        nb = graph.neighbors(v)
-        if nb.size and np.any(batch[nb] == c):
-            w = int(nb[np.flatnonzero(batch[nb] == c)[0]])
-            raise InvariantViolation(f"vertices {v} and {w} are neighbors but both assigned color {c}")
-        # A conflict with an already-committed neighbor is impossible here:
-        # its color was removed from v's residual palette when it committed.
+    batch[vertices] = colors
+    if np.count_nonzero(batch) != vertices.size:
+        _, first = np.unique(vertices, return_index=True)
+        repeat = np.ones(vertices.size, dtype=bool)
+        repeat[first] = False
+        raise InvariantViolation(f"vertex {int(vertices[np.argmax(repeat)])} is assigned twice")
 
-    for v, c in items:
-        state.committed[v] = c
-    for v, c in items:
-        nb = graph.neighbors(v)
-        live = nb[state.committed[nb] == BLANK]
-        if live.size == 0:
-            continue
-        idx = state._value_to_index[c]
-        had = state.palette[live, idx]
-        state.residual_palette_size[live] -= had
-        state.palette[live, idx] = False
-        state.residual_degree[live] -= 1
+    slots, degrees = graph.row_slots(vertices)
+    neighbors = graph.indices[slots]
+    own = np.repeat(colors, degrees)
+    clash = batch[neighbors] == own
+    if clash.any():
+        k = int(np.argmax(clash))
+        v = int(vertices[np.searchsorted(np.cumsum(degrees), k, side="right")])
+        raise InvariantViolation(
+            f"vertices {v} and {int(neighbors[k])} are neighbors but both assigned color {int(own[k])}"
+        )
+    # A conflict with an already-committed neighbor is impossible here:
+    # its color was removed from v's residual palette when it committed.
+
+    state.committed[vertices] = colors
+    # one (neighbor, color column) mark per batch slot; marks for
+    # committed neighbors land in a spare last row
+    spare = graph.n
+    rows = np.where(state.committed[neighbors] == BLANK, neighbors, spare)
+    state.residual_degree -= np.bincount(rows, minlength=spare + 1)[:spare]
+    width = state.num_colors
+    hit = np.zeros((spare + 1) * width, dtype=bool)
+    hit[rows * width + np.repeat(state.color_columns(colors), degrees)] = True
+    # marks of colors a neighbor no longer holds drop out; two batch
+    # vertices sharing a neighbor and a color leave one mark
+    hit = hit.reshape(spare + 1, width)[:spare]
+    hit &= state.palette
+    state.residual_palette_size -= np.count_nonzero(hit, axis=1)
+    state.palette ^= hit
 
 
 def recompute_residuals(state: ColoringState) -> tuple[np.ndarray, np.ndarray]:
@@ -199,11 +241,15 @@ def recompute_residuals(state: ColoringState) -> tuple[np.ndarray, np.ndarray]:
     maintained fields.
     """
     graph = state.graph
-    taken = np.zeros_like(state.original_palette)
-    for v in np.flatnonzero(state.committed != BLANK):
-        nb = graph.neighbors(v)
-        taken[nb, state._value_to_index[int(state.committed[v])]] = True
-    q = (state.original_palette & ~taken).sum(axis=1).astype(np.int64)
+    width = state.num_colors + 1
+    dtype = np.int32 if graph.n * width < 2**31 else np.int64
+    # one (vertex, neighbor's color column) key per CSR slot; blank
+    # neighbors land in the spare last column
+    keys = np.repeat(np.arange(graph.n, dtype=dtype) * dtype(width), graph.degrees())
+    keys += state.color_columns(state.committed).astype(dtype)[graph.indices]
+    taken = np.zeros((graph.n, width), dtype=bool)
+    taken.reshape(-1)[keys] = True
+    q = np.count_nonzero(state.original_palette > taken[:, :-1], axis=1).astype(np.int64)
     uncolored = state.committed == BLANK
     d = segment_sum(uncolored[graph.indices], graph.indptr)
     return q, d

@@ -304,3 +304,13 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
 def test_repetitions_need_a_coloring_mode(capsys):
     for mode in ("decompose-only", "verify"):
         _usage_error(capsys, ["run", "--gen", "complete:5", "--mode", mode, "--repetitions", "2"])
+
+
+@pytest.mark.parametrize("steps", [["--steps", "-1"], ["--steps", "0"],
+                                   ["--steps", "0", "--step-delta", "0.04"]])
+def test_nonpositive_steps_are_a_usage_error(tmp_path, capsys, steps):
+    out = tmp_path / "r.json"
+    message = _usage_error(capsys, ["run", "--gen", "clique_chain:50x4", "--epsilon", "0.1",
+                                    "--mode", "dense-steps", *steps, "--out", str(out)])
+    assert "--steps must be at least 1" in message
+    assert not out.exists()

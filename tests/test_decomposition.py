@@ -140,7 +140,7 @@ def test_metrics_restrict_to_uncolored():
     g = generate(GeneratorSpec("clique_chain", {"size": 21, "count": 2}))
     d = decompose(g, 0.1)
     state = init_state(g, canonical_palettes(g))
-    commit_colors(state, {21: 1})  # remove one bridge endpoint
+    commit_colors(state, [21], [1])  # remove one bridge endpoint
     m = structural_metrics(g, d, state)
     assert 21 not in m.external_degree
     assert m.external_degree[20] == 0  # its only external neighbor is colored
@@ -260,7 +260,7 @@ def test_structural_metrics_match_per_member_loop(seed):
     for v in rng.permutation(g.n)[: g.n // 3].tolist():
         if not batch.keys() & g.neighbor_set(v):
             batch[v] = 1 + v % (g.max_degree + 1)
-    commit_colors(state, batch)
+    commit_colors(state, list(batch), list(batch.values()))
     uncolored = state.committed == 0
     m = structural_metrics(g, d, state)
     external, anti = loop_metrics(g, d, uncolored)

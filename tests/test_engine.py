@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltacolor import (
     BLANK,
     GeneratorSpec,
+    InvariantViolation,
     ValidationError,
     apply_dense_tentative,
     apply_initial_tentative,
@@ -18,7 +21,7 @@ from deltacolor import (
     initial_coloring_step,
     run,
 )
-from deltacolor.engine import _select_dense_tentative
+from deltacolor.engine import _select_dense_tentative, _uniform_pick
 
 
 def rng_for(seed):
@@ -409,3 +412,127 @@ def test_driver_checks_palette_floor_only_with_schedule_bounds():
         driver.dense([0.6], bounds)
         failures = driver.report().invariant_failures
         assert any("palette floor violated" in msg for msg in failures) is flagged
+
+
+# ------------------------------------------- array kernels vs per-vertex loops
+
+
+def test_vector_integers_draw_the_scalar_stream():
+    # _uniform_pick draws every index with one rng.integers(0, sizes); the
+    # seeded reports stay byte-identical only while that consumes the
+    # generator exactly as one scalar rng.integers(size) per vertex does
+    sizes = np.array([1, 2, 3, 4, 5, 7, 8, 16, 17, 31, 32, 33, 64, 1, 1, 100, 128,
+                      255, 256, 1000, 1024, 1601, 2048, 4096, 1, 65536])
+    for seed in range(5):
+        vector, scalar = rng_for(seed), rng_for(seed)
+        drawn = vector.integers(0, sizes)
+        assert drawn.tolist() == [int(scalar.integers(int(s))) for s in sizes]
+        assert vector.random() == scalar.random()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.lists(st.lists(st.booleans(), min_size=6, max_size=6).filter(any), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_uniform_pick_matches_the_scalar_loop(rows, seed):
+    g = build_graph([], n=len(rows))
+    state = init_state(g, [list(range(1, 7))] * len(rows))
+    state.palette[:] = np.array(rows)
+    state.color_values = np.array([2, 3, 5, 8, 13, 21])
+    vertices = np.arange(len(rows))
+    vector, scalar = rng_for(seed), rng_for(seed)
+    picked = _uniform_pick(state, vertices, vector)
+    expected = []
+    for v in vertices:
+        choices = np.flatnonzero(state.palette[v])
+        expected.append(int(state.color_values[choices[int(scalar.integers(choices.size))]]))
+    assert picked.tolist() == expected
+    assert vector.random() == scalar.random()
+
+
+def test_uniform_pick_names_the_first_empty_palette():
+    g = build_graph([], n=4)
+    state = init_state(g, [[1]] * 4)
+    state.palette[[1, 3]] = False
+    with pytest.raises(InvariantViolation, match="vertex 1 has an empty residual palette"):
+        _uniform_pick(state, np.arange(4), rng_for(0))
+
+
+def reference_good_counts(graph, pre, post):
+    """Per-vertex good-colour count: one np.unique per vertex."""
+    good = np.zeros(graph.n, dtype=np.int64)
+    for v in range(graph.n):
+        cc = post.committed[graph.neighbors(v)]
+        cc = cc[cc != BLANK]
+        if cc.size:
+            uniq, cnt = np.unique(cc, return_counts=True)
+            in_pal = pre.palette[v, np.searchsorted(post.color_values, uniq)]
+            good[v] = np.count_nonzero(cnt >= 1 + in_pal)
+    return good
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_good_counts_match_per_vertex_reference(seed):
+    g = generate(GeneratorSpec("gnp", {"n": 80, "p": 0.2}, seed=seed))
+    need = g.max_degree + 1
+    rng = np.random.default_rng(seed)
+    palettes = [sorted(rng.choice(np.arange(1, need + 4), size=need, replace=False).tolist())
+                for _ in range(g.n)]
+    state = init_state(g, palettes)
+    pre = state.copy()
+    # a dense tentative draw, so neighbours share colours often
+    tentative = np.array([rng.choice(p) if rng.random() < 0.5 else 0 for p in palettes])
+    apply_initial_tentative(g, state, tentative)
+    diag = count_good_colors(g, pre, state)
+    assert diag.good_counts.tolist() == reference_good_counts(g, pre, state).tolist()
+    assert diag.good_counts.any()
+
+
+def test_dense_de_coloring_matches_per_candidate_reference():
+    g = generate(GeneratorSpec("clique_chain", {"size": 12, "count": 4}, seed=1))
+    decomp = decompose(g, 0.19)
+    leader_of = decomp.leader_by_vertex()
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        state = init_state(g, canonical_palettes(g))
+        tentative = np.zeros(g.n, dtype=np.int64)
+        for clique in decomp.cliques:
+            chosen = clique.members[rng.random(clique.members.size) < 0.7]
+            tentative[chosen] = rng.choice(np.arange(1, 6), size=chosen.size, replace=False) \
+                if chosen.size <= 5 else rng.permutation(g.max_degree + 1)[: chosen.size] + 1
+        expected = []
+        for v in np.flatnonzero(tentative):
+            nb = g.neighbors(v)
+            clash = (tentative[nb] == tentative[v]) & (leader_of[nb] >= 0) & (leader_of[nb] < leader_of[v])
+            expected.append(bool(clash.any()))
+        result = apply_dense_tentative(g, state, decomp, tentative)
+        assert result.stats.de_colored == sum(expected)
+        winners = np.flatnonzero(tentative)[~np.array(expected, dtype=bool)]
+        assert np.flatnonzero(state.committed).tolist() == winners.tolist()
+
+
+def test_dense_injection_names_the_first_bad_vertex():
+    # a 12-clique with a pendant (sparse) vertex 12 hanging off vertex 0
+    g = build_graph([(i, j) for i in range(12) for j in range(i + 1, 12)] + [(0, 12)])
+    decomp = decompose(g, 0.19)
+    assert decomp.membership[12] < 0 and np.all(decomp.membership[:12] == 0)
+    state = init_state(g, canonical_palettes(g))
+    apply_initial_tentative(g, state, np.eye(1, 13, 1, dtype=np.int64)[0] * 2)
+    for picks, message in (
+        ({0: 99, 1: 3, 12: 1}, "injected color 99 is not in the palette of vertex 0"),
+        ({1: 3, 12: 1}, "vertex 1 is already colored"),
+        ({12: 1, 2: 2}, "injected color 2 is not in the palette of vertex 2"),
+        ({12: 1}, "sparse vertex 12"),
+    ):
+        tentative = np.zeros(g.n, dtype=np.int64)
+        tentative[list(picks)] = list(picks.values())
+        with pytest.raises(ValidationError, match=message):
+            apply_dense_tentative(g, state, decomp, tentative)
+
+
+def test_initial_injection_names_the_first_foreign_color():
+    g = build_graph([(0, 1), (1, 2)])
+    state = init_state(g, [[1, 2, 3], [1, 2, 4], [2, 3, 5]])
+    with pytest.raises(ValidationError, match="injected color 3 is not in the palette of vertex 1"):
+        apply_initial_tentative(g, state, np.array([0, 3, 1]))

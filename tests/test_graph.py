@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,20 @@ def test_malformed_pair_rejected():
 def test_id_beyond_declared_n_rejected():
     with pytest.raises(ValidationError, match="declared"):
         build_graph([(0, 5)], n=3)
+
+
+@pytest.mark.parametrize("n", [2**32, graph_module._MAX_VERTICES + 1])
+def test_vertex_count_beyond_the_edge_key_range_rejected_before_allocating(n):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="must fit in int64"):
+            build_graph(np.array([[0, 1], [1, 2]]), n=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the largest key lo * n + hi an accepted n can produce is n * n - 1
+    assert graph_module._MAX_VERTICES**2 - 1 <= np.iinfo(np.int64).max
 
 
 def test_empty_edge_list_without_n_rejected():

@@ -64,7 +64,7 @@ def test_commit_on_path_updates_residuals():
     g = build_graph([(0, 1), (1, 2)])
     state = init_state(g, [[1, 2, 3], [1, 2, 3], [2, 3, 4]])
     before = state.surplus().copy()
-    commit_colors(state, {1: 1})
+    commit_colors(state, [1], [1])
     assert state.committed[1] == 1
     assert state.residual_palette_size[0] == 2  # lost color 1
     assert state.residual_palette_size[2] == 3  # never had color 1
@@ -77,31 +77,31 @@ def test_commit_conflicting_neighbors_rejected():
     g = k3()
     state = init_state(g, [[1, 2, 3]] * 3)
     with pytest.raises(InvariantViolation, match="neighbors"):
-        commit_colors(state, {0: 1, 1: 1})
+        commit_colors(state, [0, 1], [1, 1])
 
 
 def test_commit_color_outside_residual_palette_rejected():
     g = k3()
     state = init_state(g, [[1, 2, 3]] * 3)
-    commit_colors(state, {0: 1})
+    commit_colors(state, [0], [1])
     with pytest.raises(InvariantViolation, match="residual palette"):
-        commit_colors(state, {1: 1})  # color 1 was removed by the neighbor commit
+        commit_colors(state, [1], [1])  # color 1 was removed by the neighbor commit
     with pytest.raises(InvariantViolation, match="residual palette"):
-        commit_colors(state, {1: 99})
+        commit_colors(state, [1], [99])
 
 
 def test_commit_already_colored_rejected():
     g = k3()
     state = init_state(g, [[1, 2, 3]] * 3)
-    commit_colors(state, {0: 1})
+    commit_colors(state, [0], [1])
     with pytest.raises(InvariantViolation, match="already"):
-        commit_colors(state, {0: 2})
+        commit_colors(state, [0], [2])
 
 
 def test_k4_two_commits_hand_simulation():
     g = build_graph([(i, j) for i in range(4) for j in range(i + 1, 4)])
     state = init_state(g, [[1, 2, 3, 4]] * 4)
-    commit_colors(state, {0: 1, 1: 2})
+    commit_colors(state, [0, 1], [1, 2])
     for v in (2, 3):
         assert state.residual_palette_size[v] == 2
         assert state.residual_degree[v] == 1
@@ -112,7 +112,7 @@ def test_commit_two_nonadjacent_same_color_grows_surplus():
     # star center 0; leaves 1 and 2 may share a color, center gains surplus
     g = build_graph([(0, 1), (0, 2)])
     state = init_state(g, [[1, 2, 3]] * 3)
-    commit_colors(state, {1: 3, 2: 3})
+    commit_colors(state, [1, 2], [3, 3])
     assert state.residual_palette_size[0] == 2
     assert state.residual_degree[0] == 0
     assert state.surplus()[0] == 2  # was 1
@@ -143,7 +143,7 @@ def test_random_greedy_commits_keep_invariants(n, raw, order):
         uncolored_before = state.uncolored_mask().copy()
         palette = sorted(state.palette_of(v))
         color = palette[0]
-        commit_colors(state, {v: color})
+        commit_colors(state, [v], [color])
         q, d = recompute_residuals(state)
         mask = state.uncolored_mask()
         assert np.array_equal(q[mask], state.residual_palette_size[mask])
@@ -152,3 +152,186 @@ def test_random_greedy_commits_keep_invariants(n, raw, order):
         assert np.all(state.surplus()[still] >= prev_surplus[still])
     # greedy in any order must finish: palettes have max_degree + 1 colors
     assert state.num_uncolored() == 0
+
+
+# ------------------------------------------- array kernels vs per-vertex loops
+
+
+def reference_commit(state, vertices, colors):
+    """The per-vertex commit: one neighbour scan per batch vertex."""
+    graph = state.graph
+    for v, c in zip(vertices, colors):
+        state.committed[v] = c
+    for v, c in zip(vertices, colors):
+        nb = graph.neighbors(v)
+        live = nb[state.committed[nb] == 0]
+        idx = state.color_index(c)
+        state.residual_palette_size[live] -= state.palette[live, idx]
+        state.palette[live, idx] = False
+        state.residual_degree[live] -= 1
+
+
+def reference_residuals(state):
+    """Q and d by one neighbour scan per committed vertex."""
+    graph = state.graph
+    taken = np.zeros_like(state.original_palette)
+    for v in np.flatnonzero(state.committed != 0):
+        taken[graph.neighbors(v), state.color_index(int(state.committed[v]))] = True
+    q = (state.original_palette & ~taken).sum(axis=1)
+    d = np.array([np.count_nonzero(state.committed[graph.neighbors(v)] == 0) for v in range(graph.n)])
+    return q, d
+
+
+def assert_same_state(a, b):
+    for name in ("committed", "palette", "residual_palette_size", "residual_degree"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@st.composite
+def graph_palettes_batches(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    raw = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40))
+    g = build_graph([(u, v) for u, v in raw if u != v], n=n)
+    need = g.max_degree + 1
+    # a universe barely larger than a palette makes shared colours common
+    universe = draw(st.integers(min_value=need, max_value=need + 3))
+    palettes = [
+        draw(st.lists(st.integers(1, universe), min_size=need, max_size=need + 2, unique=True))
+        for _ in range(n)
+    ]
+    order = draw(st.permutations(range(n)))
+    picks = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
+    splits = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return g, palettes, order, picks, splits
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_palettes_batches())
+def test_array_commit_matches_per_vertex_reference(case):
+    g, palettes, order, picks, splits = case
+    state = init_state(g, palettes)
+    mirror = state.copy()
+    batch: dict[int, int] = {}
+
+    def flush():
+        vertices, colors = list(batch), list(batch.values())
+        commit_colors(state, np.array(vertices), np.array(colors))
+        reference_commit(mirror, vertices, colors)
+        assert_same_state(state, mirror)
+        q, d = recompute_residuals(state)
+        assert np.array_equal(q, reference_residuals(state)[0])
+        assert np.array_equal(d, reference_residuals(state)[1])
+        batch.clear()
+
+    for v, pick, split in zip(order, picks, splits):
+        # lowest colours first, so batch vertices often share one
+        free = sorted(state.palette_of(v) - {batch[w] for w in g.neighbors(v).tolist() if w in batch})
+        if free:
+            batch[v] = free[pick % min(2, len(free))]
+        if split and batch:
+            flush()
+    if batch:
+        flush()
+
+
+def test_commit_same_colour_pair_sharing_a_live_neighbour_drops_q_once():
+    # path 1 - 0 - 2 plus 3 - 0: leaves 1 and 2 both take colour 2
+    g = build_graph([(0, 1), (0, 2), (0, 3)])
+    state = init_state(g, canonical_palettes(g))
+    mirror = state.copy()
+    commit_colors(state, np.array([1, 2]), np.array([2, 2]))
+    reference_commit(mirror, [1, 2], [2, 2])
+    assert_same_state(state, mirror)
+    assert state.residual_palette_size[0] == 3
+    assert state.residual_degree[0] == 1
+
+
+@pytest.mark.parametrize(
+    "vertices, colors, message",
+    [
+        ([0, 7], [1, 1], "assignment to unknown vertex 7"),
+        ([0, -1], [1, 1], "assignment to unknown vertex -1"),
+        ([3, 2], [1, 1], "vertex 2 is already colored"),
+        ([3, 1], [1, 1], "color 1 is not in the residual palette of vertex 1"),
+        ([3, 0], [1, 99], "color 99 is not in the residual palette of vertex 0"),
+        ([3, 0], [1, 0], "color 0 is not in the residual palette of vertex 0"),
+        ([3, 3], [1, 2], "vertex 3 is assigned twice"),
+        ([3, 0], [2, 2], "vertices 3 and 0 are neighbors but both assigned color 2"),
+        ([0, 1], [3, 3], "vertices 0 and 1 are neighbors but both assigned color 3"),
+        ([0], [1, 2], "1-D vertex and color arrays of one length"),
+    ],
+)
+def test_commit_violation_messages_name_the_first_bad_entry(vertices, colors, message):
+    # path 2 - 1 - 0 - 3 with vertex 2 colored 1 before the batch
+    g = build_graph([(2, 1), (1, 0), (0, 3)])
+    state = init_state(g, canonical_palettes(g))
+    commit_colors(state, [2], [1])
+    before = state.copy()
+    with pytest.raises(InvariantViolation, match=message):
+        commit_colors(state, vertices, colors)
+    assert_same_state(state, before)
+
+
+def test_commit_first_offending_entry_wins():
+    g = build_graph([(0, 1), (1, 2), (2, 3)])
+    state = init_state(g, canonical_palettes(g))
+    commit_colors(state, [3], [1])
+    # entry 1 (vertex 3) is already colored, entry 2 names an unknown vertex
+    with pytest.raises(InvariantViolation, match="vertex 3 is already colored"):
+        commit_colors(state, [0, 3, 9], [1, 2, 1])
+
+
+def test_empty_commit_is_a_noop():
+    g = k3()
+    state = init_state(g, canonical_palettes(g))
+    before = state.copy()
+    commit_colors(state, [], [])
+    assert_same_state(state, before)
+
+
+def test_init_state_list_palettes_dedupe_repeated_colours():
+    g = k3()
+    state = init_state(g, [[3, 1, 2, 1], [2, 3, 1], [5, 1, 2, 3, 5]])
+    assert state.color_values.tolist() == [1, 2, 3, 5]
+    assert state.residual_palette_size.tolist() == [3, 3, 4]
+    assert state.palette_of(0) == {1, 2, 3}
+    assert state.has_oversized_palettes
+
+
+def test_init_state_repeats_do_not_count_toward_the_size():
+    g = k3()
+    with pytest.raises(ValidationError, match="palette of vertex 2 has 2 colors, need at least 3"):
+        init_state(g, [[1, 2, 3], [1, 2, 3], [1, 2, 2, 1]])
+
+
+def test_init_state_names_the_first_bad_vertex():
+    g = k3()
+    # vertex 1 is short, vertex 2 holds a reserved colour: vertex 1 is named
+    with pytest.raises(ValidationError, match="palette of vertex 1 has 2 colors"):
+        init_state(g, [[1, 2, 3], [1, 2], [-4, 0, 1, 2]])
+    with pytest.raises(ValidationError, match="vertex 1 contains reserved/invalid color -4"):
+        init_state(g, [[1, 2, 3], [0, -4, 1, 2], [1, 2]])
+
+
+@pytest.mark.parametrize("scale", [1, 10**12])
+def test_init_state_sparse_and_dense_colour_codes_agree(scale):
+    # colours spread far apart take the sorting path, close ones the table
+    g = build_graph([(0, 1), (1, 2)])
+    palettes = [[scale * c for c in p] for p in ([1, 2, 3], [2, 3, 4, 4], [1, 4, 5])]
+    state = init_state(g, palettes)
+    assert state.color_values.tolist() == [scale * c for c in (1, 2, 3, 4, 5)]
+    assert [state.palette_of(v) for v in range(3)] == [set(p) for p in palettes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_palettes_batches())
+def test_recompute_residuals_matches_per_vertex_reference(case):
+    g, palettes, order, picks, _ = case
+    state = init_state(g, palettes)
+    for v, pick in zip(order, picks):
+        free = sorted(state.palette_of(v))
+        if free and pick % 3:
+            commit_colors(state, [v], [free[pick % len(free)]])
+        q, d = recompute_residuals(state)
+        ref_q, ref_d = reference_residuals(state)
+        assert np.array_equal(q, ref_q) and np.array_equal(d, ref_d)
