@@ -243,10 +243,13 @@ def recompute_residuals(state: ColoringState) -> tuple[np.ndarray, np.ndarray]:
     graph = state.graph
     width = state.num_colors + 1
     dtype = np.int32 if graph.n * width < 2**31 else np.int64
-    # one (vertex, neighbor's color column) key per CSR slot; blank
-    # neighbors land in the spare last column
+    # Column of each vertex's color, blank in the spare last one. Mapped
+    # here rather than by color_columns, which the commit it checks uses.
+    columns = np.searchsorted(state.color_values, state.committed).astype(dtype)
+    columns[state.committed == BLANK] = width - 1
+    # one (vertex, neighbor's color column) key per CSR slot
     keys = np.repeat(np.arange(graph.n, dtype=dtype) * dtype(width), graph.degrees())
-    keys += state.color_columns(state.committed).astype(dtype)[graph.indices]
+    keys += columns[graph.indices]
     taken = np.zeros((graph.n, width), dtype=bool)
     taken.reshape(-1)[keys] = True
     q = np.count_nonzero(state.original_palette > taken[:, :-1], axis=1).astype(np.int64)
