@@ -219,8 +219,8 @@ def test_array_commit_matches_per_vertex_reference(case):
         reference_commit(mirror, vertices, colors)
         assert_same_state(state, mirror)
         q, d = recompute_residuals(state)
-        assert np.array_equal(q, reference_residuals(state)[0])
-        assert np.array_equal(d, reference_residuals(state)[1])
+        ref_q, ref_d = reference_residuals(state)
+        assert np.array_equal(q, ref_q) and np.array_equal(d, ref_d)
         batch.clear()
 
     for v, pick, split in zip(order, picks, splits):
