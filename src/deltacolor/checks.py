@@ -8,11 +8,14 @@ them against saved colorings.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .graph import BLANK, Graph
+from .errors import ValidationError
+from .graph import BLANK, Graph, first_non_integer
 from .state import ColoringState, recompute_residuals
 
 _REPORT_CAP = 5
@@ -76,30 +79,47 @@ def coloring_failures(
 def verify_coloring(
     graph: Graph, palettes, coloring: dict[int, int] | np.ndarray
 ) -> list[str]:
-    """Check a saved coloring against a graph and its palettes."""
-    colors = np.zeros(graph.n, dtype=np.int64)
+    """Check a saved coloring against a graph and its palettes.
+
+    A map's keys must be vertex IDs (integers, or strings of one) and its
+    colours integers; an array must have an integer dtype. Anything else
+    raises :class:`ValidationError` rather than being truncated.
+    """
     if isinstance(coloring, dict):
-        for key, c in coloring.items():
-            v = int(key)
-            if not 0 <= v < graph.n:
-                return [f"coloring references unknown vertex {v}"]
-            colors[v] = int(c)
-    else:
-        arr = np.asarray(coloring, dtype=np.int64)
-        if arr.shape != (graph.n,):
-            return [f"coloring has {arr.size} entries for {graph.n} vertices"]
-        colors = arr
+        vertices, values = list(map(_vertex_id, coloring)), list(coloring.values())
+        bad = first_non_integer(values)
+        if bad is not None:
+            raise ValidationError(f"coloring of vertex {vertices[bad]}: {values[bad]!r} is not an integer")
+        outside = next((v for v in vertices if not 0 <= v < graph.n), None)
+        if outside is not None:
+            return [f"coloring references unknown vertex {outside}"]
+        coloring = list(map(dict(zip(vertices, values)).get, range(graph.n), repeat(BLANK)))
+    colors = np.asarray(coloring)
+    if not np.issubdtype(colors.dtype, np.integer):
+        raise ValidationError(f"colors must be integers inside the int64 range, not {colors.dtype}")
+    if colors.shape != (graph.n,):
+        return [f"coloring has {colors.size} entries for {graph.n} vertices"]
 
     out = []
-    for v in range(graph.n):
-        if colors[v] == BLANK:
+    for v, (c, palette) in enumerate(zip(colors.tolist(), palettes)):
+        if c == BLANK:
             out.append(f"vertex {v} is uncolored")
-        elif int(colors[v]) not in palettes[v]:
-            out.append(f"vertex {v} wears color {int(colors[v])} outside its own palette")
+        elif c not in palette:
+            out.append(f"vertex {v} wears color {c} outside its own palette")
         if len(out) >= _REPORT_CAP:
             break
     out.extend(properness_failures(graph, colors))
     return out
+
+
+def _vertex_id(key) -> int:
+    """A coloring-map key as a vertex ID: an integer, or a string of one."""
+    try:
+        if isinstance(key, str) or first_non_integer([key]) is None:
+            return int(key)
+    except ValueError:
+        pass
+    raise ValidationError(f"coloring key {key!r} is not a vertex ID")
 
 
 def decomposition_failures(graph: Graph, decomp) -> list[str]:

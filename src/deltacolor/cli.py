@@ -15,6 +15,7 @@ failed verification, 2 usage or IO error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -36,7 +37,7 @@ from .engine import (
 from .errors import DeltaColorError, InvariantViolation, ValidationError
 from .generators import GeneratorSpec, generate
 from .graph import Graph
-from .io import dump_json, dumps_json, load_palettes, read_edge_list, write_edge_list
+from .io import dumps_json, load_palettes, read_edge_list, write_edge_list
 from .schedule import DEFAULT_K, build_schedule
 
 MODES = ("full", "decompose-only", "initial-only", "dense-steps", "fallback-only", "verify")
@@ -109,17 +110,41 @@ def _parse_args(
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValidationError(f"{args.config}: config must be a JSON object")
-    known = {action.dest for action in run_p._actions} - {"help", "config"}
+    actions = {a.dest: a for a in run_p._actions if a.dest not in ("help", "config")}
     defaults = {}
     for key, value in cfg.items():
-        norm = key.replace("-", "_").lower()
-        if norm not in known:
+        action = actions.get(key.replace("-", "_").lower())
+        if action is None:
             raise ValidationError(f"{args.config}: unknown config key {key!r}")
-        defaults[norm] = value
+        defaults[action.dest] = _config_value(action, value, f"{args.config}: config key {key!r}")
     # defaults must land on the subparser: it re-applies its own
     # defaults over anything set on the parent
     run_p.set_defaults(**defaults)
     return parser.parse_args(argv)
+
+
+def _config_value(action: argparse.Action, value, where: str):
+    """A config value checked as its flag's argument would be.
+
+    Store-true flags take JSON booleans. Strings go through the flag's
+    type, as on the command line; an int flag takes JSON integers and a
+    float flag JSON numbers. Choices apply either way. ``gen`` may also
+    be a generator spec object.
+    """
+    if action.dest == "gen" and isinstance(value, dict):
+        return value
+    convert = action.type or str
+    numbers = {int: (int,), float: (int, float)}.get(convert, ())
+    try:
+        if action.nargs == 0 and type(value) is bool:
+            return value
+        if action.nargs != 0 and (isinstance(value, str) or type(value) in numbers):
+            value = convert(value)
+            if action.choices is None or value in action.choices:
+                return value
+    except ValueError:
+        pass
+    raise ValidationError(f"{where}: {value!r} is not a valid {action.option_strings[0]} value")
 
 
 def _resolve_out(out: str | None) -> Path | None:
@@ -137,9 +162,7 @@ def _load_graph(args) -> Graph:
         return read_edge_list(args.input)
     if isinstance(args.gen, dict):
         # config files may carry the generator spec as a JSON object
-        data = dict(args.gen)
-        data.setdefault("seed", args.seed)
-        return generate(GeneratorSpec.from_dict(data))
+        return generate(GeneratorSpec.from_dict({"seed": args.seed, **args.gen}))
     return generate(GeneratorSpec.parse(args.gen, seed=args.seed))
 
 
@@ -148,23 +171,16 @@ def _emit(report: dict, steps: list[StepStats] | None, args) -> None:
     if args.format == "csv":
         if steps is None:
             raise ValidationError("csv format is only available for step-producing modes")
-        lines = ["kind,colored,de_colored,initially_uncolored,palette_exhausted,"
-                 "surplus_min,surplus_mean,rounds"]
+        lines = [",".join(f.name for f in dataclasses.fields(StepStats))]
         for s in steps:
-            d = s.to_dict()
-            lines.append(",".join("" if d[k] is None else str(d[k]) for k in (
-                "kind", "colored", "de_colored", "initially_uncolored",
-                "palette_exhausted", "surplus_min", "surplus_mean", "rounds")))
+            lines.append(",".join("" if x is None else str(x) for x in s.to_dict().values()))
         text = "\n".join(lines) + "\n"
-        if out is None:
-            sys.stdout.write(text)
-        else:
-            out.write_text(text, encoding="utf-8")
-        return
-    if out is None:
-        sys.stdout.write(dumps_json(report) + "\n")
     else:
-        dump_json(report, out)
+        text = dumps_json(report) + "\n"
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        out.write_text(text, encoding="utf-8")
 
 
 def _single_run(graph: Graph, palettes, args, seed: int) -> tuple[RunReport, dict]:
@@ -287,13 +303,6 @@ def main(argv: list[str] | None = None) -> int:
     parser, run_p = _build_parser()
     try:
         args = _parse_args(parser, run_p, argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except (OSError, json.JSONDecodeError, DeltaColorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if args.seed < 0:
             raise ValidationError("--seed must be nonnegative")
         if args.command == "generate":
@@ -320,10 +329,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.mode == "verify":
             return _mode_verify(graph, palettes, args)
         return _mode_run(graph, palettes, args)
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, DeltaColorError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, DeltaColorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

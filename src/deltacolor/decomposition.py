@@ -47,21 +47,13 @@ class Decomposition:
     cliques: tuple[AlmostClique, ...]  # sorted by leader ID
     membership: np.ndarray  # clique index per vertex, -1 for sparse
 
-    def friends(self, v: int) -> np.ndarray:
-        return self.friend_graph.neighbors(v)
-
-    def is_dense(self, v: int) -> bool:
-        return self.membership[v] >= 0
-
     def num_dense(self) -> int:
         return int(np.count_nonzero(self.membership >= 0))
 
     def leader_by_vertex(self) -> np.ndarray:
         """Per-vertex leader ID of its almost-clique, -1 for sparse."""
-        out = np.full(self.membership.size, -1, dtype=np.int64)
-        for clique in self.cliques:
-            out[clique.members] = clique.leader
-        return out
+        leaders = np.array([c.leader for c in self.cliques], dtype=np.int64)
+        return np.append(leaders, -1)[self.membership]
 
     def same_as(self, other: "Decomposition") -> bool:
         if self.sparse.size != other.sparse.size or not np.array_equal(self.sparse, other.sparse):

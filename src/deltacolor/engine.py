@@ -26,7 +26,7 @@ only affect reporting, never correctness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -75,16 +75,7 @@ class StepStats:
     rounds: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "colored": self.colored,
-            "de_colored": self.de_colored,
-            "initially_uncolored": self.initially_uncolored,
-            "palette_exhausted": self.palette_exhausted,
-            "surplus_min": self.surplus_min,
-            "surplus_mean": self.surplus_mean,
-            "rounds": self.rounds,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -682,9 +673,7 @@ def run(
         driver.decompose()
         driver.initial()
         driver.dense(*schedule_plan(driver.schedule))
-        sparse_mask = np.zeros(graph.n, dtype=bool)
-        sparse_mask[driver.decomp.sparse] = True
-        driver.fallback(max_fallback_iters, eligible=sparse_mask, phase="sparse")
+        driver.fallback(max_fallback_iters, eligible=driver.decomp.membership < 0, phase="sparse")
         driver.fallback(max_fallback_iters, phase="residual")
     else:
         driver.fallback(max_fallback_iters)
@@ -696,9 +685,7 @@ def _fill_surplus(stats: StepStats, state: ColoringState, decomp: Decomposition 
     vertices when no decomposition is in play)."""
     mask = state.uncolored_mask()
     if decomp is not None:
-        sparse_mask = np.zeros(mask.size, dtype=bool)
-        sparse_mask[decomp.sparse] = True
-        mask &= sparse_mask
+        mask &= decomp.membership < 0
     if not np.any(mask):
         return
     surplus = state.surplus()[mask]

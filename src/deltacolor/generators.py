@@ -109,17 +109,12 @@ def generate(spec: GeneratorSpec) -> Graph:
         size, count = int(params["size"]), int(params["count"])
         _require(size >= 2 and count >= 1, "clique_chain needs size >= 2 and count >= 1")
         rows, cols = np.triu_indices(size, k=1)
-        blocks = []
-        for j in range(count):
-            base = j * size
-            blocks.append(np.column_stack((rows + base, cols + base)))
-        edges = np.vstack(blocks).astype(np.int64)
+        blocks = [np.column_stack((rows, cols)) + j * size for j in range(count)]
         # One bridge per consecutive pair: last member of clique j to the
         # first member of clique j+1, so no vertex carries two bridges.
-        bridges = np.array(
-            [[j * size + size - 1, (j + 1) * size] for j in range(count - 1)], dtype=np.int64
-        ).reshape(-1, 2)
-        return build_graph(np.vstack((edges, bridges)), n=size * count)
+        firsts = np.arange(1, count) * size
+        blocks.append(np.column_stack((firsts - 1, firsts)))
+        return build_graph(np.vstack(blocks), n=size * count)
 
     if kind == "bipartite_random":
         n, p = int(params["n"]), float(params["p"])
@@ -219,9 +214,7 @@ def brute_force_decomposition(graph: Graph, epsilon: float) -> Decomposition:
         cliques.append(AlmostClique(leader=int(arr.min()), members=arr))
         membership[arr] = j
 
-    friend_graph = build_graph(
-        np.array(friend_pairs, dtype=np.int64).reshape(-1, 2), n=graph.n
-    )
+    friend_graph = build_graph(friend_pairs, n=graph.n)
     sparse = np.array(sorted(set(range(graph.n)) - dense), dtype=np.int64)
     return Decomposition(
         epsilon=epsilon,

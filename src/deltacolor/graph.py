@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -81,25 +81,11 @@ class Graph:
         i = int(np.searchsorted(row, v))
         return i < row.size and int(row[i]) == v
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """All edges as (u, v) pairs with u < v."""
-        for u in range(self.n):
-            for w in self.neighbors(u):
-                if u < w:
-                    yield u, int(w)
-
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v, lexicographically sorted."""
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
         keep = src < self.indices
         return np.column_stack((src[keep], self.indices[keep]))
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense boolean adjacency; only sensible for moderate n."""
-        a = np.zeros((self.n, self.n), dtype=bool)
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
-        a[src, self.indices] = True
-        return a
 
     def sparse_adjacency(self, rows: np.ndarray | None = None) -> csr_matrix:
         """0/1 adjacency as a float32 scipy CSR matrix: every row, or the
@@ -118,30 +104,25 @@ class Graph:
 
 
 def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int | None = None) -> Graph:
-    """Build a :class:`Graph` from an edge list.
+    """Build a :class:`Graph` from integer (u, v) pairs.
 
-    Pairs are normalized (order ignored) and deduplicated. Self-loops,
-    negative IDs and IDs at or beyond a declared ``n`` are rejected.
+    ``edges`` is an (m, 2) integer array or an iterable of pairs, which
+    ``np.asarray`` converts once; floats, strings and other non-integers
+    are rejected, never truncated. Pairs are normalized (order ignored)
+    and deduplicated. Self-loops, negative IDs and IDs at or beyond a
+    declared ``n`` are rejected.
     """
-    if isinstance(edges, np.ndarray):
-        arr = edges
-        if arr.size == 0:
-            arr = np.zeros((0, 2), dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValidationError("edge array must have shape (m, 2)")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise ValidationError("edge array must hold integers")
-        arr = arr.astype(np.int64, copy=False)
-    else:
-        rows = []
-        for i, pair in enumerate(edges):
-            try:
-                u, v = pair
-                u, v = int(u), int(v)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"edge #{i} is not a pair of integers: {pair!r}") from exc
-            rows.append((u, v))
-        arr = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    try:
+        arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    except ValueError as exc:
+        raise ValidationError("edges must be (u, v) pairs; got a ragged sequence") from exc
+    if arr.size == 0:
+        arr = np.zeros((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValidationError(f"edges must be (u, v) pairs, an (m, 2) array; got shape {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValidationError(f"edge pairs must hold integers, not {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
 
     if arr.size and arr.min() < 0:
         raise ValidationError("vertex IDs must be nonnegative")
@@ -187,6 +168,19 @@ def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int | None = N
     indptr.setflags(write=False)
     max_degree = int(counts.max()) if n else 0
     return Graph(n=n, indptr=indptr, indices=indices, max_degree=max_degree)
+
+
+def first_non_integer(values: list) -> int | None:
+    """Index of the first value that is not an int or a numpy integer
+    (bools are not), or None. Only distinct types are tested while all
+    are integral, so that common case costs no Python step per value."""
+
+    def integral(t: type) -> bool:
+        return issubclass(t, (int, np.integer)) and t is not bool
+
+    if all(map(integral, set(map(type, values)))):
+        return None
+    return next(i for i, x in enumerate(values) if not integral(type(x)))
 
 
 def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:

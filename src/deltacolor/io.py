@@ -14,12 +14,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, first_non_integer
 
 
 def read_edge_list(path: str | Path) -> Graph:
     declared_n: int | None = None
-    pairs: list[tuple[int, int]] = []
+    ids: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -27,7 +27,7 @@ def read_edge_list(path: str | Path) -> Graph:
                 continue
             parts = line.split()
             if parts[0] == "n":
-                if declared_n is not None or pairs:
+                if declared_n is not None or ids:
                     raise ValidationError(f"{path}:{lineno}: header must come first")
                 if len(parts) != 2:
                     raise ValidationError(f"{path}:{lineno}: malformed header {line!r}")
@@ -39,20 +39,23 @@ def read_edge_list(path: str | Path) -> Graph:
             if len(parts) != 2:
                 raise ValidationError(f"{path}:{lineno}: expected 'u v', got {line!r}")
             try:
-                u, v = int(parts[0]), int(parts[1])
+                ids.extend(map(int, parts))
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: non-integer vertex ID in {line!r}") from exc
-            pairs.append((u, v))
-    if declared_n is None and not pairs:
+    if declared_n is None and not ids:
         raise ValidationError(f"{path}: empty edge list without an 'n <count>' header")
-    return build_graph(pairs, n=declared_n)
+    try:
+        edges = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    except OverflowError as exc:
+        raise ValidationError(f"{path}: vertex ID outside the int64 range") from exc
+    return build_graph(edges, n=declared_n)
 
 
 def write_edge_list(graph: Graph, path: str | Path) -> None:
+    """Write the ``n <count>`` header and one ``u v`` line per edge (u < v)."""
+    edges = graph.edge_array()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"n {graph.n}\n")
-        for u, v in graph.edges():
-            fh.write(f"{u} {v}\n")
+        fh.write(f"n {graph.n}\n" + "%d %d\n" * len(edges) % tuple(edges.ravel().tolist()))
 
 
 def canonical_palettes(graph: Graph) -> list[range]:
@@ -66,8 +69,7 @@ def read_palettes(path: str | Path, n: int) -> list[list[int]]:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: palette file must be a JSON object")
-    out: list[list[int]] = [[] for _ in range(n)]
-    seen = [False] * n
+    out: list = [None] * n
     for key, colors in data.items():
         try:
             v = int(key)
@@ -77,9 +79,11 @@ def read_palettes(path: str | Path, n: int) -> list[list[int]]:
             raise ValidationError(f"{path}: vertex {v} out of range 0..{n - 1}")
         if not isinstance(colors, list):
             raise ValidationError(f"{path}: palette of vertex {v} must be a list")
-        out[v] = [int(c) for c in colors]
-        seen[v] = True
-    missing = [i for i, s in enumerate(seen) if not s]
+        bad = first_non_integer(colors)
+        if bad is not None:
+            raise ValidationError(f"{path}: palette of vertex {v} holds {colors[bad]!r}, not an integer color")
+        out[v] = colors
+    missing = [i for i, colors in enumerate(out) if colors is None]
     if missing:
         raise ValidationError(f"{path}: no palette for vertices {missing[:5]}{'...' if len(missing) > 5 else ''}")
     return out

@@ -56,9 +56,6 @@ class ColoringState:
     def num_uncolored(self) -> int:
         return int(np.count_nonzero(self.committed == BLANK))
 
-    def is_colored(self, v: int) -> bool:
-        return self.committed[v] != BLANK
-
     def surplus(self) -> np.ndarray:
         """S(v) = Q(v) - d(v); meaningful for uncolored vertices."""
         return self.residual_palette_size - self.residual_degree
@@ -79,9 +76,6 @@ class ColoringState:
 
     def palette_of(self, v: int) -> set[int]:
         return set(int(c) for c in self.color_values[self.palette[v]])
-
-    def original_palette_of(self, v: int) -> set[int]:
-        return set(int(c) for c in self.color_values[self.original_palette[v]])
 
     def copy(self) -> "ColoringState":
         return ColoringState(
@@ -122,7 +116,10 @@ def init_state(graph: Graph, palettes: Sequence[Sequence[int]]) -> ColoringState
         oversized = False
     else:
         lengths = np.fromiter(map(len, palettes), dtype=np.int64, count=graph.n)
-        flat = np.fromiter(chain.from_iterable(palettes), dtype=np.int64, count=int(lengths.sum()))
+        try:
+            flat = np.fromiter(chain.from_iterable(palettes), dtype=np.int64, count=int(lengths.sum()))
+        except OverflowError as exc:
+            raise ValidationError("palette colors must lie inside the int64 range") from exc
         owner = np.repeat(np.arange(graph.n), lengths)
         values, column = np.unique(flat, return_inverse=True)
         # the scatter dedupes colors listed twice in one palette

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from deltacolor import build_graph, canonical_palettes, verify_coloring
+from deltacolor import ValidationError, build_graph, canonical_palettes, verify_coloring
 
 
 @pytest.mark.parametrize("palette_kind", ["range", "list"])
@@ -16,3 +16,31 @@ def test_verify_coloring_reports_uncolored_and_foreign_colors(palette_kind):
     assert verify_coloring(g, palettes, np.array([good[0], good[1], 4])) == [
         "vertex 2 wears color 4 outside its own palette"
     ]
+
+
+@pytest.mark.parametrize(
+    "coloring, match",
+    [
+        ({"0": 1, "1": 2.7, "2": 1}, "vertex 1: 2.7 is not an integer"),
+        ({"0": 1, "1": None, "2": 1}, "vertex 1: None"),
+        ({"0": 1, "1": "2", "2": 1}, "vertex 1: '2'"),
+        ({"0": 1, "1": True, "2": 1}, "vertex 1: True"),
+        ({"0": 1, "x": 2, "2": 1}, "key 'x' is not a vertex ID"),
+        ({0: 1, 1.0: 2, 2: 1}, "key 1.0 is not a vertex ID"),
+        ({"0": 1, "1": 2**64, "2": 1}, "int64"),
+        (np.array([1.0, 2.0, 1.0]), "must be integers"),
+        (np.array([True, False, True]), "must be integers"),
+    ],
+)
+def test_verify_coloring_rejects_what_is_not_an_integer(coloring, match):
+    g = build_graph([(0, 1), (1, 2)])
+    with pytest.raises(ValidationError, match=match):
+        verify_coloring(g, canonical_palettes(g), coloring)
+
+
+def test_verify_coloring_takes_integer_and_string_keys():
+    g = build_graph([(0, 1), (1, 2)])
+    palettes = canonical_palettes(g)
+    assert verify_coloring(g, palettes, {"0": 1, 1: 2, np.int64(2): np.int32(1)}) == []
+    assert verify_coloring(g, palettes, {"0": 1, "7": 2}) == ["coloring references unknown vertex 7"]
+    assert verify_coloring(g, palettes, {"-1": 1}) == ["coloring references unknown vertex -1"]

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from deltacolor.cli import main
 
@@ -314,3 +320,156 @@ def test_nonpositive_steps_are_a_usage_error(tmp_path, capsys, steps):
                                     "--mode", "dense-steps", *steps, "--out", str(out)])
     assert "--steps must be at least 1" in message
     assert not out.exists()
+
+
+def _path_graph(tmp_path):
+    graph_file = tmp_path / "path.edges"
+    graph_file.write_text("0 1\n1 2\n")
+    return graph_file
+
+
+@pytest.mark.parametrize("coloring, match", [
+    ({"0": 1, "1": 2.7, "2": 1}, "2.7"),
+    ({"0": 1, "1": None, "2": 1}, "None"),
+    ({"0": 1, "x": 2, "2": 1}, "'x'"),
+])
+def test_verify_rejects_non_integer_colors_and_keys(tmp_path, capsys, coloring, match):
+    colors = tmp_path / "colors.json"
+    colors.write_text(json.dumps(coloring))
+    code = main(["run", "--input", str(_path_graph(tmp_path)), "--mode", "verify",
+                 "--coloring", str(colors)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1 and match in captured.err
+
+
+@pytest.mark.parametrize("palette, match", [
+    ([None, 1, 2], "None"), (["x", 1, 2], "'x'"), ([1.7, 2, 3], "1.7"), ([True, 2, 3], "True"),
+])
+def test_palette_file_rejects_non_integer_colors(tmp_path, capsys, palette, match):
+    palettes = tmp_path / "palettes.json"
+    palettes.write_text(json.dumps({"0": [1, 2, 3], "1": palette, "2": [1, 2, 3]}))
+    out = tmp_path / "r.json"
+    message = _usage_error(capsys, ["run", "--input", str(_path_graph(tmp_path)),
+                                    "--palettes", str(palettes), "--out", str(out)])
+    assert "vertex 1" in message and match in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("repetitions", 2.5), ("repetitions", "x"), ("mode", "bogus"), ("format", "xml"),
+    ("seed", True), ("force-main-path", "yes"), ("strict-K", 1), ("K", [1]), ("out", 3),
+])
+def test_config_values_pass_their_flags_checks(tmp_path, capsys, key, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"gen": "complete:5", key: value}))
+    out = tmp_path / "r.json"
+    assert repr(key) in _usage_error(capsys, ["run", "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_config_strings_and_numbers_convert_as_flags_do(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"gen": "gnp:30,0.3", "seed": "4", "K": 2, "mode": "fallback-only"}))
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    via_flags = tmp_path / "f.json"
+    assert main(["run", "--gen", "gnp:30,0.3", "--seed", "4", "--K", "2",
+                 "--mode", "fallback-only", "--out", str(via_flags)]) == 0
+    assert out.read_bytes() == via_flags.read_bytes()
+
+
+# Fuzz material: small on purpose. Integers stay small where they size
+# work (repetitions, steps, vertex counts) so every example runs in
+# milliseconds; bigger ones appear only where they must be rejected.
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-2, 6) | st.sampled_from([2**63, 2**70])
+    | st.floats(allow_nan=False, width=32) | st.text(max_size=3)
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_KEYS = st.sampled_from(["0", "1", "2", "3", "-1", "x", " 1", "1.0", ""])
+_EDGE_LINES = st.lists(
+    st.sampled_from(["0 1", "1 2", "2 0", "n 3", "n x", "n -1", "n 99999999999999999999",
+                     "0", "0 1 2", "1 1", "-1 2", "0 9", "1.5 2", f"0 {2**63}", "# c", ""])
+    | st.text(max_size=6),
+    max_size=6,
+)
+_CONFIGS = st.dictionaries(
+    st.sampled_from(["seed", "K", "epsilon", "mode", "format", "repetitions", "strict-K",
+                     "force-main-path", "max-fallback-iters", "steps", "step-delta", "gen",
+                     "palettes", "bogus"]),
+    _JSON_SCALARS | st.sampled_from(["complete:4", "gnp:5,0.5", "full", "verify", "csv", "2"]),
+    max_size=3,
+)
+
+
+# Near-valid maps for the path 0-1-2, so examples get past the first check.
+_COLORS = st.integers(0, 4) | _JSON_SCALARS
+_PATH_MAP = st.fixed_dictionaries({"0": _COLORS, "1": _COLORS}, optional={"2": _COLORS, "x": _COLORS})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    edges=st.one_of(
+        st.sampled_from(["0 1\n1 2\n", "n 3\n0 1  # path\n2 1\n"]),
+        _EDGE_LINES.map("\n".join),
+        st.binary(max_size=8),
+    ),
+    palettes=st.one_of(
+        st.fixed_dictionaries({v: st.lists(_COLORS, min_size=2, max_size=4) for v in "012"}),
+        st.dictionaries(_KEYS, st.lists(_JSON_SCALARS, max_size=4), max_size=4),
+        _JSON,
+    ),
+    coloring=st.one_of(_PATH_MAP, st.dictionaries(_KEYS, _JSON_SCALARS, max_size=4), _JSON),
+    config=st.one_of(_CONFIGS, _JSON),
+    mode=st.sampled_from(["full", "verify", "fallback-only", "decompose-only"]),
+    use=st.sets(st.sampled_from(["palettes", "coloring", "config"])),
+)
+def test_cli_exits_cleanly_on_malformed_input(edges, palettes, coloring, config, mode, use):
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        graph_file = base / "g.edges"
+        if isinstance(edges, bytes):
+            graph_file.write_bytes(edges)
+        else:
+            graph_file.write_text(edges, encoding="utf-8")
+        argv = ["run", "--input", str(graph_file), "--mode", mode, "--out", str(base / "r.json")]
+        for name, value in (("palettes", palettes), ("coloring", coloring), ("config", config)):
+            if name in use or (name, mode) == ("coloring", "verify"):
+                (base / name).write_text(json.dumps(value), encoding="utf-8")
+                argv += [f"--{name}", str(base / name)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        event(f"{mode} exit {code}")
+        assert code in (0, 1, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 0 and mode == "verify" and "coloring" in use and isinstance(coloring, dict):
+            values = [c for c in coloring.values()]
+            assert all(type(c) is int for c in values), (coloring, err.getvalue())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.sampled_from([1, 2, 3]), min_size=3, max_size=3),
+    st.none() | st.tuples(st.sampled_from("012"), st.sampled_from([1.0, 2.7, "1", True, None])),
+)
+def test_verify_never_accepts_a_non_integer_color(colors, swap):
+    coloring = {str(v): c for v, c in enumerate(colors)}
+    if swap is not None:
+        coloring[swap[0]] = swap[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "colors.json"
+        path.write_text(json.dumps(coloring))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", "--input", str(_path_graph(Path(tmp))), "--mode", "verify",
+                         "--coloring", str(path)])
+    proper = colors[0] != colors[1] != colors[2]
+    event(f"exit {code}")
+    assert code == (2 if swap is not None else 0 if proper else 1), err.getvalue()
+    assert (code == 2) == (out.getvalue() == "")

@@ -15,7 +15,7 @@ def test_path_graph():
     g = build_graph([(0, 1), (1, 2)])
     assert g.n == 3
     assert g.max_degree == 2
-    assert list(g.edges()) == [(0, 1), (1, 2)]
+    assert g.edge_array().tolist() == [[0, 1], [1, 2]]
     assert g.neighbor_set(1) == {0, 2}
 
 
@@ -47,6 +47,25 @@ def test_malformed_pair_rejected():
         build_graph([(0, 1, 2)])  # type: ignore[list-item]
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [[(0, 1.7), (1, 2)], [(0, "2")], [(0, None)], [(True, False)], np.array([[0.0, 1.0]])],
+)
+def test_non_integer_pairs_rejected_not_truncated(edges):
+    with pytest.raises(ValidationError, match="integers"):
+        build_graph(edges)
+
+
+def test_ragged_pairs_rejected():
+    with pytest.raises(ValidationError, match="pair"):
+        build_graph([(0, 1), (1, 2, 3)])
+
+
+def test_pairs_from_any_iterable():
+    g = build_graph((i, i + 1) for i in range(3))
+    assert g.edge_array().tolist() == [[0, 1], [1, 2], [2, 3]]
+
+
 def test_id_beyond_declared_n_rejected():
     with pytest.raises(ValidationError, match="declared"):
         build_graph([(0, 5)], n=3)
@@ -71,11 +90,11 @@ def test_empty_edge_list_without_n_rejected():
         build_graph([])
 
 
-def test_edge_array_and_adjacency_matrix_agree():
+def test_edge_array_and_sparse_adjacency_agree():
     g = build_graph([(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
     arr = g.edge_array()
     assert arr.shape == (5, 2)
-    mat = g.adjacency_matrix()
+    mat = g.sparse_adjacency().toarray()
     assert mat.sum() == 10
     for u, v in arr:
         assert mat[u, v] and mat[v, u]
@@ -98,7 +117,7 @@ def test_build_graph_invariants(n, raw):
         for w in nb:
             assert v in g.neighbors(int(w))
     expected = {tuple(sorted(e)) for e in edges}
-    assert set(g.edges()) == expected
+    assert set(map(tuple, g.edge_array().tolist())) == expected
 
 
 def test_edge_list_roundtrip(tmp_path):
@@ -107,7 +126,7 @@ def test_edge_list_roundtrip(tmp_path):
     write_edge_list(g, path)
     h = read_edge_list(path)
     assert h.n == g.n
-    assert list(h.edges()) == list(g.edges())
+    assert np.array_equal(h.edge_array(), g.edge_array())
 
 
 def test_edge_list_comments_and_header(tmp_path):
@@ -115,13 +134,20 @@ def test_edge_list_comments_and_header(tmp_path):
     path.write_text("# a comment\nn 4\n0 1  # trailing\n\n2 3\n")
     g = read_edge_list(path)
     assert g.n == 4
-    assert list(g.edges()) == [(0, 1), (2, 3)]
+    assert g.edge_array().tolist() == [[0, 1], [2, 3]]
 
 
 def test_edge_list_malformed_line(tmp_path):
     path = tmp_path / "bad.edges"
     path.write_text("0 1\n1 two\n")
     with pytest.raises(ValidationError, match="bad.edges:2"):
+        read_edge_list(path)
+
+
+def test_edge_list_id_beyond_int64_rejected(tmp_path):
+    path = tmp_path / "big.edges"
+    path.write_text(f"0 1\n1 {2**63}\n")
+    with pytest.raises(ValidationError, match="int64"):
         read_edge_list(path)
 
 
