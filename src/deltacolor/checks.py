@@ -82,7 +82,7 @@ def verify_coloring(
     """Check a saved coloring against a graph and its palettes.
 
     A map's keys must be vertex IDs (integers, or strings of one) and its
-    colours integers; an array must have an integer dtype. Anything else
+    colors integers; an array must have an integer dtype. Anything else
     raises :class:`ValidationError` rather than being truncated.
     """
     if isinstance(coloring, dict):
@@ -93,6 +93,7 @@ def verify_coloring(
         outside = next((v for v in vertices if not 0 <= v < graph.n), None)
         if outside is not None:
             return [f"coloring references unknown vertex {outside}"]
+        # one color per vertex, blank where the map has none
         coloring = list(map(dict(zip(vertices, values)).get, range(graph.n), repeat(BLANK)))
     colors = np.asarray(coloring)
     if not np.issubdtype(colors.dtype, np.integer):

@@ -174,13 +174,8 @@ def first_non_integer(values: list) -> int | None:
     """Index of the first value that is not an int or a numpy integer
     (bools are not), or None. Only distinct types are tested while all
     are integral, so that common case costs no Python step per value."""
-
-    def integral(t: type) -> bool:
-        return issubclass(t, (int, np.integer)) and t is not bool
-
-    if all(map(integral, set(map(type, values)))):
-        return None
-    return next(i for i, x in enumerate(values) if not integral(type(x)))
+    bad = {t for t in set(map(type, values)) if t is bool or not issubclass(t, (int, np.integer))}
+    return next(i for i, x in enumerate(values) if type(x) in bad) if bad else None
 
 
 def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:

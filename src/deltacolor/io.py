@@ -39,9 +39,11 @@ def read_edge_list(path: str | Path) -> Graph:
             if len(parts) != 2:
                 raise ValidationError(f"{path}:{lineno}: expected 'u v', got {line!r}")
             try:
-                ids.extend(map(int, parts))
+                u, v = int(parts[0]), int(parts[1])
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: non-integer vertex ID in {line!r}") from exc
+            ids.append(u)
+            ids.append(v)
     if declared_n is None and not ids:
         raise ValidationError(f"{path}: empty edge list without an 'n <count>' header")
     try:
