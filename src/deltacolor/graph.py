@@ -172,8 +172,8 @@ def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int | None = N
 
 def first_non_integer(values: list) -> int | None:
     """Index of the first value that is not an int or a numpy integer
-    (bools are not), or None. Only distinct types are tested while all
-    are integral, so that common case costs no Python step per value."""
+    (bools are not), or None. Only the distinct types are tested until
+    one fails, so the all-integer case costs no Python step per value."""
     bad = {t for t in set(map(type, values)) if t is bool or not issubclass(t, (int, np.integer))}
     return next(i for i, x in enumerate(values) if type(x) in bad) if bad else None
 
