@@ -356,6 +356,13 @@ def test_palette_file_rejects_non_integer_colors(tmp_path, capsys, palette, matc
     assert not out.exists()
 
 
+def test_palette_color_beyond_int64_is_a_usage_error(tmp_path, capsys):
+    palettes = tmp_path / "palettes.json"
+    palettes.write_text(json.dumps({"0": [1, 2, 3], "1": [1, 2, 2**64], "2": [1, 2, 3]}))
+    assert "int64" in _usage_error(capsys, ["run", "--input", str(_path_graph(tmp_path)),
+                                            "--palettes", str(palettes)])
+
+
 @pytest.mark.parametrize("key, value", [
     ("repetitions", 2.5), ("repetitions", "x"), ("mode", "bogus"), ("format", "xml"),
     ("seed", True), ("force-main-path", "yes"), ("strict-K", 1), ("K", [1]), ("out", 3),
