@@ -40,19 +40,20 @@ def properness_failures(graph: Graph, committed: np.ndarray) -> list[str]:
 
 
 def residual_consistency_failures(graph: Graph, state: ColoringState) -> list[str]:
-    """Incrementally maintained Q/d must match a from-scratch recount."""
-    q, d = recompute_residuals(state)
-    mask = state.committed == BLANK
+    """Incrementally maintained Q/d of every uncolored vertex must match
+    a from-scratch recount of its row."""
+    rows = np.flatnonzero(state.committed == BLANK)
+    q, d = recompute_residuals(state, rows)
     out = []
-    bad_q = mask & (q != state.residual_palette_size)
-    bad_d = mask & (d != state.residual_degree)
-    for v in np.flatnonzero(bad_q)[:_REPORT_CAP]:
+    for i in np.flatnonzero(q != state.residual_palette_size[rows])[:_REPORT_CAP]:
+        v = rows[i]
         out.append(
-            f"vertex {int(v)}: maintained Q={int(state.residual_palette_size[v])}, recomputed {int(q[v])}"
+            f"vertex {int(v)}: maintained Q={int(state.residual_palette_size[v])}, recomputed {int(q[i])}"
         )
-    for v in np.flatnonzero(bad_d)[:_REPORT_CAP]:
+    for i in np.flatnonzero(d != state.residual_degree[rows])[:_REPORT_CAP]:
+        v = rows[i]
         out.append(
-            f"vertex {int(v)}: maintained d={int(state.residual_degree[v])}, recomputed {int(d[v])}"
+            f"vertex {int(v)}: maintained d={int(state.residual_degree[v])}, recomputed {int(d[i])}"
         )
     return out
 

@@ -42,6 +42,8 @@ from .schedule import DEFAULT_K, build_schedule
 
 MODES = ("full", "decompose-only", "initial-only", "dense-steps", "fallback-only", "verify")
 STRICT_K = 256.0
+# Each repetition is a full seeded run, and the summary lists every seed.
+MAX_REPETITIONS = 10**6
 OUTPUT_DIR_ENV = "DELTACOLOR_OUT_DIR"
 
 
@@ -317,6 +319,8 @@ def main(argv: list[str] | None = None) -> int:
             args.k = max(args.k, STRICT_K)
         if args.repetitions < 1:
             raise ValidationError("--repetitions must be at least 1")
+        if args.repetitions > MAX_REPETITIONS:
+            raise ValidationError(f"--repetitions must be at most {MAX_REPETITIONS}")
         if args.repetitions > 1 and args.mode in ("decompose-only", "verify"):
             raise ValidationError(f"--repetitions does not apply to --mode {args.mode}")
         if args.steps is not None and args.steps < 1:

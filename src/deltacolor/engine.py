@@ -38,7 +38,7 @@ from .checks import (
 )
 from .decomposition import Decomposition, decompose
 from .errors import InvariantViolation, ValidationError
-from .graph import BLANK, Graph, segment_sum
+from .graph import BLANK, Graph, as_int64, segment_sum
 from .schedule import ACTIVATION_PROB, DEFAULT_K, RoundParams, ScheduleParams, build_schedule
 from .state import ColoringState, commit_colors, init_state, recompute_residuals
 
@@ -88,15 +88,13 @@ class GoodColorDiag:
     one palette entry. Either way the surplus grows, so
     s0 >= good_counts holds pointwise with certainty.
 
-    q0/d0/s0 are the post-initial-step palette size, degree and surplus,
-    evaluated for every vertex regardless of its own commit status. The
-    calibration assumes palettes of size exactly max_degree + 1;
-    ``oversized_palettes`` flags inputs where that is not the case.
+    s0 is the post-initial-step surplus Q - d, recounted for every vertex
+    regardless of its own commit status. The calibration assumes
+    palettes of size exactly max_degree + 1; ``oversized_palettes``
+    flags inputs where that is not the case.
     """
 
     good_counts: np.ndarray
-    q0: np.ndarray
-    d0: np.ndarray
     s0: np.ndarray
     oversized_palettes: bool
 
@@ -160,10 +158,17 @@ def _ceil_frac(x: float) -> int:
 
 
 def _conflicted(graph: Graph, tentative: np.ndarray) -> np.ndarray:
-    """True where some neighbor holds the same non-blank tentative color."""
-    own = np.repeat(tentative, graph.degrees())
-    eq = (own == tentative[graph.indices]) & (own != BLANK)
-    return segment_sum(eq, graph.indptr) > 0
+    """True where some neighbor holds the same non-blank tentative color.
+
+    Only the rows of vertices that drew a color are scanned: a blank
+    vertex is never conflicted.
+    """
+    drawn = np.flatnonzero(tentative != BLANK)
+    slots, degrees = graph.row_slots(drawn)
+    clash = np.flatnonzero(tentative[graph.indices[slots]] == np.repeat(tentative[drawn], degrees))
+    conflicted = np.zeros(graph.n, dtype=bool)
+    conflicted[drawn[np.searchsorted(np.cumsum(degrees), clash, side="right")]] = True
+    return conflicted
 
 
 def _uniform_pick(
@@ -195,7 +200,7 @@ def apply_initial_tentative(
     no neighbor (of any kind) drew the same one; conflicts de-color both
     sides. Split out from the random draw so tests can inject colors.
     """
-    tentative = np.asarray(tentative, dtype=np.int64)
+    tentative = as_int64(tentative, "tentative colors")
     if tentative.shape != (graph.n,):
         raise ValidationError("tentative array must have one entry per vertex")
     drawn = np.flatnonzero(tentative != BLANK)
@@ -253,8 +258,6 @@ def count_good_colors(
     q0, d0 = recompute_residuals(post_step_state)
     return GoodColorDiag(
         good_counts=good,
-        q0=q0,
-        d0=d0,
         s0=q0 - d0,
         oversized_palettes=post_step_state.has_oversized_palettes,
     )
@@ -320,7 +323,7 @@ def apply_dense_tentative(
     neighbors never de-color anyone. Intra-clique tentative colors are
     asserted pairwise distinct (the selection rule forces this).
     """
-    tentative = np.asarray(tentative, dtype=np.int64)
+    tentative = as_int64(tentative, "tentative colors")
     if tentative.shape != (graph.n,):
         raise ValidationError("tentative array must have one entry per vertex")
     if in_prefix is None:

@@ -32,8 +32,9 @@ _DENSE_SECONDS_PER_MULTIPLY = 7e-12
 # bounds its k x k product) and the multiplies in one sparse block.
 _DENSE_OPERAND_ELEMENTS = 2**28
 _SPARSE_BLOCK_MULTIPLIES = 2**22
+_INT64_MAX = np.iinfo(np.int64).max
 # Largest vertex count whose square fits in int64 (build_graph's edge keys).
-_MAX_VERTICES = math.isqrt(np.iinfo(np.int64).max)
+_MAX_VERTICES = math.isqrt(_INT64_MAX)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,9 +121,7 @@ def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int | None = N
         arr = np.zeros((0, 2), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValidationError(f"edges must be (u, v) pairs, an (m, 2) array; got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValidationError(f"edge pairs must hold integers, not {arr.dtype}")
-    arr = arr.astype(np.int64, copy=False)
+    arr = as_int64(arr, "edge pairs")
 
     if arr.size and arr.min() < 0:
         raise ValidationError("vertex IDs must be nonnegative")
@@ -168,6 +167,19 @@ def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int | None = N
     indptr.setflags(write=False)
     max_degree = int(counts.max()) if n else 0
     return Graph(n=n, indptr=indptr, indices=indices, max_degree=max_degree)
+
+
+def as_int64(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array, tested before the cast: a non-integer
+    dtype, or an unsigned value beyond the int64 maximum, raises
+    :class:`ValidationError` rather than being truncated or wrapped. An
+    empty input of any dtype gives an empty int64 array."""
+    arr = np.asarray(values)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ValidationError(f"{what} must hold integers, not {arr.dtype}")
+    if arr.size and arr.dtype.kind == "u" and arr.max() > _INT64_MAX:
+        raise ValidationError(f"{what} hold {int(arr.max())}, out of range: values must fit in int64")
+    return arr.astype(np.int64, copy=False)
 
 
 def first_non_integer(values: list) -> int | None:

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import InvariantViolation, ValidationError
-from .graph import BLANK, Graph, segment_sum
+from .graph import BLANK, Graph, as_int64, segment_sum
 
 
 @dataclass(eq=False)
@@ -163,14 +163,15 @@ def commit_colors(state: ColoringState, vertices: ArrayLike, colors: ArrayLike) 
     draw only from residual palettes. Violations raise
     :class:`InvariantViolation` naming the first offending entry:
     callers (the coloring steps) are supposed to pre-filter conflicts,
-    so a bad batch is a bug, never something to skip silently.
+    so a bad batch is a bug, never something to skip silently. Arrays
+    that do not hold integers raise :class:`ValidationError`.
 
     Committed vertices leave the residual graph: uncolored neighbors
     lose one residual degree per committed neighbor and, if present,
     the committed color (once, however many neighbors wear it).
     """
-    vertices = np.asarray(vertices, dtype=np.int64)
-    colors = np.asarray(colors, dtype=np.int64)
+    vertices = as_int64(vertices, "batch vertices")
+    colors = as_int64(colors, "batch colors")
     if vertices.ndim != 1 or vertices.shape != colors.shape:
         raise InvariantViolation(
             f"a batch needs 1-D vertex and color arrays of one length, "
@@ -229,27 +230,32 @@ def commit_colors(state: ColoringState, vertices: ArrayLike, colors: ArrayLike) 
     state.palette ^= hit
 
 
-def recompute_residuals(state: ColoringState) -> tuple[np.ndarray, np.ndarray]:
-    """Recompute Q(v) and d(v) from scratch for every vertex.
+def recompute_residuals(
+    state: ColoringState, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Recompute Q(v) and d(v) from scratch for the vertices ``rows``
+    (every vertex when None), in the order given.
 
     The values ignore each vertex's own commit status: Q counts original
     palette colors not held by any committed neighbor, d counts uncolored
     neighbors. For uncolored vertices these must equal the incrementally
-    maintained fields.
+    maintained fields. Only the CSR rows of ``rows`` are read.
     """
     graph = state.graph
+    rows = np.arange(graph.n) if rows is None else as_int64(rows, "rows")
     width = state.num_colors + 1
-    dtype = np.int32 if graph.n * width < 2**31 else np.int64
+    dtype = np.int32 if rows.size * width < 2**31 else np.int64
     # Column of each vertex's color, blank in the spare last one. Mapped
     # here rather than by color_columns, which the commit it checks uses.
     columns = np.searchsorted(state.color_values, state.committed).astype(dtype)
     columns[state.committed == BLANK] = width - 1
-    # one (vertex, neighbor's color column) key per CSR slot
-    keys = np.repeat(np.arange(graph.n, dtype=dtype) * dtype(width), graph.degrees())
-    keys += columns[graph.indices]
-    taken = np.zeros((graph.n, width), dtype=bool)
+    slots, degrees = graph.row_slots(rows)
+    held = columns[graph.indices[slots]]
+    # one (row, neighbor's color column) key per slot of the rows
+    keys = np.repeat(np.arange(rows.size, dtype=dtype) * dtype(width), degrees)
+    keys += held
+    taken = np.zeros((rows.size, width), dtype=bool)
     taken.reshape(-1)[keys] = True
-    q = np.count_nonzero(state.original_palette > taken[:, :-1], axis=1).astype(np.int64)
-    uncolored = state.committed == BLANK
-    d = segment_sum(uncolored[graph.indices], graph.indptr)
+    q = np.count_nonzero(state.original_palette[rows] > taken[:, :-1], axis=1).astype(np.int64)
+    d = segment_sum(held == width - 1, np.concatenate(([0], np.cumsum(degrees))))
     return q, d

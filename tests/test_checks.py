@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from deltacolor import ValidationError, build_graph, canonical_palettes, verify_coloring
+from deltacolor import (
+    ValidationError,
+    build_graph,
+    canonical_palettes,
+    commit_colors,
+    init_state,
+    residual_consistency_failures,
+    verify_coloring,
+)
 
 
 @pytest.mark.parametrize("palette_kind", ["range", "list"])
@@ -44,3 +52,42 @@ def test_verify_coloring_takes_integer_and_string_keys():
     assert verify_coloring(g, palettes, {"0": 1, 1: 2, np.int64(2): np.int32(1)}) == []
     assert verify_coloring(g, palettes, {"0": 1, "7": 2}) == ["coloring references unknown vertex 7"]
     assert verify_coloring(g, palettes, {"-1": 1}) == ["coloring references unknown vertex -1"]
+
+
+def _path_with_vertex_1_colored():
+    # path 0-1-2-3, palettes {1, 2, 3}; vertex 1 takes colour 1
+    g = build_graph([(0, 1), (1, 2), (2, 3)])
+    state = init_state(g, canonical_palettes(g))
+    commit_colors(state, [1], [1])
+    return g, state
+
+
+def test_residual_consistency_names_corrupted_uncolored_vertices():
+    g, state = _path_with_vertex_1_colored()
+    state.residual_degree[3] = 0
+    state.residual_palette_size[2] = 5
+    state.residual_degree[0] = 2
+    assert residual_consistency_failures(g, state) == [
+        "vertex 2: maintained Q=5, recomputed 2",
+        "vertex 0: maintained d=2, recomputed 0",
+        "vertex 3: maintained d=0, recomputed 1",
+    ]
+
+
+def test_residual_consistency_ignores_colored_vertices():
+    # a coloured vertex has left the residual graph: its Q and d are not checked
+    g, state = _path_with_vertex_1_colored()
+    state.residual_palette_size[1] = 9
+    state.residual_degree[1] = 9
+    assert residual_consistency_failures(g, state) == []
+
+
+def test_residual_consistency_reports_at_most_five_per_field():
+    g = build_graph([], n=8)
+    state = init_state(g, canonical_palettes(g))
+    state.residual_palette_size += 1
+    state.residual_degree += 2
+    assert residual_consistency_failures(g, state) == [
+        *(f"vertex {v}: maintained Q=2, recomputed 1" for v in range(5)),
+        *(f"vertex {v}: maintained d=2, recomputed 0" for v in range(5)),
+    ]

@@ -312,6 +312,13 @@ def test_repetitions_need_a_coloring_mode(capsys):
         _usage_error(capsys, ["run", "--gen", "complete:5", "--mode", mode, "--repetitions", "2"])
 
 
+@pytest.mark.parametrize("repetitions", [str(10**6 + 1), str(2**63)])
+def test_repetitions_beyond_the_limit_are_a_usage_error(capsys, repetitions):
+    # rejected before any run, or the list of seeds, is made
+    message = _usage_error(capsys, ["run", "--gen", "complete:5", "--repetitions", repetitions])
+    assert "--repetitions must be at most 1000000" in message
+
+
 @pytest.mark.parametrize("steps", [["--steps", "-1"], ["--steps", "0"],
                                    ["--steps", "0", "--step-delta", "0.04"]])
 def test_nonpositive_steps_are_a_usage_error(tmp_path, capsys, steps):

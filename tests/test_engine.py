@@ -21,7 +21,8 @@ from deltacolor import (
     initial_coloring_step,
     run,
 )
-from deltacolor.engine import _select_dense_tentative, _uniform_pick
+from deltacolor.engine import _conflicted, _select_dense_tentative, _uniform_pick
+from deltacolor.graph import segment_sum
 
 
 def rng_for(seed):
@@ -536,3 +537,44 @@ def test_initial_injection_names_the_first_foreign_color():
     state = init_state(g, [[1, 2, 3], [1, 2, 4], [2, 3, 5]])
     with pytest.raises(ValidationError, match="injected color 3 is not in the palette of vertex 1"):
         apply_initial_tentative(g, state, np.array([0, 3, 1]))
+
+
+@pytest.mark.parametrize("tentative", [np.array([1.7, 0.0, 0.0]), np.array([1, 0, 2], dtype=bool)])
+def test_initial_injection_rejects_non_integer_colors(tentative):
+    g = build_graph([(0, 1), (1, 2)])
+    state = init_state(g, canonical_palettes(g))
+    with pytest.raises(ValidationError, match="tentative colors must hold integers"):
+        apply_initial_tentative(g, state, tentative)
+    assert state.num_uncolored() == 3
+
+
+def test_dense_injection_rejects_non_integer_colors():
+    g = generate(GeneratorSpec("clique_chain", {"size": 21, "count": 2}))
+    decomp = decompose(g, 0.1)
+    state = init_state(g, canonical_palettes(g))
+    tentative = np.zeros(g.n)
+    tentative[0] = 5.9
+    with pytest.raises(ValidationError, match="tentative colors must hold integers, not float64"):
+        apply_dense_tentative(g, state, decomp, tentative)
+    assert state.num_uncolored() == g.n
+
+
+def full_slot_conflicted(graph, tentative):
+    """The conflict check over every CSR slot, blank rows included."""
+    own = np.repeat(tentative, graph.degrees())
+    eq = (own == tentative[graph.indices]) & (own != BLANK)
+    return segment_sum(eq, graph.indptr) > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=14),
+    raw=st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=50),
+    colors=st.lists(st.integers(0, 4), min_size=14, max_size=14),
+    blank=st.lists(st.booleans(), min_size=14, max_size=14),
+)
+def test_live_row_conflicts_match_the_full_slot_scan(n, raw, colors, blank):
+    # few colours, so neighbours clash often; blank rows are never scanned
+    g = build_graph([(u % n, v % n) for u, v in raw if u % n != v % n], n=n)
+    tentative = np.where(blank[:n], BLANK, colors[:n]).astype(np.int64)
+    assert np.array_equal(_conflicted(g, tentative), full_slot_conflicted(g, tentative))

@@ -271,3 +271,31 @@ def test_backend_switch_follows_cost(monkeypatch):
     pairs = np.random.default_rng(1).integers(0, 20_000, size=(20_000, 2))
     edge_common_counts(build_graph(pairs[pairs[:, 0] != pairs[:, 1]], n=20_000))
     assert picked == ["_dense_common_counts", "_sparse_common_counts"]
+
+
+def test_unsigned_id_beyond_int64_is_out_of_range():
+    with pytest.raises(ValidationError, match="9223372036854775808, out of range"):
+        build_graph(np.array([[0, 2**63]], dtype=np.uint64))
+    # unsigned IDs that fit are taken as they are
+    g = build_graph(np.array([[0, 2]], dtype=np.uint64))
+    assert g.n == 3 and g.neighbors(2).tolist() == [0]
+
+
+@given(
+    st.lists(st.lists(st.integers(0, 7), max_size=4), min_size=1, max_size=8),
+    st.data(),
+)
+def test_row_slots_match_per_row_concatenation(rows_of_neighbors, data):
+    # CSR arrays built by hand: rows may be empty, and so may the selection
+    degrees = [len(r) for r in rows_of_neighbors]
+    g = graph_module.Graph(
+        n=len(degrees),
+        indptr=np.concatenate(([0], np.cumsum(degrees))).astype(np.int64),
+        indices=np.array([x for r in rows_of_neighbors for x in r], dtype=np.int64),
+        max_degree=max(degrees),
+    )
+    rows = np.array(data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n)), dtype=np.int64)
+    slots, got = g.row_slots(rows)
+    expected = [np.arange(g.indptr[v], g.indptr[v + 1]) for v in rows]
+    assert got.tolist() == [e.size for e in expected]
+    assert slots.tolist() == np.concatenate([np.zeros(0, dtype=np.int64), *expected]).tolist()

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltacolor import (
+    BLANK,
     InvariantViolation,
     ValidationError,
     build_graph,
@@ -12,6 +13,7 @@ from deltacolor import (
     init_state,
     recompute_residuals,
 )
+from deltacolor.graph import segment_sum
 
 
 def k3():
@@ -335,3 +337,48 @@ def test_recompute_residuals_matches_per_vertex_reference(case):
         q, d = recompute_residuals(state)
         ref_q, ref_d = reference_residuals(state)
         assert np.array_equal(q, ref_q) and np.array_equal(d, ref_d)
+
+
+def full_slot_residuals(state):
+    """Q and d for every vertex from one pass over every CSR slot."""
+    graph = state.graph
+    width = state.num_colors + 1
+    columns = np.searchsorted(state.color_values, state.committed)
+    columns[state.committed == BLANK] = width - 1
+    keys = np.repeat(np.arange(graph.n) * width, graph.degrees()) + columns[graph.indices]
+    taken = np.zeros((graph.n, width), dtype=bool)
+    taken.reshape(-1)[keys] = True
+    q = np.count_nonzero(state.original_palette & ~taken[:, :-1], axis=1)
+    d = segment_sum(state.committed[graph.indices] == BLANK, graph.indptr)
+    return q, d
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_palettes_batches(), st.data())
+def test_row_recount_matches_the_full_slot_recount(case, data):
+    g, palettes, order, picks, _ = case
+    state = init_state(g, palettes)
+    for v, pick in zip(order, picks):
+        free = sorted(state.palette_of(v))
+        if free and pick % 3:
+            commit_colors(state, [v], [free[pick % len(free)]])
+    ref_q, ref_d = full_slot_residuals(state)
+    # any subset in any order, the empty one included; None is every row
+    rows = np.array(data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n, unique=True)), dtype=np.int64)
+    q, d = recompute_residuals(state, rows)
+    assert np.array_equal(q, ref_q[rows]) and np.array_equal(d, ref_d[rows])
+    q, d = recompute_residuals(state)
+    assert np.array_equal(q, ref_q) and np.array_equal(d, ref_d)
+
+
+@pytest.mark.parametrize(
+    "vertices, colors",
+    [([0], [1.9]), ([0.0], [1]), ([0], np.array([1], dtype=bool)), ([0], [2**63])],
+)
+def test_commit_rejects_non_integer_batches(vertices, colors):
+    g = k3()
+    state = init_state(g, canonical_palettes(g))
+    before = state.copy()
+    with pytest.raises(ValidationError, match="batch (vertices|colors)"):
+        commit_colors(state, vertices, colors)
+    assert_same_state(state, before)
