@@ -26,7 +26,6 @@ from .decomposition import (
 )
 from .engine import (
     DenseStepResult,
-    FallbackResult,
     GoodColorDiag,
     RunReport,
     StepStats,
@@ -34,7 +33,6 @@ from .engine import (
     apply_initial_tentative,
     count_good_colors,
     dense_coloring_step,
-    fallback_coloring,
     fallback_round,
     initial_coloring_step,
     run,
@@ -73,7 +71,6 @@ __all__ = [
     "Decomposition",
     "DeltaColorError",
     "DenseStepResult",
-    "FallbackResult",
     "GenerationError",
     "GeneratorSpec",
     "GoodColorDiag",
@@ -103,7 +100,6 @@ __all__ = [
     "decomposition_to_dict",
     "dense_coloring_step",
     "density_epsilon",
-    "fallback_coloring",
     "fallback_round",
     "generate",
     "init_state",

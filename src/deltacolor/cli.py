@@ -18,20 +18,18 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .checks import decomposition_bound_failures, decomposition_failures, verify_coloring
-from .decomposition import decompose, decomposition_to_dict, structural_metrics
+from .decomposition import Decomposition, decompose, decomposition_to_dict, structural_metrics
 from .engine import (
     DEFAULT_MAX_FALLBACK_ITERS,
     PhaseDriver,
     RunReport,
     StepStats,
-    run,
     schedule_plan,
 )
 from .errors import DeltaColorError, InvariantViolation, ValidationError
@@ -41,10 +39,8 @@ from .io import dumps_json, load_palettes, read_edge_list, write_edge_list
 from .schedule import DEFAULT_K, build_schedule
 
 MODES = ("full", "decompose-only", "initial-only", "dense-steps", "fallback-only", "verify")
-STRICT_K = 256.0
 # Each repetition is a full seeded run, and the summary lists every seed.
 MAX_REPETITIONS = 10**6
-OUTPUT_DIR_ENV = "DELTACOLOR_OUT_DIR"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,15 +69,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     run_p.add_argument("--epsilon", type=float, default=None,
                        help="override the density parameter (the formula yields tiny values "
                             "at small max degree, which leaves every vertex sparse)")
-    run_p.add_argument("--strict-K", action="store_true", dest="strict_k",
-                       help=f"raise K to at least {STRICT_K:g}")
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--mode", choices=MODES, default="full")
-    run_p.add_argument("--out", default=None, help="report path (stdout when omitted); "
-                       f"${OUTPUT_DIR_ENV} supplies a default directory for bare names")
+    run_p.add_argument("--out", default=None, help="report path (stdout when omitted)")
     run_p.add_argument("--format", choices=("json", "csv"), default="json")
     run_p.add_argument("--repetitions", type=int, default=1,
-                       help="number of seeded runs to aggregate (seed, seed+1, ...)")
+                       help="number of seeded runs to aggregate (seed, seed+1, ...); "
+                            "the graph is decomposed at most once")
     run_p.add_argument("--force-main-path", action="store_true",
                        help="run decomposition + dense steps even when the activation gate fails")
     run_p.add_argument("--max-fallback-iters", type=int, default=DEFAULT_MAX_FALLBACK_ITERS)
@@ -149,16 +143,6 @@ def _config_value(action: argparse.Action, value, where: str):
     raise ValidationError(f"{where}: {value!r} is not a valid {action.option_strings[0]} value")
 
 
-def _resolve_out(out: str | None) -> Path | None:
-    if out is None:
-        return None
-    path = Path(out)
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not path.is_absolute() and path.parent == Path("."):
-        path = Path(base) / path
-    return path
-
-
 def _load_graph(args) -> Graph:
     if args.input:
         return read_edge_list(args.input)
@@ -169,7 +153,6 @@ def _load_graph(args) -> Graph:
 
 
 def _emit(report: dict, steps: list[StepStats] | None, args) -> None:
-    out = _resolve_out(args.out)
     if args.format == "csv":
         if steps is None:
             raise ValidationError("csv format is only available for step-producing modes")
@@ -179,27 +162,22 @@ def _emit(report: dict, steps: list[StepStats] | None, args) -> None:
         text = "\n".join(lines) + "\n"
     else:
         text = dumps_json(report) + "\n"
-    if out is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        out.write_text(text, encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
 
 
-def _single_run(graph: Graph, palettes, args, seed: int) -> tuple[RunReport, dict]:
-    """One seeded run of the phases ``--mode`` selects, with the extra
-    report keys of a step mode."""
+def _single_run(
+    graph: Graph, palettes, args, seed: int, decomp: Decomposition | None = None
+) -> tuple[RunReport, dict, Decomposition | None]:
+    """One seeded run of the phases ``--mode`` selects, on ``decomp`` when
+    given; returns the report, the extra report keys of a step mode and
+    the decomposition the run used, if any."""
+    driver = PhaseDriver(graph, palettes, k=args.k, seed=seed, epsilon=args.epsilon, decomp=decomp)
     if args.mode == "full":
-        report = run(
-            graph,
-            palettes,
-            k=args.k,
-            seed=seed,
-            epsilon=args.epsilon,
-            force_main_path=args.force_main_path,
-            max_fallback_iters=args.max_fallback_iters,
-        )
-        return report, {}
-    driver = PhaseDriver(graph, palettes, k=args.k, seed=seed, epsilon=args.epsilon)
+        driver.full(args.max_fallback_iters, args.force_main_path)
+        return driver.report(args.force_main_path), {}, driver.decomp
     extras: dict = {"mode": args.mode}
     if args.mode == "initial-only":
         driver.initial()
@@ -223,7 +201,7 @@ def _single_run(graph: Graph, palettes, args, seed: int) -> tuple[RunReport, dic
         extras.update(gammas=gammas, num_cliques=len(driver.decomp.cliques))
     else:
         driver.fallback(args.max_fallback_iters)
-    return driver.report(args.force_main_path), extras
+    return driver.report(args.force_main_path), extras, driver.decomp
 
 
 def _aggregate(reports: list[RunReport], seeds: list[int]) -> dict:
@@ -258,10 +236,15 @@ def _aggregate(reports: list[RunReport], seeds: list[int]) -> dict:
 def _mode_run(graph: Graph, palettes, args) -> int:
     if args.repetitions > 1:
         seeds = list(range(args.seed, args.seed + args.repetitions))
-        aggregate = _aggregate([_single_run(graph, palettes, args, s)[0] for s in seeds], seeds)
+        reports, decomp = [], None
+        for s in seeds:
+            # the decomposition draws no randomness: the first run's serves every seed
+            report, _, decomp = _single_run(graph, palettes, args, s, decomp)
+            reports.append(report)
+        aggregate = _aggregate(reports, seeds)
         _emit(aggregate, None, args)
         return 1 if aggregate["runs_with_failures"] else 0
-    report, extras = _single_run(graph, palettes, args, args.seed)
+    report, extras, _ = _single_run(graph, palettes, args, args.seed)
     _emit({**report.to_dict(), **extras}, report.steps, args)
     for msg in report.invariant_failures:
         print(f"invariant failure: {msg}", file=sys.stderr)
@@ -309,14 +292,12 @@ def main(argv: list[str] | None = None) -> int:
             raise ValidationError("--seed must be nonnegative")
         if args.command == "generate":
             graph = generate(GeneratorSpec.parse(args.gen, seed=args.seed))
-            write_edge_list(graph, _resolve_out(args.out))
+            write_edge_list(graph, args.out)
             print(f"wrote {graph.n} vertices / {graph.num_edges} edges to {args.out}")
             return 0
 
         if bool(args.input) == bool(args.gen):
             raise ValidationError("exactly one of --input / --gen is required")
-        if args.strict_k:
-            args.k = max(args.k, STRICT_K)
         if args.repetitions < 1:
             raise ValidationError("--repetitions must be at least 1")
         if args.repetitions > MAX_REPETITIONS:

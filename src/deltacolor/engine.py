@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -104,12 +104,6 @@ class DenseStepResult:
     stats: StepStats
     in_prefix: np.ndarray  # this step's permutation prefix, incl. skipped
     skipped: np.ndarray  # prefix vertices whose in-step palette was empty
-
-
-@dataclass(eq=False)
-class FallbackResult:
-    steps: list[StepStats]
-    exhausted: bool
 
 
 @dataclass(eq=False)
@@ -430,48 +424,19 @@ def fallback_round(
     )
 
 
-def fallback_coloring(
-    graph: Graph,
-    state: ColoringState,
-    rng: np.random.Generator,
-    max_iters: int = DEFAULT_MAX_FALLBACK_ITERS,
-    eligible: np.ndarray | None = None,
-    after_round: Callable[[StepStats], None] | None = None,
-) -> FallbackResult:
-    """Trial rounds until every eligible vertex is colored.
-
-    Surplus at least 1 keeps every residual palette non-empty, so the
-    loop terminates with probability 1; ``max_iters`` bounds the worst
-    case and exhaustion is reported explicitly, never swallowed.
-    """
-    if max_iters < 0:
-        raise ValidationError("max_iters must be nonnegative")
-    steps: list[StepStats] = []
-
-    def remaining() -> int:
-        mask = state.committed == BLANK
-        if eligible is not None:
-            mask &= eligible
-        return int(np.count_nonzero(mask))
-
-    for _ in range(max_iters):
-        if remaining() == 0:
-            return FallbackResult(steps=steps, exhausted=False)
-        stats = fallback_round(graph, state, rng, eligible)
-        steps.append(stats)
-        if after_round is not None:
-            after_round(stats)
-    return FallbackResult(steps=steps, exhausted=remaining() > 0)
-
-
 class PhaseDriver:
     """One run's state, RNG root, invariant monitor and step ledger.
 
     Each phase method runs one phase of the pipeline and checks the
-    invariants after every commit. :func:`run` composes all of them; the
+    invariants after every commit. :meth:`full` composes all of them; the
     CLI's step modes select some. Every phase draws its own stream from
     the root, so a phase's randomness depends only on the seed and on
     the phases run before it. Call :meth:`report` once, at the end.
+
+    ``decomp``, when given, is this graph's decomposition at the
+    schedule's epsilon, computed earlier (the decomposition draws no
+    randomness, so every run of a graph can share one);
+    :meth:`decompose` then adopts it instead of recomputing it.
     """
 
     def __init__(
@@ -482,6 +447,7 @@ class PhaseDriver:
         seed: int = 0,
         epsilon: float | None = None,
         check_invariants: bool = True,
+        decomp: Decomposition | None = None,
     ):
         if seed < 0:
             raise ValidationError("seed must be nonnegative")
@@ -489,6 +455,14 @@ class PhaseDriver:
         self.seed = seed
         self.state = init_state(graph, palettes)
         self.schedule = build_schedule(max(graph.max_degree, 1), graph.n, k, epsilon=epsilon)
+        if decomp is not None and (decomp.membership.size, decomp.epsilon) != (
+            graph.n, self.schedule.epsilon
+        ):
+            raise ValidationError(
+                f"decomposition of {decomp.membership.size} vertices at epsilon {decomp.epsilon} "
+                f"given for {graph.n} vertices at epsilon {self.schedule.epsilon}"
+            )
+        self._decomp = decomp
         self.check_invariants = check_invariants
         self.failures: list[str] = []
         self.steps: list[StepStats] = []
@@ -525,7 +499,9 @@ class PhaseDriver:
 
     def decompose(self) -> None:
         """Split the graph into sparse vertices and almost-cliques."""
-        self.decomp = decompose(self.graph, self.schedule.epsilon)
+        if self._decomp is None:
+            self._decomp = decompose(self.graph, self.schedule.epsilon)
+        self.decomp = self._decomp
         self.steps.append(StepStats(kind="decompose", rounds=ROUND_COST_DECOMPOSE))
 
     def initial(self) -> None:
@@ -557,22 +533,41 @@ class PhaseDriver:
         self, max_iters: int, eligible: np.ndarray | None = None, phase: str | None = None
     ) -> None:
         """Trial rounds until every ``eligible`` vertex (all when None) is
-        colored; ``phase`` names the pass in the exhaustion message."""
-        fb = fallback_coloring(
-            self.graph,
-            self.state,
-            self._stream(),
-            max_iters=max_iters,
-            eligible=eligible,
-            after_round=self._finish_step,
-        )
+        colored; ``phase`` names the pass in the exhaustion message.
+
+        Surplus at least 1 keeps every residual palette non-empty, so the
+        loop ends with probability 1; ``max_iters`` bounds the worst case
+        and exhaustion is recorded as a failure, never swallowed.
+        """
+        if max_iters < 0:
+            raise ValidationError("max_iters must be nonnegative")
+        rng = self._stream()
         self._require_complete |= eligible is None
-        if fb.exhausted:
-            name = "fallback" if phase is None else f"fallback ({phase} phase)"
-            self.failures.append(
-                f"{name} exhausted after {max_iters} rounds "
-                f"with {self.state.num_uncolored()} vertices uncolored"
-            )
+        todo = np.ones(self.graph.n, dtype=bool) if eligible is None else eligible
+        rounds = 0
+        while np.any(todo & self.state.uncolored_mask()):
+            if rounds == max_iters:
+                name = "fallback" if phase is None else f"fallback ({phase} phase)"
+                self.failures.append(
+                    f"{name} exhausted after {max_iters} rounds "
+                    f"with {self.state.num_uncolored()} vertices uncolored"
+                )
+                return
+            self._finish_step(fallback_round(self.graph, self.state, rng, eligible))
+            rounds += 1
+
+    def full(self, max_iters: int, force_main_path: bool = False) -> None:
+        """Every phase, in order, when the activation gate holds (or
+        ``force_main_path`` overrides it); otherwise the whole graph goes
+        straight to the fallback. ``max_iters`` bounds each fallback pass."""
+        if (self.schedule.main_path or force_main_path) and self.graph.max_degree >= 1:
+            self.decompose()
+            self.initial()
+            self.dense(*schedule_plan(self.schedule))
+            self.fallback(max_iters, eligible=self.decomp.membership < 0, phase="sparse")
+            self.fallback(max_iters, phase="residual")
+        else:
+            self.fallback(max_iters)
 
     def report(self, force_main_path: bool = False) -> RunReport:
         """The run report, after the final check: proper and in-palette,
@@ -672,14 +667,7 @@ def run(
     be exercised, usually together with an epsilon override.
     """
     driver = PhaseDriver(graph, palettes, k, seed, epsilon, check_invariants)
-    if (driver.schedule.main_path or force_main_path) and graph.max_degree >= 1:
-        driver.decompose()
-        driver.initial()
-        driver.dense(*schedule_plan(driver.schedule))
-        driver.fallback(max_fallback_iters, eligible=driver.decomp.membership < 0, phase="sparse")
-        driver.fallback(max_fallback_iters, phase="residual")
-    else:
-        driver.fallback(max_fallback_iters)
+    driver.full(max_fallback_iters, force_main_path)
     return driver.report(force_main_path)
 
 

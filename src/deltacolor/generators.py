@@ -19,7 +19,17 @@ from .graph import Graph, build_graph, edge_common_counts, segment_sum
 _BRUTE_FORCE_LIMIT = 500
 _LOCALLY_SPARSE_ATTEMPTS = 50
 
-GENERATOR_KINDS = ("complete", "gnp", "clique_chain", "bipartite_random", "locally_sparse")
+# Each kind's parameters and their types, in the order ``parse`` reads them.
+PARAMETERS = {
+    "complete": {"n": int},
+    "gnp": {"n": int, "p": float},
+    "clique_chain": {"size": int, "count": int},
+    "bipartite_random": {"n": int, "p": float},
+    "locally_sparse": {"n": int, "p": float, "delta": float},
+}
+GENERATOR_KINDS = tuple(PARAMETERS)
+# JSON values a parameter of each type accepts (bools excepted)
+_JSON_TYPES = {int: (int,), float: (int, float)}
 
 
 @dataclass(frozen=True)
@@ -39,38 +49,41 @@ class GeneratorSpec:
         'locally_sparse:200,0.5,0.3'."""
         kind, _, rest = text.partition(":")
         kind = kind.strip()
-        rest = rest.strip()
+        types = PARAMETERS.get(kind, {})
+        fields = rest.strip().split("x" if kind == "clique_chain" else ",")
         try:
-            if kind == "complete":
-                params = {"n": int(rest)}
-            elif kind == "gnp":
-                a, b = rest.split(",")
-                params = {"n": int(a), "p": float(b)}
-            elif kind == "clique_chain":
-                a, b = rest.split("x")
-                params = {"size": int(a), "count": int(b)}
-            elif kind == "bipartite_random":
-                a, b = rest.split(",")
-                params = {"n": int(a), "p": float(b)}
-            elif kind == "locally_sparse":
-                a, b, c = rest.split(",")
-                params = {"n": int(a), "p": float(b), "delta": float(c)}
-            else:
-                raise ValidationError(f"unknown generator kind {kind!r}")
-        except (ValueError, TypeError) as exc:
-            raise ValidationError(f"malformed generator spec {text!r}") from exc
-        return cls(kind=kind, params=params, seed=seed)
+            if types and len(fields) == len(types):
+                params = {key: want(field) for (key, want), field in zip(types.items(), fields)}
+                return cls(kind=kind, params=params, seed=seed)
+        except ValueError:
+            pass
+        raise ValidationError(f"malformed generator spec {text!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorSpec":
-        try:
-            return cls(
-                kind=data["kind"],
-                params={k: v for k, v in data.items() if k not in ("kind", "seed")},
-                seed=int(data.get("seed", 0)),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"generator spec missing field: {exc}") from exc
+        """A spec from a JSON object: ``kind``, an optional nonnegative
+        integer ``seed`` and exactly the kind's parameters. An int
+        parameter takes an integer (not a bool), a float one any number."""
+        kind = data.get("kind")
+        if kind is None:
+            raise ValidationError("generator spec missing field: 'kind'")
+        if not isinstance(kind, str) or kind not in PARAMETERS:
+            raise ValidationError(f"unknown generator kind {kind!r}")
+        params = PARAMETERS[kind]
+        unknown = [key for key in data if key not in ("kind", "seed", *params)]
+        if unknown:
+            raise ValidationError(f"generator kind {kind!r} takes no parameter {unknown[0]!r}")
+        missing = [key for key in params if key not in data]
+        if missing:
+            raise ValidationError(f"generator spec missing field: {missing[0]!r}")
+        for key, want in {**params, "seed": int}.items():
+            value = data.get(key, 0)
+            if type(value) is bool or not isinstance(value, _JSON_TYPES[want]):
+                raise ValidationError(f"generator parameter {key!r} must be {want.__name__}, got {value!r}")
+        seed = data.get("seed", 0)
+        if seed < 0:
+            raise ValidationError(f"generator seed must be nonnegative, got {seed}")
+        return cls(kind=kind, params={key: data[key] for key in params}, seed=seed)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, **self.params}

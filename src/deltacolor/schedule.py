@@ -121,11 +121,16 @@ def build_schedule(
         raise ValidationError("max degree must be at least 1")
     if n < 1:
         raise ValidationError("vertex count must be at least 1")
-    if k <= 0:
-        raise ValidationError("K must be positive")
+    if not (math.isfinite(k) and k > 0):
+        raise ValidationError(f"K must be positive and finite, got {k}")
 
     if epsilon is None:
         eps = density_epsilon(delta_max, k)
+        if not 0.0 < eps < 0.2:
+            raise ValidationError(
+                f"the density formula gives epsilon {eps} at K={k}, outside (0, 1/5); "
+                "set it with --epsilon"
+            )
         overridden = False
     else:
         eps = float(epsilon)

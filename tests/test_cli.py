@@ -185,11 +185,13 @@ def test_usage_errors_exit_two(tmp_path):
     assert main(["run", "--gen", "complete:10", "--epsilon", "0.3"]) == 2
 
 
-def test_output_dir_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("DELTACOLOR_OUT_DIR", str(tmp_path))
-    code = main(["run", "--gen", "complete:10", "--mode", "full", "--out", "report.json"])
-    assert code == 0
+def test_out_alone_names_the_report_path(tmp_path, monkeypatch):
+    # the DELTACOLOR_OUT_DIR default directory is gone: a bare name is cwd-relative
+    monkeypatch.setenv("DELTACOLOR_OUT_DIR", str(tmp_path / "elsewhere"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--gen", "complete:10", "--out", "report.json"]) == 0
     assert (tmp_path / "report.json").exists()
+    assert not (tmp_path / "elsewhere").exists()
 
 
 def test_stdout_report(capsys):
@@ -286,11 +288,11 @@ def test_trailing_config_flag_is_a_usage_error(capsys):
 
 def test_config_keys_follow_the_run_flags(tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"gen": "complete:21", "max-fallback-iters": 50, "strict-K": True}))
+    cfg.write_text(json.dumps({"gen": "complete:21", "max-fallback-iters": 50, "K": 256}))
     out = tmp_path / "out.json"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     assert read_json(out)["K"] == 256.0
-    for removed in ("workers", "epsilon-from-K", "config"):
+    for removed in ("workers", "epsilon-from-K", "strict-K", "config"):
         cfg.write_text(json.dumps({"gen": "complete:21", removed: 2}))
         assert removed in _usage_error(capsys, ["run", "--config", str(cfg)])
 
@@ -372,7 +374,8 @@ def test_palette_color_beyond_int64_is_a_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("repetitions", 2.5), ("repetitions", "x"), ("mode", "bogus"), ("format", "xml"),
-    ("seed", True), ("force-main-path", "yes"), ("strict-K", 1), ("K", [1]), ("out", 3),
+    ("seed", True), ("force-main-path", "yes"), ("max-fallback-iters", 1.5), ("K", [1]),
+    ("out", 3),
 ])
 def test_config_values_pass_their_flags_checks(tmp_path, capsys, key, value):
     cfg = tmp_path / "run.json"
@@ -380,6 +383,65 @@ def test_config_values_pass_their_flags_checks(tmp_path, capsys, key, value):
     out = tmp_path / "r.json"
     assert repr(key) in _usage_error(capsys, ["run", "--config", str(cfg), "--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("k", [float("nan"), float("inf"), float("-inf"), 0, 1e-300])
+def test_non_finite_or_tiny_k_is_a_usage_error(tmp_path, capsys, k):
+    # 1e-300 puts the formula epsilon far outside (0, 1/5)
+    out = tmp_path / "r.json"
+    message = _usage_error(capsys, ["run", "--gen", "complete:5", f"--K={k}", "--out", str(out)])
+    assert "K must be positive and finite" in message or "--epsilon" in message
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"gen": "complete:5", "K": k}))
+    assert _usage_error(capsys, ["run", "--config", str(cfg), "--out", str(out)]) == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gen, match", [
+    ({"kind": "gnp", "n": "x", "p": 0.5}, "'n' must be int"),
+    ({"kind": "gnp"}, "missing field: 'n'"),
+    ({"n": 4}, "missing field: 'kind'"),
+    ({"kind": "complete", "n": 4, "seed": "s"}, "'seed' must be int"),
+    ({"kind": "complete", "n": 4, "seed": -1}, "seed must be nonnegative"),
+    ({"kind": "complete", "n": 2.7}, "'n' must be int"),
+    ({"kind": "complete", "n": True}, "'n' must be int"),
+    ({"kind": "gnp", "n": 5, "p": True}, "'p' must be float"),
+    ({"kind": "complete", "n": 4, "bogus": 1}, "no parameter 'bogus'"),
+    ({"kind": ["gnp"], "n": 4}, "unknown generator kind"),
+])
+def test_config_generator_objects_are_checked(tmp_path, capsys, gen, match):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"gen": gen}))
+    assert match in _usage_error(capsys, ["run", "--config", str(cfg)])
+
+
+def test_removed_strict_k_flag_is_a_usage_error(capsys):
+    assert "--strict-K" in _usage_error(capsys, ["run", "--gen", "complete:5", "--strict-K"])
+
+
+@pytest.mark.parametrize("mode, extra, calls", [
+    ("full", ["--force-main-path"], 1),
+    ("full", [], 0),
+    ("dense-steps", [], 1),
+    ("dense-steps", ["--step-delta", "0.04"], 1),
+    ("initial-only", [], 0),
+    ("fallback-only", [], 0),
+])
+def test_repetitions_decompose_a_graph_at_most_once(tmp_path, monkeypatch, mode, extra, calls):
+    import deltacolor.engine
+
+    real, counted = deltacolor.engine.decompose, []
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(deltacolor.engine, "decompose", counting)
+    out = tmp_path / "agg.json"
+    assert main(["run", *STEP_MODES["dense-steps"][:4], "--seed", "1", "--mode", mode, *extra,
+                 "--repetitions", "3", "--out", str(out)]) == 0
+    assert len(counted) == calls
+    assert read_json(out)["repetitions"] == 3
 
 
 def test_config_strings_and_numbers_convert_as_flags_do(tmp_path):
@@ -412,12 +474,32 @@ _EDGE_LINES = st.lists(
     | st.text(max_size=6),
     max_size=6,
 )
-_CONFIGS = st.dictionaries(
-    st.sampled_from(["seed", "K", "epsilon", "mode", "format", "repetitions", "strict-K",
+_FLAG_CONFIGS = st.dictionaries(
+    st.sampled_from(["seed", "K", "epsilon", "mode", "format", "repetitions",
                      "force-main-path", "max-fallback-iters", "steps", "step-delta", "gen",
                      "palettes", "bogus"]),
     _JSON_SCALARS | st.sampled_from(["complete:4", "gnp:5,0.5", "full", "verify", "csv", "2"]),
     max_size=3,
+)
+# Generator spec objects, near-valid and small: no value sizes a graph
+# beyond a few vertices.
+_GEN_VALUES = st.integers(-1, 5) | st.floats(width=32) | st.none() | st.booleans() | st.text(max_size=2)
+_GEN_OBJECTS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("complete"), "n": st.integers(1, 5) | _GEN_VALUES},
+                          optional={"seed": _GEN_VALUES}),
+    st.fixed_dictionaries(
+        {"kind": st.just("gnp"), "n": st.integers(1, 5) | _GEN_VALUES,
+         "p": st.floats(0.1, 0.9) | _GEN_VALUES},
+        optional={"seed": _GEN_VALUES},
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["complete", "gnp", "clique_chain", "bipartite_random",
+                                  "locally_sparse", "bogus"]) | _JSON_SCALARS},
+        optional={key: _GEN_VALUES for key in ("n", "p", "size", "count", "delta", "seed", "bogus")},
+    ),
+)
+_CONFIGS = _FLAG_CONFIGS | st.builds(
+    lambda cfg, gen: {**cfg, "gen": gen}, _FLAG_CONFIGS, _GEN_OBJECTS
 )
 
 
@@ -451,15 +533,18 @@ def test_cli_exits_cleanly_on_malformed_input(edges, palettes, coloring, config,
             graph_file.write_bytes(edges)
         else:
             graph_file.write_text(edges, encoding="utf-8")
-        argv = ["run", "--input", str(graph_file), "--mode", mode, "--out", str(base / "r.json")]
+        argv = ["run", "--mode", mode, "--out", str(base / "r.json")]
         for name, value in (("palettes", palettes), ("coloring", coloring), ("config", config)):
             if name in use or (name, mode) == ("coloring", "verify"):
                 (base / name).write_text(json.dumps(value), encoding="utf-8")
                 argv += [f"--{name}", str(base / name)]
+        from_config = "config" in use and isinstance(config, dict) and "gen" in config
+        if not from_config:
+            argv += ["--input", str(graph_file)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        event(f"{mode} exit {code}")
+        event(f"{mode} {'config gen' if from_config else 'input'} exit {code}")
         assert code in (0, 1, 2), err.getvalue()
         assert "Traceback" not in err.getvalue()
         if code == 0 and mode == "verify":

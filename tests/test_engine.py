@@ -15,13 +15,12 @@ from deltacolor import (
     count_good_colors,
     decompose,
     dense_coloring_step,
-    fallback_coloring,
     generate,
     init_state,
     initial_coloring_step,
     run,
 )
-from deltacolor.engine import _conflicted, _select_dense_tentative, _uniform_pick
+from deltacolor.engine import PhaseDriver, _conflicted, _select_dense_tentative, _uniform_pick
 from deltacolor.graph import segment_sum
 
 
@@ -259,47 +258,72 @@ def test_good_color_bound_statistical():
 
 
 def test_fallback_single_vertex_one_round():
-    g = build_graph([], n=1)
-    state = init_state(g, [[5]])
-    result = fallback_coloring(g, state, rng_for(0))
-    assert state.committed.tolist() == [5]
-    assert len(result.steps) == 1
-    assert not result.exhausted
+    driver = PhaseDriver(build_graph([], n=1), [[5]])
+    driver.fallback(500)
+    assert driver.state.committed.tolist() == [5]
+    assert [s.kind for s in driver.steps] == ["fallback"]
+    assert driver.failures == []
 
 
 def test_fallback_k2_terminates():
-    g = build_graph([(0, 1)])
-    state = init_state(g, [[1, 2], [1, 2]])
-    result = fallback_coloring(g, state, rng_for(3))
+    driver = PhaseDriver(build_graph([(0, 1)]), [[1, 2], [1, 2]], seed=3)
+    driver.fallback(500)
+    state = driver.state
     assert state.num_uncolored() == 0
-    assert not result.exhausted
+    assert driver.failures == []
     assert state.committed[0] != state.committed[1]
 
 
 def test_fallback_on_colored_graph_is_noop():
-    g = build_graph([(0, 1)])
-    state = init_state(g, [[1, 2], [1, 2]])
-    fallback_coloring(g, state, rng_for(3))
-    result = fallback_coloring(g, state, rng_for(4))
-    assert result.steps == []
-    assert not result.exhausted
+    driver = PhaseDriver(build_graph([(0, 1)]), [[1, 2], [1, 2]], seed=3)
+    driver.fallback(500)
+    steps = len(driver.steps)
+    driver.fallback(500)
+    assert len(driver.steps) == steps
+    assert driver.failures == []
 
 
 def test_fallback_exhaustion_reported():
-    g = build_graph([(0, 1)])
-    state = init_state(g, [[1, 2], [1, 2]])
-    result = fallback_coloring(g, state, rng_for(3), max_iters=0)
-    assert result.exhausted
-    assert state.num_uncolored() == 2
+    driver = PhaseDriver(build_graph([(0, 1)]), [[1, 2], [1, 2]], seed=3)
+    driver.fallback(0)
+    assert driver.failures == ["fallback exhausted after 0 rounds with 2 vertices uncolored"]
+    assert driver.state.num_uncolored() == 2
+    with pytest.raises(ValidationError, match="max_iters"):
+        driver.fallback(-1)
 
 
 def test_fallback_respects_eligibility_mask():
     g = build_graph([(0, 1), (1, 2)])
-    state = init_state(g, canonical_palettes(g))
-    mask = np.array([True, False, True])
-    fallback_coloring(g, state, rng_for(5), eligible=mask)
-    assert state.committed[1] == BLANK
-    assert state.committed[0] != BLANK and state.committed[2] != BLANK
+    driver = PhaseDriver(g, canonical_palettes(g), seed=5)
+    driver.fallback(500, eligible=np.array([True, False, True]))
+    committed = driver.state.committed
+    assert committed[1] == BLANK
+    assert committed[0] != BLANK and committed[2] != BLANK
+    assert driver.failures == []
+
+
+def test_driver_rejects_a_decomposition_of_another_graph_or_epsilon():
+    g = generate(GeneratorSpec.parse("clique_chain:50x4"))
+    palettes = canonical_palettes(g)
+    other = generate(GeneratorSpec.parse("clique_chain:50x3"))
+    for decomp, match in (
+        (decompose(other, 0.1), "of 150 vertices at epsilon 0.1 given for 200 vertices"),
+        (decompose(g, 0.05), "of 200 vertices at epsilon 0.05 given for 200 vertices"),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            PhaseDriver(g, palettes, epsilon=0.1, decomp=decomp)
+
+
+def test_driver_adopts_a_precomputed_decomposition(monkeypatch):
+    import deltacolor.engine
+
+    g = generate(GeneratorSpec.parse("clique_chain:50x4"))
+    decomp = decompose(g, 0.1)
+    monkeypatch.setattr(deltacolor.engine, "decompose", None)
+    driver = PhaseDriver(g, canonical_palettes(g), epsilon=0.1, decomp=decomp)
+    driver.decompose()
+    assert driver.decomp is decomp
+    assert [s.kind for s in driver.steps] == ["decompose"]
 
 
 # ----------------------------------------------------------------------- run

@@ -143,6 +143,13 @@ def test_input_validation():
         build_schedule(10, n=0, k=1.0)
     with pytest.raises(ValidationError):
         build_schedule(10, n=10, k=0.0)
+    for k in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            build_schedule(10, n=10, k=k, epsilon=0.1)
+    # the formula epsilon 100^(-sqrt(ln 10)) / (100 K) reaches 1/5 below K ~ 4.6e-5
+    with pytest.raises(ValidationError, match="--epsilon"):
+        build_schedule(10, n=10, k=1e-5)
+    assert build_schedule(10, n=10, k=1e-5, epsilon=0.1).epsilon == 0.1
     with pytest.raises(ValidationError):
         density_epsilon(0.5, 1.0)
 
