@@ -9,6 +9,7 @@ paths so it can serve as an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -28,8 +29,8 @@ PARAMETERS = {
     "locally_sparse": {"n": int, "p": float, "delta": float},
 }
 GENERATOR_KINDS = tuple(PARAMETERS)
-# JSON values a parameter of each type accepts (bools excepted)
-_JSON_TYPES = {int: (int,), float: (int, float)}
+# Values a parameter of each type accepts, bools excepted
+_ACCEPTS = {int: Integral, float: Real}
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,23 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in GENERATOR_KINDS:
+        """Exactly the kind's parameters, each an integer (not a bool) or,
+        for a float parameter, any real number; a nonnegative integer seed."""
+        if not isinstance(self.kind, str) or self.kind not in PARAMETERS:
             raise ValidationError(f"unknown generator kind {self.kind!r}")
+        types = PARAMETERS[self.kind]
+        unknown = [key for key in self.params if key not in types]
+        if unknown:
+            raise ValidationError(f"generator kind {self.kind!r} takes no parameter {unknown[0]!r}")
+        missing = [key for key in types if key not in self.params]
+        if missing:
+            raise ValidationError(f"generator spec missing field: {missing[0]!r}")
+        for key, want in {**types, "seed": int}.items():
+            value = self.seed if key == "seed" else self.params[key]
+            if isinstance(value, bool) or not isinstance(value, _ACCEPTS[want]):
+                raise ValidationError(f"generator parameter {key!r} must be {want.__name__}, got {value!r}")
+        if self.seed < 0:
+            raise ValidationError(f"generator seed must be nonnegative, got {self.seed}")
 
     @classmethod
     def parse(cls, text: str, seed: int = 0) -> "GeneratorSpec":
@@ -51,39 +67,23 @@ class GeneratorSpec:
         kind = kind.strip()
         types = PARAMETERS.get(kind, {})
         fields = rest.strip().split("x" if kind == "clique_chain" else ",")
-        try:
-            if types and len(fields) == len(types):
+        if len(fields) == len(types):  # never for an unknown kind: split gives one field
+            try:
                 params = {key: want(field) for (key, want), field in zip(types.items(), fields)}
+            except ValueError:
+                pass
+            else:
                 return cls(kind=kind, params=params, seed=seed)
-        except ValueError:
-            pass
         raise ValidationError(f"malformed generator spec {text!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorSpec":
-        """A spec from a JSON object: ``kind``, an optional nonnegative
-        integer ``seed`` and exactly the kind's parameters. An int
-        parameter takes an integer (not a bool), a float one any number."""
-        kind = data.get("kind")
-        if kind is None:
+        """A spec from a JSON object: ``kind``, an optional ``seed`` and the
+        kind's parameters, checked as in the constructor."""
+        if "kind" not in data:
             raise ValidationError("generator spec missing field: 'kind'")
-        if not isinstance(kind, str) or kind not in PARAMETERS:
-            raise ValidationError(f"unknown generator kind {kind!r}")
-        params = PARAMETERS[kind]
-        unknown = [key for key in data if key not in ("kind", "seed", *params)]
-        if unknown:
-            raise ValidationError(f"generator kind {kind!r} takes no parameter {unknown[0]!r}")
-        missing = [key for key in params if key not in data]
-        if missing:
-            raise ValidationError(f"generator spec missing field: {missing[0]!r}")
-        for key, want in {**params, "seed": int}.items():
-            value = data.get(key, 0)
-            if type(value) is bool or not isinstance(value, _JSON_TYPES[want]):
-                raise ValidationError(f"generator parameter {key!r} must be {want.__name__}, got {value!r}")
-        seed = data.get("seed", 0)
-        if seed < 0:
-            raise ValidationError(f"generator seed must be nonnegative, got {seed}")
-        return cls(kind=kind, params={key: data[key] for key in params}, seed=seed)
+        params = {key: value for key, value in data.items() if key not in ("kind", "seed")}
+        return cls(kind=data["kind"], params=params, seed=data.get("seed", 0))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, **self.params}

@@ -29,6 +29,22 @@ def test_spec_parse_rejects_garbage():
             GeneratorSpec.parse(bad)
 
 
+@pytest.mark.parametrize("kind, params, seed, match", [
+    ("complete", {"n": 2.7}, 0, "'n' must be int"),
+    ("complete", {"n": True}, 0, "'n' must be int"),
+    ("gnp", {"n": "x", "p": 0.5}, 0, "'n' must be int"),
+    ("gnp", {"n": 5}, 0, "missing field: 'p'"),
+    ("complete", {"n": 5, "p": 0.5}, 0, "no parameter 'p'"),
+    ("complete", {"n": 5}, -1, "seed must be nonnegative"),
+    ("complete", {"n": 5}, "s", "'seed' must be int"),
+])
+def test_spec_constructor_checks_parameters(kind, params, seed, match):
+    # checked before generate() can truncate 2.7 or fail on a missing key
+    with pytest.raises(ValidationError, match=match):
+        GeneratorSpec(kind, params, seed=seed)
+    assert GeneratorSpec("gnp", {"n": np.int64(5), "p": 1}).params["p"] == 1
+
+
 def test_spec_dict_roundtrip():
     spec = GeneratorSpec.parse("gnp:50,0.2", seed=9)
     again = GeneratorSpec.from_dict(spec.to_dict())
