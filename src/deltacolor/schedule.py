@@ -70,8 +70,8 @@ def density_epsilon(delta_max: float, k: float) -> float:
     """eps = 100^(-sqrt(ln max_degree)) / (100 K)."""
     if delta_max < 1:
         raise ValidationError("max degree must be at least 1")
-    if k <= 0:
-        raise ValidationError("K must be positive")
+    if not (math.isfinite(k) and k > 0):
+        raise ValidationError(f"K must be positive and finite, got {k}")
     return 100.0 ** (-math.sqrt(math.log(delta_max))) / (100.0 * k)
 
 
@@ -93,8 +93,8 @@ def regularity_ok(d: float, z: float, n: int, k: float) -> bool:
     """Regularity gate for one dense step: d*delta >= K ln n and delta <= 1/K."""
     if d <= 0 or z <= 0:
         raise ValidationError("bounds must be positive")
-    if n < 1 or k <= 0:
-        raise ValidationError("need n >= 1 and K > 0")
+    if n < 1 or not (math.isfinite(k) and k > 0):
+        raise ValidationError(f"need n >= 1 and a positive finite K, got n={n}, K={k}")
     delta = d / z
     return d * delta >= k * math.log(n) and delta <= 1.0 / k
 

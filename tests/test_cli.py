@@ -481,25 +481,22 @@ _FLAG_CONFIGS = st.dictionaries(
     _JSON_SCALARS | st.sampled_from(["complete:4", "gnp:5,0.5", "full", "verify", "csv", "2"]),
     max_size=3,
 )
-# Generator spec objects, near-valid and small: no value sizes a graph
-# beyond a few vertices.
+# Generator spec objects: well-formed small ones, and near-valid ones where
+# no value sizes a graph beyond a few vertices.
 _GEN_VALUES = st.integers(-1, 5) | st.floats(width=32) | st.none() | st.booleans() | st.text(max_size=2)
-_GEN_OBJECTS = st.one_of(
-    st.fixed_dictionaries({"kind": st.just("complete"), "n": st.integers(1, 5) | _GEN_VALUES},
-                          optional={"seed": _GEN_VALUES}),
-    st.fixed_dictionaries(
-        {"kind": st.just("gnp"), "n": st.integers(1, 5) | _GEN_VALUES,
-         "p": st.floats(0.1, 0.9) | _GEN_VALUES},
-        optional={"seed": _GEN_VALUES},
-    ),
-    st.fixed_dictionaries(
-        {"kind": st.sampled_from(["complete", "gnp", "clique_chain", "bipartite_random",
-                                  "locally_sparse", "bogus"]) | _JSON_SCALARS},
-        optional={key: _GEN_VALUES for key in ("n", "p", "size", "count", "delta", "seed", "bogus")},
-    ),
+_WELL_FORMED_GEN = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("complete"), "n": st.integers(1, 5)},
+                          optional={"seed": st.integers(0, 3)}),
+    st.fixed_dictionaries({"kind": st.just("gnp"), "n": st.integers(1, 5), "p": st.floats(0.1, 0.9)},
+                          optional={"seed": st.integers(0, 3)}),
+)
+_NEAR_VALID_GEN = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["complete", "gnp", "clique_chain", "bipartite_random",
+                              "locally_sparse", "bogus"]) | _JSON_SCALARS},
+    optional={key: _GEN_VALUES for key in ("n", "p", "size", "count", "delta", "seed", "bogus")},
 )
 _CONFIGS = _FLAG_CONFIGS | st.builds(
-    lambda cfg, gen: {**cfg, "gen": gen}, _FLAG_CONFIGS, _GEN_OBJECTS
+    lambda cfg, gen: {**cfg, "gen": gen}, _FLAG_CONFIGS, _WELL_FORMED_GEN | _NEAR_VALID_GEN
 )
 
 
@@ -551,6 +548,25 @@ def test_cli_exits_cleanly_on_malformed_input(edges, palettes, coloring, config,
             # verify mode reads a bare map, or the map under a report's "coloring"
             checked = coloring.get("coloring", coloring)
             assert all(type(c) is int for c in checked.values()), (coloring, err.getvalue())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    drawn=st.tuples(st.just(True), _WELL_FORMED_GEN) | st.tuples(st.just(False), _NEAR_VALID_GEN),
+    mode=st.sampled_from(["full", "fallback-only", "decompose-only"]),
+)
+def test_config_generator_objects_run_or_exit_cleanly(drawn, mode):
+    well_formed, gen = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.json"
+        cfg.write_text(json.dumps({"gen": gen, "epsilon": 0.1}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(cfg), "--mode", mode, "--out", str(Path(tmp) / "r.json")])
+    event(f"{'well-formed' if well_formed else 'near-valid'} exit {code}")
+    assert code == 0 if well_formed else code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) == (1 if code == 2 else 0)
 
 
 @settings(max_examples=100, deadline=None)

@@ -146,6 +146,10 @@ def test_input_validation():
     for k in (float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="finite"):
             build_schedule(10, n=10, k=k, epsilon=0.1)
+        with pytest.raises(ValidationError, match="finite"):
+            density_epsilon(10, k)
+        with pytest.raises(ValidationError, match="finite"):
+            regularity_ok(1.0, 2.0, 10, k)
     # the formula epsilon 100^(-sqrt(ln 10)) / (100 K) reaches 1/5 below K ~ 4.6e-5
     with pytest.raises(ValidationError, match="--epsilon"):
         build_schedule(10, n=10, k=1e-5)
