@@ -22,21 +22,24 @@ _REPORT_CAP = 5
 
 
 def properness_failures(graph: Graph, committed: np.ndarray) -> list[str]:
-    """Monochromatic edges among committed vertices."""
-    own = np.repeat(committed, graph.degrees())
-    other = committed[graph.indices]
-    bad = (own == other) & (own != BLANK)
-    if not np.any(bad):
+    """Monochromatic edges among committed vertices, scanned in row blocks."""
+    degrees = graph.degrees()
+    first: list[int] = []  # the first bad slots, in slot order
+    count = 0
+    for block in graph.row_blocks(np.arange(graph.n)):
+        start, stop = graph.indptr[block.start], graph.indptr[block.stop]
+        own = np.repeat(committed[block], degrees[block])
+        bad = np.flatnonzero((own == committed[graph.indices[start:stop]]) & (own != BLANK))
+        count += bad.size
+        first.extend((bad[: 2 * _REPORT_CAP - len(first)] + start).tolist())
+    if not count:
         return []
-    src = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees())
     out = []
-    for i in np.flatnonzero(bad)[: 2 * _REPORT_CAP]:
-        u, v = int(src[i]), int(graph.indices[i])
+    for i in first:
+        u, v = int(np.searchsorted(graph.indptr, i, side="right")) - 1, int(graph.indices[i])
         if u < v:
             out.append(f"edge ({u}, {v}) is monochromatic with color {int(committed[u])}")
-    return out[:_REPORT_CAP] or [
-        f"{int(np.count_nonzero(bad)) // 2} monochromatic edges among committed vertices"
-    ]
+    return out[:_REPORT_CAP] or [f"{count // 2} monochromatic edges among committed vertices"]
 
 
 def residual_consistency_failures(graph: Graph, state: ColoringState) -> list[str]:

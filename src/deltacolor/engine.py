@@ -154,14 +154,16 @@ def _ceil_frac(x: float) -> int:
 def _conflicted(graph: Graph, tentative: np.ndarray) -> np.ndarray:
     """True where some neighbor holds the same non-blank tentative color.
 
-    Only the rows of vertices that drew a color are scanned: a blank
-    vertex is never conflicted.
+    Only the rows of vertices that drew a color are scanned, in row
+    blocks: a blank vertex is never conflicted.
     """
     drawn = np.flatnonzero(tentative != BLANK)
-    slots, degrees = graph.row_slots(drawn)
-    clash = np.flatnonzero(tentative[graph.indices[slots]] == np.repeat(tentative[drawn], degrees))
     conflicted = np.zeros(graph.n, dtype=bool)
-    conflicted[drawn[np.searchsorted(np.cumsum(degrees), clash, side="right")]] = True
+    for block in graph.row_blocks(drawn):
+        part = drawn[block]
+        slots, degrees = graph.row_slots(part)
+        clash = np.flatnonzero(tentative[graph.indices[slots]] == np.repeat(tentative[part], degrees))
+        conflicted[part[np.searchsorted(np.cumsum(degrees), clash, side="right")]] = True
     return conflicted
 
 

@@ -19,6 +19,11 @@ from .graph import Graph, build_graph, edge_common_counts, segment_sum
 
 _BRUTE_FORCE_LIMIT = 500
 _LOCALLY_SPARSE_ATTEMPTS = 50
+# Most vertex pairs a generator may enumerate or draw at once: the kinds
+# that list or draw every pair of a set (complete, clique_chain,
+# bipartite_random) check this before allocating, as int64 pairs take
+# 16 bytes each before the graph is even built.
+_MAX_PAIRS = 2**27
 
 # Each kind's parameters and their types, in the order ``parse`` reads them.
 PARAMETERS = {
@@ -94,10 +99,17 @@ def _require(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def _require_pairs(kind: str, pairs: int) -> None:
+    _require(pairs <= _MAX_PAIRS, f"{kind} would allocate {pairs} vertex pairs, over the limit {_MAX_PAIRS}")
+
+
 def _gnp_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    rows, cols = np.triu_indices(n, k=1)
-    keep = rng.random(rows.size) < p
-    return np.column_stack((rows[keep], cols[keep])).astype(np.int64)
+    """Each pair u < v kept with probability p, in row-major order. One
+    draw per row consumes the generator exactly as one draw over all
+    ``np.triu_indices(n, k=1)`` pairs would, without their O(n^2) arrays."""
+    cols = [np.flatnonzero(rng.random(n - 1 - u) < p) + (u + 1) for u in range(n)]
+    rows = np.repeat(np.arange(n, dtype=np.int64), [c.size for c in cols])
+    return np.column_stack((rows, np.concatenate(cols)))
 
 
 def generate(spec: GeneratorSpec) -> Graph:
@@ -109,6 +121,7 @@ def generate(spec: GeneratorSpec) -> Graph:
     if kind == "complete":
         n = int(params["n"])
         _require(n >= 1, "complete graph needs n >= 1")
+        _require_pairs(kind, n * (n - 1) // 2)
         rows, cols = np.triu_indices(n, k=1)
         return build_graph(np.column_stack((rows, cols)).astype(np.int64), n=n)
 
@@ -121,6 +134,7 @@ def generate(spec: GeneratorSpec) -> Graph:
     if kind == "clique_chain":
         size, count = int(params["size"]), int(params["count"])
         _require(size >= 2 and count >= 1, "clique_chain needs size >= 2 and count >= 1")
+        _require_pairs(kind, count * (size * (size - 1) // 2))
         rows, cols = np.triu_indices(size, k=1)
         blocks = [np.column_stack((rows, cols)) + j * size for j in range(count)]
         # One bridge per consecutive pair: last member of clique j to the
@@ -135,6 +149,7 @@ def generate(spec: GeneratorSpec) -> Graph:
         _require(0.0 < p < 1.0, "bipartite_random needs 0 < p < 1")
         left = n // 2
         right = n - left
+        _require_pairs(kind, left * right)
         mask = rng.random((left, right)) < p
         li, ri = np.nonzero(mask)
         return build_graph(np.column_stack((li, ri + left)).astype(np.int64), n=n)

@@ -35,6 +35,10 @@ _SPARSE_BLOCK_MULTIPLIES = 2**22
 _INT64_MAX = np.iinfo(np.int64).max
 # Largest vertex count whose square fits in int64 (build_graph's edge keys).
 _MAX_VERTICES = math.isqrt(_INT64_MAX)
+# CSR slots per block of a row scan (Graph.row_blocks): the per-slot
+# temporaries of one block stay in cache, and the heap reuses them from
+# block to block instead of faulting in fresh pages for every call.
+SLOT_BLOCK = 2**18
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +77,21 @@ class Graph:
         slots = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64)
         slots += np.repeat(starts - (ends - degrees), degrees)
         return slots, degrees
+
+    def row_blocks(self, rows: np.ndarray) -> list[slice]:
+        """``rows`` cut, in order, into consecutive runs of at most
+        ``SLOT_BLOCK`` CSR slots each, as slices of ``rows``; a row with
+        more slots is a run of its own. No rows give no runs."""
+        block = SLOT_BLOCK
+        ends = np.cumsum(self.indptr[rows + 1] - self.indptr[rows])
+        out = []
+        start = 0
+        while start < len(rows):
+            before = int(ends[start - 1]) if start else 0
+            stop = max(int(np.searchsorted(ends, before + block, side="right")), start + 1)
+            out.append(slice(start, stop))
+            start = stop
+        return out
 
     def neighbor_set(self, v: int) -> set[int]:
         return set(int(w) for w in self.neighbors(v))
@@ -148,19 +167,20 @@ def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int | None = N
             "the edge dedupe key lo * n + hi must fit in int64"
         )
 
-    lo = np.minimum(arr[:, 0], arr[:, 1])
-    hi = np.maximum(arr[:, 0], arr[:, 1])
-    if lo.size:
-        # Dedupe via scalar keys; n <= _MAX_VERTICES keeps them inside int64.
-        keys = np.unique(lo * np.int64(n) + hi)
-        lo = keys // n
-        hi = keys % n
+    # Scalar keys lo * n + hi, deduped by one sort and an adjacent-difference
+    # mask; n <= _MAX_VERTICES keeps them, and the slot keys below, in int64.
+    keys = np.minimum(arr[:, 0], arr[:, 1]) * np.int64(n)
+    keys += np.maximum(arr[:, 0], arr[:, 1])
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    lo, hi = np.divmod(keys, n)
 
-    src = np.concatenate((lo, hi))
-    dst = np.concatenate((hi, lo))
-    order = np.lexsort((dst, src))
-    indices = dst[order]
-    counts = np.bincount(src, minlength=n)
+    # One directed key src * n + dst per CSR slot; sorted, they are the
+    # rows in order, each row's neighbours ascending.
+    slots = np.concatenate((keys, hi * np.int64(n) + lo))
+    slots.sort()
+    indices = slots % n
+    counts = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     indices.setflags(write=False)

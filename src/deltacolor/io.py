@@ -112,8 +112,28 @@ def _json_default(obj):
 
 
 def dumps_json(obj) -> str:
-    """Deterministic, byte-stable JSON text (no trailing newline)."""
-    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
+    """Deterministic, byte-stable JSON text (no trailing newline): the text
+    of ``json.dumps(obj, indent=2, sort_keys=True)``, numpy values converted.
+
+    With an indent, ``json.dumps`` runs its pure-Python encoder, one step
+    per entry, so string-keyed dicts are laid out here instead and a flat
+    map of int values (a report's coloring) is joined in one pass. Every
+    other value is ``json.dumps`` text, indented to its depth: JSON
+    escapes newlines inside strings, so each newline in it is layout.
+    """
+    return _dumps(obj, "\n")
+
+
+def _dumps(obj, newline: str) -> str:
+    if isinstance(obj, dict) and obj and set(map(type, obj)) == {str}:
+        inner = newline + "  "
+        key = json.encoder.encode_basestring_ascii
+        if set(map(type, obj.values())) == {int}:
+            body = ",".join(f"{inner}{key(k)}: {v}" for k, v in sorted(obj.items()))
+        else:
+            body = ",".join(f"{inner}{key(k)}: {_dumps(v, inner)}" for k, v in sorted(obj.items()))
+        return "{" + body + newline + "}"
+    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default).replace("\n", newline)
 
 
 def dump_json(obj, path: str | Path) -> None:

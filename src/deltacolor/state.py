@@ -19,6 +19,11 @@ from numpy.typing import ArrayLike
 from .errors import InvariantViolation, ValidationError
 from .graph import BLANK, Graph, as_int64, segment_sum
 
+# Most cells of the vertex-by-colour palette matrix: the state holds it
+# twice, and a commit, a recount and a pick each build one more of its
+# size, so init_state checks the size before allocating.
+_MAX_PALETTE_CELLS = 2**28
+
 
 @dataclass(eq=False)
 class ColoringState:
@@ -112,6 +117,7 @@ def init_state(graph: Graph, palettes: Sequence[Sequence[int]]) -> ColoringState
 
     if canonical:
         values = np.arange(1, need + 1, dtype=np.int64)
+        _check_palette_cells(graph.n, values.size)
         pal = np.ones((graph.n, need), dtype=bool)
         oversized = False
     else:
@@ -122,6 +128,7 @@ def init_state(graph: Graph, palettes: Sequence[Sequence[int]]) -> ColoringState
             raise ValidationError("palette colors must lie inside the int64 range") from exc
         owner = np.repeat(np.arange(graph.n), lengths)
         values, column = np.unique(flat, return_inverse=True)
+        _check_palette_cells(graph.n, values.size)
         # the scatter dedupes colors listed twice in one palette
         pal = np.zeros((graph.n, values.size), dtype=bool)
         pal[owner, column] = True
@@ -154,6 +161,14 @@ def init_state(graph: Graph, palettes: Sequence[Sequence[int]]) -> ColoringState
         has_oversized_palettes=oversized,
     )
     return state
+
+
+def _check_palette_cells(n: int, colors: int) -> None:
+    if n * colors > _MAX_PALETTE_CELLS:
+        raise ValidationError(
+            f"palettes need a {n} x {colors} vertex-by-colour matrix, "
+            f"over the limit of {_MAX_PALETTE_CELLS} cells"
+        )
 
 
 def commit_colors(state: ColoringState, vertices: ArrayLike, colors: ArrayLike) -> None:
@@ -200,16 +215,21 @@ def commit_colors(state: ColoringState, vertices: ArrayLike, colors: ArrayLike) 
         repeat[first] = False
         raise InvariantViolation(f"vertex {int(vertices[np.argmax(repeat)])} is assigned twice")
 
-    slots, degrees = graph.row_slots(vertices)
-    neighbors = graph.indices[slots]
-    own = np.repeat(colors, degrees)
-    clash = batch[neighbors] == own
-    if clash.any():
-        k = int(np.argmax(clash))
-        v = int(vertices[np.searchsorted(np.cumsum(degrees), k, side="right")])
-        raise InvariantViolation(
-            f"vertices {v} and {int(neighbors[k])} are neighbors but both assigned color {int(own[k])}"
-        )
+    # Slot passes run in row blocks (Graph.row_blocks), so their
+    # temporaries stay cache-sized. The whole batch is checked before the
+    # state changes.
+    blocks = graph.row_blocks(vertices)
+    for block in blocks:
+        slots, degrees = graph.row_slots(vertices[block])
+        neighbors = graph.indices[slots]
+        own = np.repeat(colors[block], degrees)
+        clash = batch[neighbors] == own
+        if clash.any():
+            k = int(np.argmax(clash))
+            v = int(vertices[block][np.searchsorted(np.cumsum(degrees), k, side="right")])
+            raise InvariantViolation(
+                f"vertices {v} and {int(neighbors[k])} are neighbors but both assigned color {int(own[k])}"
+            )
     # A conflict with an already-committed neighbor is impossible here:
     # its color was removed from v's residual palette when it committed.
 
@@ -217,11 +237,17 @@ def commit_colors(state: ColoringState, vertices: ArrayLike, colors: ArrayLike) 
     # one (neighbor, color column) mark per batch slot; marks for
     # committed neighbors land in a spare last row
     spare = graph.n
-    rows = np.where(state.committed[neighbors] == BLANK, neighbors, spare)
-    state.residual_degree -= np.bincount(rows, minlength=spare + 1)[:spare]
     width = state.num_colors
+    lost = np.zeros(spare + 1, dtype=np.int64)
     hit = np.zeros((spare + 1) * width, dtype=bool)
-    hit[rows * width + np.repeat(state.color_columns(colors), degrees)] = True
+    columns = state.color_columns(colors)
+    for block in blocks:
+        slots, degrees = graph.row_slots(vertices[block])
+        neighbors = graph.indices[slots]
+        rows = np.where(state.committed[neighbors] == BLANK, neighbors, spare)
+        lost += np.bincount(rows, minlength=spare + 1)
+        hit[rows * width + np.repeat(columns[block], degrees)] = True
+    state.residual_degree -= lost[:spare]
     # marks of colors a neighbor no longer holds drop out; two batch
     # vertices sharing a neighbor and a color leave one mark
     hit = hit.reshape(spare + 1, width)[:spare]
@@ -239,7 +265,8 @@ def recompute_residuals(
     The values ignore each vertex's own commit status: Q counts original
     palette colors not held by any committed neighbor, d counts uncolored
     neighbors. For uncolored vertices these must equal the incrementally
-    maintained fields. Only the CSR rows of ``rows`` are read.
+    maintained fields. Only the CSR rows of ``rows`` are read, in row
+    blocks (:meth:`Graph.row_blocks`).
     """
     graph = state.graph
     rows = np.arange(graph.n) if rows is None else as_int64(rows, "rows")
@@ -249,13 +276,17 @@ def recompute_residuals(
     # here rather than by color_columns, which the commit it checks uses.
     columns = np.searchsorted(state.color_values, state.committed).astype(dtype)
     columns[state.committed == BLANK] = width - 1
-    slots, degrees = graph.row_slots(rows)
-    held = columns[graph.indices[slots]]
-    # one (row, neighbor's color column) key per slot of the rows
-    keys = np.repeat(np.arange(rows.size, dtype=dtype) * dtype(width), degrees)
-    keys += held
-    taken = np.zeros((rows.size, width), dtype=bool)
-    taken.reshape(-1)[keys] = True
-    q = np.count_nonzero(state.original_palette[rows] > taken[:, :-1], axis=1).astype(np.int64)
-    d = segment_sum(held == width - 1, np.concatenate(([0], np.cumsum(degrees))))
+    q = np.empty(rows.size, dtype=np.int64)
+    d = np.empty(rows.size, dtype=np.int64)
+    for block in graph.row_blocks(rows):
+        part = rows[block]
+        slots, degrees = graph.row_slots(part)
+        held = columns[graph.indices[slots]]
+        # one (row, neighbor's color column) key per slot of the rows
+        keys = np.repeat(np.arange(part.size, dtype=dtype) * dtype(width), degrees)
+        keys += held
+        taken = np.zeros((part.size, width), dtype=bool)
+        taken.reshape(-1)[keys] = True
+        q[block] = np.count_nonzero(state.original_palette[part] > taken[:, :-1], axis=1)
+        d[block] = segment_sum(held == width - 1, np.concatenate(([0], np.cumsum(degrees))))
     return q, d

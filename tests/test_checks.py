@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltacolor import (
     ValidationError,
@@ -10,6 +12,8 @@ from deltacolor import (
     residual_consistency_failures,
     verify_coloring,
 )
+from deltacolor import graph as graph_module
+from deltacolor.checks import properness_failures
 
 
 @pytest.mark.parametrize("palette_kind", ["range", "list"])
@@ -91,3 +95,54 @@ def test_residual_consistency_reports_at_most_five_per_field():
         *(f"vertex {v}: maintained Q=2, recomputed 1" for v in range(5)),
         *(f"vertex {v}: maintained d=2, recomputed 0" for v in range(5)),
     ]
+
+
+def full_slot_properness(graph, committed):
+    """properness_failures as one pass over every CSR slot at once."""
+    own = np.repeat(committed, graph.degrees())
+    bad = (own == committed[graph.indices]) & (own != 0)
+    if not np.any(bad):
+        return []
+    src = np.repeat(np.arange(graph.n), graph.degrees())
+    out = [
+        f"edge ({src[i]}, {graph.indices[i]}) is monochromatic with color {committed[src[i]]}"
+        for i in np.flatnonzero(bad)[:10]
+        if src[i] < graph.indices[i]
+    ]
+    return out[:5] or [f"{np.count_nonzero(bad) // 2} monochromatic edges among committed vertices"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    raw=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=120),
+    colors=st.lists(st.integers(0, 3), min_size=30, max_size=30),
+    block=st.sampled_from([None, 1, 3, 64]),
+)
+def test_blocked_properness_scan_matches_the_full_slot_scan(n, raw, colors, block):
+    # few colours, so monochromatic edges are common and often more than five
+    g = build_graph([(u % n, v % n) for u, v in raw if u % n != v % n], n=n)
+    committed = np.array(colors[:n], dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(graph_module, "SLOT_BLOCK", block)
+        assert properness_failures(g, committed) == full_slot_properness(g, committed)
+
+
+@pytest.mark.parametrize("block", [None, 1, 3, 64])
+def test_properness_count_message_spans_blocks(block):
+    # hand-built one-way rows 1..11 -> 0: every bad slot has u > v, so no
+    # edge is named and the count covers the bad slots of every block
+    n = 12
+    g = graph_module.Graph(
+        n=n,
+        indptr=np.concatenate(([0, 0], np.arange(1, n))).astype(np.int64),
+        indices=np.zeros(n - 1, dtype=np.int64),
+        max_degree=1,
+    )
+    committed = np.ones(n, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(graph_module, "SLOT_BLOCK", block)
+        got = properness_failures(g, committed)
+    assert got == full_slot_properness(g, committed) == ["5 monochromatic edges among committed vertices"]

@@ -321,6 +321,16 @@ def test_repetitions_beyond_the_limit_are_a_usage_error(capsys, repetitions):
     assert "--repetitions must be at most 1000000" in message
 
 
+def test_oversized_allocations_are_a_usage_error(tmp_path, capsys):
+    assert "complete would allocate" in _usage_error(capsys, ["run", "--gen", "complete:100000"])
+    # 8192 isolated vertices whose palettes share no colour
+    graph_file, palette_file = tmp_path / "g.edges", tmp_path / "p.json"
+    graph_file.write_text("n 8192\n")
+    palette_file.write_text(json.dumps({str(v): [5 * v + c for c in range(1, 6)] for v in range(8192)}))
+    message = _usage_error(capsys, ["run", "--input", str(graph_file), "--palettes", str(palette_file)])
+    assert "palettes need a 8192 x 40960 vertex-by-colour matrix" in message
+
+
 @pytest.mark.parametrize("steps", [["--steps", "-1"], ["--steps", "0"],
                                    ["--steps", "0", "--step-delta", "0.04"]])
 def test_nonpositive_steps_are_a_usage_error(tmp_path, capsys, steps):

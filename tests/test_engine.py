@@ -21,6 +21,7 @@ from deltacolor import (
     run,
 )
 from deltacolor.engine import PhaseDriver, _conflicted, _select_dense_tentative, _uniform_pick
+from deltacolor import graph as graph_module
 from deltacolor.graph import segment_sum
 
 
@@ -596,9 +597,14 @@ def full_slot_conflicted(graph, tentative):
     raw=st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=50),
     colors=st.lists(st.integers(0, 4), min_size=14, max_size=14),
     blank=st.lists(st.booleans(), min_size=14, max_size=14),
+    block=st.sampled_from([None, 1, 3, 64]),
 )
-def test_live_row_conflicts_match_the_full_slot_scan(n, raw, colors, blank):
-    # few colours, so neighbours clash often; blank rows are never scanned
+def test_live_row_conflicts_match_the_full_slot_scan(n, raw, colors, blank, block):
+    # few colours, so neighbours clash often; blank rows are never scanned;
+    # small slot blocks spread the rows over many blocks
     g = build_graph([(u % n, v % n) for u, v in raw if u % n != v % n], n=n)
     tentative = np.where(blank[:n], BLANK, colors[:n]).astype(np.int64)
-    assert np.array_equal(_conflicted(g, tentative), full_slot_conflicted(g, tentative))
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(graph_module, "SLOT_BLOCK", block)
+        assert np.array_equal(_conflicted(g, tentative), full_slot_conflicted(g, tentative))

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltacolor import (
     GenerationError,
@@ -11,6 +15,7 @@ from deltacolor import (
     is_locally_sparse,
     neighborhood_edge_counts,
 )
+from deltacolor import generators
 
 
 def test_spec_parse_forms():
@@ -83,6 +88,45 @@ def test_gnp_determinism():
     assert np.array_equal(a.indices, b.indices)
     c = generate(GeneratorSpec("gnp", {"n": 80, "p": 0.4}, seed=124))
     assert not np.array_equal(a.indices, c.indices)
+
+
+def triu_gnp_edges(n, p, rng):
+    """G(n, p) pairs by one draw over every ``np.triu_indices`` pair."""
+    rows, cols = np.triu_indices(n, k=1)
+    keep = rng.random(rows.size) < p
+    return np.column_stack((rows[keep], cols[keep])).astype(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=120),
+    p=st.sampled_from([0.01, 0.3, 0.5, 0.97]),
+    seed=st.integers(0, 2**32),
+)
+def test_row_chunked_gnp_draws_match_the_triu_formula(n, p, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    edges = generators._gnp_edges(n, p, rng)
+    expected = triu_gnp_edges(n, p, ref_rng)
+    assert edges.dtype == expected.dtype and np.array_equal(edges, expected)
+    # both consumed the same stream, so later draws agree as well
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("complete", {"n": 2**40}),
+    ("clique_chain", {"size": 2**20, "count": 2**20}),
+    ("clique_chain", {"size": 3, "count": 2**40}),
+    ("bipartite_random", {"n": 2**40, "p": 0.5}),
+])
+def test_quadratic_generators_reject_pair_counts_before_allocating(kind, params):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=f"{kind} would allocate .* over the limit"):
+            generate(GeneratorSpec(kind, params))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_locally_sparse_output_satisfies_predicate():

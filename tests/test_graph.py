@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from deltacolor import GeneratorSpec, ValidationError, build_graph, generate
 from deltacolor import graph as graph_module
 from deltacolor.graph import edge_common_counts, segment_sum
-from deltacolor.io import read_edge_list, write_edge_list
+from deltacolor.io import dumps_json, read_edge_list, write_edge_list
 
 
 def test_path_graph():
@@ -120,6 +121,93 @@ def test_build_graph_invariants(n, raw):
     assert set(map(tuple, g.edge_array().tolist())) == expected
 
 
+def unique_lexsort_csr(edges, n):
+    """CSR arrays by ``np.unique`` of the undirected keys and a ``lexsort``
+    of the directed pairs: the dedupe build_graph used before its sorts."""
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    keys = np.unique(arr.min(axis=1) * n + arr.max(axis=1))
+    lo, hi = keys // n, keys % n
+    src, dst = np.concatenate((lo, hi)), np.concatenate((hi, lo))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    return indptr, dst[np.lexsort((dst, src))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=20),
+    raw=st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19)), max_size=60),
+    extra=st.one_of(st.none(), st.integers(0, 3)),
+)
+def test_sorted_dedupe_matches_unique_and_lexsort(n, raw, extra):
+    edges = [(u % n, v % n) for u, v in raw if u % n != v % n]
+    # every other pair again, reversed: repeats in both orientations
+    edges += [(v, u) for u, v in edges[::2]]
+    if extra is None and not edges:
+        return
+    # a declared n beyond the largest ID leaves isolated vertices
+    declared = None if extra is None else n + extra
+    g = build_graph(edges, n=declared)
+    indptr, indices = unique_lexsort_csr(edges, g.n)
+    assert g.n == (max(map(max, edges)) + 1 if extra is None else declared)
+    assert g.indptr.dtype == g.indices.dtype == np.int64
+    assert g.indptr.tolist() == indptr.tolist()
+    assert g.indices.tolist() == indices.tolist()
+    assert g.max_degree == int(np.diff(indptr).max())
+
+
+def test_empty_edge_list_builds_isolated_vertices():
+    for edges in ([], np.zeros((0, 2), dtype=np.int64)):
+        g = build_graph(edges, n=4)
+        assert g.indptr.tolist() == [0] * 5 and g.indices.size == 0 and g.max_degree == 0
+
+
+def row_graph(degrees):
+    """A CSR graph built by hand with the given row degrees (only the
+    layout matters to row_blocks)."""
+    return graph_module.Graph(
+        n=len(degrees),
+        indptr=np.concatenate(([0], np.cumsum(degrees))).astype(np.int64),
+        indices=np.zeros(int(sum(degrees)), dtype=np.int64),
+        max_degree=max(degrees),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(0, 6), min_size=1, max_size=12),
+    st.integers(1, 10),
+    st.data(),
+)
+def test_row_blocks_cut_rows_in_order_within_the_slot_budget(degrees, block, data):
+    g = row_graph(degrees)
+    # any rows, in any order, repeats allowed; none at all too
+    rows = np.array(data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n)), dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "SLOT_BLOCK", block)
+        parts = g.row_blocks(rows)
+    if rows.size == 0:
+        assert parts == []
+        return
+    assert np.concatenate([rows[part] for part in parts]).tolist() == rows.tolist()
+    slots = [int(g.degrees()[rows[part]].sum()) for part in parts]
+    for part, size in zip(parts, slots):
+        assert size <= block or part.stop - part.start == 1
+    # a block ends only where its next row would overflow it
+    for part, size in zip(parts[:-1], slots):
+        assert size + g.degree(int(rows[part.stop])) > block
+
+
+def test_row_blocks_of_one_row_and_of_none(monkeypatch):
+    g = row_graph([3, 0, 5])
+    monkeypatch.setattr(graph_module, "SLOT_BLOCK", 2)
+    assert g.row_blocks(np.array([2])) == [slice(0, 1)]
+    assert g.row_blocks(np.array([1])) == [slice(0, 1)]
+    assert g.row_blocks(np.zeros(0, dtype=np.int64)) == []
+    # the budget is read at call time
+    monkeypatch.setattr(graph_module, "SLOT_BLOCK", 8)
+    assert g.row_blocks(np.arange(3)) == [slice(0, 3)]
+
+
 def test_edge_list_roundtrip(tmp_path):
     g = build_graph([(0, 1), (2, 3), (1, 3)], n=5)
     path = tmp_path / "g.edges"
@@ -127,6 +215,32 @@ def test_edge_list_roundtrip(tmp_path):
     h = read_edge_list(path)
     assert h.n == g.n
     assert np.array_equal(h.edge_array(), g.edge_array())
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(), st.text(max_size=4)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    | st.dictionaries(st.integers(0, 20), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from([0, 1, 11]), st.integers(0, 200)),
+    colors=st.data(),
+    rest=st.dictionaries(st.text(max_size=6), json_values, max_size=4),
+)
+def test_dumps_json_matches_json_dumps_on_reports(n, colors, rest):
+    # at n = 11 the key "10" sorts before "2": string order, not numeric
+    coloring = colors.draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n))
+    report = {**rest, "coloring": dict(zip(map(str, range(n)), coloring)), "steps": [{"won": n}]}
+    for obj in (report, report["coloring"], rest, coloring):
+        assert dumps_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 def test_edge_list_comments_and_header(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,14 +7,18 @@ from hypothesis import strategies as st
 
 from deltacolor import (
     BLANK,
+    GeneratorSpec,
     InvariantViolation,
     ValidationError,
     build_graph,
     canonical_palettes,
     commit_colors,
+    generate,
     init_state,
     recompute_residuals,
 )
+from deltacolor import graph as graph_module
+from deltacolor import state as state_module
 from deltacolor.graph import segment_sum
 
 
@@ -208,8 +214,8 @@ def graph_palettes_batches(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(graph_palettes_batches())
-def test_array_commit_matches_per_vertex_reference(case):
+@given(graph_palettes_batches(), st.sampled_from([None, 1, 3, 64]))
+def test_array_commit_matches_per_vertex_reference(case, block):
     g, palettes, order, picks, splits = case
     state = init_state(g, palettes)
     mirror = state.copy()
@@ -217,7 +223,10 @@ def test_array_commit_matches_per_vertex_reference(case):
 
     def flush():
         vertices, colors = list(batch), list(batch.values())
-        commit_colors(state, np.array(vertices), np.array(colors))
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(graph_module, "SLOT_BLOCK", block)
+            commit_colors(state, np.array(vertices), np.array(colors))
         reference_commit(mirror, vertices, colors)
         assert_same_state(state, mirror)
         q, d = recompute_residuals(state)
@@ -271,6 +280,57 @@ def test_commit_violation_messages_name_the_first_bad_entry(vertices, colors, me
     before = state.copy()
     with pytest.raises(InvariantViolation, match=message):
         commit_colors(state, vertices, colors)
+    assert_same_state(state, before)
+
+
+def full_slot_clash(state, vertices, colors):
+    """The neighbour-clash message of a batch from one pass over all of
+    its slots at once, or None."""
+    graph = state.graph
+    degrees = graph.degrees()[vertices]
+    neighbors = np.concatenate([graph.neighbors(v) for v in vertices])
+    own = np.repeat(colors, degrees)
+    batch = np.zeros(graph.n, dtype=np.int64)
+    batch[vertices] = colors
+    clash = np.flatnonzero(batch[neighbors] == own)
+    if clash.size == 0:
+        return None
+    k = clash[0]
+    v = vertices[np.searchsorted(np.cumsum(degrees), k, side="right")]
+    return f"vertices {v} and {neighbors[k]} are neighbors but both assigned color {own[k]}"
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_blocked_commit_names_the_first_clash_and_changes_nothing(monkeypatch, block):
+    monkeypatch.setattr(graph_module, "SLOT_BLOCK", block)
+    g = generate(GeneratorSpec("gnp", {"n": 40, "p": 0.3}, seed=3))
+    rng = np.random.default_rng(block)
+    seen = set()
+    for trial in range(20):
+        state = init_state(g, canonical_palettes(g))
+        # a batch whose early vertices are independent, so the first clash
+        # often lies past the first block
+        vertices = rng.permutation(g.n)
+        colors = np.where(np.arange(g.n) < trial, np.arange(1, g.n + 1), rng.integers(1, 4, g.n))
+        colors = np.minimum(colors, g.max_degree + 1)
+        expected = full_slot_clash(state, vertices, colors)
+        before = state.copy()
+        if expected is None:
+            continue
+        with pytest.raises(InvariantViolation) as err:
+            commit_colors(state, vertices, colors)
+        assert str(err.value) == expected
+        assert_same_state(state, before)
+        seen.add(expected)
+    assert len(seen) > 1
+    # path 2 - 1 - 0 - 3 with vertex 2 colored 1: with one-slot blocks the
+    # clash lies in the second block, after a clean first one
+    path = build_graph([(2, 1), (1, 0), (0, 3)])
+    state = init_state(path, canonical_palettes(path))
+    commit_colors(state, [2], [1])
+    before = state.copy()
+    with pytest.raises(InvariantViolation, match="vertices 1 and 0 are neighbors but both assigned color 3"):
+        commit_colors(state, [3, 1, 0], [2, 3, 3])
     assert_same_state(state, before)
 
 
@@ -354,8 +414,8 @@ def full_slot_residuals(state):
 
 
 @settings(max_examples=100, deadline=None)
-@given(graph_palettes_batches(), st.data())
-def test_row_recount_matches_the_full_slot_recount(case, data):
+@given(graph_palettes_batches(), st.data(), st.sampled_from([None, 1, 3, 64]))
+def test_row_recount_matches_the_full_slot_recount(case, data, block):
     g, palettes, order, picks, _ = case
     state = init_state(g, palettes)
     for v, pick in zip(order, picks):
@@ -365,10 +425,13 @@ def test_row_recount_matches_the_full_slot_recount(case, data):
     ref_q, ref_d = full_slot_residuals(state)
     # any subset in any order, the empty one included; None is every row
     rows = np.array(data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n, unique=True)), dtype=np.int64)
-    q, d = recompute_residuals(state, rows)
-    assert np.array_equal(q, ref_q[rows]) and np.array_equal(d, ref_d[rows])
-    q, d = recompute_residuals(state)
-    assert np.array_equal(q, ref_q) and np.array_equal(d, ref_d)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(graph_module, "SLOT_BLOCK", block)
+        q, d = recompute_residuals(state, rows)
+        assert np.array_equal(q, ref_q[rows]) and np.array_equal(d, ref_d[rows])
+        q, d = recompute_residuals(state)
+        assert np.array_equal(q, ref_q) and np.array_equal(d, ref_d)
 
 
 @pytest.mark.parametrize(
@@ -382,3 +445,26 @@ def test_commit_rejects_non_integer_batches(vertices, colors):
     with pytest.raises(ValidationError, match="batch (vertices|colors)"):
         commit_colors(state, vertices, colors)
     assert_same_state(state, before)
+
+
+@pytest.mark.parametrize("kind", ["canonical", "list"])
+def test_init_state_rejects_an_oversized_palette_matrix_before_allocating(kind):
+    if kind == "canonical":
+        # a star on 2**15 vertices: 2**15 palettes of 2**15 colours
+        n = 2**15
+        g = build_graph(np.column_stack((np.zeros(n - 1, dtype=np.int64), np.arange(1, n))))
+        palettes, shape = canonical_palettes(g), f"{n} x {n}"
+    else:
+        # no edges, but 8192 palettes of five colours each, none shared
+        n = 2**13
+        g = build_graph([], n=n)
+        palettes, shape = [list(range(5 * v + 1, 5 * v + 6)) for v in range(n)], f"{n} x {5 * n}"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=f"palettes need a {shape} vertex-by-colour matrix"):
+            init_state(g, palettes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the rejected matrix would take more than 2**28 bytes
+    assert peak < 2**22 < state_module._MAX_PALETTE_CELLS
