@@ -215,38 +215,36 @@ def commit_colors(state: ColoringState, vertices: ArrayLike, colors: ArrayLike) 
         repeat[first] = False
         raise InvariantViolation(f"vertex {int(vertices[np.argmax(repeat)])} is assigned twice")
 
-    # Slot passes run in row blocks (Graph.row_blocks), so their
-    # temporaries stay cache-sized. The whole batch is checked before the
-    # state changes.
-    blocks = graph.row_blocks(vertices)
-    for block in blocks:
+    # One pass over the batch's slots, in row blocks (Graph.row_blocks) so
+    # its temporaries stay cache-sized. It checks the batch and gathers
+    # one (neighbor, color column) mark per slot; marks for neighbors that
+    # are committed, or in the batch, land in a spare last row. The state
+    # changes only after the whole batch has passed.
+    spare = graph.n
+    width = state.num_colors
+    lost = np.zeros(spare + 1, dtype=np.int64)
+    hit = np.zeros((spare + 1) * width, dtype=bool)
+    columns = state.color_columns(colors)
+    for block in graph.row_blocks(vertices):
         slots, degrees = graph.row_slots(vertices[block])
         neighbors = graph.indices[slots]
         own = np.repeat(colors[block], degrees)
-        clash = batch[neighbors] == own
+        incoming = batch[neighbors]
+        clash = incoming == own
         if clash.any():
             k = int(np.argmax(clash))
             v = int(vertices[block][np.searchsorted(np.cumsum(degrees), k, side="right")])
             raise InvariantViolation(
                 f"vertices {v} and {int(neighbors[k])} are neighbors but both assigned color {int(own[k])}"
             )
-    # A conflict with an already-committed neighbor is impossible here:
-    # its color was removed from v's residual palette when it committed.
-
-    state.committed[vertices] = colors
-    # one (neighbor, color column) mark per batch slot; marks for
-    # committed neighbors land in a spare last row
-    spare = graph.n
-    width = state.num_colors
-    lost = np.zeros(spare + 1, dtype=np.int64)
-    hit = np.zeros((spare + 1) * width, dtype=bool)
-    columns = state.color_columns(colors)
-    for block in blocks:
-        slots, degrees = graph.row_slots(vertices[block])
-        neighbors = graph.indices[slots]
-        rows = np.where(state.committed[neighbors] == BLANK, neighbors, spare)
+        # A conflict with an already-committed neighbor is impossible here:
+        # its color was removed from v's residual palette when it committed.
+        live = (incoming == BLANK) & (state.committed[neighbors] == BLANK)
+        rows = np.where(live, neighbors, spare)
         lost += np.bincount(rows, minlength=spare + 1)
         hit[rows * width + np.repeat(columns[block], degrees)] = True
+
+    state.committed[vertices] = colors
     state.residual_degree -= lost[:spare]
     # marks of colors a neighbor no longer holds drop out; two batch
     # vertices sharing a neighbor and a color leave one mark
