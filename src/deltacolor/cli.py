@@ -39,8 +39,9 @@ from .io import dumps_json, load_palettes, read_edge_list, write_edge_list
 from .schedule import DEFAULT_K, build_schedule
 
 MODES = ("full", "decompose-only", "initial-only", "dense-steps", "fallback-only", "verify")
-# Each repetition is a full seeded run, and the summary lists every seed.
-MAX_REPETITIONS = 10**6
+# Most repetitions (each a full seeded run; the summary lists every seed)
+# and most dense steps (one gamma each, listed before the first runs).
+MAX_COUNT = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -300,12 +301,12 @@ def main(argv: list[str] | None = None) -> int:
             raise ValidationError("exactly one of --input / --gen is required")
         if args.repetitions < 1:
             raise ValidationError("--repetitions must be at least 1")
-        if args.repetitions > MAX_REPETITIONS:
-            raise ValidationError(f"--repetitions must be at most {MAX_REPETITIONS}")
+        if args.repetitions > MAX_COUNT:
+            raise ValidationError(f"--repetitions must be at most {MAX_COUNT}")
         if args.repetitions > 1 and args.mode in ("decompose-only", "verify"):
             raise ValidationError(f"--repetitions does not apply to --mode {args.mode}")
-        if args.steps is not None and args.steps < 1:
-            raise ValidationError("--steps must be at least 1")
+        if args.steps is not None and not 1 <= args.steps <= MAX_COUNT:
+            raise ValidationError(f"--steps must be at least 1 and at most {MAX_COUNT}")
 
         graph = _load_graph(args)
         if args.mode == "decompose-only":

@@ -38,7 +38,7 @@ from .checks import (
 )
 from .decomposition import Decomposition, decompose
 from .errors import InvariantViolation, ValidationError
-from .graph import BLANK, Graph, as_int64, segment_sum
+from .graph import BLANK, Graph, as_int64
 from .schedule import ACTIVATION_PROB, DEFAULT_K, RoundParams, ScheduleParams, build_schedule
 from .state import ColoringState, commit_colors, init_state, recompute_residuals
 
@@ -102,8 +102,7 @@ class GoodColorDiag:
 @dataclass(eq=False)
 class DenseStepResult:
     stats: StepStats
-    in_prefix: np.ndarray  # this step's permutation prefix, incl. skipped
-    skipped: np.ndarray  # prefix vertices whose in-step palette was empty
+    in_prefix: np.ndarray  # this step's permutation prefix, incl. exhausted palettes
 
 
 @dataclass(eq=False)
@@ -121,7 +120,6 @@ class RunReport:
     invariant_failures: list[str]
     coloring: np.ndarray
     dense_steps_executed: int
-    invariants_checked: bool
     good_color: GoodColorDiag | None = None
 
     @property
@@ -151,8 +149,11 @@ def _ceil_frac(x: float) -> int:
     return int(math.ceil(x - _CEIL_TOL))
 
 
-def _conflicted(graph: Graph, tentative: np.ndarray) -> np.ndarray:
-    """True where some neighbor holds the same non-blank tentative color.
+def _conflicted(
+    graph: Graph, tentative: np.ndarray, rank: np.ndarray | None = None
+) -> np.ndarray:
+    """True where some neighbor holds the same non-blank tentative color
+    and, when ``rank`` is given, a strictly smaller rank.
 
     Only the rows of vertices that drew a color are scanned, in row
     blocks: a blank vertex is never conflicted.
@@ -162,9 +163,26 @@ def _conflicted(graph: Graph, tentative: np.ndarray) -> np.ndarray:
     for block in graph.row_blocks(drawn):
         part = drawn[block]
         slots, degrees = graph.row_slots(part)
-        clash = np.flatnonzero(tentative[graph.indices[slots]] == np.repeat(tentative[part], degrees))
-        conflicted[part[np.searchsorted(np.cumsum(degrees), clash, side="right")]] = True
+        neighbors = graph.indices[slots]
+        clash = np.flatnonzero(tentative[neighbors] == np.repeat(tentative[part], degrees))
+        owners = part[np.searchsorted(np.cumsum(degrees), clash, side="right")]
+        if rank is not None:
+            owners = owners[rank[neighbors[clash]] < rank[owners]]
+        conflicted[owners] = True
     return conflicted
+
+
+def _resolve(
+    graph: Graph, state: ColoringState, tentative: np.ndarray, rank: np.ndarray | None = None
+) -> tuple[int, int]:
+    """The end of every coloring step: commit each drawn color that is not
+    :func:`_conflicted`, store the draws as ``state.tentative`` and return
+    (colored, de_colored)."""
+    conflicted = _conflicted(graph, tentative, rank)
+    winners = np.flatnonzero((tentative != BLANK) & ~conflicted)
+    commit_colors(state, winners, tentative[winners])
+    state.tentative = tentative
+    return int(winners.size), int(np.count_nonzero(conflicted))
 
 
 def _uniform_pick(
@@ -206,14 +224,11 @@ def apply_initial_tentative(
         raise ValidationError(
             f"injected color {int(tentative[v])} is not in the palette of vertex {v}"
         )
-    conflicted = _conflicted(graph, tentative)
-    winners = np.flatnonzero((tentative != BLANK) & ~conflicted)
-    commit_colors(state, winners, tentative[winners])
-    state.tentative = tentative
+    colored, de_colored = _resolve(graph, state, tentative)
     return StepStats(
         kind="initial",
-        colored=int(winners.size),
-        de_colored=int(np.count_nonzero((tentative != BLANK) & conflicted)),
+        colored=colored,
+        de_colored=de_colored,
         initially_uncolored=int(np.count_nonzero(tentative == BLANK)),
         rounds=ROUND_COST_INITIAL,
     )
@@ -306,26 +321,20 @@ def apply_dense_tentative(
     state: ColoringState,
     decomp: Decomposition,
     tentative: np.ndarray,
-    in_prefix: np.ndarray | None = None,
-    skipped: np.ndarray | None = None,
-    initially_uncolored: int = 0,
-) -> DenseStepResult:
+) -> StepStats:
     """Conflict resolution and commit for given dense-step draws.
 
     A vertex is de-colored iff some dense neighbor in a clique with a
     strictly smaller leader ID drew the same tentative color; the check
     runs against tentative colors, so a vertex that itself loses to a
     third clique still de-colors its larger-leader neighbors. Sparse
-    neighbors never de-color anyone. Intra-clique tentative colors are
-    asserted pairwise distinct (the selection rule forces this).
+    neighbors never de-color anyone: only dense candidates draw. Intra-
+    clique tentative colors are asserted pairwise distinct (the
+    selection rule forces this).
     """
     tentative = as_int64(tentative, "tentative colors")
     if tentative.shape != (graph.n,):
         raise ValidationError("tentative array must have one entry per vertex")
-    if in_prefix is None:
-        in_prefix = tentative != BLANK
-    if skipped is None:
-        skipped = np.zeros(graph.n, dtype=bool)
 
     candidates = np.flatnonzero(tentative != BLANK)
     ok = (
@@ -351,30 +360,8 @@ def apply_dense_tentative(
                 f"duplicate tentative colors inside the almost-clique led by {clique.leader}"
             )
 
-    # a candidate loses to a dense neighbor with a smaller leader that drew its color
-    leader_of = decomp.leader_by_vertex()
-    slots, degrees = graph.row_slots(candidates)
-    neighbors = graph.indices[slots]
-    lead = leader_of[neighbors]
-    clash = (
-        (tentative[neighbors] == np.repeat(tentative[candidates], degrees))
-        & (lead >= 0)
-        & (lead < np.repeat(leader_of[candidates], degrees))
-    )
-    lost = segment_sum(clash, np.concatenate(([0], np.cumsum(degrees)))) > 0
-
-    winners = candidates[~lost]
-    commit_colors(state, winners, tentative[winners])
-    state.tentative = tentative
-    stats = StepStats(
-        kind="dense",
-        colored=int(winners.size),
-        de_colored=int(np.count_nonzero(lost)),
-        initially_uncolored=initially_uncolored,
-        palette_exhausted=int(np.count_nonzero(skipped)),
-        rounds=ROUND_COST_DENSE,
-    )
-    return DenseStepResult(stats=stats, in_prefix=in_prefix, skipped=skipped)
+    colored, de_colored = _resolve(graph, state, tentative, decomp.leader_by_vertex())
+    return StepStats(kind="dense", colored=colored, de_colored=de_colored, rounds=ROUND_COST_DENSE)
 
 
 def dense_coloring_step(
@@ -395,9 +382,10 @@ def dense_coloring_step(
     tentative, in_prefix, skipped, initially_uncolored = _select_dense_tentative(
         state, decomp, gamma, rng
     )
-    return apply_dense_tentative(
-        graph, state, decomp, tentative, in_prefix, skipped, initially_uncolored
-    )
+    stats = apply_dense_tentative(graph, state, decomp, tentative)
+    stats.initially_uncolored = initially_uncolored
+    stats.palette_exhausted = int(np.count_nonzero(skipped))
+    return DenseStepResult(stats=stats, in_prefix=in_prefix)
 
 
 def fallback_round(
@@ -414,15 +402,9 @@ def fallback_round(
     tentative = np.zeros(graph.n, dtype=np.int64)
     active = np.flatnonzero(mask)
     tentative[active] = _uniform_pick(state, active, rng)
-    conflicted = _conflicted(graph, tentative)
-    winners = np.flatnonzero((tentative != BLANK) & ~conflicted)
-    commit_colors(state, winners, tentative[winners])
-    state.tentative = tentative
+    colored, de_colored = _resolve(graph, state, tentative)
     return StepStats(
-        kind="fallback",
-        colored=int(winners.size),
-        de_colored=int(np.count_nonzero((tentative != BLANK) & conflicted)),
-        rounds=ROUND_COST_FALLBACK,
+        kind="fallback", colored=colored, de_colored=de_colored, rounds=ROUND_COST_FALLBACK
     )
 
 
@@ -448,7 +430,6 @@ class PhaseDriver:
         k: float = DEFAULT_K,
         seed: int = 0,
         epsilon: float | None = None,
-        check_invariants: bool = True,
         decomp: Decomposition | None = None,
     ):
         if seed < 0:
@@ -465,7 +446,6 @@ class PhaseDriver:
                 f"given for {graph.n} vertices at epsilon {self.schedule.epsilon}"
             )
         self._decomp = decomp
-        self.check_invariants = check_invariants
         self.failures: list[str] = []
         self.steps: list[StepStats] = []
         self.decomp: Decomposition | None = None
@@ -483,8 +463,6 @@ class PhaseDriver:
         state = self.state
         _fill_surplus(stats, state, self.decomp)
         self.steps.append(stats)
-        if not self.check_invariants:
-            return
         tag = f"step {len(self.steps)} ({stats.kind})"
         surplus = state.surplus()
         uncolored = state.uncolored_mask()
@@ -600,7 +578,6 @@ class PhaseDriver:
             invariant_failures=failures,
             coloring=state.committed.copy(),
             dense_steps_executed=sum(s.kind == "dense" for s in self.steps),
-            invariants_checked=self.check_invariants,
             good_color=self.good,
         )
 
@@ -609,8 +586,6 @@ class PhaseDriver:
     ) -> None:
         """Palette floor of a regular dense step: every prefix vertex must
         satisfy Q(v) - L_j >= Z sqrt(delta) + D for its clique's prefix L_j."""
-        if not self.check_invariants:
-            return
         delta = row.d / row.z
         floor = row.z * math.sqrt(delta) + row.d
         for clique in self.decomp.cliques:
@@ -658,7 +633,6 @@ def run(
     epsilon: float | None = None,
     force_main_path: bool = False,
     max_fallback_iters: int = DEFAULT_MAX_FALLBACK_ITERS,
-    check_invariants: bool = True,
 ) -> RunReport:
     """Full coloring run; returns a report with per-step accounting.
 
@@ -668,7 +642,7 @@ def run(
     overrides the routing so the decomposition and dense machinery can
     be exercised, usually together with an epsilon override.
     """
-    driver = PhaseDriver(graph, palettes, k, seed, epsilon, check_invariants)
+    driver = PhaseDriver(graph, palettes, k, seed, epsilon)
     driver.full(max_fallback_iters, force_main_path)
     return driver.report(force_main_path)
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -33,8 +32,10 @@ _DENSE_SECONDS_PER_MULTIPLY = 7e-12
 _DENSE_OPERAND_ELEMENTS = 2**28
 _SPARSE_BLOCK_MULTIPLIES = 2**22
 _INT64_MAX = np.iinfo(np.int64).max
-# Largest vertex count whose square fits in int64 (build_graph's edge keys).
-_MAX_VERTICES = math.isqrt(_INT64_MAX)
+# Most vertices: init_state's palette matrix, one row per vertex, holds at
+# most 2**28 cells, so no run holds more. The square still fits in int64
+# (build_graph's edge keys), and no n-sized array is allocated beyond it.
+_MAX_VERTICES = 2**28
 # CSR slots per block of a row scan (Graph.row_blocks): the per-slot
 # temporaries of one block stay in cache, and the heap reuses them from
 # block to block instead of faulting in fresh pages for every call.
@@ -163,8 +164,8 @@ def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int | None = N
             )
     if n > _MAX_VERTICES:
         raise ValidationError(
-            f"{n} vertices exceed the limit of {_MAX_VERTICES}: "
-            "the edge dedupe key lo * n + hi must fit in int64"
+            f"{n} vertices exceed the limit of {_MAX_VERTICES}, "
+            "the most rows a palette matrix may hold"
         )
 
     # Scalar keys lo * n + hi, deduped by one sort and an adjacent-difference

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -339,6 +340,30 @@ def test_nonpositive_steps_are_a_usage_error(tmp_path, capsys, steps):
                                     "--mode", "dense-steps", *steps, "--out", str(out)])
     assert "--steps must be at least 1" in message
     assert not out.exists()
+
+
+@pytest.mark.parametrize("steps", [10**6 + 1, 10**19])
+def test_steps_beyond_the_limit_are_a_usage_error(tmp_path, capsys, steps):
+    # rejected before the list of gammas is made, from the flag and from a config
+    argv = ["run", "--gen", "complete:5", "--epsilon", "0.1", "--mode", "dense-steps",
+            "--step-delta", "0.04"]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"steps": steps}))
+    for extra in (["--steps", str(steps)], ["--config", str(cfg)]):
+        assert "--steps must be at least 1 and at most 1000000" in _usage_error(capsys, argv + extra)
+
+
+def test_edge_list_header_beyond_the_vertex_limit_is_a_usage_error(tmp_path, capsys):
+    graph_file = tmp_path / "g.edges"
+    graph_file.write_text(f"n {2**28 + 1}\n0 1\n")
+    tracemalloc.start()
+    try:
+        message = _usage_error(capsys, ["run", "--input", str(graph_file)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"{2**28 + 1} vertices exceed the limit of {2**28}" in message
+    assert peak < 2**20
 
 
 def _path_graph(tmp_path):

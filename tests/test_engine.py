@@ -129,8 +129,8 @@ def test_dense_injection_smaller_leader_wins():
     result = apply_dense_tentative(g, state, decomp, tentative)
     assert state.committed[20] == 5
     assert state.committed[21] == BLANK
-    assert result.stats.colored == 1
-    assert result.stats.de_colored == 1
+    assert result.colored == 1
+    assert result.de_colored == 1
 
 
 def three_clique_chain():
@@ -156,7 +156,7 @@ def test_dense_decoloring_checks_tentative_not_committed():
     assert state.committed[29] == 3
     assert state.committed[30] == BLANK
     assert state.committed[60] == BLANK
-    assert result.stats.de_colored == 2
+    assert result.de_colored == 2
 
 
 def test_dense_injection_rejects_sparse_participant():
@@ -521,7 +521,6 @@ def test_dense_de_coloring_matches_per_candidate_reference():
     leader_of = decomp.leader_by_vertex()
     rng = np.random.default_rng(5)
     for _ in range(20):
-        state = init_state(g, canonical_palettes(g))
         tentative = np.zeros(g.n, dtype=np.int64)
         for clique in decomp.cliques:
             chosen = clique.members[rng.random(clique.members.size) < 0.7]
@@ -532,10 +531,16 @@ def test_dense_de_coloring_matches_per_candidate_reference():
             nb = g.neighbors(v)
             clash = (tentative[nb] == tentative[v]) & (leader_of[nb] >= 0) & (leader_of[nb] < leader_of[v])
             expected.append(bool(clash.any()))
-        result = apply_dense_tentative(g, state, decomp, tentative)
-        assert result.stats.de_colored == sum(expected)
         winners = np.flatnonzero(tentative)[~np.array(expected, dtype=bool)]
-        assert np.flatnonzero(state.committed).tolist() == winners.tolist()
+        # the dense resolve scans candidate rows in slot blocks, as the other steps do
+        for block in (None, 1, 3, 64):
+            state = init_state(g, canonical_palettes(g))
+            with pytest.MonkeyPatch.context() as mp:
+                if block is not None:
+                    mp.setattr(graph_module, "SLOT_BLOCK", block)
+                result = apply_dense_tentative(g, state, decomp, tentative)
+            assert result.de_colored == sum(expected)
+            assert np.flatnonzero(state.committed).tolist() == winners.tolist()
 
 
 def test_dense_injection_names_the_first_bad_vertex():
@@ -584,10 +589,13 @@ def test_dense_injection_rejects_non_integer_colors():
     assert state.num_uncolored() == g.n
 
 
-def full_slot_conflicted(graph, tentative):
-    """The conflict check over every CSR slot, blank rows included."""
+def full_slot_conflicted(graph, tentative, rank=None):
+    """The conflict check over every CSR slot, blank rows included; with
+    ``rank``, only a neighbor of strictly smaller rank counts."""
     own = np.repeat(tentative, graph.degrees())
     eq = (own == tentative[graph.indices]) & (own != BLANK)
+    if rank is not None:
+        eq &= rank[graph.indices] < np.repeat(rank, graph.degrees())
     return segment_sum(eq, graph.indptr) > 0
 
 
@@ -598,13 +606,18 @@ def full_slot_conflicted(graph, tentative):
     colors=st.lists(st.integers(0, 4), min_size=14, max_size=14),
     blank=st.lists(st.booleans(), min_size=14, max_size=14),
     block=st.sampled_from([None, 1, 3, 64]),
+    ranks=st.none() | st.lists(st.integers(-1, 2), min_size=14, max_size=14),
 )
-def test_live_row_conflicts_match_the_full_slot_scan(n, raw, colors, blank, block):
+def test_live_row_conflicts_match_the_full_slot_scan(n, raw, colors, blank, block, ranks):
     # few colours, so neighbours clash often; blank rows are never scanned;
-    # small slot blocks spread the rows over many blocks
+    # small slot blocks spread the rows over many blocks; few ranks, so
+    # equal ranks (which never conflict) occur often
     g = build_graph([(u % n, v % n) for u, v in raw if u % n != v % n], n=n)
     tentative = np.where(blank[:n], BLANK, colors[:n]).astype(np.int64)
+    rank = None if ranks is None else np.array(ranks[:n], dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(graph_module, "SLOT_BLOCK", block)
-        assert np.array_equal(_conflicted(g, tentative), full_slot_conflicted(g, tentative))
+        assert np.array_equal(
+            _conflicted(g, tentative, rank), full_slot_conflicted(g, tentative, rank)
+        )

@@ -76,7 +76,7 @@ def test_id_beyond_declared_n_rejected():
 def test_vertex_count_beyond_the_edge_key_range_rejected_before_allocating(n):
     tracemalloc.start()
     try:
-        with pytest.raises(ValidationError, match="must fit in int64"):
+        with pytest.raises(ValidationError, match=f"vertices exceed the limit of {2**28}"):
             build_graph(np.array([[0, 1], [1, 2]]), n=n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
