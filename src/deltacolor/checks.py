@@ -94,11 +94,18 @@ def verify_coloring(
         bad = first_non_integer(values)
         if bad is not None:
             raise ValidationError(f"coloring of vertex {vertices[bad]}: {values[bad]!r} is not an integer")
+        by_vertex = dict(zip(vertices, values))
+        if len(by_vertex) < len(vertices):
+            named: dict[int, object] = {}  # the key that named each vertex
+            for key, v in zip(coloring, vertices):
+                if v in named:
+                    raise ValidationError(f"coloring names vertex {v} twice, by keys {named[v]!r} and {key!r}")
+                named[v] = key
         outside = next((v for v in vertices if not 0 <= v < graph.n), None)
         if outside is not None:
             return [f"coloring references unknown vertex {outside}"]
         # one color per vertex, blank where the map has none
-        coloring = list(map(dict(zip(vertices, values)).get, range(graph.n), repeat(BLANK)))
+        coloring = list(map(by_vertex.get, range(graph.n), repeat(BLANK)))
     colors = np.asarray(coloring)
     if not np.issubdtype(colors.dtype, np.integer):
         raise ValidationError(f"colors must be integers inside the int64 range, not {colors.dtype}")
@@ -162,7 +169,7 @@ def _intra_clique_labels(decomp) -> np.ndarray:
     """Component label per vertex under the friend edges whose endpoints
     lie in the same almost-clique."""
     friends = decomp.friend_graph
-    src = np.repeat(np.arange(friends.n, dtype=np.int64), friends.degrees())
+    src = friends.slot_owners()
     owner = decomp.membership[src]
     inside = (owner >= 0) & (owner == decomp.membership[friends.indices])
     intra = csr_matrix(

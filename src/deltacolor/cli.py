@@ -175,10 +175,12 @@ def _single_run(
     """One seeded run of the phases ``--mode`` selects, on ``decomp`` when
     given; returns the report, the extra report keys of a step mode and
     the decomposition the run used, if any."""
-    driver = PhaseDriver(graph, palettes, k=args.k, seed=seed, epsilon=args.epsilon, decomp=decomp)
+    driver = PhaseDriver(graph, palettes, args.k, seed, args.epsilon, decomp,
+                         force_main_path=args.force_main_path,
+                         max_fallback_iters=args.max_fallback_iters)
     if args.mode == "full":
-        driver.full(args.max_fallback_iters, args.force_main_path)
-        return driver.report(args.force_main_path), {}, driver.decomp
+        driver.full()
+        return driver.report(), {}, driver.decomp
     extras: dict = {"mode": args.mode}
     if args.mode == "initial-only":
         driver.initial()
@@ -201,8 +203,8 @@ def _single_run(
         driver.dense(gammas, bounds)
         extras.update(gammas=gammas, num_cliques=len(driver.decomp.cliques))
     else:
-        driver.fallback(args.max_fallback_iters)
-    return driver.report(args.force_main_path), extras, driver.decomp
+        driver.fallback()
+    return driver.report(), extras, driver.decomp
 
 
 def _aggregate(reports: list[RunReport], seeds: list[int]) -> dict:

@@ -205,6 +205,31 @@ def _uniform_pick(
     return state.color_values[np.count_nonzero(rank <= k[:, None], axis=1)]
 
 
+def _checked_draws(
+    state: ColoringState, tentative: np.ndarray, membership: np.ndarray | None = None
+) -> np.ndarray:
+    """Injected draws as int64, one per vertex; each vertex that drew must be
+    uncolored, dense (given ``membership``) and in palette, or the first
+    bad vertex is named."""
+    tentative = as_int64(tentative, "tentative colors")
+    if tentative.shape != (state.graph.n,):
+        raise ValidationError("tentative array must have one entry per vertex")
+    drawn = np.flatnonzero(tentative != BLANK)
+    ok = (state.committed[drawn] == BLANK) & state.in_residual_palette(drawn, tentative[drawn])
+    if membership is not None:
+        ok &= membership[drawn] >= 0
+    if not ok.all():
+        v = int(drawn[np.argmin(ok)])
+        if membership is not None and membership[v] < 0:
+            raise ValidationError(f"sparse vertex {v} cannot participate in a dense step")
+        if state.committed[v] != BLANK:
+            raise ValidationError(f"vertex {v} is already colored")
+        raise ValidationError(
+            f"injected color {int(tentative[v])} is not in the palette of vertex {v}"
+        )
+    return tentative
+
+
 def apply_initial_tentative(
     graph: Graph, state: ColoringState, tentative: np.ndarray
 ) -> StepStats:
@@ -214,16 +239,7 @@ def apply_initial_tentative(
     no neighbor (of any kind) drew the same one; conflicts de-color both
     sides. Split out from the random draw so tests can inject colors.
     """
-    tentative = as_int64(tentative, "tentative colors")
-    if tentative.shape != (graph.n,):
-        raise ValidationError("tentative array must have one entry per vertex")
-    drawn = np.flatnonzero(tentative != BLANK)
-    ok = state.in_residual_palette(drawn, tentative[drawn])
-    if not ok.all():
-        v = int(drawn[np.argmin(ok)])
-        raise ValidationError(
-            f"injected color {int(tentative[v])} is not in the palette of vertex {v}"
-        )
+    tentative = _checked_draws(state, tentative)
     colored, de_colored = _resolve(graph, state, tentative)
     return StepStats(
         kind="initial",
@@ -252,25 +268,22 @@ def initial_coloring_step(
     return apply_initial_tentative(graph, state, tentative)
 
 
-def count_good_colors(
-    graph: Graph, pre_step_state: ColoringState, post_step_state: ColoringState
-) -> GoodColorDiag:
-    """Good-color diagnostic comparing pre/post initial-step states."""
-    n = graph.n
-    width = post_step_state.num_colors
+def count_good_colors(graph: Graph, state: ColoringState) -> GoodColorDiag:
+    """Good-color diagnostic after the initial step, against the original palettes."""
+    width = state.num_colors
     # one (vertex, color column) key per slot of a committed neighbor
-    columns = post_step_state.color_columns(post_step_state.committed)[graph.indices]
+    columns = state.color_columns(state.committed)[graph.indices]
     held = columns < width
-    keys = np.repeat(np.arange(n, dtype=np.int64) * width, graph.degrees())[held] + columns[held]
+    keys = (graph.slot_owners() * width)[held] + columns[held]
     pairs, counts = np.unique(keys, return_counts=True)
     v, c = np.divmod(pairs, width)
-    good = np.bincount(v[counts >= 1 + pre_step_state.palette[v, c]], minlength=n)
+    good = np.bincount(v[counts >= 1 + state.original_palette[v, c]], minlength=graph.n)
 
-    q0, d0 = recompute_residuals(post_step_state)
+    q0, d0 = recompute_residuals(state)
     return GoodColorDiag(
         good_counts=good,
         s0=q0 - d0,
-        oversized_palettes=post_step_state.has_oversized_palettes,
+        oversized_palettes=state.has_oversized_palettes,
     )
 
 
@@ -279,18 +292,17 @@ def _select_dense_tentative(
     decomp: Decomposition,
     gamma: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Leader-simulated selection phase of one dense step.
 
-    Returns (tentative, in_prefix, skipped, initially_uncolored). Each
-    clique gets its own RNG stream spawned from ``rng`` so per-clique
-    work is reproducible and could run in parallel.
+    Returns (tentative, in_prefix); a prefix vertex whose palette earlier
+    picks exhausted stays blank. Each clique gets its own RNG stream
+    spawned from ``rng`` so per-clique work is reproducible and could run
+    in parallel.
     """
     n = state.graph.n
     tentative = np.zeros(n, dtype=np.int64)
     in_prefix = np.zeros(n, dtype=bool)
-    skipped = np.zeros(n, dtype=bool)
-    initially_uncolored = 0
 
     streams = rng.spawn(len(decomp.cliques))
     for clique, stream in zip(decomp.cliques, streams):
@@ -300,7 +312,6 @@ def _select_dense_tentative(
             continue
         perm = stream.permutation(residual)
         prefix_len = min(m, _ceil_frac(m * gamma))
-        initially_uncolored += m - prefix_len
         used = np.zeros(state.num_colors, dtype=bool)
         for v in perm[:prefix_len]:
             v = int(v)
@@ -308,12 +319,11 @@ def _select_dense_tentative(
             avail = state.palette[v] & ~used
             choices = np.flatnonzero(avail)
             if choices.size == 0:
-                skipped[v] = True
                 continue
             idx = int(choices[int(stream.integers(choices.size))])
             used[idx] = True
             tentative[v] = int(state.color_values[idx])
-    return tentative, in_prefix, skipped, initially_uncolored
+    return tentative, in_prefix
 
 
 def apply_dense_tentative(
@@ -332,26 +342,7 @@ def apply_dense_tentative(
     clique tentative colors are asserted pairwise distinct (the
     selection rule forces this).
     """
-    tentative = as_int64(tentative, "tentative colors")
-    if tentative.shape != (graph.n,):
-        raise ValidationError("tentative array must have one entry per vertex")
-
-    candidates = np.flatnonzero(tentative != BLANK)
-    ok = (
-        (decomp.membership[candidates] >= 0)
-        & (state.committed[candidates] == BLANK)
-        & state.in_residual_palette(candidates, tentative[candidates])
-    )
-    if not ok.all():
-        v = int(candidates[np.argmin(ok)])
-        if decomp.membership[v] < 0:
-            raise ValidationError(f"sparse vertex {v} cannot participate in a dense step")
-        if state.committed[v] != BLANK:
-            raise ValidationError(f"vertex {v} is already colored")
-        raise ValidationError(
-            f"injected color {int(tentative[v])} is not in the palette of vertex {v}"
-        )
-
+    tentative = _checked_draws(state, tentative, decomp.membership)
     for clique in decomp.cliques:
         vals = tentative[clique.members]
         vals = vals[vals != BLANK]
@@ -379,12 +370,11 @@ def dense_coloring_step(
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValidationError(f"gamma must lie in [0, 1], got {gamma}")
-    tentative, in_prefix, skipped, initially_uncolored = _select_dense_tentative(
-        state, decomp, gamma, rng
-    )
+    tentative, in_prefix = _select_dense_tentative(state, decomp, gamma, rng)
+    left_out = np.count_nonzero((decomp.membership >= 0) & state.uncolored_mask() & ~in_prefix)
     stats = apply_dense_tentative(graph, state, decomp, tentative)
-    stats.initially_uncolored = initially_uncolored
-    stats.palette_exhausted = int(np.count_nonzero(skipped))
+    stats.initially_uncolored = int(left_out)
+    stats.palette_exhausted = int(np.count_nonzero(in_prefix & (tentative == BLANK)))
     return DenseStepResult(stats=stats, in_prefix=in_prefix)
 
 
@@ -421,6 +411,8 @@ class PhaseDriver:
     schedule's epsilon, computed earlier (the decomposition draws no
     randomness, so every run of a graph can share one);
     :meth:`decompose` then adopts it instead of recomputing it.
+    ``force_main_path`` and ``max_fallback_iters`` are the run options
+    of :meth:`full` and :meth:`fallback`.
     """
 
     def __init__(
@@ -431,11 +423,17 @@ class PhaseDriver:
         seed: int = 0,
         epsilon: float | None = None,
         decomp: Decomposition | None = None,
+        force_main_path: bool = False,
+        max_fallback_iters: int = DEFAULT_MAX_FALLBACK_ITERS,
     ):
         if seed < 0:
             raise ValidationError("seed must be nonnegative")
+        if max_fallback_iters < 0:
+            raise ValidationError("max_fallback_iters must be nonnegative")
         self.graph = graph
         self.seed = seed
+        self.force_main_path = force_main_path
+        self.max_fallback_iters = max_fallback_iters
         self.state = init_state(graph, palettes)
         self.schedule = build_schedule(max(graph.max_degree, 1), graph.n, k, epsilon=epsilon)
         if decomp is not None and (decomp.membership.size, decomp.epsilon) != (
@@ -486,9 +484,8 @@ class PhaseDriver:
 
     def initial(self) -> None:
         """The initial step, then the good-color bound s0 >= |J|."""
-        pre = self.state.copy()
         self._finish_step(initial_coloring_step(self.graph, self.state, self._stream()))
-        good = self.good = count_good_colors(self.graph, pre, self.state)
+        good = self.good = count_good_colors(self.graph, self.state)
         if np.any(good.s0 < good.good_counts):
             v = int(np.flatnonzero(good.s0 < good.good_counts)[0])
             self.failures.append(
@@ -509,47 +506,43 @@ class PhaseDriver:
             if bounds is not None:
                 self._check_palette_floor(result, q_pre, bounds[i - 1], i)
 
-    def fallback(
-        self, max_iters: int, eligible: np.ndarray | None = None, phase: str | None = None
-    ) -> None:
+    def fallback(self, eligible: np.ndarray | None = None) -> None:
         """Trial rounds until every ``eligible`` vertex (all when None) is
-        colored; ``phase`` names the pass in the exhaustion message.
+        colored. After :meth:`decompose`, the exhaustion message names the
+        sparse pass (``eligible`` given) or the residual pass.
 
         Surplus at least 1 keeps every residual palette non-empty, so the
-        loop ends with probability 1; ``max_iters`` bounds the worst case
-        and exhaustion is recorded as a failure, never swallowed.
+        loop ends with probability 1; ``max_fallback_iters`` bounds the
+        worst case and exhaustion is recorded as a failure, never swallowed.
         """
-        if max_iters < 0:
-            raise ValidationError("max_iters must be nonnegative")
         rng = self._stream()
         self._require_complete |= eligible is None
         todo = np.ones(self.graph.n, dtype=bool) if eligible is None else eligible
         rounds = 0
         while np.any(todo & self.state.uncolored_mask()):
-            if rounds == max_iters:
-                name = "fallback" if phase is None else f"fallback ({phase} phase)"
+            if rounds == self.max_fallback_iters:
+                phase = "residual" if eligible is None else "sparse"
+                name = "fallback" if self.decomp is None else f"fallback ({phase} phase)"
                 self.failures.append(
-                    f"{name} exhausted after {max_iters} rounds "
+                    f"{name} exhausted after {rounds} rounds "
                     f"with {self.state.num_uncolored()} vertices uncolored"
                 )
                 return
             self._finish_step(fallback_round(self.graph, self.state, rng, eligible))
             rounds += 1
 
-    def full(self, max_iters: int, force_main_path: bool = False) -> None:
+    def full(self) -> None:
         """Every phase, in order, when the activation gate holds (or
         ``force_main_path`` overrides it); otherwise the whole graph goes
-        straight to the fallback. ``max_iters`` bounds each fallback pass."""
-        if (self.schedule.main_path or force_main_path) and self.graph.max_degree >= 1:
+        straight to the fallback."""
+        if (self.schedule.main_path or self.force_main_path) and self.graph.max_degree >= 1:
             self.decompose()
             self.initial()
             self.dense(*schedule_plan(self.schedule))
-            self.fallback(max_iters, eligible=self.decomp.membership < 0, phase="sparse")
-            self.fallback(max_iters, phase="residual")
-        else:
-            self.fallback(max_iters)
+            self.fallback(eligible=self.decomp.membership < 0)
+        self.fallback()
 
-    def report(self, force_main_path: bool = False) -> RunReport:
+    def report(self) -> RunReport:
         """The run report, after the final check: proper and in-palette,
         and complete once a fallback over all vertices has run; the
         per-step colored counts must add up to the colored vertices."""
@@ -571,7 +564,7 @@ class PhaseDriver:
             epsilon=sched.epsilon,
             k=sched.k,
             main_path=sched.main_path,
-            forced_main_path=force_main_path and not sched.main_path,
+            forced_main_path=self.force_main_path and not sched.main_path,
             rounds_used=sum(s.rounds for s in self.steps),
             steps=self.steps,
             schedule=sched,
@@ -612,7 +605,7 @@ def schedule_plan(
     horizon) and stops before the first negative gamma.
     """
     if count is None:
-        count = min(sched.num_dense_rounds, sched.regularity_horizon)
+        count = sched.regularity_horizon
     gammas: list[float] = []
     bounds: list[RoundParams] = []
     for i in range(1, min(count, len(sched.rounds) - 1) + 1):
@@ -642,9 +635,10 @@ def run(
     overrides the routing so the decomposition and dense machinery can
     be exercised, usually together with an epsilon override.
     """
-    driver = PhaseDriver(graph, palettes, k, seed, epsilon)
-    driver.full(max_fallback_iters, force_main_path)
-    return driver.report(force_main_path)
+    driver = PhaseDriver(graph, palettes, k, seed, epsilon, force_main_path=force_main_path,
+                         max_fallback_iters=max_fallback_iters)
+    driver.full()
+    return driver.report()
 
 
 def _fill_surplus(stats: StepStats, state: ColoringState, decomp: Decomposition | None) -> None:

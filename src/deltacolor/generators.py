@@ -161,9 +161,7 @@ def generate(spec: GeneratorSpec) -> Graph:
         _require(0.0 < delta < 1.0, "locally_sparse needs 0 < delta < 1")
         for _ in range(_LOCALLY_SPARSE_ATTEMPTS):
             g = build_graph(_gnp_edges(n, p, rng), n=n)
-            dmax = g.max_degree
-            bound = (1.0 - delta) * dmax * (dmax - 1) / 2.0
-            if np.all(neighborhood_edge_counts(g) <= bound + THRESHOLD_TOL):
+            if is_locally_sparse(g, delta):
                 return g
         raise GenerationError(
             f"could not sample a (1-{delta})-locally-sparse graph with n={n}, p={p} "

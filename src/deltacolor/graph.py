@@ -70,6 +70,10 @@ class Graph:
         """Sorted neighbor IDs of ``v`` (a read-only view)."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
+    def slot_owners(self) -> np.ndarray:
+        """The CSR row of every slot, aligned with ``indices``."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
+
     def row_slots(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """CSR slots of the given rows, row after row, and each row's degree."""
         starts = self.indptr[rows]
@@ -104,7 +108,7 @@ class Graph:
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v, lexicographically sorted."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
+        src = self.slot_owners()
         keep = src < self.indices
         return np.column_stack((src[keep], self.indices[keep]))
 

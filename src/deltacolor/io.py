@@ -72,6 +72,7 @@ def read_palettes(path: str | Path, n: int) -> list[list[int]]:
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: palette file must be a JSON object")
     out: list = [None] * n
+    named: dict[int, str] = {}  # the key that named each vertex
     for key, colors in data.items():
         try:
             v = int(key)
@@ -79,6 +80,9 @@ def read_palettes(path: str | Path, n: int) -> list[list[int]]:
             raise ValidationError(f"{path}: non-integer vertex key {key!r}") from exc
         if not 0 <= v < n:
             raise ValidationError(f"{path}: vertex {v} out of range 0..{n - 1}")
+        if v in named:
+            raise ValidationError(f"{path}: names vertex {v} twice, by keys {named[v]!r} and {key!r}")
+        named[v] = key
         if not isinstance(colors, list):
             raise ValidationError(f"{path}: palette of vertex {v} must be a list")
         bad = first_non_integer(colors)

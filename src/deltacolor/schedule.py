@@ -156,7 +156,7 @@ def build_schedule(
             horizon += 1
         else:
             break
-    horizon = min(horizon, len(rounds) - 1) if len(rounds) > 1 else 0
+    horizon = min(horizon, len(rounds) - 1)
 
     main_path = eps**4 * delta_max >= k * math.log(n)
     return ScheduleParams(

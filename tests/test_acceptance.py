@@ -241,7 +241,7 @@ def test_criterion_05_good_color_bound():
         state = template.copy()
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         initial_coloring_step(graph, state, rng)
-        diag = count_good_colors(graph, template, state)
+        diag = count_good_colors(graph, state)
         violations += int(np.count_nonzero(diag.s0 < diag.good_counts))
     assert violations == 0
     print("\n[acceptance] criterion 5 good-color bound: PASS (100 runs, 0 violations)")

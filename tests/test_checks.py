@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,16 @@ def test_verify_coloring_reports_uncolored_and_foreign_colors(palette_kind):
 def test_verify_coloring_rejects_what_is_not_an_integer(coloring, match):
     g = build_graph([(0, 1), (1, 2)])
     with pytest.raises(ValidationError, match=match):
+        verify_coloring(g, canonical_palettes(g), coloring)
+
+
+@pytest.mark.parametrize("coloring, keys", [
+    ({0: 1, "0": 2, 1: 2, 2: 1}, "0 and '0'"),
+    ({"0": 1, "00": 2, "1": 2, "2": 1}, "'0' and '00'"),
+])
+def test_verify_coloring_rejects_a_vertex_named_twice(coloring, keys):
+    g = build_graph([(0, 1), (1, 2)])
+    with pytest.raises(ValidationError, match=re.escape(f"coloring names vertex 0 twice, by keys {keys}")):
         verify_coloring(g, canonical_palettes(g), coloring)
 
 

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import deltacolor
 from deltacolor.cli import main
 
 
@@ -400,6 +404,18 @@ def test_palette_file_rejects_non_integer_colors(tmp_path, capsys, palette, matc
     assert not out.exists()
 
 
+def test_a_vertex_named_twice_is_a_usage_error(tmp_path, capsys):
+    graph = str(_path_graph(tmp_path))
+    palettes = tmp_path / "palettes.json"
+    palettes.write_text(json.dumps({"0": [1, 2, 3], "1": [1, 2, 3], "01": [4, 5, 6], "2": [1, 2, 3]}))
+    message = _usage_error(capsys, ["run", "--input", graph, "--palettes", str(palettes)])
+    assert "names vertex 1 twice, by keys '1' and '01'" in message
+    colors = tmp_path / "colors.json"
+    colors.write_text(json.dumps({"0": 1, "00": 2, "1": 2, "2": 1}))
+    message = _usage_error(capsys, ["run", "--input", graph, "--mode", "verify", "--coloring", str(colors)])
+    assert "coloring names vertex 0 twice, by keys '0' and '00'" in message
+
+
 def test_palette_color_beyond_int64_is_a_usage_error(tmp_path, capsys):
     palettes = tmp_path / "palettes.json"
     palettes.write_text(json.dumps({"0": [1, 2, 3], "1": [1, 2, 2**64], "2": [1, 2, 3]}))
@@ -624,3 +640,24 @@ def test_verify_never_accepts_a_non_integer_color(colors, swap):
     event(f"exit {code}")
     assert code == (2 if swap is not None else 0 if proper else 1), err.getvalue()
     assert (code == 2) == (out.getvalue() == "")
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(deltacolor.__file__).parents[1])}
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "deltacolor.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    done = cli("run", "--gen", "complete:5", "--seed", "1")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["complete"] is True
+    colors = tmp_path / "colors.json"
+    colors.write_text(json.dumps({"0": 1, "1": 1, "2": 2}))
+    done = cli("run", "--input", str(_path_graph(tmp_path)), "--mode", "verify", "--coloring", str(colors))
+    assert done.returncode == 1
+    assert json.loads(done.stdout)["valid"] is False
+    done = cli("run", "--gen", "complete:5", "--seed", "-1")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == ["error: --seed must be nonnegative"]

@@ -181,11 +181,31 @@ def test_dense_step_skips_prefix_vertex_with_exhausted_palette():
     state = init_state(g, canonical_palettes(g))
     state.palette[7, :] = False
     state.residual_palette_size[7] = 0
-    tentative, in_prefix, skipped, _ = _select_dense_tentative(state, decomp, 1.0, rng_for(3))
+    tentative, in_prefix = _select_dense_tentative(state, decomp, 1.0, rng_for(3))
     assert in_prefix[7]
-    assert skipped[7]
     assert tentative[7] == BLANK
     assert np.count_nonzero(tentative) == 9
+    # the same draws through the whole step: the count is derived from them
+    result = dense_coloring_step(g, state, decomp, gamma=1.0, rng=rng_for(3))
+    assert result.stats.palette_exhausted == 1
+    assert result.stats.initially_uncolored == 0
+    assert result.stats.colored == 9
+    assert state.committed[7] == BLANK
+
+
+def test_dense_step_counts_uncolored_dense_vertices_left_out_of_the_prefix():
+    # a 12-clique with a pendant (sparse) vertex 12; vertex 1 is colored
+    # first, so 11 members remain and gamma 1/2 leaves ceil(5.5) = 6 in
+    # the prefix: 5 are left out, and neither vertex 1 nor 12 counts
+    g = build_graph([(i, j) for i in range(12) for j in range(i + 1, 12)] + [(0, 12)])
+    decomp = decompose(g, 0.19)
+    assert decomp.membership[12] < 0
+    state = init_state(g, canonical_palettes(g))
+    apply_initial_tentative(g, state, np.eye(1, 13, 1, dtype=np.int64)[0] * 2)
+    result = dense_coloring_step(g, state, decomp, gamma=0.5, rng=rng_for(4))
+    assert result.stats.initially_uncolored == 5
+    assert int(np.count_nonzero(result.in_prefix)) == 6
+    assert result.stats.palette_exhausted == 0
 
 
 def test_dense_first_pick_is_uniform():
@@ -215,10 +235,9 @@ def test_dense_first_pick_is_uniform():
 def test_good_color_two_neighbors_same_in_palette_color():
     g = build_graph([(0, 1), (0, 2)])  # star; leaves not adjacent
     state = init_state(g, [[1, 2, 3]] * 3)
-    pre = state.copy()
     apply_initial_tentative(g, state, np.array([0, 1, 1]))
     assert state.committed.tolist() == [0, 1, 1]
-    diag = count_good_colors(g, pre, state)
+    diag = count_good_colors(g, state)
     assert diag.good_counts[0] == 1  # color 1 appears twice and is in Pal(0)
     assert diag.s0[0] >= diag.good_counts[0]
     assert diag.s0[0] == 2  # q0 = 2, d0 = 0
@@ -227,9 +246,8 @@ def test_good_color_two_neighbors_same_in_palette_color():
 def test_good_color_single_out_of_palette_neighbor():
     g = build_graph([(0, 1)])
     state = init_state(g, [[2, 3], [1, 2]])
-    pre = state.copy()
     apply_initial_tentative(g, state, np.array([0, 1]))
-    diag = count_good_colors(g, pre, state)
+    diag = count_good_colors(g, state)
     assert diag.good_counts[0] == 1  # color 1 not in Pal(0), one occurrence
     assert diag.s0[0] == 2  # palette intact, degree dropped to 0
 
@@ -239,7 +257,7 @@ def test_good_color_no_commits_leaves_surplus():
     state = init_state(g, canonical_palettes(g))
     pre = state.copy()
     apply_initial_tentative(g, state, np.zeros(3, dtype=np.int64))
-    diag = count_good_colors(g, pre, state)
+    diag = count_good_colors(g, state)
     assert np.all(diag.good_counts == 0)
     assert np.array_equal(diag.s0, pre.surplus())
 
@@ -249,9 +267,8 @@ def test_good_color_bound_statistical():
     template = init_state(g, canonical_palettes(g))
     for seed in range(20):
         state = template.copy()
-        pre = template
         initial_coloring_step(g, state, rng_for(seed))
-        diag = count_good_colors(g, pre, state)
+        diag = count_good_colors(g, state)
         assert np.all(diag.s0 >= diag.good_counts)
 
 
@@ -260,7 +277,7 @@ def test_good_color_bound_statistical():
 
 def test_fallback_single_vertex_one_round():
     driver = PhaseDriver(build_graph([], n=1), [[5]])
-    driver.fallback(500)
+    driver.fallback()
     assert driver.state.committed.tolist() == [5]
     assert [s.kind for s in driver.steps] == ["fallback"]
     assert driver.failures == []
@@ -268,7 +285,7 @@ def test_fallback_single_vertex_one_round():
 
 def test_fallback_k2_terminates():
     driver = PhaseDriver(build_graph([(0, 1)]), [[1, 2], [1, 2]], seed=3)
-    driver.fallback(500)
+    driver.fallback()
     state = driver.state
     assert state.num_uncolored() == 0
     assert driver.failures == []
@@ -277,26 +294,43 @@ def test_fallback_k2_terminates():
 
 def test_fallback_on_colored_graph_is_noop():
     driver = PhaseDriver(build_graph([(0, 1)]), [[1, 2], [1, 2]], seed=3)
-    driver.fallback(500)
+    driver.fallback()
     steps = len(driver.steps)
-    driver.fallback(500)
+    driver.fallback()
     assert len(driver.steps) == steps
     assert driver.failures == []
 
 
 def test_fallback_exhaustion_reported():
-    driver = PhaseDriver(build_graph([(0, 1)]), [[1, 2], [1, 2]], seed=3)
-    driver.fallback(0)
+    driver = PhaseDriver(build_graph([(0, 1)]), [[1, 2], [1, 2]], seed=3, max_fallback_iters=0)
+    driver.fallback()
     assert driver.failures == ["fallback exhausted after 0 rounds with 2 vertices uncolored"]
     assert driver.state.num_uncolored() == 2
-    with pytest.raises(ValidationError, match="max_iters"):
-        driver.fallback(-1)
+    with pytest.raises(ValidationError, match="max_fallback_iters"):
+        PhaseDriver(build_graph([(0, 1)]), [[1, 2], [1, 2]], max_fallback_iters=-1)
+
+
+@pytest.mark.parametrize(
+    "decomposed, eligible, label",
+    [
+        (False, None, "fallback"),
+        (True, [True, False, True], "fallback (sparse phase)"),
+        (True, None, "fallback (residual phase)"),
+    ],
+)
+def test_fallback_exhaustion_names_its_pass(decomposed, eligible, label):
+    g = build_graph([(0, 1), (1, 2)])
+    driver = PhaseDriver(g, canonical_palettes(g), epsilon=0.1, max_fallback_iters=0)
+    if decomposed:
+        driver.decompose()
+    driver.fallback(None if eligible is None else np.array(eligible))
+    assert driver.failures == [f"{label} exhausted after 0 rounds with 3 vertices uncolored"]
 
 
 def test_fallback_respects_eligibility_mask():
     g = build_graph([(0, 1), (1, 2)])
     driver = PhaseDriver(g, canonical_palettes(g), seed=5)
-    driver.fallback(500, eligible=np.array([True, False, True]))
+    driver.fallback(eligible=np.array([True, False, True]))
     committed = driver.state.committed
     assert committed[1] == BLANK
     assert committed[0] != BLANK and committed[2] != BLANK
@@ -368,6 +402,17 @@ def test_run_forced_main_path_executes_dense_steps():
     assert kinds[:3] == ["decompose", "initial", "dense"]
     assert report.good_color is not None
     assert np.all(report.good_color.s0 >= report.good_color.good_counts)
+
+
+def test_driver_reports_the_main_path_it_was_built_to_force():
+    g = generate(GeneratorSpec("clique_chain", {"size": 200, "count": 5}))
+    driver = PhaseDriver(g, canonical_palettes(g), k=0.5, seed=3, epsilon=0.035, force_main_path=True)
+    driver.full()
+    report = driver.report()
+    assert not report.main_path
+    assert report.forced_main_path
+    assert report.to_dict()["forced_main_path"] is True
+    assert [s.kind for s in report.steps][:2] == ["decompose", "initial"]
 
 
 def test_run_gamma_turns_negative_skips_dense_steps():
@@ -510,7 +555,7 @@ def test_good_counts_match_per_vertex_reference(seed):
     # a dense tentative draw, so neighbours share colours often
     tentative = np.array([rng.choice(p) if rng.random() < 0.5 else 0 for p in palettes])
     apply_initial_tentative(g, state, tentative)
-    diag = count_good_colors(g, pre, state)
+    diag = count_good_colors(g, state)
     assert diag.good_counts.tolist() == reference_good_counts(g, pre, state).tolist()
     assert diag.good_counts.any()
 
@@ -560,6 +605,15 @@ def test_dense_injection_names_the_first_bad_vertex():
         tentative[list(picks)] = list(picks.values())
         with pytest.raises(ValidationError, match=message):
             apply_dense_tentative(g, state, decomp, tentative)
+
+
+def test_initial_injection_rejects_a_colored_vertex():
+    g = build_graph([(0, 1), (1, 2)])
+    state = init_state(g, canonical_palettes(g))
+    apply_initial_tentative(g, state, np.array([0, 2, 0]))
+    with pytest.raises(ValidationError, match="vertex 1 is already colored"):
+        apply_initial_tentative(g, state, np.array([0, 3, 0]))
+    assert state.committed.tolist() == [0, 2, 0]
 
 
 def test_initial_injection_names_the_first_foreign_color():

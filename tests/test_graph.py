@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from deltacolor import GeneratorSpec, ValidationError, build_graph, generate
 from deltacolor import graph as graph_module
 from deltacolor.graph import edge_common_counts, segment_sum
-from deltacolor.io import dumps_json, read_edge_list, write_edge_list
+from deltacolor.io import dumps_json, read_edge_list, read_palettes, write_edge_list
 
 
 def test_path_graph():
@@ -119,6 +120,7 @@ def test_build_graph_invariants(n, raw):
             assert v in g.neighbors(int(w))
     expected = {tuple(sorted(e)) for e in edges}
     assert set(map(tuple, g.edge_array().tolist())) == expected
+    assert g.slot_owners().tolist() == [v for v in range(n) for _ in g.neighbors(v)]
 
 
 def unique_lexsort_csr(edges, n):
@@ -263,6 +265,13 @@ def test_edge_list_id_beyond_int64_rejected(tmp_path):
     path.write_text(f"0 1\n1 {2**63}\n")
     with pytest.raises(ValidationError, match="int64"):
         read_edge_list(path)
+
+
+def test_palette_file_naming_a_vertex_twice_rejected(tmp_path):
+    path = tmp_path / "palettes.json"
+    path.write_text(json.dumps({"0": [1, 2, 3], "1": [1, 2, 3], "01": [4, 5, 6], "2": [1, 2, 3]}))
+    with pytest.raises(ValidationError, match=re.escape("names vertex 1 twice, by keys '1' and '01'")):
+        read_palettes(path, 3)
 
 
 def test_edge_list_header_must_come_first(tmp_path):

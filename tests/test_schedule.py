@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deltacolor import (
     ValidationError,
@@ -171,3 +173,17 @@ def test_table_truncates_when_ratio_reaches_one():
     # no row may carry a ratio >= 1 except the last one
     for row in sched.rounds[:-1]:
         assert row.delta < 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    delta=st.floats(1.0, 1e12),
+    n=st.integers(1, 10**9),
+    k=st.floats(1e-3, 100.0),
+    epsilon=st.floats(1e-6, 0.2, exclude_max=True),
+)
+@example(delta=10.0, n=1, k=0.01, epsilon=0.01)  # every row regular: the clamp applies
+@example(delta=1.0, n=1, k=1.0, epsilon=0.1)  # one row, no dense step
+def test_regularity_horizon_fits_the_table(delta, n, k, epsilon):
+    sched = build_schedule(delta, n, k, epsilon=epsilon)
+    assert 0 <= sched.regularity_horizon <= len(sched.rounds) - 1 <= sched.num_dense_rounds
