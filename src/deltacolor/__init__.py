@@ -45,7 +45,7 @@ from .generators import (
     is_locally_sparse,
     neighborhood_edge_counts,
 )
-from .graph import BLANK, ColorId, Graph, build_graph
+from .graph import BLANK, Graph, build_graph
 from .io import canonical_palettes, read_edge_list, read_palettes, write_edge_list
 from .schedule import (
     ACTIVATION_PROB,
@@ -66,7 +66,6 @@ __all__ = [
     "BLANK",
     "DEFAULT_K",
     "AlmostClique",
-    "ColorId",
     "ColoringState",
     "Decomposition",
     "DeltaColorError",

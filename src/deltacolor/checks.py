@@ -42,7 +42,7 @@ def properness_failures(graph: Graph, committed: np.ndarray) -> list[str]:
     return out[:_REPORT_CAP] or [f"{count // 2} monochromatic edges among committed vertices"]
 
 
-def residual_consistency_failures(graph: Graph, state: ColoringState) -> list[str]:
+def residual_consistency_failures(state: ColoringState) -> list[str]:
     """Incrementally maintained Q/d of every uncolored vertex must match
     a from-scratch recount of its row."""
     rows = np.flatnonzero(state.committed == BLANK)
@@ -61,9 +61,7 @@ def residual_consistency_failures(graph: Graph, state: ColoringState) -> list[st
     return out
 
 
-def coloring_failures(
-    graph: Graph, state: ColoringState, require_complete: bool = True
-) -> list[str]:
+def coloring_failures(state: ColoringState, require_complete: bool = True) -> list[str]:
     """Final-output check: complete, proper, and palette-respecting."""
     out = []
     uncolored = np.flatnonzero(state.committed == BLANK)
@@ -76,7 +74,7 @@ def coloring_failures(
     inside = (values[columns] == colors) & state.original_palette[colored, columns]
     for v in colored[~inside][: _REPORT_CAP - len(out)]:
         out.append(f"vertex {int(v)} wears color {int(state.committed[v])} outside its own palette")
-    out.extend(properness_failures(graph, state.committed))
+    out.extend(properness_failures(state.graph, state.committed))
     return out
 
 

@@ -154,9 +154,8 @@ def _load_graph(args) -> Graph:
 
 
 def _emit(report: dict, steps: list[StepStats] | None, args) -> None:
+    # main() admits csv only for the single runs that give ``steps``
     if args.format == "csv":
-        if steps is None:
-            raise ValidationError("csv format is only available for step-producing modes")
         lines = [",".join(f.name for f in dataclasses.fields(StepStats))]
         for s in steps:
             lines.append(",".join("" if x is None else str(x) for x in s.to_dict().values()))
@@ -309,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
             raise ValidationError(f"--repetitions does not apply to --mode {args.mode}")
         if args.steps is not None and not 1 <= args.steps <= MAX_COUNT:
             raise ValidationError(f"--steps must be at least 1 and at most {MAX_COUNT}")
+        step_report = args.repetitions == 1 and args.mode not in ("decompose-only", "verify")
+        if args.format == "csv" and not step_report:
+            raise ValidationError("csv format is only available for step-producing modes")
 
         graph = _load_graph(args)
         if args.mode == "decompose-only":

@@ -22,7 +22,6 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
 from .graph import BLANK, Graph, common_counts, edge_common_counts
-from .state import ColoringState
 
 # Threshold comparisons against (1 - eps) * max_degree use this slack so
 # exact integer counts are not lost to float rounding at the boundary.
@@ -54,20 +53,6 @@ class Decomposition:
         """Per-vertex leader ID of its almost-clique, -1 for sparse."""
         leaders = np.array([c.leader for c in self.cliques], dtype=np.int64)
         return np.append(leaders, -1)[self.membership]
-
-    def same_as(self, other: "Decomposition") -> bool:
-        if self.sparse.size != other.sparse.size or not np.array_equal(self.sparse, other.sparse):
-            return False
-        if not np.array_equal(self.membership >= 0, other.membership >= 0):
-            return False
-        if len(self.cliques) != len(other.cliques):
-            return False
-        for a, b in zip(self.cliques, other.cliques):
-            if a.leader != b.leader or not np.array_equal(a.members, b.members):
-                return False
-        fa = self.friend_graph
-        fb = other.friend_graph
-        return np.array_equal(fa.indptr, fb.indptr) and np.array_equal(fa.indices, fb.indices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,16 +149,16 @@ def decompose(graph: Graph, epsilon: float) -> Decomposition:
 
 
 def structural_metrics(
-    graph: Graph, decomp: Decomposition, state: ColoringState | None = None
+    graph: Graph, decomp: Decomposition, committed: np.ndarray | None = None
 ) -> StructuralMetrics:
     """External degrees, anti-degrees, weak diameters and clique sizes.
 
-    With a ``state``, metrics cover only uncolored vertices (the
-    residual view of each clique); distances for the weak diameter are
-    always measured in the full original graph.
+    Given the ``committed`` colors, metrics cover only uncolored vertices
+    (the residual view of each clique); distances for the weak diameter
+    are always measured in the full original graph.
     """
-    if state is not None:
-        uncolored = state.committed == BLANK
+    if committed is not None:
+        uncolored = committed == BLANK
     else:
         uncolored = np.ones(graph.n, dtype=bool)
 

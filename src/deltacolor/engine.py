@@ -173,12 +173,12 @@ def _conflicted(
 
 
 def _resolve(
-    graph: Graph, state: ColoringState, tentative: np.ndarray, rank: np.ndarray | None = None
+    state: ColoringState, tentative: np.ndarray, rank: np.ndarray | None = None
 ) -> tuple[int, int]:
     """The end of every coloring step: commit each drawn color that is not
-    :func:`_conflicted`, store the draws as ``state.tentative`` and return
-    (colored, de_colored)."""
-    conflicted = _conflicted(graph, tentative, rank)
+    :func:`_conflicted` on ``state.graph``, store the draws as
+    ``state.tentative`` and return (colored, de_colored)."""
+    conflicted = _conflicted(state.graph, tentative, rank)
     winners = np.flatnonzero((tentative != BLANK) & ~conflicted)
     commit_colors(state, winners, tentative[winners])
     state.tentative = tentative
@@ -230,9 +230,7 @@ def _checked_draws(
     return tentative
 
 
-def apply_initial_tentative(
-    graph: Graph, state: ColoringState, tentative: np.ndarray
-) -> StepStats:
+def apply_initial_tentative(state: ColoringState, tentative: np.ndarray) -> StepStats:
     """Conflict resolution and commit for given initial-step draws.
 
     A vertex commits its tentative color iff the color is non-blank and
@@ -240,7 +238,7 @@ def apply_initial_tentative(
     sides. Split out from the random draw so tests can inject colors.
     """
     tentative = _checked_draws(state, tentative)
-    colored, de_colored = _resolve(graph, state, tentative)
+    colored, de_colored = _resolve(state, tentative)
     return StepStats(
         kind="initial",
         colored=colored,
@@ -250,9 +248,7 @@ def apply_initial_tentative(
     )
 
 
-def initial_coloring_step(
-    graph: Graph, state: ColoringState, rng: np.random.Generator
-) -> StepStats:
+def initial_coloring_step(state: ColoringState, rng: np.random.Generator) -> StepStats:
     """One synchronous initial coloring step on a fresh state.
 
     Each vertex independently stays blank with probability 99/100 and
@@ -261,15 +257,17 @@ def initial_coloring_step(
     """
     if np.any(state.committed != BLANK):
         raise ValidationError("initial coloring step requires a fresh state")
-    draws = rng.random(graph.n)
-    tentative = np.zeros(graph.n, dtype=np.int64)
+    n = state.graph.n
+    draws = rng.random(n)
+    tentative = np.zeros(n, dtype=np.int64)
     active = np.flatnonzero(draws < ACTIVATION_PROB)
     tentative[active] = _uniform_pick(state, active, rng)
-    return apply_initial_tentative(graph, state, tentative)
+    return apply_initial_tentative(state, tentative)
 
 
-def count_good_colors(graph: Graph, state: ColoringState) -> GoodColorDiag:
+def count_good_colors(state: ColoringState) -> GoodColorDiag:
     """Good-color diagnostic after the initial step, against the original palettes."""
+    graph = state.graph
     width = state.num_colors
     # one (vertex, color column) key per slot of a committed neighbor
     columns = state.color_columns(state.committed)[graph.indices]
@@ -327,10 +325,7 @@ def _select_dense_tentative(
 
 
 def apply_dense_tentative(
-    graph: Graph,
-    state: ColoringState,
-    decomp: Decomposition,
-    tentative: np.ndarray,
+    state: ColoringState, decomp: Decomposition, tentative: np.ndarray
 ) -> StepStats:
     """Conflict resolution and commit for given dense-step draws.
 
@@ -351,12 +346,11 @@ def apply_dense_tentative(
                 f"duplicate tentative colors inside the almost-clique led by {clique.leader}"
             )
 
-    colored, de_colored = _resolve(graph, state, tentative, decomp.leader_by_vertex())
+    colored, de_colored = _resolve(state, tentative, decomp.leader_by_vertex())
     return StepStats(kind="dense", colored=colored, de_colored=de_colored, rounds=ROUND_COST_DENSE)
 
 
 def dense_coloring_step(
-    graph: Graph,
     state: ColoringState,
     decomp: Decomposition,
     gamma: float,
@@ -372,27 +366,24 @@ def dense_coloring_step(
         raise ValidationError(f"gamma must lie in [0, 1], got {gamma}")
     tentative, in_prefix = _select_dense_tentative(state, decomp, gamma, rng)
     left_out = np.count_nonzero((decomp.membership >= 0) & state.uncolored_mask() & ~in_prefix)
-    stats = apply_dense_tentative(graph, state, decomp, tentative)
+    stats = apply_dense_tentative(state, decomp, tentative)
     stats.initially_uncolored = int(left_out)
     stats.palette_exhausted = int(np.count_nonzero(in_prefix & (tentative == BLANK)))
     return DenseStepResult(stats=stats, in_prefix=in_prefix)
 
 
 def fallback_round(
-    graph: Graph,
-    state: ColoringState,
-    rng: np.random.Generator,
-    eligible: np.ndarray | None = None,
+    state: ColoringState, rng: np.random.Generator, eligible: np.ndarray | None = None
 ) -> StepStats:
     """One trial round: uniform pick from the residual palette, keep it
     unless an uncolored neighbor picked the same color."""
     mask = state.committed == BLANK
     if eligible is not None:
         mask &= eligible
-    tentative = np.zeros(graph.n, dtype=np.int64)
+    tentative = np.zeros(state.graph.n, dtype=np.int64)
     active = np.flatnonzero(mask)
     tentative[active] = _uniform_pick(state, active, rng)
-    colored, de_colored = _resolve(graph, state, tentative)
+    colored, de_colored = _resolve(state, tentative)
     return StepStats(
         kind="fallback", colored=colored, de_colored=de_colored, rounds=ROUND_COST_FALLBACK
     )
@@ -469,9 +460,7 @@ class PhaseDriver:
             v = int(np.flatnonzero(drop)[0])
             self.failures.append(f"{tag}: surplus of uncolored vertex {v} decreased")
         self.failures.extend(f"{tag}: {msg}" for msg in properness_failures(self.graph, state.committed))
-        self.failures.extend(
-            f"{tag}: {msg}" for msg in residual_consistency_failures(self.graph, state)
-        )
+        self.failures.extend(f"{tag}: {msg}" for msg in residual_consistency_failures(state))
         self._prev_surplus = surplus
         self._prev_uncolored = uncolored
 
@@ -484,8 +473,8 @@ class PhaseDriver:
 
     def initial(self) -> None:
         """The initial step, then the good-color bound s0 >= |J|."""
-        self._finish_step(initial_coloring_step(self.graph, self.state, self._stream()))
-        good = self.good = count_good_colors(self.graph, self.state)
+        self._finish_step(initial_coloring_step(self.state, self._stream()))
+        good = self.good = count_good_colors(self.state)
         if np.any(good.s0 < good.good_counts):
             v = int(np.flatnonzero(good.s0 < good.good_counts)[0])
             self.failures.append(
@@ -499,9 +488,11 @@ class PhaseDriver:
         from; with it, each prefix vertex is checked against the palette
         floor. Steps driven by a hand-picked gamma carry no bounds.
         """
+        if self.decomp is None:
+            raise ValidationError("dense steps need the decomposition: call decompose() first")
         for i, gamma in enumerate(gammas, start=1):
             q_pre = self.state.residual_palette_size.copy()
-            result = dense_coloring_step(self.graph, self.state, self.decomp, gamma, self._stream())
+            result = dense_coloring_step(self.state, self.decomp, gamma, self._stream())
             self._finish_step(result.stats)
             if bounds is not None:
                 self._check_palette_floor(result, q_pre, bounds[i - 1], i)
@@ -515,6 +506,13 @@ class PhaseDriver:
         loop ends with probability 1; ``max_fallback_iters`` bounds the
         worst case and exhaustion is recorded as a failure, never swallowed.
         """
+        if eligible is not None:
+            eligible = np.asarray(eligible)
+            if eligible.dtype != bool or eligible.shape != (self.graph.n,):
+                raise ValidationError(
+                    f"eligible must be a boolean mask of shape ({self.graph.n},), "
+                    f"got {eligible.dtype} of shape {eligible.shape}"
+                )
         rng = self._stream()
         self._require_complete |= eligible is None
         todo = np.ones(self.graph.n, dtype=bool) if eligible is None else eligible
@@ -528,7 +526,7 @@ class PhaseDriver:
                     f"with {self.state.num_uncolored()} vertices uncolored"
                 )
                 return
-            self._finish_step(fallback_round(self.graph, self.state, rng, eligible))
+            self._finish_step(fallback_round(self.state, rng, eligible))
             rounds += 1
 
     def full(self) -> None:
@@ -547,9 +545,7 @@ class PhaseDriver:
         and complete once a fallback over all vertices has run; the
         per-step colored counts must add up to the colored vertices."""
         graph, state, sched = self.graph, self.state, self.schedule
-        failures = self.failures + coloring_failures(
-            graph, state, require_complete=self._require_complete
-        )
+        failures = self.failures + coloring_failures(state, require_complete=self._require_complete)
         colored = graph.n - state.num_uncolored()
         total_colored = sum(s.colored for s in self.steps)
         if total_colored != colored:

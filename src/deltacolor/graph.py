@@ -14,8 +14,6 @@ from .errors import ValidationError
 # Real colors are integers >= 1 and palettes never contain the blank.
 BLANK = 0
 
-ColorId = int
-
 # float32 holds every integer below 2**24, so products of 0/1 float32 rows
 # count shared neighbours exactly while row degrees stay below it.
 _FLOAT32_EXACT = 2**24
@@ -60,9 +58,6 @@ class Graph:
     def num_edges(self) -> int:
         return self.indices.size // 2
 
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
@@ -100,11 +95,6 @@ class Graph:
 
     def neighbor_set(self, v: int) -> set[int]:
         return set(int(w) for w in self.neighbors(v))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        i = int(np.searchsorted(row, v))
-        return i < row.size and int(row[i]) == v
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v, lexicographically sorted."""

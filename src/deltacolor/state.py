@@ -48,13 +48,6 @@ class ColoringState:
     def num_colors(self) -> int:
         return self.color_values.size
 
-    def color_index(self, value: int) -> int:
-        """Palette column of the color ``value``; KeyError if no palette has it."""
-        column = int(self.color_columns(np.array([value]))[0])
-        if column == self.num_colors:
-            raise KeyError(value)
-        return column
-
     def uncolored_mask(self) -> np.ndarray:
         return self.committed == BLANK
 
@@ -78,22 +71,6 @@ class ColoringState:
         columns = self.color_columns(colors)
         found = columns < self.num_colors
         return found & self.palette[vertices, np.where(found, columns, 0)]
-
-    def palette_of(self, v: int) -> set[int]:
-        return set(int(c) for c in self.color_values[self.palette[v]])
-
-    def copy(self) -> "ColoringState":
-        return ColoringState(
-            graph=self.graph,
-            color_values=self.color_values,
-            original_palette=self.original_palette,
-            palette=self.palette.copy(),
-            tentative=self.tentative.copy(),
-            committed=self.committed.copy(),
-            residual_palette_size=self.residual_palette_size.copy(),
-            residual_degree=self.residual_degree.copy(),
-            has_oversized_palettes=self.has_oversized_palettes,
-        )
 
 
 def init_state(graph: Graph, palettes: Sequence[Sequence[int]]) -> ColoringState:

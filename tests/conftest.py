@@ -2,10 +2,50 @@
 
 Hypothesis draws its examples from a seed derived from each test
 function rather than a fresh random one, and keeps no example database,
-so an unchanged tree gives the same test outcomes on every run.
+so an unchanged tree gives the same test outcomes on every run. The
+helpers below read states and decompositions for the tests.
 """
 
+import dataclasses
+
+import numpy as np
 from hypothesis import settings
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+# ------------------------------------------------ helpers shared by the tests
+
+
+def palette_of(state, v: int) -> set[int]:
+    """The residual palette of ``v`` as a set of colors."""
+    return set(state.color_values[state.palette[v]].tolist())
+
+
+def color_index(state, value: int) -> int:
+    """Palette column of the color ``value``, which some palette holds."""
+    column = int(np.searchsorted(state.color_values, value))
+    assert state.color_values[column] == value, value
+    return column
+
+
+def copy_state(state):
+    """A state with its own copies of every array a commit writes."""
+    mutable = ("palette", "tentative", "committed", "residual_palette_size", "residual_degree")
+    return dataclasses.replace(state, **{name: getattr(state, name).copy() for name in mutable})
+
+
+def same_decomposition(a, b) -> bool:
+    """Equal sparse sets, cliques (leaders and members) and friend graphs."""
+    return (
+        np.array_equal(a.sparse, b.sparse)
+        and np.array_equal(a.membership >= 0, b.membership >= 0)
+        and len(a.cliques) == len(b.cliques)
+        and all(
+            x.leader == y.leader and np.array_equal(x.members, y.members)
+            for x, y in zip(a.cliques, b.cliques)
+        )
+        and np.array_equal(a.friend_graph.indptr, b.friend_graph.indptr)
+        and np.array_equal(a.friend_graph.indices, b.friend_graph.indices)
+    )

@@ -32,6 +32,8 @@ from deltacolor import (
 )
 from deltacolor.checks import decomposition_bound_failures, decomposition_failures
 
+from conftest import copy_state, same_decomposition
+
 
 @dataclass
 class SweepConfig:
@@ -211,7 +213,8 @@ def test_criterion_03_oracle_equivalence():
         graph = generate(spec)
         assert graph.n <= 200
         eps = eps_cycle[seed % 4]
-        assert decompose(graph, eps).same_as(brute_force_decomposition(graph, eps)), (seed, eps)
+        fast, slow = decompose(graph, eps), brute_force_decomposition(graph, eps)
+        assert same_decomposition(fast, slow), (seed, eps)
         checked += 1
     assert checked == 50
     print("\n[acceptance] criterion 3 oracle equivalence: PASS (50 graphs)")
@@ -238,10 +241,10 @@ def test_criterion_05_good_color_bound():
     template = init_state(graph, canonical_palettes(graph))
     violations = 0
     for seed in range(100):
-        state = template.copy()
+        state = copy_state(template)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        initial_coloring_step(graph, state, rng)
-        diag = count_good_colors(graph, state)
+        initial_coloring_step(state, rng)
+        diag = count_good_colors(state)
         violations += int(np.count_nonzero(diag.s0 < diag.good_counts))
     assert violations == 0
     print("\n[acceptance] criterion 5 good-color bound: PASS (100 runs, 0 violations)")
@@ -315,9 +318,9 @@ def test_criterion_08_per_vertex_failure_statistics():
     de_colored = np.zeros(graph.n, dtype=np.int64)
     bound_nonprefix = 2 * math.sqrt(delta)
     for seed in range(trials):
-        state = template.copy()
+        state = copy_state(template)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        result = dense_coloring_step(graph, state, decomp, gamma, rng)
+        result = dense_coloring_step(state, decomp, gamma, rng)
         de_colored += (state.tentative != 0) & (state.committed == 0)
         for clique in decomp.cliques:
             m = clique.members.size
@@ -357,7 +360,7 @@ def test_criterion_10_initial_activation_rate():
     graph = build_graph([], n=n)
     state = init_state(graph, canonical_palettes(graph))
     rng = np.random.default_rng(np.random.SeedSequence(7))
-    stats = initial_coloring_step(graph, state, rng)
+    stats = initial_coloring_step(state, rng)
     tried = n - stats.initially_uncolored
     sigma = math.sqrt(n * 0.01 * 0.99)
     assert abs(tried - n * 0.01) <= 3 * sigma, f"{tried} tries vs expected {n * 0.01:.0f}"

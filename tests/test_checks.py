@@ -83,7 +83,7 @@ def test_residual_consistency_names_corrupted_uncolored_vertices():
     state.residual_degree[3] = 0
     state.residual_palette_size[2] = 5
     state.residual_degree[0] = 2
-    assert residual_consistency_failures(g, state) == [
+    assert residual_consistency_failures(state) == [
         "vertex 2: maintained Q=5, recomputed 2",
         "vertex 0: maintained d=2, recomputed 0",
         "vertex 3: maintained d=0, recomputed 1",
@@ -95,7 +95,7 @@ def test_residual_consistency_ignores_colored_vertices():
     g, state = _path_with_vertex_1_colored()
     state.residual_palette_size[1] = 9
     state.residual_degree[1] = 9
-    assert residual_consistency_failures(g, state) == []
+    assert residual_consistency_failures(state) == []
 
 
 def test_residual_consistency_reports_at_most_five_per_field():
@@ -103,7 +103,7 @@ def test_residual_consistency_reports_at_most_five_per_field():
     state = init_state(g, canonical_palettes(g))
     state.residual_palette_size += 1
     state.residual_degree += 2
-    assert residual_consistency_failures(g, state) == [
+    assert residual_consistency_failures(state) == [
         *(f"vertex {v}: maintained Q=2, recomputed 1" for v in range(5)),
         *(f"vertex {v}: maintained d=2, recomputed 0" for v in range(5)),
     ]

@@ -218,7 +218,7 @@ def test_step_modes_run_the_monitor_after_every_step(tmp_path, monkeypatch, mode
     import deltacolor.engine
 
     monkeypatch.setattr(
-        deltacolor.engine, "residual_consistency_failures", lambda graph, state: ["injected"]
+        deltacolor.engine, "residual_consistency_failures", lambda state: ["injected"]
     )
     out = tmp_path / "r.json"
     argv = ["run", *STEP_MODES[mode], "--seed", "1", "--mode", mode, "--out", str(out)]
@@ -277,6 +277,13 @@ def _usage_error(capsys, argv):
     assert len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err
     return err
+
+
+def test_csv_without_steps_is_rejected_before_the_graph_loads(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    for extra in (["--mode", "decompose-only"], ["--mode", "verify"], ["--repetitions", "2"]):
+        argv = ["run", "--input", missing, "--format", "csv", *extra]
+        assert "csv format is only available" in _usage_error(capsys, argv)
 
 
 def test_config_equals_form_is_honored(tmp_path):

@@ -24,6 +24,8 @@ from deltacolor.engine import PhaseDriver, _conflicted, _select_dense_tentative,
 from deltacolor import graph as graph_module
 from deltacolor.graph import segment_sum
 
+from conftest import copy_state
+
 
 def rng_for(seed):
     return np.random.default_rng(np.random.SeedSequence(seed))
@@ -35,17 +37,25 @@ def rng_for(seed):
 def test_initial_injection_path_conflict():
     g = build_graph([(0, 1), (1, 2)])
     state = init_state(g, canonical_palettes(g))
-    stats = apply_initial_tentative(g, state, np.array([1, 1, 2]))
+    stats = apply_initial_tentative(state, np.array([1, 1, 2]))
     assert state.committed.tolist() == [0, 0, 2]
     assert stats.colored == 1
     assert stats.de_colored == 2
     assert stats.initially_uncolored == 0
 
 
+def test_initial_injection_finds_conflicts_on_the_state_graph():
+    state = init_state(build_graph([(0, 1), (1, 2)]), [[1, 2, 3]] * 3)
+    stats = apply_initial_tentative(state, np.array([1, 1, 0]))
+    assert stats.de_colored == 2
+    assert stats.colored == 0
+    assert state.num_uncolored() == 3
+
+
 def test_initial_injection_all_blank_is_noop():
     g = build_graph([(0, 1), (1, 2)])
     state = init_state(g, canonical_palettes(g))
-    stats = apply_initial_tentative(g, state, np.zeros(3, dtype=np.int64))
+    stats = apply_initial_tentative(state, np.zeros(3, dtype=np.int64))
     assert state.num_uncolored() == 3
     assert stats.colored == 0
     assert stats.initially_uncolored == 3
@@ -55,23 +65,23 @@ def test_initial_injection_rejects_foreign_color():
     g = build_graph([(0, 1)])
     state = init_state(g, canonical_palettes(g))
     with pytest.raises(ValidationError, match="palette"):
-        apply_initial_tentative(g, state, np.array([7, 0]))
+        apply_initial_tentative(state, np.array([7, 0]))
 
 
 def test_initial_step_requires_fresh_state():
     g = build_graph([(0, 1)])
     state = init_state(g, canonical_palettes(g))
-    apply_initial_tentative(g, state, np.array([1, 0]))
+    apply_initial_tentative(state, np.array([1, 0]))
     assert state.committed[0] == 1
     with pytest.raises(ValidationError, match="fresh"):
-        initial_coloring_step(g, state, rng_for(1))
+        initial_coloring_step(state, rng_for(1))
 
 
 def test_initial_step_activation_rate_sanity():
     # 20k isolated vertices; tries should land near 1/100 (within 4 sigma)
     g = build_graph([], n=20_000)
     state = init_state(g, canonical_palettes(g))
-    stats = initial_coloring_step(g, state, rng_for(42))
+    stats = initial_coloring_step(state, rng_for(42))
     tried = g.n - stats.initially_uncolored
     sigma = (g.n * 0.01 * 0.99) ** 0.5
     assert abs(tried - g.n * 0.01) < 4 * sigma
@@ -91,7 +101,7 @@ def test_dense_step_single_clique_commits_prefix():
     decomp = decompose(g, 0.15)
     assert len(decomp.cliques) == 1
     state = init_state(g, canonical_palettes(g))
-    result = dense_coloring_step(g, state, decomp, gamma=0.5, rng=rng_for(7))
+    result = dense_coloring_step(state, decomp, gamma=0.5, rng=rng_for(7))
     assert result.stats.colored == 5
     assert result.stats.de_colored == 0
     assert result.stats.initially_uncolored == 5
@@ -103,7 +113,7 @@ def test_dense_step_gamma_zero_is_noop():
     g = single_clique_graph(10)
     decomp = decompose(g, 0.15)
     state = init_state(g, canonical_palettes(g))
-    result = dense_coloring_step(g, state, decomp, gamma=0.0, rng=rng_for(7))
+    result = dense_coloring_step(state, decomp, gamma=0.0, rng=rng_for(7))
     assert result.stats.colored == 0
     assert result.stats.initially_uncolored == 10
     assert state.num_uncolored() == 10
@@ -115,7 +125,7 @@ def test_dense_step_gamma_validated():
     state = init_state(g, canonical_palettes(g))
     for bad in (-0.1, 1.5):
         with pytest.raises(ValidationError, match="gamma"):
-            dense_coloring_step(g, state, decomp, gamma=bad, rng=rng_for(0))
+            dense_coloring_step(state, decomp, gamma=bad, rng=rng_for(0))
 
 
 def test_dense_injection_smaller_leader_wins():
@@ -126,7 +136,7 @@ def test_dense_injection_smaller_leader_wins():
     tentative = np.zeros(g.n, dtype=np.int64)
     tentative[20] = 5  # bridge endpoint in the leader-0 clique
     tentative[21] = 5  # bridge endpoint in the leader-21 clique
-    result = apply_dense_tentative(g, state, decomp, tentative)
+    result = apply_dense_tentative(state, decomp, tentative)
     assert state.committed[20] == 5
     assert state.committed[21] == BLANK
     assert result.colored == 1
@@ -152,7 +162,7 @@ def test_dense_decoloring_checks_tentative_not_committed():
     state = init_state(g, canonical_palettes(g))
     tentative = np.zeros(g.n, dtype=np.int64)
     tentative[29] = tentative[30] = tentative[60] = 3
-    result = apply_dense_tentative(g, state, decomp, tentative)
+    result = apply_dense_tentative(state, decomp, tentative)
     assert state.committed[29] == 3
     assert state.committed[30] == BLANK
     assert state.committed[60] == BLANK
@@ -170,7 +180,7 @@ def test_dense_injection_rejects_sparse_participant():
     tentative = np.zeros(g2.n, dtype=np.int64)
     tentative[3] = 1
     with pytest.raises(ValidationError, match="sparse"):
-        apply_dense_tentative(g2, state2, decomp2, tentative)
+        apply_dense_tentative(state2, decomp2, tentative)
     del g, decomp, state
 
 
@@ -186,7 +196,7 @@ def test_dense_step_skips_prefix_vertex_with_exhausted_palette():
     assert tentative[7] == BLANK
     assert np.count_nonzero(tentative) == 9
     # the same draws through the whole step: the count is derived from them
-    result = dense_coloring_step(g, state, decomp, gamma=1.0, rng=rng_for(3))
+    result = dense_coloring_step(state, decomp, gamma=1.0, rng=rng_for(3))
     assert result.stats.palette_exhausted == 1
     assert result.stats.initially_uncolored == 0
     assert result.stats.colored == 9
@@ -201,8 +211,8 @@ def test_dense_step_counts_uncolored_dense_vertices_left_out_of_the_prefix():
     decomp = decompose(g, 0.19)
     assert decomp.membership[12] < 0
     state = init_state(g, canonical_palettes(g))
-    apply_initial_tentative(g, state, np.eye(1, 13, 1, dtype=np.int64)[0] * 2)
-    result = dense_coloring_step(g, state, decomp, gamma=0.5, rng=rng_for(4))
+    apply_initial_tentative(state, np.eye(1, 13, 1, dtype=np.int64)[0] * 2)
+    result = dense_coloring_step(state, decomp, gamma=0.5, rng=rng_for(4))
     assert result.stats.initially_uncolored == 5
     assert int(np.count_nonzero(result.in_prefix)) == 6
     assert result.stats.palette_exhausted == 0
@@ -210,19 +220,20 @@ def test_dense_step_counts_uncolored_dense_vertices_left_out_of_the_prefix():
 
 def test_dense_first_pick_is_uniform():
     # gamma = 1/7 on a 7-clique: exactly one vertex picks, uniformly at
-    # random from the shared palette; multinomial check within 5 sigma
+    # random from the shared palette; multinomial check within 5 sigma.
+    # dense_coloring_step hands its rng straight to this selection, and a
+    # lone pick cannot conflict, so the selection alone decides the color.
     g = single_clique_graph(7)
     decomp = decompose(g, 0.19)
     assert len(decomp.cliques) == 1
-    template = init_state(g, canonical_palettes(g))
+    state = init_state(g, canonical_palettes(g))
     trials = 100_000
     counts = np.zeros(8, dtype=np.int64)
     for seed in range(trials):
-        state = template.copy()
-        dense_coloring_step(g, state, decomp, gamma=1.0 / 7.0, rng=rng_for(seed))
-        colored = state.committed[state.committed != BLANK]
-        assert colored.size == 1
-        counts[int(colored[0])] += 1
+        tentative, in_prefix = _select_dense_tentative(state, decomp, 1.0 / 7.0, rng_for(seed))
+        drew = tentative[tentative != BLANK]
+        assert drew.size == 1 and np.count_nonzero(in_prefix) == 1
+        counts[int(drew[0])] += 1
     expected = trials / 7.0
     sigma = (trials * (1 / 7) * (6 / 7)) ** 0.5
     for c in range(1, 8):
@@ -235,9 +246,9 @@ def test_dense_first_pick_is_uniform():
 def test_good_color_two_neighbors_same_in_palette_color():
     g = build_graph([(0, 1), (0, 2)])  # star; leaves not adjacent
     state = init_state(g, [[1, 2, 3]] * 3)
-    apply_initial_tentative(g, state, np.array([0, 1, 1]))
+    apply_initial_tentative(state, np.array([0, 1, 1]))
     assert state.committed.tolist() == [0, 1, 1]
-    diag = count_good_colors(g, state)
+    diag = count_good_colors(state)
     assert diag.good_counts[0] == 1  # color 1 appears twice and is in Pal(0)
     assert diag.s0[0] >= diag.good_counts[0]
     assert diag.s0[0] == 2  # q0 = 2, d0 = 0
@@ -246,8 +257,8 @@ def test_good_color_two_neighbors_same_in_palette_color():
 def test_good_color_single_out_of_palette_neighbor():
     g = build_graph([(0, 1)])
     state = init_state(g, [[2, 3], [1, 2]])
-    apply_initial_tentative(g, state, np.array([0, 1]))
-    diag = count_good_colors(g, state)
+    apply_initial_tentative(state, np.array([0, 1]))
+    diag = count_good_colors(state)
     assert diag.good_counts[0] == 1  # color 1 not in Pal(0), one occurrence
     assert diag.s0[0] == 2  # palette intact, degree dropped to 0
 
@@ -255,9 +266,9 @@ def test_good_color_single_out_of_palette_neighbor():
 def test_good_color_no_commits_leaves_surplus():
     g = build_graph([(0, 1), (1, 2)])
     state = init_state(g, canonical_palettes(g))
-    pre = state.copy()
-    apply_initial_tentative(g, state, np.zeros(3, dtype=np.int64))
-    diag = count_good_colors(g, state)
+    pre = copy_state(state)
+    apply_initial_tentative(state, np.zeros(3, dtype=np.int64))
+    diag = count_good_colors(state)
     assert np.all(diag.good_counts == 0)
     assert np.array_equal(diag.s0, pre.surplus())
 
@@ -266,9 +277,9 @@ def test_good_color_bound_statistical():
     g = generate(GeneratorSpec("gnp", {"n": 200, "p": 0.4}, seed=9))
     template = init_state(g, canonical_palettes(g))
     for seed in range(20):
-        state = template.copy()
-        initial_coloring_step(g, state, rng_for(seed))
-        diag = count_good_colors(g, state)
+        state = copy_state(template)
+        initial_coloring_step(state, rng_for(seed))
+        diag = count_good_colors(state)
         assert np.all(diag.s0 >= diag.good_counts)
 
 
@@ -335,6 +346,23 @@ def test_fallback_respects_eligibility_mask():
     assert committed[1] == BLANK
     assert committed[0] != BLANK and committed[2] != BLANK
     assert driver.failures == []
+
+
+def test_driver_dense_needs_the_decomposition():
+    g = single_clique_graph(7)
+    driver = PhaseDriver(g, canonical_palettes(g), epsilon=0.19)
+    with pytest.raises(ValidationError, match=r"call decompose\(\) first"):
+        driver.dense([0.5])
+    assert driver.steps == []
+
+
+@pytest.mark.parametrize("eligible", [np.ones(2, dtype=bool), np.ones((3, 1), dtype=bool), np.ones(3)])
+def test_driver_fallback_rejects_a_mask_of_another_shape_or_dtype(eligible):
+    g = build_graph([(0, 1), (1, 2)])
+    driver = PhaseDriver(g, canonical_palettes(g))
+    with pytest.raises(ValidationError, match=r"boolean mask of shape \(3,\)"):
+        driver.fallback(eligible)
+    assert driver.steps == []
 
 
 def test_driver_rejects_a_decomposition_of_another_graph_or_epsilon():
@@ -551,11 +579,11 @@ def test_good_counts_match_per_vertex_reference(seed):
     palettes = [sorted(rng.choice(np.arange(1, need + 4), size=need, replace=False).tolist())
                 for _ in range(g.n)]
     state = init_state(g, palettes)
-    pre = state.copy()
+    pre = copy_state(state)
     # a dense tentative draw, so neighbours share colours often
     tentative = np.array([rng.choice(p) if rng.random() < 0.5 else 0 for p in palettes])
-    apply_initial_tentative(g, state, tentative)
-    diag = count_good_colors(g, state)
+    apply_initial_tentative(state, tentative)
+    diag = count_good_colors(state)
     assert diag.good_counts.tolist() == reference_good_counts(g, pre, state).tolist()
     assert diag.good_counts.any()
 
@@ -583,7 +611,7 @@ def test_dense_de_coloring_matches_per_candidate_reference():
             with pytest.MonkeyPatch.context() as mp:
                 if block is not None:
                     mp.setattr(graph_module, "SLOT_BLOCK", block)
-                result = apply_dense_tentative(g, state, decomp, tentative)
+                result = apply_dense_tentative(state, decomp, tentative)
             assert result.de_colored == sum(expected)
             assert np.flatnonzero(state.committed).tolist() == winners.tolist()
 
@@ -594,7 +622,7 @@ def test_dense_injection_names_the_first_bad_vertex():
     decomp = decompose(g, 0.19)
     assert decomp.membership[12] < 0 and np.all(decomp.membership[:12] == 0)
     state = init_state(g, canonical_palettes(g))
-    apply_initial_tentative(g, state, np.eye(1, 13, 1, dtype=np.int64)[0] * 2)
+    apply_initial_tentative(state, np.eye(1, 13, 1, dtype=np.int64)[0] * 2)
     for picks, message in (
         ({0: 99, 1: 3, 12: 1}, "injected color 99 is not in the palette of vertex 0"),
         ({1: 3, 12: 1}, "vertex 1 is already colored"),
@@ -604,15 +632,15 @@ def test_dense_injection_names_the_first_bad_vertex():
         tentative = np.zeros(g.n, dtype=np.int64)
         tentative[list(picks)] = list(picks.values())
         with pytest.raises(ValidationError, match=message):
-            apply_dense_tentative(g, state, decomp, tentative)
+            apply_dense_tentative(state, decomp, tentative)
 
 
 def test_initial_injection_rejects_a_colored_vertex():
     g = build_graph([(0, 1), (1, 2)])
     state = init_state(g, canonical_palettes(g))
-    apply_initial_tentative(g, state, np.array([0, 2, 0]))
+    apply_initial_tentative(state, np.array([0, 2, 0]))
     with pytest.raises(ValidationError, match="vertex 1 is already colored"):
-        apply_initial_tentative(g, state, np.array([0, 3, 0]))
+        apply_initial_tentative(state, np.array([0, 3, 0]))
     assert state.committed.tolist() == [0, 2, 0]
 
 
@@ -620,7 +648,7 @@ def test_initial_injection_names_the_first_foreign_color():
     g = build_graph([(0, 1), (1, 2)])
     state = init_state(g, [[1, 2, 3], [1, 2, 4], [2, 3, 5]])
     with pytest.raises(ValidationError, match="injected color 3 is not in the palette of vertex 1"):
-        apply_initial_tentative(g, state, np.array([0, 3, 1]))
+        apply_initial_tentative(state, np.array([0, 3, 1]))
 
 
 @pytest.mark.parametrize("tentative", [np.array([1.7, 0.0, 0.0]), np.array([1, 0, 2], dtype=bool)])
@@ -628,7 +656,7 @@ def test_initial_injection_rejects_non_integer_colors(tentative):
     g = build_graph([(0, 1), (1, 2)])
     state = init_state(g, canonical_palettes(g))
     with pytest.raises(ValidationError, match="tentative colors must hold integers"):
-        apply_initial_tentative(g, state, tentative)
+        apply_initial_tentative(state, tentative)
     assert state.num_uncolored() == 3
 
 
@@ -639,7 +667,7 @@ def test_dense_injection_rejects_non_integer_colors():
     tentative = np.zeros(g.n)
     tentative[0] = 5.9
     with pytest.raises(ValidationError, match="tentative colors must hold integers, not float64"):
-        apply_dense_tentative(g, state, decomp, tentative)
+        apply_dense_tentative(state, decomp, tentative)
     assert state.num_uncolored() == g.n
 
 

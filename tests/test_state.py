@@ -21,6 +21,8 @@ from deltacolor import graph as graph_module
 from deltacolor import state as state_module
 from deltacolor.graph import segment_sum
 
+from conftest import color_index, copy_state, palette_of
+
 
 def k3():
     return build_graph([(0, 1), (1, 2), (0, 2)])
@@ -149,7 +151,7 @@ def test_random_greedy_commits_keep_invariants(n, raw, order):
     for v in vertices:
         prev_surplus = state.surplus().copy()
         uncolored_before = state.uncolored_mask().copy()
-        palette = sorted(state.palette_of(v))
+        palette = sorted(palette_of(state, v))
         color = palette[0]
         commit_colors(state, [v], [color])
         q, d = recompute_residuals(state)
@@ -173,7 +175,7 @@ def reference_commit(state, vertices, colors):
     for v, c in zip(vertices, colors):
         nb = graph.neighbors(v)
         live = nb[state.committed[nb] == 0]
-        idx = state.color_index(c)
+        idx = color_index(state, c)
         state.residual_palette_size[live] -= state.palette[live, idx]
         state.palette[live, idx] = False
         state.residual_degree[live] -= 1
@@ -184,7 +186,7 @@ def reference_residuals(state):
     graph = state.graph
     taken = np.zeros_like(state.original_palette)
     for v in np.flatnonzero(state.committed != 0):
-        taken[graph.neighbors(v), state.color_index(int(state.committed[v]))] = True
+        taken[graph.neighbors(v), color_index(state, int(state.committed[v]))] = True
     q = (state.original_palette & ~taken).sum(axis=1)
     d = np.array([np.count_nonzero(state.committed[graph.neighbors(v)] == 0) for v in range(graph.n)])
     return q, d
@@ -218,7 +220,7 @@ def graph_palettes_batches(draw):
 def test_array_commit_matches_per_vertex_reference(case, block):
     g, palettes, order, picks, splits = case
     state = init_state(g, palettes)
-    mirror = state.copy()
+    mirror = copy_state(state)
     batch: dict[int, int] = {}
 
     def flush():
@@ -236,7 +238,7 @@ def test_array_commit_matches_per_vertex_reference(case, block):
 
     for v, pick, split in zip(order, picks, splits):
         # lowest colours first, so batch vertices often share one
-        free = sorted(state.palette_of(v) - {batch[w] for w in g.neighbors(v).tolist() if w in batch})
+        free = sorted(palette_of(state, v) - {batch[w] for w in g.neighbors(v).tolist() if w in batch})
         if free:
             batch[v] = free[pick % min(2, len(free))]
         if split and batch:
@@ -249,7 +251,7 @@ def test_commit_same_colour_pair_sharing_a_live_neighbour_drops_q_once():
     # path 1 - 0 - 2 plus 3 - 0: leaves 1 and 2 both take colour 2
     g = build_graph([(0, 1), (0, 2), (0, 3)])
     state = init_state(g, canonical_palettes(g))
-    mirror = state.copy()
+    mirror = copy_state(state)
     commit_colors(state, np.array([1, 2]), np.array([2, 2]))
     reference_commit(mirror, [1, 2], [2, 2])
     assert_same_state(state, mirror)
@@ -277,7 +279,7 @@ def test_commit_violation_messages_name_the_first_bad_entry(vertices, colors, me
     g = build_graph([(2, 1), (1, 0), (0, 3)])
     state = init_state(g, canonical_palettes(g))
     commit_colors(state, [2], [1])
-    before = state.copy()
+    before = copy_state(state)
     with pytest.raises(InvariantViolation, match=message):
         commit_colors(state, vertices, colors)
     assert_same_state(state, before)
@@ -314,7 +316,7 @@ def test_blocked_commit_names_the_first_clash_and_changes_nothing(monkeypatch, b
         colors = np.where(np.arange(g.n) < trial, np.arange(1, g.n + 1), rng.integers(1, 4, g.n))
         colors = np.minimum(colors, g.max_degree + 1)
         expected = full_slot_clash(state, vertices, colors)
-        before = state.copy()
+        before = copy_state(state)
         if expected is None:
             continue
         with pytest.raises(InvariantViolation) as err:
@@ -328,7 +330,7 @@ def test_blocked_commit_names_the_first_clash_and_changes_nothing(monkeypatch, b
     path = build_graph([(2, 1), (1, 0), (0, 3)])
     state = init_state(path, canonical_palettes(path))
     commit_colors(state, [2], [1])
-    before = state.copy()
+    before = copy_state(state)
     with pytest.raises(InvariantViolation, match="vertices 1 and 0 are neighbors but both assigned color 3"):
         commit_colors(state, [3, 1, 0], [2, 3, 3])
     assert_same_state(state, before)
@@ -346,7 +348,7 @@ def test_commit_first_offending_entry_wins():
 def test_empty_commit_is_a_noop():
     g = k3()
     state = init_state(g, canonical_palettes(g))
-    before = state.copy()
+    before = copy_state(state)
     commit_colors(state, [], [])
     assert_same_state(state, before)
 
@@ -356,7 +358,7 @@ def test_init_state_list_palettes_dedupe_repeated_colours():
     state = init_state(g, [[3, 1, 2, 1], [2, 3, 1], [5, 1, 2, 3, 5]])
     assert state.color_values.tolist() == [1, 2, 3, 5]
     assert state.residual_palette_size.tolist() == [3, 3, 4]
-    assert state.palette_of(0) == {1, 2, 3}
+    assert palette_of(state, 0) == {1, 2, 3}
     assert state.has_oversized_palettes
 
 
@@ -382,7 +384,7 @@ def test_init_state_sparse_and_dense_colour_codes_agree(scale):
     palettes = [[scale * c for c in p] for p in ([1, 2, 3], [2, 3, 4, 4], [1, 4, 5])]
     state = init_state(g, palettes)
     assert state.color_values.tolist() == [scale * c for c in (1, 2, 3, 4, 5)]
-    assert [state.palette_of(v) for v in range(3)] == [set(p) for p in palettes]
+    assert [palette_of(state, v) for v in range(3)] == [set(p) for p in palettes]
 
 
 @settings(max_examples=60, deadline=None)
@@ -391,7 +393,7 @@ def test_recompute_residuals_matches_per_vertex_reference(case):
     g, palettes, order, picks, _ = case
     state = init_state(g, palettes)
     for v, pick in zip(order, picks):
-        free = sorted(state.palette_of(v))
+        free = sorted(palette_of(state, v))
         if free and pick % 3:
             commit_colors(state, [v], [free[pick % len(free)]])
         q, d = recompute_residuals(state)
@@ -419,7 +421,7 @@ def test_row_recount_matches_the_full_slot_recount(case, data, block):
     g, palettes, order, picks, _ = case
     state = init_state(g, palettes)
     for v, pick in zip(order, picks):
-        free = sorted(state.palette_of(v))
+        free = sorted(palette_of(state, v))
         if free and pick % 3:
             commit_colors(state, [v], [free[pick % len(free)]])
     ref_q, ref_d = full_slot_residuals(state)
@@ -441,7 +443,7 @@ def test_row_recount_matches_the_full_slot_recount(case, data, block):
 def test_commit_rejects_non_integer_batches(vertices, colors):
     g = k3()
     state = init_state(g, canonical_palettes(g))
-    before = state.copy()
+    before = copy_state(state)
     with pytest.raises(ValidationError, match="batch (vertices|colors)"):
         commit_colors(state, vertices, colors)
     assert_same_state(state, before)
