@@ -194,11 +194,9 @@ def _single_run(
         driver.decompose()
         if args.step_delta is None:
             gammas, bounds = schedule_plan(driver.schedule, args.steps)
-        elif 0.0 < args.step_delta <= 0.25:
+        else:
             count = 1 if args.steps is None else args.steps
             gammas, bounds = [1.0 - 2.0 * math.sqrt(args.step_delta)] * count, None
-        else:
-            raise ValidationError("--step-delta must lie in (0, 0.25] so gamma stays in [0, 1]")
         driver.dense(gammas, bounds)
         extras.update(gammas=gammas, num_cliques=len(driver.decomp.cliques))
     else:
@@ -270,8 +268,6 @@ def _mode_decompose(graph: Graph, args) -> int:
 
 
 def _mode_verify(graph: Graph, palettes, args) -> int:
-    if not args.coloring:
-        raise ValidationError("verify mode needs --coloring")
     with open(args.coloring, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     coloring = data.get("coloring", data) if isinstance(data, dict) else data
@@ -306,11 +302,20 @@ def main(argv: list[str] | None = None) -> int:
             raise ValidationError(f"--repetitions must be at most {MAX_COUNT}")
         if args.repetitions > 1 and args.mode in ("decompose-only", "verify"):
             raise ValidationError(f"--repetitions does not apply to --mode {args.mode}")
+        for flag, value, mode in (("--steps", args.steps, "dense-steps"),
+                                  ("--step-delta", args.step_delta, "dense-steps"),
+                                  ("--coloring", args.coloring, "verify")):
+            if value is not None and args.mode != mode:
+                raise ValidationError(f"{flag} does not apply to --mode {args.mode}")
         if args.steps is not None and not 1 <= args.steps <= MAX_COUNT:
             raise ValidationError(f"--steps must be at least 1 and at most {MAX_COUNT}")
+        if args.step_delta is not None and not 0.0 < args.step_delta <= 0.25:
+            raise ValidationError("--step-delta must lie in (0, 0.25] so gamma stays in [0, 1]")
         step_report = args.repetitions == 1 and args.mode not in ("decompose-only", "verify")
         if args.format == "csv" and not step_report:
             raise ValidationError("csv format is only available for step-producing modes")
+        if args.mode == "verify" and not args.coloring:
+            raise ValidationError("verify mode needs --coloring")
 
         graph = _load_graph(args)
         if args.mode == "decompose-only":

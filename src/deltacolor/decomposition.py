@@ -20,8 +20,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import ValidationError
 from .graph import BLANK, Graph, common_counts, edge_common_counts
+from .schedule import check_epsilon
 
 # Threshold comparisons against (1 - eps) * max_degree use this slack so
 # exact integer counts are not lost to float rounding at the boundary.
@@ -71,13 +71,6 @@ class StructuralMetrics:
     clique_size: list[int]
 
 
-def _validate_epsilon(epsilon: float) -> float:
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < 0.2:
-        raise ValidationError(f"epsilon must be in (0, 1/5), got {epsilon}")
-    return epsilon
-
-
 def compute_friend_edges(graph: Graph, epsilon: float) -> Graph:
     """Friend edges of ``graph`` at density ``epsilon``, as a graph.
 
@@ -88,7 +81,7 @@ def compute_friend_edges(graph: Graph, epsilon: float) -> Graph:
     A shared count never exceeds either endpoint's degree, so only
     vertices of degree at least the threshold are counted at all.
     """
-    epsilon = _validate_epsilon(epsilon)
+    epsilon = check_epsilon(epsilon)
     threshold = (1.0 - epsilon) * graph.max_degree - THRESHOLD_TOL
     counts = edge_common_counts(graph, keep=graph.degrees() >= threshold)
     # Counts are symmetric, so the friend slots already form a valid CSR graph.
@@ -110,7 +103,7 @@ def classify_and_components(graph: Graph, friend_graph: Graph, epsilon: float) -
     ``friend_graph`` must come from :func:`compute_friend_edges` at the
     same epsilon.
     """
-    epsilon = _validate_epsilon(epsilon)
+    epsilon = check_epsilon(epsilon)
     n = graph.n
     membership = np.full(n, -1, dtype=np.int64)
 

@@ -17,16 +17,16 @@ Phases, in order, for a full run:
 
 The engine simulates at the information level: each clique's leader is
 assumed to know its members' full state, so permutations and picks are
-computed centrally. Round accounting charges fixed costs per phase
-(3 for the decomposition's distance-3 topology gathering, 2 for the
-initial step, 5 per dense step, 2 per fallback round); the constants
-only affect reporting, never correctness.
+computed centrally. Round accounting charges each step the fixed cost
+of its kind in ``ROUND_COST`` (3 for the decomposition's distance-3
+topology gathering, 2 for the initial step, 5 per dense step, 2 per
+fallback round); the costs only affect reporting, never correctness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -44,10 +44,8 @@ from .state import ColoringState, commit_colors, init_state, recompute_residuals
 
 DEFAULT_MAX_FALLBACK_ITERS = 500
 
-ROUND_COST_DECOMPOSE = 3
-ROUND_COST_INITIAL = 2
-ROUND_COST_DENSE = 5
-ROUND_COST_FALLBACK = 2
+# LOCAL rounds charged to one step of each kind.
+ROUND_COST = {"decompose": 3, "initial": 2, "dense": 5, "fallback": 2}
 
 # ceil() guard against float products landing epsilon above an integer.
 _CEIL_TOL = 1e-12
@@ -63,6 +61,7 @@ class StepStats:
     initial step it counts blank draws. ``palette_exhausted`` counts
     prefix vertices skipped because earlier picks consumed their whole
     residual palette (impossible while the regularity conditions hold).
+    ``rounds`` is the step's ``ROUND_COST``, set by its ``kind``.
     """
 
     kind: str
@@ -72,7 +71,10 @@ class StepStats:
     palette_exhausted: int = 0
     surplus_min: int | None = None
     surplus_mean: float | None = None
-    rounds: int = 0
+    rounds: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.rounds = ROUND_COST[self.kind]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -149,6 +151,11 @@ def _ceil_frac(x: float) -> int:
     return int(math.ceil(x - _CEIL_TOL))
 
 
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 <= gamma <= 1.0:
+        raise ValidationError(f"gamma must lie in [0, 1], got {gamma}")
+
+
 def _conflicted(
     graph: Graph, tentative: np.ndarray, rank: np.ndarray | None = None
 ) -> np.ndarray:
@@ -173,28 +180,31 @@ def _conflicted(
 
 
 def _resolve(
-    state: ColoringState, tentative: np.ndarray, rank: np.ndarray | None = None
-) -> tuple[int, int]:
+    state: ColoringState, tentative: np.ndarray, kind: str, rank: np.ndarray | None = None
+) -> StepStats:
     """The end of every coloring step: commit each drawn color that is not
-    :func:`_conflicted` on ``state.graph``, store the draws as
-    ``state.tentative`` and return (colored, de_colored)."""
+    :func:`_conflicted` on ``state.graph`` and return the step's record
+    with its colored and de-colored counts."""
     conflicted = _conflicted(state.graph, tentative, rank)
     winners = np.flatnonzero((tentative != BLANK) & ~conflicted)
     commit_colors(state, winners, tentative[winners])
-    state.tentative = tentative
-    return int(winners.size), int(np.count_nonzero(conflicted))
+    return StepStats(
+        kind, colored=int(winners.size), de_colored=int(np.count_nonzero(conflicted))
+    )
 
 
 def _uniform_pick(
     state: ColoringState, vertices: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """A uniform residual-palette color for each of the ascending ``vertices``.
+    """Draws, one per vertex: a uniform residual-palette color for each of
+    the ascending ``vertices``, blank for every other vertex.
 
     One draw ``rng.integers(0, sizes)`` consumes the generator exactly as
     one scalar ``rng.integers(size)`` per vertex, in order, would.
     """
+    tentative = np.zeros(state.graph.n, dtype=np.int64)
     if vertices.size == 0:
-        return np.zeros(0, dtype=np.int64)
+        return tentative
     rank = np.cumsum(state.palette[vertices], axis=1, dtype=np.int32)
     sizes = rank[:, -1]
     if not sizes.all():
@@ -202,7 +212,8 @@ def _uniform_pick(
         raise InvariantViolation(f"vertex {v} has an empty residual palette")
     k = rng.integers(0, sizes)
     # the k-th set bit (from 0) is the first column whose running count exceeds k
-    return state.color_values[np.count_nonzero(rank <= k[:, None], axis=1)]
+    tentative[vertices] = state.color_values[np.count_nonzero(rank <= k[:, None], axis=1)]
+    return tentative
 
 
 def _checked_draws(
@@ -238,14 +249,9 @@ def apply_initial_tentative(state: ColoringState, tentative: np.ndarray) -> Step
     sides. Split out from the random draw so tests can inject colors.
     """
     tentative = _checked_draws(state, tentative)
-    colored, de_colored = _resolve(state, tentative)
-    return StepStats(
-        kind="initial",
-        colored=colored,
-        de_colored=de_colored,
-        initially_uncolored=int(np.count_nonzero(tentative == BLANK)),
-        rounds=ROUND_COST_INITIAL,
-    )
+    stats = _resolve(state, tentative, "initial")
+    stats.initially_uncolored = int(np.count_nonzero(tentative == BLANK))
+    return stats
 
 
 def initial_coloring_step(state: ColoringState, rng: np.random.Generator) -> StepStats:
@@ -257,12 +263,8 @@ def initial_coloring_step(state: ColoringState, rng: np.random.Generator) -> Ste
     """
     if np.any(state.committed != BLANK):
         raise ValidationError("initial coloring step requires a fresh state")
-    n = state.graph.n
-    draws = rng.random(n)
-    tentative = np.zeros(n, dtype=np.int64)
-    active = np.flatnonzero(draws < ACTIVATION_PROB)
-    tentative[active] = _uniform_pick(state, active, rng)
-    return apply_initial_tentative(state, tentative)
+    active = np.flatnonzero(rng.random(state.graph.n) < ACTIVATION_PROB)
+    return apply_initial_tentative(state, _uniform_pick(state, active, rng))
 
 
 def count_good_colors(state: ColoringState) -> GoodColorDiag:
@@ -346,8 +348,7 @@ def apply_dense_tentative(
                 f"duplicate tentative colors inside the almost-clique led by {clique.leader}"
             )
 
-    colored, de_colored = _resolve(state, tentative, decomp.leader_by_vertex())
-    return StepStats(kind="dense", colored=colored, de_colored=de_colored, rounds=ROUND_COST_DENSE)
+    return _resolve(state, tentative, "dense", decomp.leader_by_vertex())
 
 
 def dense_coloring_step(
@@ -362,8 +363,7 @@ def dense_coloring_step(
     first ceil(M * gamma) members of a fresh random permutation of the M
     uncolored members try a color this step.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValidationError(f"gamma must lie in [0, 1], got {gamma}")
+    _check_gamma(gamma)
     tentative, in_prefix = _select_dense_tentative(state, decomp, gamma, rng)
     left_out = np.count_nonzero((decomp.membership >= 0) & state.uncolored_mask() & ~in_prefix)
     stats = apply_dense_tentative(state, decomp, tentative)
@@ -380,13 +380,7 @@ def fallback_round(
     mask = state.committed == BLANK
     if eligible is not None:
         mask &= eligible
-    tentative = np.zeros(state.graph.n, dtype=np.int64)
-    active = np.flatnonzero(mask)
-    tentative[active] = _uniform_pick(state, active, rng)
-    colored, de_colored = _resolve(state, tentative)
-    return StepStats(
-        kind="fallback", colored=colored, de_colored=de_colored, rounds=ROUND_COST_FALLBACK
-    )
+    return _resolve(state, _uniform_pick(state, np.flatnonzero(mask), rng), "fallback")
 
 
 class PhaseDriver:
@@ -448,13 +442,18 @@ class PhaseDriver:
         return self._root.spawn(1)[0]
 
     def _finish_step(self, stats: StepStats) -> None:
-        """Record a committed step and run the per-commit checks."""
+        """Record a committed step, with the surplus min/mean over the
+        uncolored sparse vertices (all uncolored vertices before
+        :meth:`decompose`), and run the per-commit checks."""
         state = self.state
-        _fill_surplus(stats, state, self.decomp)
-        self.steps.append(stats)
-        tag = f"step {len(self.steps)} ({stats.kind})"
         surplus = state.surplus()
         uncolored = state.uncolored_mask()
+        tracked = uncolored if self.decomp is None else uncolored & (self.decomp.membership < 0)
+        if tracked.any():
+            stats.surplus_min = int(surplus[tracked].min())
+            stats.surplus_mean = float(surplus[tracked].mean())
+        self.steps.append(stats)
+        tag = f"step {len(self.steps)} ({stats.kind})"
         drop = uncolored & self._prev_uncolored & (surplus < self._prev_surplus)
         if np.any(drop):
             v = int(np.flatnonzero(drop)[0])
@@ -469,7 +468,7 @@ class PhaseDriver:
         if self._decomp is None:
             self._decomp = decompose(self.graph, self.schedule.epsilon)
         self.decomp = self._decomp
-        self.steps.append(StepStats(kind="decompose", rounds=ROUND_COST_DECOMPOSE))
+        self.steps.append(StepStats("decompose"))
 
     def initial(self) -> None:
         """The initial step, then the good-color bound s0 >= |J|."""
@@ -486,12 +485,22 @@ class PhaseDriver:
 
         ``bounds[i]`` is the schedule row (D, Z) that step i + 1 starts
         from; with it, each prefix vertex is checked against the palette
-        floor. Steps driven by a hand-picked gamma carry no bounds.
+        floor. Steps driven by a hand-picked gamma carry no bounds. The
+        whole plan is checked before the first step: every gamma must lie
+        in [0, 1] and ``bounds``, when given, must hold one row per gamma.
         """
         if self.decomp is None:
             raise ValidationError("dense steps need the decomposition: call decompose() first")
+        for gamma in gammas:
+            _check_gamma(gamma)
+        if bounds is not None and len(bounds) != len(gammas):
+            raise ValidationError(
+                f"a dense plan needs one bound row per gamma, got {len(bounds)} rows "
+                f"for {len(gammas)} gammas"
+            )
         for i, gamma in enumerate(gammas, start=1):
-            q_pre = self.state.residual_palette_size.copy()
+            # the palette floor check is the only reader of Q before the step
+            q_pre = None if bounds is None else self.state.residual_palette_size.copy()
             result = dense_coloring_step(self.state, self.decomp, gamma, self._stream())
             self._finish_step(result.stats)
             if bounds is not None:
@@ -635,17 +644,4 @@ def run(
                          max_fallback_iters=max_fallback_iters)
     driver.full()
     return driver.report()
-
-
-def _fill_surplus(stats: StepStats, state: ColoringState, decomp: Decomposition | None) -> None:
-    """Surplus min/mean over the uncolored sparse vertices (all uncolored
-    vertices when no decomposition is in play)."""
-    mask = state.uncolored_mask()
-    if decomp is not None:
-        mask &= decomp.membership < 0
-    if not np.any(mask):
-        return
-    surplus = state.surplus()[mask]
-    stats.surplus_min = int(surplus.min())
-    stats.surplus_mean = float(surplus.mean())
 

@@ -16,6 +16,7 @@ import numpy as np
 from .decomposition import THRESHOLD_TOL, AlmostClique, Decomposition
 from .errors import GenerationError, ValidationError
 from .graph import Graph, build_graph, edge_common_counts, segment_sum
+from .schedule import check_epsilon
 
 _BRUTE_FORCE_LIMIT = 500
 _LOCALLY_SPARSE_ATTEMPTS = 50
@@ -205,9 +206,7 @@ def brute_force_decomposition(graph: Graph, epsilon: float) -> Decomposition:
     """Oracle decomposition by direct definition chasing (small graphs only)."""
     if graph.n > _BRUTE_FORCE_LIMIT:
         raise ValidationError(f"brute-force oracle capped at n={_BRUTE_FORCE_LIMIT}")
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < 0.2:
-        raise ValidationError(f"epsilon must be in (0, 1/5), got {epsilon}")
+    epsilon = check_epsilon(epsilon)
 
     nsets = [graph.neighbor_set(v) for v in range(graph.n)]
     threshold = (1.0 - epsilon) * graph.max_degree - THRESHOLD_TOL

@@ -66,12 +66,25 @@ class ScheduleParams:
         }
 
 
+def _check_k(k: float) -> None:
+    if not (math.isfinite(k) and k > 0):
+        raise ValidationError(f"K must be positive and finite, got {k}")
+
+
+def check_epsilon(epsilon: float, what: str = "epsilon", hint: str = "") -> float:
+    """``epsilon`` as a float, which must lie in (0, 1/5); ``what`` names
+    it in the error and ``hint`` ends the error."""
+    eps = float(epsilon)
+    if not 0.0 < eps < 0.2:
+        raise ValidationError(f"{what} must be in (0, 1/5), got {eps}{hint}")
+    return eps
+
+
 def density_epsilon(delta_max: float, k: float) -> float:
     """eps = 100^(-sqrt(ln max_degree)) / (100 K)."""
     if delta_max < 1:
         raise ValidationError("max degree must be at least 1")
-    if not (math.isfinite(k) and k > 0):
-        raise ValidationError(f"K must be positive and finite, got {k}")
+    _check_k(k)
     return 100.0 ** (-math.sqrt(math.log(delta_max))) / (100.0 * k)
 
 
@@ -93,8 +106,9 @@ def regularity_ok(d: float, z: float, n: int, k: float) -> bool:
     """Regularity gate for one dense step: d*delta >= K ln n and delta <= 1/K."""
     if d <= 0 or z <= 0:
         raise ValidationError("bounds must be positive")
-    if n < 1 or not (math.isfinite(k) and k > 0):
-        raise ValidationError(f"need n >= 1 and a positive finite K, got n={n}, K={k}")
+    if n < 1:
+        raise ValidationError("vertex count must be at least 1")
+    _check_k(k)
     delta = d / z
     return d * delta >= k * math.log(n) and delta <= 1.0 / k
 
@@ -121,22 +135,13 @@ def build_schedule(
         raise ValidationError("max degree must be at least 1")
     if n < 1:
         raise ValidationError("vertex count must be at least 1")
-    if not (math.isfinite(k) and k > 0):
-        raise ValidationError(f"K must be positive and finite, got {k}")
-
-    if epsilon is None:
-        eps = density_epsilon(delta_max, k)
-        if not 0.0 < eps < 0.2:
-            raise ValidationError(
-                f"the density formula gives epsilon {eps} at K={k}, outside (0, 1/5); "
-                "set it with --epsilon"
-            )
-        overridden = False
+    _check_k(k)
+    overridden = epsilon is not None
+    if overridden:
+        eps = check_epsilon(epsilon, "epsilon override")
     else:
-        eps = float(epsilon)
-        if not 0.0 < eps < 0.2:
-            raise ValidationError(f"epsilon override must be in (0, 1/5), got {eps}")
-        overridden = True
+        eps = check_epsilon(density_epsilon(delta_max, k), f"the density formula's epsilon at K={k}",
+                            "; set it with --epsilon")
 
     num_rounds = math.ceil(math.sqrt(math.log(delta_max)))
     d0 = 3.0 * eps * delta_max

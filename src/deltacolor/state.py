@@ -1,10 +1,11 @@
 """Mutable partial-coloring state: residual palettes, degrees, surplus.
 
-The state tracks, per vertex, the residual palette Pal(v), a tentative
-color A(v), the committed color chi(v), the residual palette size Q(v)
-and the residual degree d(v) (uncolored neighbors). The surplus
-S(v) = Q(v) - d(v) never decreases under commits: a committed neighbor
-always costs one degree and at most one palette entry.
+The state tracks, per vertex, the residual palette Pal(v), the committed
+color chi(v), the residual palette size Q(v) and the residual degree
+d(v) (uncolored neighbors). A step's tentative colors A(v) live only
+inside that step. The surplus S(v) = Q(v) - d(v) never decreases under
+commits: a committed neighbor always costs one degree and at most one
+palette entry.
 """
 
 from __future__ import annotations
@@ -31,14 +32,13 @@ class ColoringState:
 
     Palettes are stored as a boolean matrix over the distinct colors
     appearing in any palette; ``color_values`` (ascending) maps column ->
-    color. ``tentative`` and ``committed`` hold color values, 0 = blank.
+    color. ``committed`` holds color values, 0 = blank.
     """
 
     graph: Graph
     color_values: np.ndarray
     original_palette: np.ndarray
     palette: np.ndarray
-    tentative: np.ndarray
     committed: np.ndarray
     residual_palette_size: np.ndarray
     residual_degree: np.ndarray
@@ -131,7 +131,6 @@ def init_state(graph: Graph, palettes: Sequence[Sequence[int]]) -> ColoringState
         color_values=values,
         original_palette=original,
         palette=pal,
-        tentative=np.zeros(graph.n, dtype=np.int64),
         committed=np.zeros(graph.n, dtype=np.int64),
         residual_palette_size=pal.sum(axis=1).astype(np.int64),
         residual_degree=graph.degrees().astype(np.int64),

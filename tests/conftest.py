@@ -32,7 +32,7 @@ def color_index(state, value: int) -> int:
 
 def copy_state(state):
     """A state with its own copies of every array a commit writes."""
-    mutable = ("palette", "tentative", "committed", "residual_palette_size", "residual_degree")
+    mutable = ("palette", "committed", "residual_palette_size", "residual_degree")
     return dataclasses.replace(state, **{name: getattr(state, name).copy() for name in mutable})
 
 

@@ -13,7 +13,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import deltacolor
-from deltacolor.cli import main
+from deltacolor.cli import MODES, main
 
 
 def read_json(path):
@@ -362,6 +362,36 @@ def test_steps_beyond_the_limit_are_a_usage_error(tmp_path, capsys, steps):
     cfg.write_text(json.dumps({"steps": steps}))
     for extra in (["--steps", str(steps)], ["--config", str(cfg)]):
         assert "--steps must be at least 1 and at most 1000000" in _usage_error(capsys, argv + extra)
+
+
+@pytest.mark.parametrize("flag, value, mode", [
+    ("steps", 2, "dense-steps"), ("step-delta", 0.04, "dense-steps"), ("coloring", "c.json", "verify"),
+])
+def test_mode_flags_outside_their_mode_are_a_usage_error(tmp_path, capsys, flag, value, mode):
+    # rejected before the graph is read, from the flag and from a config
+    missing = str(tmp_path / "missing.txt")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({flag: value}))
+    for other in MODES:
+        if other == mode:
+            continue
+        for extra in ([f"--{flag}", str(value)], ["--config", str(cfg)]):
+            message = _usage_error(capsys, ["run", "--input", missing, "--mode", other, *extra])
+            assert f"--{flag} does not apply to --mode {other}" in message
+
+
+def test_verify_without_a_coloring_is_rejected_before_the_graph_loads(tmp_path, capsys):
+    argv = ["run", "--input", str(tmp_path / "missing.txt"), "--mode", "verify"]
+    assert "verify mode needs --coloring" in _usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("delta", [0, -0.04, 0.3, 5, float("nan")])
+def test_step_delta_outside_its_range_is_rejected_before_the_graph_loads(tmp_path, capsys, delta):
+    argv = ["run", "--input", str(tmp_path / "missing.txt"), "--mode", "dense-steps"]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"step-delta": delta}))
+    for extra in (["--step-delta", str(delta)], ["--config", str(cfg)]):
+        assert "--step-delta must lie in (0, 0.25]" in _usage_error(capsys, argv + extra)
 
 
 def test_edge_list_header_beyond_the_vertex_limit_is_a_usage_error(tmp_path, capsys):

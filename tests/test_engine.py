@@ -20,7 +20,14 @@ from deltacolor import (
     initial_coloring_step,
     run,
 )
-from deltacolor.engine import PhaseDriver, _conflicted, _select_dense_tentative, _uniform_pick
+from deltacolor.engine import (
+    ROUND_COST,
+    PhaseDriver,
+    StepStats,
+    _conflicted,
+    _select_dense_tentative,
+    _uniform_pick,
+)
 from deltacolor import graph as graph_module
 from deltacolor.graph import segment_sum
 
@@ -387,6 +394,87 @@ def test_driver_adopts_a_precomputed_decomposition(monkeypatch):
     driver.decompose()
     assert driver.decomp is decomp
     assert [s.kind for s in driver.steps] == ["decompose"]
+
+
+@pytest.mark.parametrize("gammas, rows, match", [
+    ([0.6, 0.6], 1, "got 1 rows for 2 gammas"),
+    ([0.6], 2, "got 2 rows for 1 gammas"),
+    ([0.6, 1.5], None, r"gamma must lie in \[0, 1\], got 1.5"),
+    ([0.6, -0.1], 2, r"gamma must lie in \[0, 1\], got -0.1"),
+])
+def test_driver_checks_the_whole_dense_plan_before_the_first_step(gammas, rows, match):
+    g = generate(GeneratorSpec.parse("clique_chain:50x4"))
+    driver, fresh = (PhaseDriver(g, canonical_palettes(g), seed=1, epsilon=0.1) for _ in range(2))
+    driver.decompose()
+    fresh.decompose()
+    bounds = None if rows is None else [driver.schedule.rounds[0]] * rows
+    with pytest.raises(ValidationError, match=match):
+        driver.dense(gammas, bounds)
+    assert [s.kind for s in driver.steps] == ["decompose"]
+    for name in ("committed", "palette", "residual_palette_size", "residual_degree"):
+        assert np.array_equal(getattr(driver.state, name), getattr(fresh.state, name)), name
+    # no stream was drawn either: the next step matches a fresh driver's
+    driver.dense([0.6])
+    fresh.dense([0.6])
+    assert np.array_equal(driver.state.committed, fresh.state.committed)
+
+
+# ------------------------------------------------------------- step records
+
+
+def _clique_with_tail():
+    """K_20 on 0..19 (dense at epsilon 0.1) and the path 0-20-21-22 (sparse)."""
+    edges = [(u, v) for u in range(20) for v in range(u + 1, 20)]
+    return build_graph(edges + [(0, 20), (20, 21), (21, 22)])
+
+
+def test_step_surplus_covers_every_uncolored_vertex_before_decompose():
+    g = _clique_with_tail()
+    driver = PhaseDriver(g, canonical_palettes(g), epsilon=0.1)
+    driver.fallback(np.arange(g.n) == 22)
+    (stats,) = driver.steps
+    # vertex 0 has 21 colours and 20 uncolored neighbours
+    surplus = driver.state.surplus()[:22]
+    assert (stats.surplus_min, stats.surplus_mean) == (1, float(surplus.mean()))
+
+
+def test_step_surplus_covers_only_uncolored_sparse_vertices_after_decompose():
+    g = _clique_with_tail()
+    driver = PhaseDriver(g, canonical_palettes(g), epsilon=0.1)
+    driver.decompose()
+    assert driver.decomp.sparse.tolist() == [20, 21, 22]
+    driver.fallback(np.arange(g.n) == 22)
+    # 20 keeps 21 colours and 2 uncolored neighbours; 21 loses 22's colour and 22
+    assert (driver.steps[-1].surplus_min, driver.steps[-1].surplus_mean) == (19, 19.0)
+
+
+def test_step_surplus_is_none_when_no_tracked_vertex_is_left():
+    g = _clique_with_tail()
+    driver = PhaseDriver(g, canonical_palettes(g), epsilon=0.1)
+    driver.fallback()
+    last = driver.steps[-1]
+    assert (last.surplus_min, last.surplus_mean) == (None, None)
+    # after decompose(), the clique's uncolored members are not tracked
+    driver = PhaseDriver(g, canonical_palettes(g), epsilon=0.1)
+    driver.decompose()
+    driver.fallback(driver.decomp.membership < 0)
+    assert driver.state.num_uncolored() == 20
+    last = driver.steps[-1]
+    assert (last.surplus_min, last.surplus_mean) == (None, None)
+
+
+@pytest.mark.parametrize("kind", sorted(ROUND_COST))
+def test_step_rounds_follow_the_kind(kind):
+    assert StepStats(kind).rounds == ROUND_COST[kind]
+    with pytest.raises(TypeError):
+        StepStats(kind, rounds=1)
+
+
+def test_rounds_used_is_the_sum_over_the_steps():
+    g = generate(GeneratorSpec("clique_chain", {"size": 200, "count": 5}))
+    report = run(g, canonical_palettes(g), k=0.5, seed=3, epsilon=0.035, force_main_path=True)
+    assert {s.kind for s in report.steps} == set(ROUND_COST)
+    assert report.rounds_used == sum(ROUND_COST[s.kind] for s in report.steps)
 
 
 # ----------------------------------------------------------------------- run

@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 from deltacolor import (
     ValidationError,
     advance_params,
+    brute_force_decomposition,
+    build_graph,
     build_schedule,
+    compute_friend_edges,
+    decompose,
     density_epsilon,
     regularity_ok,
 )
@@ -187,3 +191,14 @@ def test_table_truncates_when_ratio_reaches_one():
 def test_regularity_horizon_fits_the_table(delta, n, k, epsilon):
     sched = build_schedule(delta, n, k, epsilon=epsilon)
     assert 0 <= sched.regularity_horizon <= len(sched.rounds) - 1 <= sched.num_dense_rounds
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.2, -0.1, float("nan")])
+def test_every_epsilon_entry_point_shares_one_range_check(epsilon):
+    g = build_graph([(0, 1), (1, 2)])
+    message = rf"epsilon must be in \(0, 1/5\), got {epsilon}"
+    for call in (decompose, brute_force_decomposition, compute_friend_edges):
+        with pytest.raises(ValidationError, match=rf"^{message}$"):
+            call(g, epsilon)
+    with pytest.raises(ValidationError, match=rf"^epsilon override must be in \(0, 1/5\), got {epsilon}$"):
+        build_schedule(10, n=10, k=1.0, epsilon=epsilon)
