@@ -31,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import graph as graph_module
 from .checks import (
     coloring_failures,
     properness_failures,
@@ -205,14 +206,23 @@ def _uniform_pick(
     tentative = np.zeros(state.graph.n, dtype=np.int64)
     if vertices.size == 0:
         return tentative
-    rank = np.cumsum(state.palette[vertices], axis=1, dtype=np.int32)
-    sizes = rank[:, -1]
+    # Blocks of at most SLOT_BLOCK palette cells (a wider row is a block
+    # of its own), so no temporary grows with |vertices| x colours.
+    width = state.num_colors
+    step = max(1, graph_module.SLOT_BLOCK // width)
+    blocks = [slice(start, start + step) for start in range(0, vertices.size, step)]
+    sizes = np.concatenate(
+        [np.count_nonzero(state.palette[vertices[block]], axis=1) for block in blocks]
+    )
     if not sizes.all():
         v = int(vertices[np.argmin(sizes)])
         raise InvariantViolation(f"vertex {v} has an empty residual palette")
     k = rng.integers(0, sizes)
-    # the k-th set bit (from 0) is the first column whose running count exceeds k
-    tentative[vertices] = state.color_values[np.count_nonzero(rank <= k[:, None], axis=1)]
+    for block in blocks:
+        # the k-th set cell of a row sits k cells after the row's first one
+        cells = np.flatnonzero(state.palette[vertices[block]])
+        k[block] += np.cumsum(sizes[block]) - sizes[block]
+        tentative[vertices[block]] = state.color_values[cells[k[block]] % width]
     return tentative
 
 

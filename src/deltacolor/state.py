@@ -21,8 +21,10 @@ from .errors import InvariantViolation, ValidationError
 from .graph import BLANK, Graph, as_int64, segment_sum
 
 # Most cells of the vertex-by-colour palette matrix: the state holds it
-# twice, and a commit, a recount and a pick each build one more of its
-# size, so init_state checks the size before allocating.
+# twice, and a commit builds one more of its size (its colour-major marks),
+# so init_state checks the size before allocating. A recount builds one
+# for a block of rows, and a pick reads the palette in blocks of
+# graph.SLOT_BLOCK cells.
 _MAX_PALETTE_CELLS = 2**28
 
 
@@ -192,21 +194,22 @@ def commit_colors(state: ColoringState, vertices: ArrayLike, colors: ArrayLike) 
         raise InvariantViolation(f"vertex {int(vertices[np.argmax(repeat)])} is assigned twice")
 
     # One pass over the batch's slots, in row blocks (Graph.row_blocks) so
-    # its temporaries stay cache-sized. It checks the batch and gathers
-    # one (neighbor, color column) mark per slot; marks for neighbors that
-    # are committed, or in the batch, land in a spare last row. The state
+    # its temporaries stay cache-sized. It checks the batch and scatters
+    # one mark per slot into a colour-major matrix, at (color column,
+    # dest[neighbor]): dest sends a live neighbor (uncolored and not in
+    # the batch) to its own column and every other vertex to the spare
+    # last one, so each batch vertex's marks land in one row. The state
     # changes only after the whole batch has passed.
     spare = graph.n
-    width = state.num_colors
+    dest = np.where((state.committed == BLANK) & (batch == BLANK), np.arange(spare), spare)
     lost = np.zeros(spare + 1, dtype=np.int64)
-    hit = np.zeros((spare + 1) * width, dtype=bool)
-    columns = state.color_columns(colors)
+    hit = np.zeros(state.num_colors * (spare + 1), dtype=bool)
+    offsets = state.color_columns(colors) * (spare + 1)
     for block in graph.row_blocks(vertices):
         slots, degrees = graph.row_slots(vertices[block])
         neighbors = graph.indices[slots]
         own = np.repeat(colors[block], degrees)
-        incoming = batch[neighbors]
-        clash = incoming == own
+        clash = batch[neighbors] == own
         if clash.any():
             k = int(np.argmax(clash))
             v = int(vertices[block][np.searchsorted(np.cumsum(degrees), k, side="right")])
@@ -215,19 +218,25 @@ def commit_colors(state: ColoringState, vertices: ArrayLike, colors: ArrayLike) 
             )
         # A conflict with an already-committed neighbor is impossible here:
         # its color was removed from v's residual palette when it committed.
-        live = (incoming == BLANK) & (state.committed[neighbors] == BLANK)
-        rows = np.where(live, neighbors, spare)
+        rows = dest[neighbors]
         lost += np.bincount(rows, minlength=spare + 1)
-        hit[rows * width + np.repeat(columns[block], degrees)] = True
+        rows += np.repeat(offsets[block], degrees)
+        hit[rows] = True
 
     state.committed[vertices] = colors
     state.residual_degree -= lost[:spare]
-    # marks of colors a neighbor no longer holds drop out; two batch
-    # vertices sharing a neighbor and a color leave one mark
-    hit = hit.reshape(spare + 1, width)[:spare]
-    hit &= state.palette
-    state.residual_palette_size -= np.count_nonzero(hit, axis=1)
-    state.palette ^= hit
+    # Only live neighbors of the batch lost anything. Marks of colors a
+    # neighbor no longer holds drop out; two batch vertices sharing a
+    # neighbor and a color leave one mark. numpy lays the fancy-indexed
+    # columns out one touched row after another, so the transpose is
+    # C-contiguous and lines up with the palette rows.
+    touched = np.flatnonzero(lost[:spare])
+    marks = hit.reshape(state.num_colors, spare + 1)[:, touched].T
+    held = state.palette[touched]
+    marks &= held
+    state.residual_palette_size[touched] -= np.count_nonzero(marks, axis=1)
+    held ^= marks
+    state.palette[touched] = held
 
 
 def recompute_residuals(

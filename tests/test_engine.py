@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -617,25 +619,56 @@ def test_vector_integers_draw_the_scalar_stream():
         assert vector.random() == scalar.random()
 
 
+@st.composite
+def palette_rows(draw):
+    """1-12 nonempty residual palette rows over 1-40 colour columns."""
+    width = draw(st.integers(1, 40))
+    row = st.lists(st.booleans(), min_size=width, max_size=width).filter(any)
+    return draw(st.lists(row, min_size=1, max_size=12))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
-    rows=st.lists(st.lists(st.booleans(), min_size=6, max_size=6).filter(any), min_size=1, max_size=12),
+    rows=palette_rows(),
     seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([None, 1, 3, 64]),
 )
-def test_uniform_pick_matches_the_scalar_loop(rows, seed):
+def test_uniform_pick_matches_the_scalar_loop(rows, seed, block):
+    width = len(rows[0])
     g = build_graph([], n=len(rows))
-    state = init_state(g, [list(range(1, 7))] * len(rows))
+    state = init_state(g, [list(range(1, width + 1))] * len(rows))
     state.palette[:] = np.array(rows)
-    state.color_values = np.array([2, 3, 5, 8, 13, 21])
+    # colour values apart from column numbers, so a mix-up shows
+    state.color_values = np.cumsum(np.arange(2, width + 2))
     vertices = np.arange(len(rows))
     vector, scalar = rng_for(seed), rng_for(seed)
-    picked = _uniform_pick(state, vertices, vector)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(graph_module, "SLOT_BLOCK", block)
+        picked = _uniform_pick(state, vertices, vector)
     expected = []
     for v in vertices:
         choices = np.flatnonzero(state.palette[v])
         expected.append(int(state.color_values[choices[int(scalar.integers(choices.size))]]))
     assert picked.tolist() == expected
     assert vector.random() == scalar.random()
+
+
+def test_uniform_pick_memory_follows_the_cell_block(monkeypatch):
+    # 2000 vertices over 600 colours: a |vertices| x colours int32 matrix
+    # takes 4.8 MB; blocks of 2**12 cells keep the pick far below it
+    monkeypatch.setattr(graph_module, "SLOT_BLOCK", 2**12)
+    n, width = 2000, 600
+    state = init_state(build_graph([], n=n), [range(1, width + 1)] * n)
+    state.palette[:, ::3] = False
+    tracemalloc.start()
+    try:
+        picked = _uniform_pick(state, np.arange(n), rng_for(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(picked % 3 != 1)
+    assert peak < n * width * 4 // 8
 
 
 def test_uniform_pick_names_the_first_empty_palette():

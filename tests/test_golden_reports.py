@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from deltacolor import GeneratorSpec, build_graph, canonical_palettes, generate, run
+from deltacolor import graph as graph_module
 from deltacolor.cli import main
 from deltacolor.io import dump_json, write_edge_list
 
@@ -126,6 +127,14 @@ def test_full_reports_match_golden_hashes(tmp_path, name):
     golden = json.loads(FIXTURE.read_text())[name]
     assert api_hash(name, tmp_path) == golden
     assert cli_hash(name, tmp_path) == golden
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_full_reports_hold_with_small_slot_blocks(tmp_path, monkeypatch, name):
+    # every row scan, commit and pick then spans many blocks; cutting the
+    # work into blocks must not change one byte of the report
+    monkeypatch.setattr(graph_module, "SLOT_BLOCK", 64)
+    assert api_hash(name, tmp_path) == json.loads(FIXTURE.read_text())[name]
 
 
 def test_golden_cases_cover_every_phase(tmp_path):

@@ -248,15 +248,41 @@ def test_array_commit_matches_per_vertex_reference(case, block):
 
 
 def test_commit_same_colour_pair_sharing_a_live_neighbour_drops_q_once():
-    # path 1 - 0 - 2 plus 3 - 0: leaves 1 and 2 both take colour 2
+    # path 1 - 0 - 2 plus 3 - 0: leaves 1 and 2 both take colour 2; with
+    # one slot per block their two marks come from different blocks
     g = build_graph([(0, 1), (0, 2), (0, 3)])
+    for block in (graph_module.SLOT_BLOCK, 1):
+        state = init_state(g, canonical_palettes(g))
+        mirror = copy_state(state)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "SLOT_BLOCK", block)
+            commit_colors(state, np.array([1, 2]), np.array([2, 2]))
+        reference_commit(mirror, [1, 2], [2, 2])
+        assert_same_state(state, mirror)
+        assert state.residual_palette_size[0] == 3
+        assert state.residual_degree[0] == 1
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_commit_marks_neither_a_committed_nor_an_in_batch_neighbour(monkeypatch, block):
+    # star 0 - {1, 2, 3} plus 2 - 3: leaf 1 is colored first; then 0 and 2
+    # commit together, so of their neighbours only 3 is live
+    if block is not None:
+        monkeypatch.setattr(graph_module, "SLOT_BLOCK", block)
+    g = build_graph([(0, 1), (0, 2), (0, 3), (2, 3)])
     state = init_state(g, canonical_palettes(g))
+    commit_colors(state, np.array([1]), np.array([1]))
+    before = copy_state(state)
     mirror = copy_state(state)
-    commit_colors(state, np.array([1, 2]), np.array([2, 2]))
-    reference_commit(mirror, [1, 2], [2, 2])
+    commit_colors(state, np.array([0, 2]), np.array([2, 3]))
+    reference_commit(mirror, [0, 2], [2, 3])
     assert_same_state(state, mirror)
-    assert state.residual_palette_size[0] == 3
-    assert state.residual_degree[0] == 1
+    for v in (0, 1, 2):
+        assert state.residual_palette_size[v] == before.residual_palette_size[v]
+        assert state.residual_degree[v] == before.residual_degree[v]
+        assert np.array_equal(state.palette[v], before.palette[v])
+    assert palette_of(state, 3) == {1, 4}
+    assert state.residual_degree[3] == 0
 
 
 @pytest.mark.parametrize(
