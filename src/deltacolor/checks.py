@@ -15,7 +15,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
-from .graph import BLANK, Graph, first_non_integer
+from .graph import BLANK, Graph, first_non_integer, vertex_ids
 from .state import ColoringState, recompute_residuals
 
 _REPORT_CAP = 5
@@ -83,12 +83,13 @@ def verify_coloring(
 ) -> list[str]:
     """Check a saved coloring against a graph and its palettes.
 
-    A map's keys must be vertex IDs (integers, or strings of one) and its
-    colors integers; an array must have an integer dtype. Anything else
-    raises :class:`ValidationError` rather than being truncated.
+    A map's keys must be vertex IDs (integers, or strings of ASCII digits
+    after an optional minus sign) and its colors integers; an array must
+    have an integer dtype. Anything else raises :class:`ValidationError`
+    rather than being truncated.
     """
     if isinstance(coloring, dict):
-        vertices, values = list(map(_vertex_id, coloring)), list(coloring.values())
+        vertices, values = vertex_ids(list(coloring), "coloring key"), list(coloring.values())
         bad = first_non_integer(values)
         if bad is not None:
             raise ValidationError(f"coloring of vertex {vertices[bad]}: {values[bad]!r} is not an integer")
@@ -122,59 +123,22 @@ def verify_coloring(
     return out
 
 
-def _vertex_id(key) -> int:
-    """A coloring-map key as a vertex ID: an integer, or a string of one."""
-    try:
-        if isinstance(key, str) or first_non_integer([key]) is None:
-            return int(key)
-    except ValueError:
-        pass
-    raise ValidationError(f"coloring key {key!r} is not a vertex ID")
-
-
 def decomposition_failures(graph: Graph, decomp) -> list[str]:
-    """Structural validity: disjoint exhaustive parts, correct leaders,
-    friend-edge connectivity of each almost-clique."""
-    out = []
-    n = graph.n
-    seen = np.zeros(n, dtype=np.int64)
-    seen[decomp.sparse] += 1
-    for clique in decomp.cliques:
-        seen[clique.members] += 1
-    if np.any(seen != 1):
-        v = int(np.flatnonzero(seen != 1)[0])
-        out.append(f"vertex {v} appears in {int(seen[v])} parts of the decomposition")
-
-    # a clique is connected iff all its members share one label
-    labels = _intra_clique_labels(decomp) if decomp.cliques else None
-    leaders = [c.leader for c in decomp.cliques]
-    if len(set(leaders)) != len(leaders):
-        out.append("leader IDs are not distinct across almost-cliques")
-    for j, clique in enumerate(decomp.cliques):
-        if clique.members.size == 0:
-            out.append(f"almost-clique {j} is empty")
-            continue
-        if clique.leader != int(clique.members.min()):
-            out.append(f"almost-clique {j}: leader {clique.leader} is not the smallest member")
-        if np.any(decomp.membership[clique.members] != j):
-            out.append(f"almost-clique {j}: membership array disagrees with member list")
-        if np.any(labels[clique.members] != labels[clique.members[0]]):
-            out.append(f"almost-clique {j} is not connected under friend edges")
-    return out
-
-
-def _intra_clique_labels(decomp) -> np.ndarray:
-    """Component label per vertex under the friend edges whose endpoints
-    lie in the same almost-clique."""
-    friends = decomp.friend_graph
-    src = friends.slot_owners()
-    owner = decomp.membership[src]
-    inside = (owner >= 0) & (owner == decomp.membership[friends.indices])
-    intra = csr_matrix(
-        (np.ones(int(np.count_nonzero(inside)), dtype=np.int8), (src[inside], friends.indices[inside])),
-        shape=(friends.n, friends.n),
-    )
-    return connected_components(intra, directed=False)[1]
+    """Friend-edge connectivity of each almost-clique; the split itself
+    holds by construction of the decomposition."""
+    member, friends = decomp.membership, decomp.friend_graph
+    dense = np.flatnonzero(member >= 0)
+    if dense.size == 0:
+        return []
+    src, dst = friends.slot_owners(), friends.indices
+    inside = (member[src] >= 0) & (member[src] == member[dst])
+    ones = np.ones(int(np.count_nonzero(inside)), dtype=np.int8)
+    intra = csr_matrix((ones, (src[inside], dst[inside])), shape=(friends.n, friends.n))
+    # a clique is connected iff all its members share its leader's label
+    labels = connected_components(intra, directed=False)[1]
+    split = labels[dense] != labels[decomp.leader_by_vertex()[dense]]
+    bad = np.unique(member[dense[split]]).tolist()
+    return [f"almost-clique {j} is not connected under friend edges" for j in bad]
 
 
 def decomposition_bound_failures(graph: Graph, decomp, metrics) -> list[str]:

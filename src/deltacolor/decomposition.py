@@ -15,11 +15,13 @@ fixed; restricting to uncolored vertices is a view applied by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from .errors import ValidationError
 from .graph import BLANK, Graph, common_counts, edge_common_counts
 from .schedule import check_epsilon
 
@@ -34,25 +36,61 @@ DIAMETER_EXCEEDED = 3
 
 @dataclass(frozen=True, eq=False)
 class AlmostClique:
-    leader: int
-    members: np.ndarray  # sorted vertex IDs
+    members: np.ndarray  # sorted vertex IDs, read-only
+
+    @property
+    def leader(self) -> int:
+        return int(self.members[0])  # the smallest member
 
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
+    """The split, recorded once as ``membership``: the clique index of each
+    vertex, -1 for a sparse one. Cliques are numbered 0, 1, ... in leader
+    order, the order of the dense step's per-clique streams; the
+    constructor rejects any other array and makes it read-only, so the
+    ``sparse`` and ``cliques`` views never go stale."""
+
     epsilon: float
     friend_graph: Graph
-    sparse: np.ndarray  # sorted sparse vertex IDs
-    cliques: tuple[AlmostClique, ...]  # sorted by leader ID
-    membership: np.ndarray  # clique index per vertex, -1 for sparse
+    membership: np.ndarray
+
+    def __post_init__(self):
+        m, n = self.membership, self.friend_graph.n
+        if not isinstance(m, np.ndarray) or m.dtype != np.int64 or m.shape != (n,):
+            raise ValidationError(f"membership must be a 1-D int64 array of length {n}")
+        # a vertex may open the clique one past every index before it
+        opens = np.maximum.accumulate(np.concatenate(([0], m[:-1] + 1)))
+        bad = np.flatnonzero((m < -1) | (m > opens))
+        if bad.size:
+            v = int(bad[0])
+            raise ValidationError(
+                f"membership of vertex {v} is {int(m[v])}, not -1 (sparse) or a clique index "
+                f"up to {int(opens[v])}: cliques are numbered 0, 1, ... in leader order"
+            )
+        m.setflags(write=False)
+
+    @cached_property
+    def sparse(self) -> np.ndarray:
+        """Sorted sparse vertex IDs."""
+        return np.flatnonzero(self.membership < 0)
+
+    @cached_property
+    def cliques(self) -> tuple[AlmostClique, ...]:
+        """The almost-cliques by index, which is leader order."""
+        dense = np.flatnonzero(self.membership >= 0)
+        dense = dense[np.argsort(self.membership[dense], kind="stable")]
+        dense.setflags(write=False)
+        bounds = np.flatnonzero(np.diff(self.membership[dense])) + 1
+        return tuple(map(AlmostClique, np.split(dense, bounds))) if dense.size else ()
 
     def num_dense(self) -> int:
         return int(np.count_nonzero(self.membership >= 0))
 
     def leader_by_vertex(self) -> np.ndarray:
         """Per-vertex leader ID of its almost-clique, -1 for sparse."""
-        leaders = np.array([c.leader for c in self.cliques], dtype=np.int64)
-        return np.append(leaders, -1)[self.membership]
+        leaders = np.array([c.leader for c in self.cliques] + [-1], dtype=np.int64)
+        return leaders[self.membership]
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,24 +153,14 @@ def classify_and_components(graph: Graph, friend_graph: Graph, epsilon: float) -
         dense_mask = friend_graph.degrees() >= threshold
 
     dense_ids = np.flatnonzero(dense_mask)
-    cliques: list[AlmostClique] = []
     if dense_ids.size:
         sub = friend_graph.sparse_adjacency(dense_ids)[:, dense_ids]
         _, labels = connected_components(sub, directed=False)
-        for label in np.unique(labels):
-            members = dense_ids[labels == label]
-            cliques.append(AlmostClique(leader=int(members.min()), members=members))
-        cliques.sort(key=lambda c: c.leader)
-        for j, clique in enumerate(cliques):
-            membership[clique.members] = j
+        # number the components by leader, the first position of each label
+        _, first = np.unique(labels, return_index=True)
+        membership[dense_ids] = np.argsort(np.argsort(first))[labels]
 
-    return Decomposition(
-        epsilon=epsilon,
-        friend_graph=friend_graph,
-        sparse=np.flatnonzero(~dense_mask),
-        cliques=tuple(cliques),
-        membership=membership,
-    )
+    return Decomposition(epsilon=epsilon, friend_graph=friend_graph, membership=membership)
 
 
 def decompose(graph: Graph, epsilon: float) -> Decomposition:
@@ -205,11 +233,8 @@ def decomposition_to_dict(
     """JSON-exportable form of a decomposition (plus optional metrics)."""
     out: dict = {
         "epsilon": decomp.epsilon,
-        "sparse": [int(v) for v in decomp.sparse],
-        "cliques": [
-            {"leader": int(c.leader), "members": [int(v) for v in c.members]}
-            for c in decomp.cliques
-        ],
+        "sparse": decomp.sparse.tolist(),
+        "cliques": [{"leader": c.leader, "members": c.members.tolist()} for c in decomp.cliques],
     }
     if metrics is not None:
         out["metrics"] = {

@@ -425,7 +425,6 @@ class PhaseDriver:
             raise ValidationError("seed must be nonnegative")
         if max_fallback_iters < 0:
             raise ValidationError("max_fallback_iters must be nonnegative")
-        self.graph = graph
         self.seed = seed
         self.force_main_path = force_main_path
         self.max_fallback_iters = max_fallback_iters
@@ -468,7 +467,7 @@ class PhaseDriver:
         if np.any(drop):
             v = int(np.flatnonzero(drop)[0])
             self.failures.append(f"{tag}: surplus of uncolored vertex {v} decreased")
-        self.failures.extend(f"{tag}: {msg}" for msg in properness_failures(self.graph, state.committed))
+        self.failures.extend(f"{tag}: {msg}" for msg in properness_failures(state.graph, state.committed))
         self.failures.extend(f"{tag}: {msg}" for msg in residual_consistency_failures(state))
         self._prev_surplus = surplus
         self._prev_uncolored = uncolored
@@ -476,7 +475,7 @@ class PhaseDriver:
     def decompose(self) -> None:
         """Split the graph into sparse vertices and almost-cliques."""
         if self._decomp is None:
-            self._decomp = decompose(self.graph, self.schedule.epsilon)
+            self._decomp = decompose(self.state.graph, self.schedule.epsilon)
         self.decomp = self._decomp
         self.steps.append(StepStats("decompose"))
 
@@ -525,16 +524,17 @@ class PhaseDriver:
         loop ends with probability 1; ``max_fallback_iters`` bounds the
         worst case and exhaustion is recorded as a failure, never swallowed.
         """
+        n = self.state.graph.n
         if eligible is not None:
             eligible = np.asarray(eligible)
-            if eligible.dtype != bool or eligible.shape != (self.graph.n,):
+            if eligible.dtype != bool or eligible.shape != (n,):
                 raise ValidationError(
-                    f"eligible must be a boolean mask of shape ({self.graph.n},), "
+                    f"eligible must be a boolean mask of shape ({n},), "
                     f"got {eligible.dtype} of shape {eligible.shape}"
                 )
         rng = self._stream()
         self._require_complete |= eligible is None
-        todo = np.ones(self.graph.n, dtype=bool) if eligible is None else eligible
+        todo = np.ones(n, dtype=bool) if eligible is None else eligible
         rounds = 0
         while np.any(todo & self.state.uncolored_mask()):
             if rounds == self.max_fallback_iters:
@@ -552,7 +552,7 @@ class PhaseDriver:
         """Every phase, in order, when the activation gate holds (or
         ``force_main_path`` overrides it); otherwise the whole graph goes
         straight to the fallback."""
-        if (self.schedule.main_path or self.force_main_path) and self.graph.max_degree >= 1:
+        if (self.schedule.main_path or self.force_main_path) and self.state.graph.max_degree >= 1:
             self.decompose()
             self.initial()
             self.dense(*schedule_plan(self.schedule))
@@ -563,7 +563,7 @@ class PhaseDriver:
         """The run report, after the final check: proper and in-palette,
         and complete once a fallback over all vertices has run; the
         per-step colored counts must add up to the colored vertices."""
-        graph, state, sched = self.graph, self.state, self.schedule
+        state, sched, graph = self.state, self.schedule, self.state.graph
         failures = self.failures + coloring_failures(state, require_complete=self._require_complete)
         colored = graph.n - state.num_uncolored()
         total_colored = sum(s.colored for s in self.steps)

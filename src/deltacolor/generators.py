@@ -13,9 +13,9 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .decomposition import THRESHOLD_TOL, AlmostClique, Decomposition
+from .decomposition import THRESHOLD_TOL, Decomposition
 from .errors import GenerationError, ValidationError
-from .graph import Graph, build_graph, edge_common_counts, segment_sum
+from .graph import _MAX_VERTICES, Graph, build_graph, edge_common_counts, segment_sum
 from .schedule import check_epsilon
 
 _BRUTE_FORCE_LIMIT = 500
@@ -23,7 +23,8 @@ _LOCALLY_SPARSE_ATTEMPTS = 50
 # Most vertex pairs a generator may enumerate or draw at once: the kinds
 # that list or draw every pair of a set (complete, clique_chain,
 # bipartite_random) check this before allocating, as int64 pairs take
-# 16 bytes each before the graph is even built.
+# 16 bytes each before the graph is even built. The G(n, p) kinds bound
+# their expected edge count by it, as the palette cap would about as tightly.
 _MAX_PAIRS = 2**27
 
 # Each kind's parameters and their types, in the order ``parse`` reads them.
@@ -104,6 +105,13 @@ def _require_pairs(kind: str, pairs: int) -> None:
     _require(pairs <= _MAX_PAIRS, f"{kind} would allocate {pairs} vertex pairs, over the limit {_MAX_PAIRS}")
 
 
+def _require_gnp(kind: str, n: int, p: float) -> None:
+    """Refuse, before the first draw, an n or expected edge count too large."""
+    _require(n <= _MAX_VERTICES, f"{kind} needs n <= {_MAX_VERTICES}, got {n}")
+    edges = p * (n * (n - 1) // 2)
+    _require(edges <= _MAX_PAIRS, f"{kind} would draw about {edges:.0f} edges, over the limit {_MAX_PAIRS}")
+
+
 def _gnp_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """Each pair u < v kept with probability p, in row-major order. One
     draw per row consumes the generator exactly as one draw over all
@@ -130,6 +138,7 @@ def generate(spec: GeneratorSpec) -> Graph:
         n, p = int(params["n"]), float(params["p"])
         _require(n >= 1, "gnp needs n >= 1")
         _require(0.0 < p < 1.0, "gnp needs 0 < p < 1")
+        _require_gnp(kind, n, p)
         return build_graph(_gnp_edges(n, p, rng), n=n)
 
     if kind == "clique_chain":
@@ -160,6 +169,7 @@ def generate(spec: GeneratorSpec) -> Graph:
         _require(n >= 1, "locally_sparse needs n >= 1")
         _require(0.0 < p < 1.0, "locally_sparse needs 0 < p < 1")
         _require(0.0 < delta < 1.0, "locally_sparse needs 0 < delta < 1")
+        _require_gnp(kind, n, p)
         for _ in range(_LOCALLY_SPARSE_ATTEMPTS):
             g = build_graph(_gnp_edges(n, p, rng), n=n)
             if is_locally_sparse(g, delta):
@@ -233,18 +243,7 @@ def brute_force_decomposition(graph: Graph, epsilon: float) -> Decomposition:
         groups.setdefault(uf.find(v), []).append(v)
 
     membership = np.full(graph.n, -1, dtype=np.int64)
-    cliques = []
-    for j, (root, members) in enumerate(sorted(groups.items())):
-        arr = np.array(members, dtype=np.int64)
-        cliques.append(AlmostClique(leader=int(arr.min()), members=arr))
-        membership[arr] = j
-
+    for j, root in enumerate(sorted(groups)):  # a root is its group's least member
+        membership[groups[root]] = j
     friend_graph = build_graph(friend_pairs, n=graph.n)
-    sparse = np.array(sorted(set(range(graph.n)) - dense), dtype=np.int64)
-    return Decomposition(
-        epsilon=epsilon,
-        friend_graph=friend_graph,
-        sparse=sparse,
-        cliques=tuple(cliques),
-        membership=membership,
-    )
+    return Decomposition(epsilon=epsilon, friend_graph=friend_graph, membership=membership)

@@ -205,6 +205,32 @@ def first_non_integer(values: list) -> int | None:
     return next(i for i, x in enumerate(values) if type(x) in bad) if bad else None
 
 
+def vertex_ids(keys: list, what: str) -> list[int]:
+    """``keys`` as vertex IDs: integers (as in :func:`first_non_integer`) or
+    strings of ASCII digits after an optional minus sign. The first other
+    key raises :class:`ValidationError`, named after ``what``. Valid string
+    keys are tested in one pass over their joined text, not key by key."""
+    if not _vertex_keys(keys):
+        for key in keys:
+            if not _vertex_keys([key]):
+                raise ValidationError(f"{what} {key!r} is not a vertex ID")
+    return list(map(int, keys))
+
+
+def _vertex_keys(keys: list) -> bool:
+    try:
+        text = "," + ",".join(keys)
+    except TypeError:  # some key is not a string
+        return first_non_integer(keys) is None
+    digits = text.replace(",-", ",")  # one sign per key at most
+    return (
+        text.count(",") == len(keys)  # no key holds the separator
+        and digits.isascii()
+        and ",," not in digits + ","  # no key is empty
+        and not digits.encode().translate(None, b",0123456789")
+    )
+
+
 def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Per-segment sum over a CSR layout; empty segments yield 0.
 

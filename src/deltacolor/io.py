@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Graph, build_graph, first_non_integer
+from .graph import Graph, build_graph, first_non_integer, vertex_ids
 
 
 def read_edge_list(path: str | Path) -> Graph:
@@ -73,11 +73,7 @@ def read_palettes(path: str | Path, n: int) -> list[list[int]]:
         raise ValidationError(f"{path}: palette file must be a JSON object")
     out: list = [None] * n
     named: dict[int, str] = {}  # the key that named each vertex
-    for key, colors in data.items():
-        try:
-            v = int(key)
-        except ValueError as exc:
-            raise ValidationError(f"{path}: non-integer vertex key {key!r}") from exc
+    for v, (key, colors) in zip(vertex_ids(list(data), f"{path}: key"), data.items()):
         if not 0 <= v < n:
             raise ValidationError(f"{path}: vertex {v} out of range 0..{n - 1}")
         if v in named:
@@ -102,22 +98,10 @@ def load_palettes(spec: str, graph: Graph) -> Sequence[Sequence[int]]:
     return read_palettes(spec, graph.n)
 
 
-def _json_default(obj):
-    """Convert the numpy values ``json`` cannot encode itself."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def dumps_json(obj) -> str:
     """Deterministic, byte-stable JSON text (no trailing newline): the text
-    of ``json.dumps(obj, indent=2, sort_keys=True)``, numpy values converted.
+    of ``json.dumps(obj, indent=2, sort_keys=True)``. ``obj`` holds plain
+    Python values only: numpy values raise ``TypeError``.
 
     With an indent, ``json.dumps`` runs its pure-Python encoder, one step
     per entry, so string-keyed dicts are laid out here instead and a flat
@@ -137,7 +121,7 @@ def _dumps(obj, newline: str) -> str:
         else:
             body = ",".join(f"{inner}{key(k)}: {_dumps(v, inner)}" for k, v in sorted(obj.items()))
         return "{" + body + newline + "}"
-    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default).replace("\n", newline)
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
 
 
 def dump_json(obj, path: str | Path) -> None:

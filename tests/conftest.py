@@ -37,15 +37,9 @@ def copy_state(state):
 
 
 def same_decomposition(a, b) -> bool:
-    """Equal sparse sets, cliques (leaders and members) and friend graphs."""
+    """Equal memberships (the split and its clique numbering) and friend graphs."""
     return (
-        np.array_equal(a.sparse, b.sparse)
-        and np.array_equal(a.membership >= 0, b.membership >= 0)
-        and len(a.cliques) == len(b.cliques)
-        and all(
-            x.leader == y.leader and np.array_equal(x.members, y.members)
-            for x, y in zip(a.cliques, b.cliques)
-        )
+        np.array_equal(a.membership, b.membership)
         and np.array_equal(a.friend_graph.indptr, b.friend_graph.indptr)
         and np.array_equal(a.friend_graph.indices, b.friend_graph.indices)
     )

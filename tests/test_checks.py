@@ -70,6 +70,14 @@ def test_verify_coloring_takes_integer_and_string_keys():
     assert verify_coloring(g, palettes, {"-1": 1}) == ["coloring references unknown vertex -1"]
 
 
+@pytest.mark.parametrize("key", ["1_0", "+0", " 1 ", "\u0661", "1 ", "-", "", "--1", "1-0", "0x1", "1,0"])
+def test_verify_coloring_takes_only_ascii_digit_keys(key):
+    # int() would read "1_0" as 10, "+0" as 0 and Arabic-Indic one as 1
+    g = build_graph([(i, i + 1) for i in range(10)])
+    with pytest.raises(ValidationError, match=re.escape(f"coloring key {key!r} is not a vertex ID")):
+        verify_coloring(g, canonical_palettes(g), {"0": 1, key: 2})
+
+
 def _path_with_vertex_1_colored():
     # path 0-1-2-3, palettes {1, 2, 3}; vertex 1 takes colour 1
     g = build_graph([(0, 1), (1, 2), (2, 3)])

@@ -343,6 +343,15 @@ def test_oversized_allocations_are_a_usage_error(tmp_path, capsys):
     assert "palettes need a 8192 x 40960 vertex-by-colour matrix" in message
 
 
+def test_oversized_gnp_is_a_usage_error_before_drawing(monkeypatch, capsys):
+    def no_draw(*args):
+        raise AssertionError("gnp drew before its scale check")
+
+    monkeypatch.setattr(deltacolor.generators, "_gnp_edges", no_draw)
+    message = _usage_error(capsys, ["run", "--gen", "gnp:100000000,0.5"])
+    assert "gnp would draw about" in message and "over the limit 134217728" in message
+
+
 @pytest.mark.parametrize("steps", [["--steps", "-1"], ["--steps", "0"],
                                    ["--steps", "0", "--step-delta", "0.04"]])
 def test_nonpositive_steps_are_a_usage_error(tmp_path, capsys, steps):

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from deltacolor import (
     GeneratorSpec,
@@ -18,14 +21,10 @@ from deltacolor import (
     is_locally_sparse,
     structural_metrics,
 )
+from deltacolor import decomposition as decomposition_module
 from deltacolor import graph as graph_module
 from deltacolor.checks import decomposition_bound_failures, decomposition_failures
-from deltacolor.decomposition import (
-    DIAMETER_EXCEEDED,
-    AlmostClique,
-    Decomposition,
-    decomposition_to_dict,
-)
+from deltacolor.decomposition import DIAMETER_EXCEEDED, Decomposition, decomposition_to_dict
 
 from conftest import same_decomposition
 
@@ -187,16 +186,9 @@ def test_oracle_equivalence_property(n, seed, p, eps):
 
 def one_clique(g, members):
     """A hand-made decomposition declaring ``members`` one almost-clique."""
-    members = np.asarray(members, dtype=np.int64)
     membership = np.full(g.n, -1, dtype=np.int64)
     membership[members] = 0
-    return Decomposition(
-        epsilon=0.1,
-        friend_graph=g,
-        sparse=np.flatnonzero(membership < 0),
-        cliques=(AlmostClique(leader=int(members.min()), members=members),),
-        membership=membership,
-    )
+    return Decomposition(epsilon=0.1, friend_graph=g, membership=membership)
 
 
 @pytest.mark.parametrize("backend", ["dense", "sparse"])
@@ -271,3 +263,81 @@ def test_structural_metrics_match_per_member_loop(seed):
     assert m.anti_degree == anti
     assert list(m.external_degree) == list(external)
     assert m.clique_size == [int(uncolored[c.members].sum()) for c in d.cliques]
+
+
+def test_decomposition_records_only_the_membership():
+    names = [f.name for f in dataclasses.fields(Decomposition)]
+    assert names == ["epsilon", "friend_graph", "membership"]
+    d = decompose(generate(GeneratorSpec("clique_chain", {"size": 21, "count": 2})), 0.1)
+    assert not d.membership.flags.writeable
+    assert not d.cliques[0].members.flags.writeable
+    with pytest.raises(ValueError):
+        d.membership[0] = -1
+
+
+@pytest.mark.parametrize(
+    "membership, match",
+    [
+        ([0, 0, -1], "1-D int64 array of length 3"),
+        (np.array([0, 0, -1], dtype=np.int32), "1-D int64 array of length 3"),
+        (np.array([0.0, 0.0, -1.0]), "1-D int64 array of length 3"),
+        (np.array([[0, 0, -1]]), "1-D int64 array of length 3"),
+        (np.array([0, 0]), "1-D int64 array of length 3"),
+        (np.array([0, -2, -1]), "vertex 1 is -2, not -1 .sparse. or a clique index up to 1"),
+        (np.array([1, 1, -1]), "vertex 0 is 1, not -1 .sparse. or a clique index up to 0"),
+        (np.array([0, 2, 1]), "vertex 1 is 2, not -1 .sparse. or a clique index up to 1"),
+        (np.array([-1, 1, 0]), "vertex 1 is 1, not -1 .sparse. or a clique index up to 0"),
+        (np.array([0, -1, 2]), "vertex 2 is 2, not -1 .sparse. or a clique index up to 1"),
+    ],
+)
+def test_malformed_membership_is_rejected(membership, match):
+    g = build_graph([(0, 1), (1, 2)])
+    with pytest.raises(ValidationError, match=match):
+        Decomposition(epsilon=0.1, friend_graph=g, membership=membership)
+
+
+def leader_ordered(raw):
+    """``raw`` with its nonnegative labels renumbered by first appearance."""
+    index: dict[int, int] = {}
+    return [index.setdefault(x, len(index)) if x >= 0 else -1 for x in raw]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(min_value=-1, max_value=5), min_size=1, max_size=40))
+def test_sparse_and_cliques_are_the_groups_of_the_membership(raw):
+    labels = leader_ordered(raw)
+    n = len(labels)
+    d = Decomposition(
+        epsilon=0.1, friend_graph=build_graph([], n=n), membership=np.array(labels, dtype=np.int64)
+    )
+    groups = [[v for v in range(n) if labels[v] == j] for j in range(max(labels) + 1)]
+    assert d.sparse.tolist() == [v for v in range(n) if labels[v] == -1]
+    assert [c.members.tolist() for c in d.cliques] == groups
+    assert [c.leader for c in d.cliques] == [group[0] for group in groups]
+    assert d.leader_by_vertex().tolist() == [groups[j][0] if j >= 0 else -1 for j in labels]
+    assert d.num_dense() == n - d.sparse.size
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(min_value=-1, max_value=3), min_size=1, max_size=12))
+def test_membership_not_numbered_in_leader_order_is_rejected(raw):
+    g = build_graph([], n=len(raw))
+    membership = np.array(raw, dtype=np.int64)
+    if leader_ordered(raw) == raw:
+        assert Decomposition(epsilon=0.1, friend_graph=g, membership=membership).membership is membership
+    else:
+        with pytest.raises(ValidationError, match="in leader order"):
+            Decomposition(epsilon=0.1, friend_graph=g, membership=membership)
+
+
+def test_components_are_renumbered_by_leader(monkeypatch):
+    # reversed component labels must still give cliques in leader order
+    def reversed_labels(graph, directed):
+        count, labels = connected_components(graph, directed=directed)
+        return count, count - 1 - labels
+
+    monkeypatch.setattr(decomposition_module, "connected_components", reversed_labels)
+    g = generate(GeneratorSpec("clique_chain", {"size": 21, "count": 3}))
+    d = decompose(g, 0.1)
+    assert [c.leader for c in d.cliques] == [0, 21, 42]
+    assert same_decomposition(d, brute_force_decomposition(g, 0.1))

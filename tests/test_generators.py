@@ -131,6 +131,45 @@ def test_quadratic_generators_reject_pair_counts_before_allocating(kind, params)
     assert peak < 2**20
 
 
+def _no_draw(*args):
+    raise AssertionError("the scale check must come before the first draw")
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("gnp", {"n": 2000, "p": 0.5}),
+    ("locally_sparse", {"n": 2000, "p": 0.5, "delta": 0.3}),
+])
+def test_gnp_kinds_reject_expected_edges_before_drawing(monkeypatch, kind, params):
+    # about 10**6 expected edges, over a lowered limit of 2**16
+    monkeypatch.setattr(generators, "_MAX_PAIRS", 2**16)
+    monkeypatch.setattr(generators, "_gnp_edges", _no_draw)
+    with pytest.raises(ValidationError, match=f"{kind} would draw about 999500 edges, over the limit 65536"):
+        generate(GeneratorSpec(kind, params))
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("gnp", {"n": 2**28 + 1, "p": 1e-12}),
+    ("locally_sparse", {"n": 2**28 + 1, "p": 1e-12, "delta": 0.3}),
+])
+def test_gnp_kinds_reject_vertex_counts_before_drawing(monkeypatch, kind, params):
+    monkeypatch.setattr(generators, "_gnp_edges", _no_draw)
+    with pytest.raises(ValidationError, match=f"{kind} needs n <= 268435456, got 268435457"):
+        generate(GeneratorSpec(kind, params))
+
+
+def test_sparse_gnp_within_the_limits_still_draws(monkeypatch):
+    # 2 * 10**5 expected edges pass; the draw itself is stubbed, as it takes seconds
+    drawn = []
+
+    def record(n, p, rng):
+        drawn.append((n, p))
+        return np.zeros((0, 2), dtype=np.int64)
+
+    monkeypatch.setattr(generators, "_gnp_edges", record)
+    assert generate(GeneratorSpec("gnp", {"n": 40000, "p": 0.00025})).n == 40000
+    assert drawn == [(40000, 0.00025)]
+
+
 def test_locally_sparse_output_satisfies_predicate():
     g = generate(GeneratorSpec("locally_sparse", {"n": 120, "p": 0.4, "delta": 0.4}, seed=2))
     assert is_locally_sparse(g, 0.4)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from deltacolor import GeneratorSpec, ValidationError, build_graph, generate
 from deltacolor import graph as graph_module
-from deltacolor.graph import edge_common_counts, segment_sum
+from deltacolor.graph import edge_common_counts, segment_sum, vertex_ids
 from deltacolor.io import dumps_json, read_edge_list, read_palettes, write_edge_list
 
 
@@ -272,6 +272,36 @@ def test_palette_file_naming_a_vertex_twice_rejected(tmp_path):
     path.write_text(json.dumps({"0": [1, 2, 3], "1": [1, 2, 3], "01": [4, 5, 6], "2": [1, 2, 3]}))
     with pytest.raises(ValidationError, match=re.escape("names vertex 1 twice, by keys '1' and '01'")):
         read_palettes(path, 3)
+
+
+@pytest.mark.parametrize("key", ["1_0", "+0", " 1 ", "\u0661", "-", "1,0"])
+def test_palette_file_takes_only_ascii_digit_keys(tmp_path, key):
+    # int() would read "1_0" as vertex 10's palette
+    path = tmp_path / "palettes.json"
+    path.write_text(json.dumps({"0": [1, 2], key: [1, 2]}))
+    with pytest.raises(ValidationError, match=re.escape(f"palettes.json: key {key!r} is not a vertex ID")):
+        read_palettes(path, 11)
+
+
+def test_palette_file_negative_key_is_out_of_range(tmp_path):
+    path = tmp_path / "palettes.json"
+    path.write_text(json.dumps({"0": [1, 2], "-1": [1, 2]}))
+    with pytest.raises(ValidationError, match=re.escape("vertex -1 out of range 0..1")):
+        read_palettes(path, 2)
+    path.write_text(json.dumps({"1": [1, 2], "00": [3, 4]}))
+    assert read_palettes(path, 2) == [[3, 4], [1, 2]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.text(alphabet="0123456789-+_ ,x\u0661", max_size=4), st.integers()), max_size=6))
+def test_vertex_ids_match_a_per_key_pattern(keys):
+    pattern = re.compile(r"-?[0-9]+")
+    bad = [key for key in keys if isinstance(key, str) and not pattern.fullmatch(key)]
+    if bad:
+        with pytest.raises(ValidationError, match=re.escape(f"key {bad[0]!r} is not a vertex ID")):
+            vertex_ids(keys, "key")
+    else:
+        assert vertex_ids(keys, "key") == [int(key) for key in keys]
 
 
 def test_edge_list_header_must_come_first(tmp_path):
