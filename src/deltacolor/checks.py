@@ -15,14 +15,39 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
-from .graph import BLANK, Graph, first_non_integer, vertex_ids
+from .graph import BLANK, Graph, first_non_integer, same_color_pairs, vertex_ids
 from .state import ColoringState, recompute_residuals
 
 _REPORT_CAP = 5
 
 
 def properness_failures(graph: Graph, committed: np.ndarray) -> list[str]:
-    """Monochromatic edges among committed vertices, scanned in row blocks."""
+    """Monochromatic edges among committed vertices, found by looking up
+    the same-colour pairs in the graph when that is cheaper (see
+    :func:`~deltacolor.graph.same_color_pairs`), otherwise by a scan of
+    every row in row blocks. Both name the first bad slots in (row,
+    column) order. The pair path assumes the symmetric CSR that
+    :func:`~deltacolor.graph.build_graph` guarantees."""
+    pairs = same_color_pairs(committed, graph.indices.size)
+    if pairs is not None:
+        u, v = pairs
+        hit = graph.adjacent(u, v)
+        rows = np.concatenate((u[hit], v[hit]))  # both slots of each edge
+        columns = np.concatenate((v[hit], u[hit]))
+        first = np.lexsort((columns, rows))[: 2 * _REPORT_CAP]
+        count = rows.size
+        bad = zip(rows[first].tolist(), columns[first].tolist())
+    else:
+        count, bad = _bad_slots(graph, committed)
+    if not count:
+        return []
+    out = [f"edge ({u}, {v}) is monochromatic with color {int(committed[u])}" for u, v in bad if u < v]
+    return out[:_REPORT_CAP] or [f"{count // 2} monochromatic edges among committed vertices"]
+
+
+def _bad_slots(graph: Graph, committed: np.ndarray) -> tuple[int, list[tuple[int, int]]]:
+    """The number of monochromatic slots among committed vertices and the
+    first ``2 * _REPORT_CAP`` of them as (row, column), scanned in row blocks."""
     degrees = graph.degrees()
     first: list[int] = []  # the first bad slots, in slot order
     count = 0
@@ -32,14 +57,9 @@ def properness_failures(graph: Graph, committed: np.ndarray) -> list[str]:
         bad = np.flatnonzero((own == committed[graph.indices[start:stop]]) & (own != BLANK))
         count += bad.size
         first.extend((bad[: 2 * _REPORT_CAP - len(first)] + start).tolist())
-    if not count:
-        return []
-    out = []
-    for i in first:
-        u, v = int(np.searchsorted(graph.indptr, i, side="right")) - 1, int(graph.indices[i])
-        if u < v:
-            out.append(f"edge ({u}, {v}) is monochromatic with color {int(committed[u])}")
-    return out[:_REPORT_CAP] or [f"{count // 2} monochromatic edges among committed vertices"]
+    first_slots = np.array(first, dtype=np.int64)
+    rows = np.searchsorted(graph.indptr, first_slots, side="right") - 1
+    return count, list(zip(rows.tolist(), graph.indices[first_slots].tolist()))
 
 
 def residual_consistency_failures(state: ColoringState) -> list[str]:

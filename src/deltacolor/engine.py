@@ -163,11 +163,25 @@ def _conflicted(
     """True where some neighbor holds the same non-blank tentative color
     and, when ``rank`` is given, a strictly smaller rank.
 
-    Only the rows of vertices that drew a color are scanned, in row
-    blocks: a blank vertex is never conflicted.
+    A blank vertex is never conflicted. The pairs of drawn vertices that
+    share a color are looked up in the graph when that is cheaper (see
+    :func:`~deltacolor.graph.same_color_pairs`); otherwise the rows of
+    the drawn vertices are scanned, in row blocks.
     """
     drawn = np.flatnonzero(tentative != BLANK)
     conflicted = np.zeros(graph.n, dtype=bool)
+    scanned = int(graph.degrees()[drawn].sum())
+    pairs = graph_module.same_color_pairs(tentative, scanned)
+    if pairs is not None:
+        u, v = pairs
+        hit = graph.adjacent(u, v)
+        u, v = u[hit], v[hit]
+        if rank is None:
+            conflicted[u] = conflicted[v] = True
+        else:
+            conflicted[u[rank[v] < rank[u]]] = True
+            conflicted[v[rank[u] < rank[v]]] = True
+        return conflicted
     for block in graph.row_blocks(drawn):
         part = drawn[block]
         slots, degrees = graph.row_slots(part)

@@ -138,21 +138,26 @@ def full_slot_properness(graph, committed):
     raw=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=120),
     colors=st.lists(st.integers(0, 3), min_size=30, max_size=30),
     block=st.sampled_from([None, 1, 3, 64]),
+    pair_slots=st.sampled_from([None, 0, 10**18]),
 )
-def test_blocked_properness_scan_matches_the_full_slot_scan(n, raw, colors, block):
-    # few colours, so monochromatic edges are common and often more than five
+def test_blocked_properness_scan_matches_the_full_slot_scan(n, raw, colors, block, pair_slots):
+    # few colours, so monochromatic edges are common and often more than
+    # five; PAIR_SLOTS 0 looks every same-colour pair up, 10**18 scans
     g = build_graph([(u % n, v % n) for u, v in raw if u % n != v % n], n=n)
     committed = np.array(colors[:n], dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(graph_module, "SLOT_BLOCK", block)
+        if pair_slots is not None:
+            mp.setattr(graph_module, "PAIR_SLOTS", pair_slots)
         assert properness_failures(g, committed) == full_slot_properness(g, committed)
 
 
 @pytest.mark.parametrize("block", [None, 1, 3, 64])
 def test_properness_count_message_spans_blocks(block):
     # hand-built one-way rows 1..11 -> 0: every bad slot has u > v, so no
-    # edge is named and the count covers the bad slots of every block
+    # edge is named and the count covers the bad slots of every block.
+    # The pair lookup assumes a symmetric CSR, so the rows are scanned.
     n = 12
     g = graph_module.Graph(
         n=n,
@@ -162,6 +167,7 @@ def test_properness_count_message_spans_blocks(block):
     )
     committed = np.ones(n, dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "PAIR_SLOTS", 10**18)
         if block is not None:
             mp.setattr(graph_module, "SLOT_BLOCK", block)
         got = properness_failures(g, committed)

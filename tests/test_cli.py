@@ -315,6 +315,14 @@ def test_non_integer_edge_list_header_is_a_usage_error(tmp_path, capsys):
     assert "vertex count" in _usage_error(capsys, ["run", "--input", str(graph_file)])
 
 
+@pytest.mark.parametrize("text", ["0 1\n1_0 2\n", "+3 4\n", "3 \u0664\n", "n 1_1\n0 1\n"])
+def test_edge_list_ids_outside_ascii_digits_are_a_usage_error(tmp_path, capsys, text):
+    graph_file = tmp_path / "g.edges"
+    graph_file.write_text(text, encoding="utf-8")
+    err = _usage_error(capsys, ["run", "--input", str(graph_file)])
+    assert "g.edges:" in err and ("vertex ID" in err or "vertex count" in err)
+
+
 def test_negative_seed_is_a_usage_error(tmp_path, capsys):
     _usage_error(capsys, ["run", "--gen", "gnp:20,0.3", "--seed", "-1"])
     _usage_error(capsys, ["generate", "--gen", "gnp:20,0.3", "--seed", "-1",

@@ -810,17 +810,21 @@ def full_slot_conflicted(graph, tentative, rank=None):
     blank=st.lists(st.booleans(), min_size=14, max_size=14),
     block=st.sampled_from([None, 1, 3, 64]),
     ranks=st.none() | st.lists(st.integers(-1, 2), min_size=14, max_size=14),
+    pair_slots=st.sampled_from([None, 0, 10**18]),
 )
-def test_live_row_conflicts_match_the_full_slot_scan(n, raw, colors, blank, block, ranks):
+def test_live_row_conflicts_match_the_full_slot_scan(n, raw, colors, blank, block, ranks, pair_slots):
     # few colours, so neighbours clash often; blank rows are never scanned;
     # small slot blocks spread the rows over many blocks; few ranks, so
-    # equal ranks (which never conflict) occur often
+    # equal ranks (which never conflict) occur often; PAIR_SLOTS 0 looks
+    # every same-colour pair up, 10**18 scans the rows whenever any pair
     g = build_graph([(u % n, v % n) for u, v in raw if u % n != v % n], n=n)
     tentative = np.where(blank[:n], BLANK, colors[:n]).astype(np.int64)
     rank = None if ranks is None else np.array(ranks[:n], dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(graph_module, "SLOT_BLOCK", block)
+        if pair_slots is not None:
+            mp.setattr(graph_module, "PAIR_SLOTS", pair_slots)
         assert np.array_equal(
             _conflicted(g, tentative, rank), full_slot_conflicted(g, tentative, rank)
         )

@@ -137,6 +137,15 @@ def test_full_reports_hold_with_small_slot_blocks(tmp_path, monkeypatch, name):
     assert api_hash(name, tmp_path) == json.loads(FIXTURE.read_text())[name]
 
 
+@pytest.mark.parametrize("pair_slots", [0, 10**18])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_full_reports_hold_on_both_same_colour_paths(tmp_path, monkeypatch, name, pair_slots):
+    # PAIR_SLOTS 0 looks up every same-colour pair, 10**18 scans every
+    # row, in each conflict check and properness check of the run
+    monkeypatch.setattr(graph_module, "PAIR_SLOTS", pair_slots)
+    assert api_hash(name, tmp_path) == json.loads(FIXTURE.read_text())[name]
+
+
 def test_golden_cases_cover_every_phase(tmp_path):
     # The main-path case must run the decomposition, the initial step, a
     # dense step and fallback rounds; the list-palette case must not be

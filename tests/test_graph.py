@@ -1,6 +1,9 @@
+import itertools
 import json
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,8 @@ from hypothesis import strategies as st
 
 from deltacolor import GeneratorSpec, ValidationError, build_graph, generate
 from deltacolor import graph as graph_module
-from deltacolor.graph import edge_common_counts, segment_sum, vertex_ids
+from deltacolor import io as io_module
+from deltacolor.graph import BLANK, edge_common_counts, same_color_pairs, segment_sum, vertex_ids
 from deltacolor.io import dumps_json, read_edge_list, read_palettes, write_edge_list
 
 
@@ -210,6 +214,54 @@ def test_row_blocks_of_one_row_and_of_none(monkeypatch):
     assert g.row_blocks(np.arange(3)) == [slice(0, 3)]
 
 
+def test_adjacent_matches_neighbor_sets_on_edge_rows():
+    # vertex 0 and vertex 6 = n - 1 are isolated, 5 has degree 1, and the
+    # queries hit every row's first and last neighbour and miss between them
+    g = build_graph([(1, 2), (1, 4), (2, 4), (3, 4), (4, 5)], n=7)
+    u, v = (np.array(side, dtype=np.int64) for side in zip(*itertools.product(range(7), repeat=2)))
+    assert g.adjacent(u, v).tolist() == [int(b) in g.neighbor_set(int(a)) for a, b in zip(u, v)]
+    assert g.adjacent(np.array([4, 4, 4]), np.array([1, 5, 0])).tolist() == [True, True, False]
+    assert g.adjacent(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)).tolist() == []
+    edgeless = build_graph([], n=3)
+    assert edgeless.adjacent(np.array([0, 2]), np.array([2, 0])).tolist() == [False, False]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    raw=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=300),
+    data=st.data(),
+)
+def test_adjacent_matches_neighbor_sets(n, raw, data):
+    g = build_graph([(u % n, v % n) for u, v in raw if u % n != v % n], n=n)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60))
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    v = np.array([b for _, b in pairs], dtype=np.int64)
+    assert g.adjacent(u, v).tolist() == [b in g.neighbor_set(a) for a, b in pairs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    colors=st.lists(st.integers(-3, 3) | st.sampled_from([-(2**63), 2**63 - 1]), max_size=30),
+    slots=st.integers(0, 10**4),
+)
+def test_same_color_pairs_match_combinations(colors, slots):
+    # the blank 0 pairs with nothing; extreme colours stretch the span
+    arr = np.array(colors, dtype=np.int64)
+    expected = [
+        (i, j) for i, j in itertools.combinations(range(len(colors)), 2)
+        if colors[i] == colors[j] != BLANK
+    ]
+    got = same_color_pairs(arr, 10**18)
+    assert got is not None
+    assert sorted(zip(got[0].tolist(), got[1].tolist())) == expected
+    # refused exactly when the pairs cost at least the slots: the min/max
+    # bound never refuses a call that the count would accept
+    colored = sum(c != BLANK for c in colors)
+    chosen = same_color_pairs(arr, slots)
+    assert (chosen is None) == (colored > 1 and len(expected) * graph_module.PAIR_SLOTS >= slots)
+
+
 def test_edge_list_roundtrip(tmp_path):
     g = build_graph([(0, 1), (2, 3), (1, 3)], n=5)
     path = tmp_path / "g.edges"
@@ -251,6 +303,69 @@ def test_edge_list_comments_and_header(tmp_path):
     g = read_edge_list(path)
     assert g.n == 4
     assert g.edge_array().tolist() == [[0, 1], [2, 3]]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n 11\n0 1\n1_0 2\n", "g.edges:3: non-integer vertex ID in '1_0 2'"),
+        ("0 1\n+3 4\n", "g.edges:2: non-integer vertex ID in '+3 4'"),
+        ("0 1 # ok\n3 \u0664\n", "g.edges:2: non-integer vertex ID in '3 \u0664'"),
+        ("n 1_1\n0 1\n", "g.edges:1: non-integer vertex count in 'n 1_1'"),
+        ("n +4\n0 1\n", "g.edges:1: non-integer vertex count in 'n +4'"),
+        ("0 1\n\n0 x\n1 2 3\n", "g.edges:3: non-integer vertex ID in '0 x'"),
+        ("0 1\n1 2 3\n0 x\n", "g.edges:2: expected 'u v', got '1 2 3'"),
+        ("# c\n\nn\n", "g.edges:3: malformed header 'n'"),
+        ("0 1\nn 4\n", "g.edges:2: header must come first"),
+    ],
+)
+def test_edge_list_names_its_first_bad_line(tmp_path, text, message):
+    # int() would read "1_0" as 10, "+3" as 3 and "\u0664" (Arabic-Indic 4) as 4
+    path = tmp_path / "g.edges"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        read_edge_list(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(["0 1", " 4\t5 ", "", "# c", "n 6", "n 1_1", "1 +2", "3", "1 2 3", "0 1_0 # c"]),
+        max_size=6,
+    ),
+    st.sampled_from([None, 1, 7]),
+)
+def test_edge_list_check_matches_a_per_line_reading(lines, chars):
+    # the chunked check and the per-line search agree: a file is read iff
+    # no line is bad, and otherwise its first bad line is named; small
+    # chunks put the header and the edges in chunks of their own
+    first_bad, started, edges, declared = None, False, [], None
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split("#")[0].split()
+        if not parts:
+            continue
+        header = parts[0] == "n"
+        ids_ok = all(re.fullmatch(r"-?[0-9]+", part) for part in parts[header:])
+        if len(parts) != 2 or not ids_ok or header and started:
+            first_bad = lineno
+            break
+        started = True
+        if header:
+            declared = int(parts[1])
+        else:
+            edges.append(tuple(map(int, parts)))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        if chars is not None:
+            mp.setattr(io_module, "_READ_CHARS", chars)
+        path = Path(tmp) / "g.edges"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        if first_bad is not None:
+            with pytest.raises(ValidationError, match=f"g.edges:{first_bad}: "):
+                read_edge_list(path)
+        elif started:
+            got = read_edge_list(path)
+            expected = build_graph(np.array(edges, dtype=np.int64).reshape(-1, 2), n=declared)
+            assert (got.n, got.edge_array().tolist()) == (expected.n, expected.edge_array().tolist())
 
 
 def test_edge_list_malformed_line(tmp_path):
