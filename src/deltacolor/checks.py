@@ -24,10 +24,10 @@ _REPORT_CAP = 5
 def properness_failures(graph: Graph, committed: np.ndarray) -> list[str]:
     """Monochromatic edges among committed vertices, found by looking up
     the same-colour pairs in the graph when that is cheaper (see
-    :func:`~deltacolor.graph.same_color_pairs`), otherwise by a scan of
-    every row in row blocks. Both name the first bad slots in (row,
-    column) order. The pair path assumes the symmetric CSR that
-    :func:`~deltacolor.graph.build_graph` guarantees."""
+    :func:`~deltacolor.graph.same_color_pairs`), otherwise by one scan of
+    every row (:meth:`~deltacolor.graph.Graph.scan`). Both name the first
+    bad slots in (row, column) order. The pair path assumes the symmetric
+    CSR that :func:`~deltacolor.graph.build_graph` guarantees."""
     pairs = same_color_pairs(committed, graph.indices.size)
     if pairs is not None:
         u, v = pairs
@@ -47,16 +47,17 @@ def properness_failures(graph: Graph, committed: np.ndarray) -> list[str]:
 
 def _bad_slots(graph: Graph, committed: np.ndarray) -> tuple[int, list[tuple[int, int]]]:
     """The number of monochromatic slots among committed vertices and the
-    first ``2 * _REPORT_CAP`` of them as (row, column), scanned in row blocks."""
-    degrees = graph.degrees()
+    first ``2 * _REPORT_CAP`` of them as (row, column), from one scan of
+    every row."""
     first: list[int] = []  # the first bad slots, in slot order
     count = 0
-    for block in graph.row_blocks(np.arange(graph.n)):
-        start, stop = graph.indptr[block.start], graph.indptr[block.stop]
-        own = np.repeat(committed[block], degrees[block])
-        bad = np.flatnonzero((own == committed[graph.indices[start:stop]]) & (own != BLANK))
+    start = 0  # every row in order: the scan's slots are the CSR slots
+    for block, neighbors, degrees in graph.scan(np.arange(graph.n)):
+        own = np.repeat(committed[block], degrees)
+        bad = np.flatnonzero((own == committed[neighbors]) & (own != BLANK))
         count += bad.size
         first.extend((bad[: 2 * _REPORT_CAP - len(first)] + start).tolist())
+        start += neighbors.size
     first_slots = np.array(first, dtype=np.int64)
     rows = np.searchsorted(graph.indptr, first_slots, side="right") - 1
     return count, list(zip(rows.tolist(), graph.indices[first_slots].tolist()))

@@ -166,7 +166,7 @@ def _conflicted(
     A blank vertex is never conflicted. The pairs of drawn vertices that
     share a color are looked up in the graph when that is cheaper (see
     :func:`~deltacolor.graph.same_color_pairs`); otherwise the rows of
-    the drawn vertices are scanned, in row blocks.
+    the drawn vertices are scanned (:meth:`~deltacolor.graph.Graph.scan`).
     """
     drawn = np.flatnonzero(tentative != BLANK)
     conflicted = np.zeros(graph.n, dtype=bool)
@@ -182,10 +182,8 @@ def _conflicted(
             conflicted[u[rank[v] < rank[u]]] = True
             conflicted[v[rank[u] < rank[v]]] = True
         return conflicted
-    for block in graph.row_blocks(drawn):
+    for block, neighbors, degrees in graph.scan(drawn):
         part = drawn[block]
-        slots, degrees = graph.row_slots(part)
-        neighbors = graph.indices[slots]
         clash = np.flatnonzero(tentative[neighbors] == np.repeat(tentative[part], degrees))
         owners = part[np.searchsorted(np.cumsum(degrees), clash, side="right")]
         if rank is not None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -34,19 +34,31 @@ _INT64_MAX = np.iinfo(np.int64).max
 # most 2**28 cells, so no run holds more. The square still fits in int64
 # (build_graph's edge keys), and no n-sized array is allocated beyond it.
 _MAX_VERTICES = 2**28
-# CSR slots per block of a row scan (Graph.row_blocks): the per-slot
+# CSR slots per block of a row scan (Graph.scan): the per-slot
 # temporaries of one block stay in cache, and the heap reuses them from
 # block to block instead of faulting in fresh pages for every call.
 SLOT_BLOCK = 2**18
-# Path switch of the same-colour searches (engine._conflicted and
-# checks.properness_failures): CSR slots of a row scan that cost as much
-# as one same-colour pair listed by same_color_pairs and looked up by
-# Graph.adjacent. Calibrated like the multiply costs above, on a 2-vCPU
-# x86 VM (numpy 2.4), timing both paths on every call of full runs: a
-# pair costs 150-250 ns once thousands are looked up (8 to 11 binary-
-# search passes), a slot 4.4-5.6 ns in the properness scan and 9-12 ns
-# in the conflict scan. Near the ratio the paths tie: 1.9e4 pairs
-# against 6.3e5 slots (ratio 33) took 2.8 ms either way.
+# Path switch of Graph.scan for ascending rows with gaps, in units of one
+# gathered slot (4-7 ns): a masked read costs one per MASK_SPAN slots of
+# its span (0.35-0.4 ns each) and MASK_ROW per row of its reach (about
+# 30 ns), and is taken when that is at most the slots wanted. Timed on a
+# 2-vCPU x86 VM (numpy 2.4), both reads of each of the 67 such blocks of
+# seed-11 runs of the three benchmark workloads: the rule picked the
+# faster one every time.
+MASK_SPAN = 10
+MASK_ROW = 8
+# Path switch of the same-colour searches (engine._conflicted,
+# checks.properness_failures and the clash check of state.commit_colors):
+# CSR slots of a row scan that cost as much as one same-colour pair listed
+# by same_color_pairs and looked up by Graph.adjacent. Calibrated like the
+# multiply costs above, on a 2-vCPU x86 VM (numpy 2.4), timing both paths
+# on every call of full runs of the three benchmark workloads (seed 11),
+# with every scan reading through Graph.scan: a pair costs 150-250 ns once
+# thousands are looked up (8 to 11 binary-search passes), a slot 5-10 ns
+# in the conflict and properness scans and 3.5-6 ns in commit's clash
+# check, so the paths tie between 29 and 50 slots per pair (properness on
+# mixed-main: 9.7e3 pairs took 2.6 ms against 3.5 ms of scanning 6.3e5
+# slots, 1.6e4 pairs 3.9 ms against 3.5 ms).
 PAIR_SLOTS = 40
 
 
@@ -79,29 +91,43 @@ class Graph:
         """The CSR row of every slot, aligned with ``indices``."""
         return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
 
-    def row_slots(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """CSR slots of the given rows, row after row, and each row's degree."""
-        starts = self.indptr[rows]
-        degrees = self.indptr[rows + 1] - starts
-        ends = np.cumsum(degrees)
-        slots = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64)
-        slots += np.repeat(starts - (ends - degrees), degrees)
-        return slots, degrees
-
     def row_blocks(self, rows: np.ndarray) -> list[slice]:
         """``rows`` cut, in order, into consecutive runs of at most
         ``SLOT_BLOCK`` CSR slots each, as slices of ``rows``; a row with
         more slots is a run of its own. No rows give no runs."""
-        block = SLOT_BLOCK
-        ends = np.cumsum(self.indptr[rows + 1] - self.indptr[rows])
-        out = []
-        start = 0
-        while start < len(rows):
-            before = int(ends[start - 1]) if start else 0
-            stop = max(int(np.searchsorted(ends, before + block, side="right")), start + 1)
-            out.append(slice(start, stop))
-            start = stop
-        return out
+        return _cut(self.indptr[rows + 1] - self.indptr[rows])
+
+    def scan(self, rows: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+        """The neighbours of ``rows`` (vertex IDs in any order, repeats
+        allowed), one block of :meth:`row_blocks` at a time: per block,
+        its slice of ``rows``, the neighbours of those rows row after row,
+        and each row's degree.
+
+        A block of consecutive rows reads its neighbours as one slice of
+        ``indices``. A block of ascending rows compresses its slot span by
+        a row mask when that is estimated cheaper (``MASK_SPAN``,
+        ``MASK_ROW``). Any other block gathers its slots one by one.
+        """
+        indptr, indices = self.indptr, self.indices
+        starts = indptr[rows]
+        degrees = indptr[rows + 1] - starts
+        for block in _cut(degrees):
+            part, wanted = rows[block], degrees[block]
+            first, last = int(part[0]), int(part[-1])
+            lo, hi = int(indptr[first]), int(indptr[last + 1])
+            read = _read(part, hi - lo, int(wanted.sum()))
+            if read == "slice":
+                yield block, indices[lo:hi], wanted
+            elif read == "mask":
+                chosen = np.zeros(last - first + 1, dtype=bool)
+                chosen[part - first] = True
+                keep = np.repeat(chosen, np.diff(indptr[first : last + 2]))
+                yield block, indices[lo:hi][keep], wanted
+            else:
+                ends = np.cumsum(wanted)
+                slots = np.arange(int(ends[-1]), dtype=np.int64)
+                slots += np.repeat(starts[block] - (ends - wanted), wanted)
+                yield block, indices[slots], wanted
 
     def adjacent(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Whether ``v[i]`` is a neighbour of ``u[i]``, for every i: a
@@ -289,6 +315,37 @@ def same_color_pairs(colors: np.ndarray, slots: int) -> tuple[np.ndarray, np.nda
     first = np.repeat(np.arange(d), later)
     second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
     return vertices[order[first]], vertices[order[second]]
+
+
+def _cut(degrees: np.ndarray) -> list[slice]:
+    """Rows of the given degrees cut, in order, into the runs of
+    :meth:`Graph.row_blocks`."""
+    block = SLOT_BLOCK
+    ends = np.cumsum(degrees)
+    out = []
+    start = 0
+    while start < degrees.size:
+        before = int(ends[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(ends, before + block, side="right")), start + 1)
+        out.append(slice(start, stop))
+        start = stop
+    return out
+
+
+def _read(rows: np.ndarray, span: int, wanted: int) -> str:
+    """How :meth:`Graph.scan` reads a block of ``rows`` (at least one)
+    that wants ``wanted`` CSR slots, ``span`` slots lying from the first
+    row's first slot to the last row's end: ``"slice"`` for consecutive
+    rows, ``"mask"`` for ascending rows where the row mask costs at most
+    the gather, and ``"gather"`` for all others."""
+    if not (np.diff(rows) > 0).all():
+        return "gather"
+    reach = int(rows[-1]) - int(rows[0]) + 1
+    if reach == rows.size:
+        return "slice"
+    if span // MASK_SPAN + MASK_ROW * reach <= wanted:
+        return "mask"
+    return "gather"
 
 
 def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import InvariantViolation, ValidationError
-from .graph import BLANK, Graph, as_int64, segment_sum
+from .graph import BLANK, Graph, as_int64, same_color_pairs, segment_sum
 
 # Most cells of the vertex-by-colour palette matrix: the state holds it
 # twice, and a commit builds one more of its size (its colour-major marks),
@@ -193,45 +193,50 @@ def commit_colors(state: ColoringState, vertices: ArrayLike, colors: ArrayLike) 
         repeat[first] = False
         raise InvariantViolation(f"vertex {int(vertices[np.argmax(repeat)])} is assigned twice")
 
-    # One pass over the batch's slots, in row blocks (Graph.row_blocks) so
-    # its temporaries stay cache-sized. It checks the batch and scatters
-    # one mark per slot into a colour-major matrix, at (color column,
-    # dest[neighbor]): dest sends a live neighbor (uncolored and not in
-    # the batch) to its own column and every other vertex to the spare
-    # last one, so each batch vertex's marks land in one row. The state
-    # changes only after the whole batch has passed.
-    spare = graph.n
-    dest = np.where((state.committed == BLANK) & (batch == BLANK), np.arange(spare), spare)
-    lost = np.zeros(spare + 1, dtype=np.int64)
-    hit = np.zeros(state.num_colors * (spare + 1), dtype=bool)
-    offsets = state.color_columns(colors) * (spare + 1)
-    for block in graph.row_blocks(vertices):
-        slots, degrees = graph.row_slots(vertices[block])
-        neighbors = graph.indices[slots]
-        own = np.repeat(colors[block], degrees)
-        clash = batch[neighbors] == own
-        if clash.any():
-            k = int(np.argmax(clash))
-            v = int(vertices[block][np.searchsorted(np.cumsum(degrees), k, side="right")])
-            raise InvariantViolation(
-                f"vertices {v} and {int(neighbors[k])} are neighbors but both assigned color {int(own[k])}"
-            )
+    # A clash is two batch vertices that are neighbours and share a color.
+    # The batch's same-color pairs are looked up in the graph when that is
+    # cheaper than checking every slot (graph.same_color_pairs); only a
+    # pair that is an edge, or a declined lookup, turns on the slot check
+    # below, which names the first clash in batch order.
+    slots = int((graph.indptr[vertices + 1] - graph.indptr[vertices]).sum())
+    pairs = same_color_pairs(batch, slots)
+    check = pairs is None or bool(graph.adjacent(*pairs).any())
+    # One scan of the batch's rows (Graph.scan). It counts each vertex's
+    # batch neighbors and scatters one mark per slot into a colour-major
+    # matrix, at (color column, neighbor), so each batch vertex's marks
+    # land in one row. The state changes only after the whole batch has
+    # passed.
+    n = graph.n
+    lost = np.zeros(n, dtype=np.int64)
+    hit = np.zeros(state.num_colors * n, dtype=bool)
+    offsets = state.color_columns(colors) * n
+    for block, neighbors, degrees in graph.scan(vertices):
+        if check:
+            own = np.repeat(colors[block], degrees)
+            clash = batch[neighbors] == own
+            if clash.any():
+                k = int(np.argmax(clash))
+                v = int(vertices[block][np.searchsorted(np.cumsum(degrees), k, side="right")])
+                raise InvariantViolation(
+                    f"vertices {v} and {int(neighbors[k])} are neighbors but both assigned color {int(own[k])}"
+                )
         # A conflict with an already-committed neighbor is impossible here:
         # its color was removed from v's residual palette when it committed.
-        rows = dest[neighbors]
-        lost += np.bincount(rows, minlength=spare + 1)
-        rows += np.repeat(offsets[block], degrees)
-        hit[rows] = True
+        lost += np.bincount(neighbors, minlength=n)
+        cells = np.repeat(offsets[block], degrees)
+        cells += neighbors
+        hit[cells] = True
 
+    # Only live neighbors (uncolored, not in the batch) lose anything.
+    lost[(state.committed != BLANK) | (batch != BLANK)] = 0
     state.committed[vertices] = colors
-    state.residual_degree -= lost[:spare]
-    # Only live neighbors of the batch lost anything. Marks of colors a
-    # neighbor no longer holds drop out; two batch vertices sharing a
-    # neighbor and a color leave one mark. numpy lays the fancy-indexed
-    # columns out one touched row after another, so the transpose is
-    # C-contiguous and lines up with the palette rows.
-    touched = np.flatnonzero(lost[:spare])
-    marks = hit.reshape(state.num_colors, spare + 1)[:, touched].T
+    state.residual_degree -= lost
+    # Marks of colors a neighbor no longer holds drop out; two batch
+    # vertices sharing a neighbor and a color leave one mark. numpy lays
+    # the fancy-indexed columns out one touched row after another, so the
+    # transpose is C-contiguous and lines up with the palette rows.
+    touched = np.flatnonzero(lost)
+    marks = hit.reshape(state.num_colors, n)[:, touched].T
     held = state.palette[touched]
     marks &= held
     state.residual_palette_size[touched] -= np.count_nonzero(marks, axis=1)
@@ -240,7 +245,7 @@ def commit_colors(state: ColoringState, vertices: ArrayLike, colors: ArrayLike) 
 
 
 def recompute_residuals(
-    state: ColoringState, rows: np.ndarray | None = None
+    state: ColoringState, rows: ArrayLike | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Recompute Q(v) and d(v) from scratch for the vertices ``rows``
     (every vertex when None), in the order given.
@@ -248,25 +253,29 @@ def recompute_residuals(
     The values ignore each vertex's own commit status: Q counts original
     palette colors not held by any committed neighbor, d counts uncolored
     neighbors. For uncolored vertices these must equal the incrementally
-    maintained fields. Only the CSR rows of ``rows`` are read, in row
-    blocks (:meth:`Graph.row_blocks`).
+    maintained fields. Only the CSR rows of ``rows`` are read, by one
+    :meth:`Graph.scan`. A row outside ``[0, n)`` raises
+    :class:`ValidationError`.
     """
     graph = state.graph
     rows = np.arange(graph.n) if rows is None else as_int64(rows, "rows")
+    if rows.size and (rows.min() < 0 or rows.max() >= graph.n):
+        bad = int(rows[np.argmax((rows < 0) | (rows >= graph.n))])
+        raise ValidationError(f"row {bad} lies outside [0, {graph.n})")
     width = state.num_colors + 1
-    dtype = np.int32 if rows.size * width < 2**31 else np.int64
     # Column of each vertex's color, blank in the spare last one. Mapped
     # here rather than by color_columns, which the commit it checks uses.
-    columns = np.searchsorted(state.color_values, state.committed).astype(dtype)
+    # The keys below stay intp: numpy converts any other index type to it
+    # before a scatter.
+    columns = np.searchsorted(state.color_values, state.committed)
     columns[state.committed == BLANK] = width - 1
     q = np.empty(rows.size, dtype=np.int64)
     d = np.empty(rows.size, dtype=np.int64)
-    for block in graph.row_blocks(rows):
+    for block, neighbors, degrees in graph.scan(rows):
         part = rows[block]
-        slots, degrees = graph.row_slots(part)
-        held = columns[graph.indices[slots]]
+        held = columns[neighbors]
         # one (row, neighbor's color column) key per slot of the rows
-        keys = np.repeat(np.arange(part.size, dtype=dtype) * dtype(width), degrees)
+        keys = np.repeat(np.arange(0, part.size * width, width), degrees)
         keys += held
         taken = np.zeros((part.size, width), dtype=bool)
         taken.reshape(-1)[keys] = True

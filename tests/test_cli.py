@@ -8,6 +8,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -226,6 +227,85 @@ def test_step_modes_run_the_monitor_after_every_step(tmp_path, monkeypatch, mode
     doc = read_json(out)
     kind = {"initial-only": "initial", "dense-steps": "dense", "fallback-only": "fallback"}[mode]
     assert any(msg.endswith(f"({kind}): injected") for msg in doc["invariant_failures"])
+
+
+def plant_surplus_drop(monkeypatch, planted):
+    """A commit that also drops one palette entry of the first uncolored
+    vertex whose surplus the real commit left unchanged (and at least 2,
+    so its palette never runs dry): only that vertex's surplus falls."""
+    engine = deltacolor.engine
+    commit = engine.commit_colors
+
+    def commit_and_drop(state, vertices, colors):
+        before = state.surplus()
+        commit(state, vertices, colors)
+        if planted:
+            return
+        same = (state.committed == 0) & (state.surplus() == before) & (before >= 2)
+        v = int(np.flatnonzero(same)[0])
+        state.palette[v, np.flatnonzero(state.palette[v])[0]] = False
+        state.residual_palette_size[v] -= 1
+        planted.append(f"step 1 (fallback): surplus of uncolored vertex {v} decreased")
+
+    monkeypatch.setattr(engine, "commit_colors", commit_and_drop)
+
+
+def plant_good_color_excess(monkeypatch, planted):
+    """Good-color counts one above s0 at vertex 0."""
+    engine = deltacolor.engine
+    count = engine.count_good_colors
+
+    def inflated(state):
+        good = count(state)
+        s0 = int(good.s0[0])
+        good.good_counts[0] = s0 + 1
+        planted.append(f"good-color bound violated at vertex 0: s0={s0} < |J|={s0 + 1}")
+        return good
+
+    monkeypatch.setattr(engine, "count_good_colors", inflated)
+
+
+def plant_colored_miscount(monkeypatch, planted):
+    """A first step whose record counts one colored vertex too many."""
+    engine = deltacolor.engine
+    resolve = engine._resolve
+
+    def miscounted(*args, **kwargs):
+        stats = resolve(*args, **kwargs)
+        if not planted:
+            stats.colored += 1
+            planted.append("per-step colored counts sum to 61, but 60 vertices are colored")
+        return stats
+
+    monkeypatch.setattr(engine, "_resolve", miscounted)
+
+
+@pytest.mark.parametrize(
+    "plant, mode",
+    [
+        (plant_surplus_drop, "full"),
+        (plant_good_color_excess, "initial-only"),
+        (plant_colored_miscount, "full"),
+    ],
+)
+def test_planted_monitor_defects_reach_the_driver_and_the_cli(tmp_path, monkeypatch, capsys, plant, mode):
+    # gnp:60,0.3 takes the fallback path in a full run; the checks are the
+    # driver's own, only the defect they catch is planted
+    planted = []
+    plant(monkeypatch, planted)
+    g = deltacolor.generate(deltacolor.GeneratorSpec.parse("gnp:60,0.3", seed=1))
+    driver = deltacolor.engine.PhaseDriver(g, deltacolor.canonical_palettes(g), seed=1)
+    if mode == "full":
+        driver.full()
+    else:
+        driver.initial()
+    failures = driver.report().invariant_failures
+    assert len(planted) == 1 and planted[0] in failures
+    planted.clear()
+    argv = ["run", "--gen", "gnp:60,0.3", "--seed", "1", "--mode", mode, "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 1
+    assert f"invariant failure: {planted[0]}" in capsys.readouterr().err.splitlines()
+    assert planted[0] in read_json(tmp_path / "r.json")["invariant_failures"]
 
 
 @pytest.mark.parametrize("mode", sorted(STEP_MODES))

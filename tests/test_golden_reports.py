@@ -146,6 +146,18 @@ def test_full_reports_hold_on_both_same_colour_paths(tmp_path, monkeypatch, name
     assert api_hash(name, tmp_path) == json.loads(FIXTURE.read_text())[name]
 
 
+@pytest.mark.parametrize("mask_span, mask_row", [(10**18, 0), (1, 10**18)])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_full_reports_hold_on_every_scan_read(tmp_path, monkeypatch, name, mask_span, mask_row):
+    # (10**18, 0) reads every block of ascending rows with gaps through a
+    # row mask, (1, 10**18) gathers their slots; Graph.scan must yield the
+    # same neighbours either way
+    monkeypatch.setattr(graph_module, "SLOT_BLOCK", 64)
+    monkeypatch.setattr(graph_module, "MASK_SPAN", mask_span)
+    monkeypatch.setattr(graph_module, "MASK_ROW", mask_row)
+    assert api_hash(name, tmp_path) == json.loads(FIXTURE.read_text())[name]
+
+
 def test_golden_cases_cover_every_phase(tmp_path):
     # The main-path case must run the decomposition, the initial step, a
     # dense step and fallback rounds; the list-palette case must not be

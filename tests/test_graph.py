@@ -549,11 +549,29 @@ def test_unsigned_id_beyond_int64_is_out_of_range():
     assert g.n == 3 and g.neighbors(2).tolist() == [0]
 
 
+def reference_scan(g, rows):
+    """Graph.scan by its definition: the blocks of row_blocks, each with
+    its rows' CSR slots listed row by row and gathered from indices."""
+    out = []
+    for block in g.row_blocks(rows):
+        slots = [np.arange(g.indptr[v], g.indptr[v + 1]) for v in rows[block]]
+        neighbors = g.indices[np.concatenate(slots)]
+        out.append((block, neighbors.tolist(), [s.size for s in slots]))
+    return out
+
+
+# (MASK_SPAN, MASK_ROW) that leave the read of a block of ascending rows
+# with gaps to the measured rule, force the row mask, or force the gather
+SCAN_READS = {"rule": None, "mask": (10**18, 0), "gather": (1, 10**18)}
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.lists(st.integers(0, 7), max_size=4), min_size=1, max_size=8),
+    st.sampled_from(["consecutive", "ascending", "unsorted", "empty"]),
     st.data(),
 )
-def test_row_slots_match_per_row_concatenation(rows_of_neighbors, data):
+def test_scan_matches_row_blocks_and_gathered_slots(rows_of_neighbors, kind, data):
     # CSR arrays built by hand: rows may be empty, and so may the selection
     degrees = [len(r) for r in rows_of_neighbors]
     g = graph_module.Graph(
@@ -562,8 +580,52 @@ def test_row_slots_match_per_row_concatenation(rows_of_neighbors, data):
         indices=np.array([x for r in rows_of_neighbors for x in r], dtype=np.int64),
         max_degree=max(degrees),
     )
-    rows = np.array(data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n)), dtype=np.int64)
-    slots, got = g.row_slots(rows)
-    expected = [np.arange(g.indptr[v], g.indptr[v + 1]) for v in rows]
-    assert got.tolist() == [e.size for e in expected]
-    assert slots.tolist() == np.concatenate([np.zeros(0, dtype=np.int64), *expected]).tolist()
+    vertex = st.integers(0, g.n - 1)
+    if kind == "consecutive":
+        first = data.draw(vertex)
+        rows = np.arange(first, data.draw(st.integers(first, g.n)))
+    elif kind == "ascending":
+        rows = np.array(sorted(data.draw(st.sets(vertex))), dtype=np.int64)
+    elif kind == "unsorted":  # any order, repeats allowed
+        rows = np.array(data.draw(st.lists(vertex, max_size=2 * g.n)), dtype=np.int64)
+    else:
+        rows = np.zeros(0, dtype=np.int64)
+    for block, thresholds in itertools.product((1, 3, graph_module.SLOT_BLOCK), SCAN_READS.values()):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "SLOT_BLOCK", block)
+            if thresholds is not None:
+                mp.setattr(graph_module, "MASK_SPAN", thresholds[0])
+                mp.setattr(graph_module, "MASK_ROW", thresholds[1])
+            scanned = list(g.scan(rows))
+            expected = reference_scan(g, rows)
+        assert [(b, nb.tolist(), d.tolist()) for b, nb, d in scanned] == expected
+        for part, neighbors, _ in scanned:
+            # consecutive rows, and only they, are read as a view of indices
+            consecutive = bool(np.all(np.diff(rows[part]) == 1))
+            assert np.shares_memory(neighbors, g.indices) == (consecutive and neighbors.size > 0)
+
+
+def test_scan_reads_each_kind_of_block(monkeypatch):
+    # K_100 has 99 slots a row: a row mask pays for every other row of a
+    # span, not for two rows far apart; one-row blocks are always slices
+    g = generate(GeneratorSpec("complete", {"n": 100}))
+    reads = []
+    read = graph_module._read
+    monkeypatch.setattr(graph_module, "_read", lambda *args: reads.append(read(*args)) or reads[-1])
+    cases = [
+        ([3, 4, 5], ["slice"]),
+        (list(range(0, 100, 2)), ["mask"]),
+        ([0, 99], ["gather"]),
+        ([5, 1, 9], ["gather"]),
+        ([2, 2], ["gather"]),
+        ([], []),
+    ]
+    default = graph_module.SLOT_BLOCK
+    for rows, expected in cases:
+        rows = np.array(rows, dtype=np.int64)
+        for block in (default, 99):
+            monkeypatch.setattr(graph_module, "SLOT_BLOCK", block)
+            reads.clear()
+            got = [(b, nb.tolist(), d.tolist()) for b, nb, d in g.scan(rows)]
+            assert got == reference_scan(g, rows)
+            assert reads == (expected if block > 99 else ["slice"] * rows.size), (rows, block)

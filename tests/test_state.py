@@ -285,6 +285,11 @@ def test_commit_marks_neither_a_committed_nor_an_in_batch_neighbour(monkeypatch,
     assert state.residual_degree[3] == 0
 
 
+# PAIR_SLOTS 0 looks the batch's same-colour pairs up before the slot
+# check, 10**18 checks every slot
+CLASH_PATHS = (0, 10**18)
+
+
 @pytest.mark.parametrize(
     "vertices, colors, message",
     [
@@ -306,9 +311,12 @@ def test_commit_violation_messages_name_the_first_bad_entry(vertices, colors, me
     state = init_state(g, canonical_palettes(g))
     commit_colors(state, [2], [1])
     before = copy_state(state)
-    with pytest.raises(InvariantViolation, match=message):
-        commit_colors(state, vertices, colors)
-    assert_same_state(state, before)
+    for pair_slots in CLASH_PATHS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "PAIR_SLOTS", pair_slots)
+            with pytest.raises(InvariantViolation, match=message):
+                commit_colors(state, vertices, colors)
+        assert_same_state(state, before)
 
 
 def full_slot_clash(state, vertices, colors):
@@ -345,10 +353,12 @@ def test_blocked_commit_names_the_first_clash_and_changes_nothing(monkeypatch, b
         before = copy_state(state)
         if expected is None:
             continue
-        with pytest.raises(InvariantViolation) as err:
-            commit_colors(state, vertices, colors)
-        assert str(err.value) == expected
-        assert_same_state(state, before)
+        for pair_slots in CLASH_PATHS:
+            monkeypatch.setattr(graph_module, "PAIR_SLOTS", pair_slots)
+            with pytest.raises(InvariantViolation) as err:
+                commit_colors(state, vertices, colors)
+            assert str(err.value) == expected
+            assert_same_state(state, before)
         seen.add(expected)
     assert len(seen) > 1
     # path 2 - 1 - 0 - 3 with vertex 2 colored 1: with one-slot blocks the
@@ -357,9 +367,36 @@ def test_blocked_commit_names_the_first_clash_and_changes_nothing(monkeypatch, b
     state = init_state(path, canonical_palettes(path))
     commit_colors(state, [2], [1])
     before = copy_state(state)
-    with pytest.raises(InvariantViolation, match="vertices 1 and 0 are neighbors but both assigned color 3"):
-        commit_colors(state, [3, 1, 0], [2, 3, 3])
-    assert_same_state(state, before)
+    for pair_slots in CLASH_PATHS:
+        monkeypatch.setattr(graph_module, "PAIR_SLOTS", pair_slots)
+        with pytest.raises(InvariantViolation, match="vertices 1 and 0 are neighbors but both assigned color 3"):
+            commit_colors(state, [3, 1, 0], [2, 3, 3])
+        assert_same_state(state, before)
+
+
+@pytest.mark.parametrize("pair_slots", CLASH_PATHS)
+@pytest.mark.parametrize("block", [1, 64])
+def test_clean_commit_matches_the_reference_on_both_clash_paths(monkeypatch, pair_slots, block):
+    # permuted batches of an independent set, many vertices per colour, so
+    # the pair path has pairs to look up and finds none of them adjacent
+    monkeypatch.setattr(graph_module, "PAIR_SLOTS", pair_slots)
+    monkeypatch.setattr(graph_module, "SLOT_BLOCK", block)
+    g = generate(GeneratorSpec("gnp", {"n": 40, "p": 0.3}, seed=3))
+    state = init_state(g, canonical_palettes(g))
+    mirror = copy_state(state)
+    rng = np.random.default_rng(block)
+    while state.num_uncolored():
+        batch = []
+        for v in rng.permutation(np.flatnonzero(state.committed == BLANK)).tolist():
+            if not any(w in batch for w in g.neighbors(v).tolist()):
+                batch.append(v)
+        colors = [min(palette_of(state, v)) for v in batch]
+        commit_colors(state, np.array(batch), np.array(colors))
+        reference_commit(mirror, batch, colors)
+        assert_same_state(state, mirror)
+        q, d = recompute_residuals(state)
+        ref_q, ref_d = reference_residuals(state)
+        assert np.array_equal(q, ref_q) and np.array_equal(d, ref_d)
 
 
 def test_commit_first_offending_entry_wins():
@@ -425,6 +462,19 @@ def test_recompute_residuals_matches_per_vertex_reference(case):
         q, d = recompute_residuals(state)
         ref_q, ref_d = reference_residuals(state)
         assert np.array_equal(q, ref_q) and np.array_equal(d, ref_d)
+
+
+@pytest.mark.parametrize(
+    "rows, bad", [([1, -2], -2), ([-1], -1), ([4], 4), ([0, 4, -1], 4)]
+)
+def test_recount_rejects_rows_outside_the_graph(rows, bad):
+    # a 4-vertex path: -2 must not wrap round to row 2
+    g = build_graph([(0, 1), (1, 2), (2, 3)])
+    state = init_state(g, canonical_palettes(g))
+    with pytest.raises(ValidationError, match=rf"^row {bad} lies outside \[0, 4\)$"):
+        recompute_residuals(state, rows)
+    q, d = recompute_residuals(state, [3, 0])
+    assert q.tolist() == [3, 3] and d.tolist() == [1, 1]
 
 
 def full_slot_residuals(state):
