@@ -25,8 +25,15 @@ _FLOAT32_EXACT = 2**24
 # there the dense product wins by 7x or more anyway.
 _SPARSE_SECONDS_PER_MULTIPLY = 2.4e-8
 _DENSE_SECONDS_PER_MULTIPLY = 7e-12
-# Memory bounds: the dense backend's float32 operand (k x n, which also
-# bounds its k x k product) and the multiplies in one sparse block.
+# The fixed cost of one dense row run (common_counts), in dense
+# multiply-adds. Timed like the costs above, on runs too small for their
+# product to count: 1500-5000 disjoint K_2 to K_8 in contiguous ID ranges,
+# with and without 2e4 unkept vertices, took 44-53 us per run (median 50,
+# 7e6 multiply-adds), so thousands of tiny runs go to SpGEMM.
+_DENSE_RUN_MULTIPLIES = 7_000_000
+# Memory bounds: the dense backend's float32 operand per run (b rows x
+# the columns it reads, or b x b for its product if that is larger) and
+# the multiplies in one sparse block.
 _DENSE_OPERAND_ELEMENTS = 2**28
 _SPARSE_BLOCK_MULTIPLIES = 2**22
 _INT64_MAX = np.iinfo(np.int64).max
@@ -352,14 +359,15 @@ def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Per-segment sum over a CSR layout; empty segments yield 0.
 
     reduceat is only fed the starts of non-empty segments: empty ones
-    would otherwise swallow an element of the preceding segment.
+    would otherwise swallow an element of the preceding segment. It sums
+    in int64 as it reads, without an int64 copy of ``values``.
     """
     m = indptr.size - 1
     sums = np.zeros(m, dtype=np.int64)
     if values.size == 0:
         return sums
     nonempty = np.diff(indptr) > 0
-    sums[nonempty] = np.add.reduceat(values.astype(np.int64), indptr[:-1][nonempty])
+    sums[nonempty] = np.add.reduceat(values, indptr[:-1][nonempty], dtype=np.int64)
     return sums
 
 
@@ -394,28 +402,92 @@ def common_counts(rows: csr_matrix, pairs: np.ndarray) -> np.ndarray:
     keys i * k + j, and entry t of the result counts the columns set in
     both rows of pair t, as an exact float32. The backend is whichever is
     estimated cheaper: a row-blocked sparse product (one multiply per two
-    entries sharing a column) or a dense float32 product (k * k * n
-    multiply-adds), the latter only while its operand fits in memory.
+    entries sharing a column) or one dense float32 product per run of
+    :func:`_row_runs` (b * b multiply-adds per column a run of b rows
+    reads, plus a fixed cost per run), the latter only while every run's
+    operand fits in memory.
     """
     k, n = rows.shape
     if rows.nnz and np.diff(rows.indptr).max() >= _FLOAT32_EXACT:
         raise ValidationError(f"shared-neighbour counts need degrees below {_FLOAT32_EXACT}")
     column_degrees = np.asarray(rows.sum(axis=0), dtype=np.float64).ravel()
     sparse_cost = _SPARSE_SECONDS_PER_MULTIPLY * (column_degrees @ column_degrees)
-    dense_cost = _DENSE_SECONDS_PER_MULTIPLY * float(k) * k * n
-    if dense_cost < sparse_cost and k * n <= _DENSE_OPERAND_ELEMENTS:
+    _, runs = _row_runs(pairs, k)
+    sizes = (runs[:, 1] - runs[:, 0]).astype(np.float64)
+    if np.array_equal(runs, [[0, k]]):  # the whole product reads all n columns
+        widths = np.array([float(n)])
+    else:  # a run reads the columns it touches: at most n, at most one per slot
+        widths = np.minimum(np.diff(rows.indptr[runs]).ravel(), n).astype(np.float64)
+    multiplies = sizes * sizes @ widths + _DENSE_RUN_MULTIPLIES * sizes.size
+    dense_cost = _DENSE_SECONDS_PER_MULTIPLY * multiplies
+    operand = sizes * np.maximum(widths, sizes)  # also bounds the b x b product
+    if dense_cost < sparse_cost and operand.max(initial=0) <= _DENSE_OPERAND_ELEMENTS:
         return _dense_common_counts(rows, pairs)
     return _sparse_common_counts(rows, pairs)
 
 
-def _dense_common_counts(rows: csr_matrix, pairs: np.ndarray) -> np.ndarray:
-    """:func:`common_counts` by one BLAS product of the dense float32 rows.
+def _row_runs(pairs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of k rows starts in the ascending keys ``pairs`` (k + 1
+    positions), and the maximal runs of consecutive rows that no pair
+    crosses, those that hold a pair, as (first, stop) rows.
 
-    The product is taken whole: numpy runs ``d @ d.T`` as a symmetric
-    rank-k update, half the work of a general product per row block.
+    A row's first and last keys give its nearest and farthest partners,
+    so a running max from the top and a running min from the bottom
+    place the cuts in O(k).
     """
-    dense = rows.toarray()
-    return (dense @ dense.T).ravel()[pairs]
+    # row starts in the keys' own dtype: any other would convert every key
+    starts = np.searchsorted(pairs, np.arange(k + 1, dtype=pairs.dtype) * k)
+    row = np.arange(k)
+    reach, back = row.copy(), row.copy()
+    held = np.flatnonzero(starts[1:] > starts[:-1])
+    reach[held] = np.maximum(pairs[starts[held + 1] - 1] - held * k, held)
+    back[held] = np.minimum(pairs[starts[held]] - held * k, held)
+    # cut before row r when no pair of the rows above reaches r and no pair
+    # of r or the rows below reaches above it
+    above = np.maximum.accumulate(reach)[:-1]
+    below = np.minimum.accumulate(back[::-1])[::-1][1:]
+    bounds = np.concatenate(([0], np.flatnonzero((above < row[1:]) & (below >= row[1:])) + 1, [k]))
+    kept = starts[bounds[1:]] > starts[bounds[:-1]]
+    return starts, np.column_stack((bounds[:-1][kept], bounds[1:][kept]))
+
+
+def _dense_common_counts(rows: csr_matrix, pairs: np.ndarray) -> np.ndarray:
+    """:func:`common_counts` by BLAS products of dense float32 rows, one
+    per run of :func:`_row_runs`; rows outside every run are skipped.
+
+    When one run spans every row, the product is taken whole, over all n
+    columns. Otherwise each run multiplies only the columns its rows
+    touch.
+    """
+    k, n = rows.shape
+    starts, runs = _row_runs(pairs, k)
+    if np.array_equal(runs, [[0, k]]):
+        return _gram(rows.toarray())[pairs]
+    out = np.zeros(pairs.size, dtype=np.float32)
+    owner = np.zeros(n, dtype=np.int64)  # per column: one slot of the run that holds it
+    for a, b in runs.tolist():
+        slots = rows.indices[rows.indptr[a] : rows.indptr[b]]
+        if slots.size == 0:  # no neighbours, so nothing shared
+            continue
+        order = np.arange(slots.size)
+        owner[slots] = order
+        owning = owner[slots]
+        # the touched columns, numbered in the order of their owning slots
+        rank = np.cumsum(owning == order) - 1
+        dense = np.zeros((b - a, int(rank[-1]) + 1), dtype=np.float32)
+        dense[np.repeat(np.arange(b - a), np.diff(rows.indptr[a : b + 1])), rank[owning]] = 1
+        # key (a + r) * k + a + c is entry r * (b - a) + c of the run's product
+        lo, hi = starts[a], starts[b]
+        first = np.repeat(np.arange(b - a), np.diff(starts[a : b + 1]))
+        out[lo:hi] = _gram(dense)[pairs[lo:hi] - first * (k - b + a) - a * (k + 1)]
+    return out
+
+
+def _gram(dense: np.ndarray) -> np.ndarray:
+    """Every dot product of two rows of ``dense``, row-major and flat.
+    numpy runs ``d @ d.T`` as a symmetric rank-k update, half the work
+    of a general product per row block."""
+    return (dense @ dense.T).ravel()
 
 
 def _sparse_common_counts(rows: csr_matrix, pairs: np.ndarray) -> np.ndarray:

@@ -280,12 +280,60 @@ def plant_colored_miscount(monkeypatch, planted):
     monkeypatch.setattr(engine, "_resolve", miscounted)
 
 
+def plant_shared_color(monkeypatch, planted):
+    """A first commit after which one committed vertex wears the color of
+    a committed neighbour: the row of the first CSR slot whose two ends
+    are committed takes its column's color."""
+    engine = deltacolor.engine
+    commit = engine.commit_colors
+
+    def commit_and_recolor(state, vertices, colors):
+        commit(state, vertices, colors)
+        if planted:
+            return
+        g, committed = state.graph, state.committed
+        owners = g.slot_owners()
+        slot = int(np.flatnonzero((committed[owners] != 0) & (committed[g.indices] != 0))[0])
+        u, w = int(owners[slot]), int(g.indices[slot])
+        committed[u] = committed[w]
+        planted.append(
+            f"step 1 (fallback): edge ({min(u, w)}, {max(u, w)}) is monochromatic "
+            f"with color {int(committed[w])}"
+        )
+
+    monkeypatch.setattr(engine, "commit_colors", commit_and_recolor)
+
+
+def plant_stale_degree(monkeypatch, planted):
+    """A first commit that leaves one decrement undone: the first uncolored
+    neighbour of the batch keeps a residual degree one too high."""
+    engine = deltacolor.engine
+    commit = engine.commit_colors
+
+    def commit_and_skip(state, vertices, colors):
+        commit(state, vertices, colors)
+        if planted:
+            return
+        g = state.graph
+        batch = np.zeros(g.n, dtype=bool)
+        batch[vertices] = True
+        near = np.bincount(g.slot_owners()[batch[g.indices]], minlength=g.n) > 0
+        v = int(np.flatnonzero(near & (state.committed == 0))[0])
+        d = int(state.residual_degree[v])
+        state.residual_degree[v] += 1
+        planted.append(f"step 1 (fallback): vertex {v}: maintained d={d + 1}, recomputed {d}")
+
+    monkeypatch.setattr(engine, "commit_colors", commit_and_skip)
+
+
 @pytest.mark.parametrize(
     "plant, mode",
     [
         (plant_surplus_drop, "full"),
         (plant_good_color_excess, "initial-only"),
         (plant_colored_miscount, "full"),
+        (plant_shared_color, "full"),
+        (plant_stale_degree, "full"),
     ],
 )
 def test_planted_monitor_defects_reach_the_driver_and_the_cli(tmp_path, monkeypatch, capsys, plant, mode):

@@ -7,12 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltacolor import GeneratorSpec, ValidationError, build_graph, generate
 from deltacolor import graph as graph_module
 from deltacolor import io as io_module
+from deltacolor.decomposition import compute_friend_edges
 from deltacolor.graph import BLANK, edge_common_counts, same_color_pairs, segment_sum, vertex_ids
 from deltacolor.io import dumps_json, read_edge_list, read_palettes, write_edge_list
 
@@ -437,12 +438,25 @@ def test_segment_helpers_handle_empty_segments():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.integers(0, 3), max_size=5), min_size=1, max_size=8))
-def test_segment_sum_matches_python_sums(segments):
-    flat = np.array([x for seg in segments for x in seg], dtype=np.int64)
+@given(
+    st.lists(st.lists(st.integers(0, 3), max_size=5), min_size=1, max_size=8),
+    st.sampled_from([np.int64, np.int32, np.uint8, bool]),
+)
+def test_segment_sum_matches_python_sums(segments, dtype):
+    # any integer or bool input, empty segments included, sums as int64
+    segments = [[bool(x) if dtype is bool else x for x in seg] for seg in segments]
+    flat = np.array([x for seg in segments for x in seg], dtype=dtype)
     indptr = np.cumsum([0] + [len(seg) for seg in segments])
-    expected = [sum(seg) for seg in segments]
-    assert segment_sum(flat, np.asarray(indptr)).tolist() == expected
+    expected = [int(sum(seg)) for seg in segments]
+    sums = segment_sum(flat, np.asarray(indptr))
+    assert sums.dtype == np.int64 and sums.tolist() == expected
+
+
+def test_segment_sum_does_not_wrap_narrow_values():
+    top = np.iinfo(np.int32).max
+    values = np.array([top, top, 1, 255], dtype=np.int32)
+    assert segment_sum(values, np.array([0, 2, 2, 4])).tolist() == [2 * top, 0, 256]
+    assert segment_sum(values[2:].astype(np.uint8), np.array([0, 2])).tolist() == [256]
 
 
 def recount_common(g, keep):
@@ -499,6 +513,117 @@ def test_sparse_backend_row_blocks_match_recount(monkeypatch, block):
     rows, pairs, counted = kept_pairs(g, keep)
     expected = recount_common(g, keep)[counted]
     assert graph_module._sparse_common_counts(rows, pairs).tolist() == expected.tolist()
+
+
+def clique_layout_graph(sizes, gaps, bridges, link_p, seed):
+    """Disjoint cliques of ``sizes`` in contiguous ID ranges, ``gaps[i]``
+    unkept vertices before clique i and ``gaps[-1]`` after the last, each
+    kept vertex joined to each unkept one with probability ``link_p``,
+    and one edge between a member of clique i and one of clique j per
+    bridge (i, j), i != j. Returns the graph and the clique members as
+    the kept mask."""
+    rng = np.random.default_rng(seed)
+    keep, members = [], []
+    for size, gap in zip(sizes, gaps):
+        keep += [False] * gap
+        members.append(list(range(len(keep), len(keep) + size)))
+        keep += [True] * size
+    keep = np.array(keep + [False] * gaps[-1])
+    edges = [pair for m in members for pair in itertools.combinations(m, 2)]
+    edges += [
+        (u, v) for u in np.flatnonzero(keep) for v in np.flatnonzero(~keep) if rng.random() < link_p
+    ]
+    edges += [(rng.choice(members[i]), rng.choice(members[j])) for i, j in bridges if i != j]
+    return build_graph(edges, n=keep.size), keep
+
+
+def reference_runs(pairs, k):
+    """The (first, stop) rows of the maximal runs of consecutive rows that
+    no pair crosses and that hold a pair, one boundary at a time."""
+    rows = [(int(p) // k, int(p) % k) for p in pairs]
+    crossed = {b for i, j in rows for b in range(min(i, j) + 1, max(i, j) + 1)}
+    bounds = [b for b in range(k + 1) if b in (0, k) or b not in crossed]
+    return [(a, b) for a, b in zip(bounds, bounds[1:]) if any(a <= i < b for i, _ in rows)]
+
+
+@st.composite
+def clique_layouts(draw):
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    gaps = draw(st.lists(st.integers(0, 3), min_size=len(sizes) + 1, max_size=len(sizes) + 1))
+    clique = st.integers(0, len(sizes) - 1)
+    bridges = draw(st.lists(st.tuples(clique, clique), max_size=2))
+    return sizes, gaps, bridges, draw(st.sampled_from([0.0, 0.3, 0.7])), draw(st.integers(0, 2**16))
+
+
+# the cost constant each backend forces when zeroed, as in test_weak_diameter_values
+FORCED_BACKEND = {"dense": "_DENSE_SECONDS_PER_MULTIPLY", "sparse": "_SPARSE_SECONDS_PER_MULTIPLY"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(clique_layouts())
+@example(([3, 4, 2], [0, 1, 0, 2], [(0, 1)], 0.3, 1))  # a bridge merges two runs
+@example(([1, 3, 1, 1, 2], [2, 0, 1, 0, 0, 1], [], 0.7, 2))  # isolated kept rows
+@example(([2, 5], [1, 0, 0], [], 0.3, 3))  # a run ends at the last row
+@example(([1, 1, 1], [0, 1, 1, 0], [], 0.7, 4))  # no pairs at all
+def test_blocked_common_counts_match_recount(layout):
+    g, keep = clique_layout_graph(*layout)
+    expected = recount_common(g, keep)
+    rows, pairs, counted = kept_pairs(g, keep)
+    k = rows.shape[0]
+    _, runs = graph_module._row_runs(pairs, k)
+    assert [tuple(r) for r in runs.tolist()] == reference_runs(pairs, k)
+    for backend, cost in FORCED_BACKEND.items():
+        products = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, cost, 0.0)
+            gram = graph_module._gram
+            mp.setattr(graph_module, "_gram", lambda dense: products.append(dense.shape) or gram(dense))
+            assert edge_common_counts(g, keep).tolist() == expected.tolist(), backend
+            direct = graph_module.common_counts(rows, pairs)
+            # the kernel runs twice; the dense backend multiplies once per run
+            assert len(products) == (2 * len(runs) if backend == "dense" else 0)
+            # keys of one side of the diagonal only: partners above, or below
+            for half in (pairs // k < pairs % k, pairs // k > pairs % k):
+                _, one_sided = graph_module._row_runs(pairs[half], k)
+                assert [tuple(r) for r in one_sided.tolist()] == reference_runs(pairs[half], k)
+                counts = graph_module.common_counts(rows, pairs[half])
+                assert counts.tolist() == expected[counted][half].tolist(), backend
+        assert direct.tolist() == expected[counted].tolist(), backend
+
+
+def mixed_main_shaped(cliques=12, size=40, periphery=300, seed=1):
+    """Planted cliques in contiguous ID ranges, a G(periphery, 0.06) after
+    them, and at most one edge from each clique member into it."""
+    rng = np.random.default_rng(seed)
+    base = cliques * size
+    edges = [
+        (u, v)
+        for j in range(0, base, size)
+        for u, v in itertools.combinations(range(j, j + size), 2)
+    ]
+    periphery_pairs = itertools.combinations(range(base, base + periphery), 2)
+    edges += [pair for pair in periphery_pairs if rng.random() < 0.06]
+    edges += [(u, base + rng.integers(periphery)) for u in range(base) if rng.random() < 0.5]
+    return build_graph(edges, n=base + periphery)
+
+
+def test_dense_products_follow_the_row_runs(monkeypatch):
+    products = []
+    gram = graph_module._gram
+    monkeypatch.setattr(graph_module, "_gram", lambda dense: products.append(dense.shape) or gram(dense))
+    # the degree prune keeps the clique members, one run per clique
+    g = mixed_main_shaped()
+    friends = compute_friend_edges(g, 0.05)
+    assert len(products) == 12 and friends.num_edges == 12 * 40 * 39 // 2
+    assert all(rows == 40 and 40 <= columns < g.n for rows, columns in products)
+    # rows that interleave, or cliques joined by bridges, stay one run: one
+    # whole product over all n columns, five isolated and unkept ones too
+    for spec in ("gnp:400,0.5", "clique_chain:21x8"):
+        products.clear()
+        g = generate(GeneratorSpec.parse(spec, seed=1))
+        padded = build_graph(g.edge_array(), n=g.n + 5)
+        edge_common_counts(padded, keep=padded.degrees() > 0)
+        assert products == [(g.n, g.n + 5)], spec
 
 
 def test_edge_common_counts_mark_slots_outside_keep():
