@@ -106,11 +106,11 @@ def init_state(graph: Graph, palettes: Sequence[Sequence[int]]) -> ColoringState
         except OverflowError as exc:
             raise ValidationError("palette colors must lie inside the int64 range") from exc
         owner = np.repeat(np.arange(graph.n), lengths)
-        values, column = np.unique(flat, return_inverse=True)
+        values, column = _palette_columns(flat)
         _check_palette_cells(graph.n, values.size)
         # the scatter dedupes colors listed twice in one palette
         pal = np.zeros((graph.n, values.size), dtype=bool)
-        pal[owner, column] = True
+        pal.reshape(-1)[owner * values.size + column] = True
         sizes = np.count_nonzero(pal, axis=1)
         bad = sizes < need
         bad[owner[flat <= BLANK]] = True
@@ -139,6 +139,28 @@ def init_state(graph: Graph, palettes: Sequence[Sequence[int]]) -> ColoringState
         has_oversized_palettes=oversized,
     )
     return state
+
+
+def _palette_columns(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct colors of ``flat``, ascending, and each entry's column
+    among them: what ``np.unique(flat, return_inverse=True)`` returns.
+
+    When the colors span at most as many values as there are entries, a
+    table indexed by color minus the smallest color gives each color's
+    rank in O(entries), with no sort or hash, and the table is no larger
+    than ``flat``. The span is taken in Python ints, so colors near the
+    int64 limits cannot overflow it. Wider spans go to ``np.unique``.
+    """
+    if flat.size == 0:
+        return np.unique(flat, return_inverse=True)
+    lo, hi = int(flat.min()), int(flat.max())
+    if hi - lo + 1 > flat.size:
+        return np.unique(flat, return_inverse=True)
+    offset = flat - lo
+    present = np.zeros(hi - lo + 1, dtype=bool)
+    present[offset] = True
+    rank = np.cumsum(present) - 1
+    return np.flatnonzero(present) + lo, rank[offset]
 
 
 def _check_palette_cells(n: int, colors: int) -> None:

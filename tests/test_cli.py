@@ -326,23 +326,91 @@ def plant_stale_degree(monkeypatch, planted):
     monkeypatch.setattr(engine, "commit_colors", commit_and_skip)
 
 
+def plant_stale_palette_size(monkeypatch, planted):
+    """A first commit that leaves one palette entry counted: the first
+    uncolored neighbour of the batch keeps a residual palette size one too
+    high."""
+    engine = deltacolor.engine
+    commit = engine.commit_colors
+
+    def commit_and_overcount(state, vertices, colors):
+        commit(state, vertices, colors)
+        if planted:
+            return
+        g = state.graph
+        batch = np.zeros(g.n, dtype=bool)
+        batch[vertices] = True
+        near = np.bincount(g.slot_owners()[batch[g.indices]], minlength=g.n) > 0
+        v = int(np.flatnonzero(near & (state.committed == 0))[0])
+        q = int(state.residual_palette_size[v])
+        state.residual_palette_size[v] += 1
+        planted.append(f"step 1 (fallback): vertex {v}: maintained Q={q + 1}, recomputed {q}")
+
+    monkeypatch.setattr(engine, "commit_colors", commit_and_overcount)
+
+
+def plant_early_stop(monkeypatch, planted):
+    """A fallback that gives up after its first trial round, as if its
+    round bound were 1: the vertices that round missed stay uncolored."""
+    phases = deltacolor.engine.PhaseDriver
+    fallback = phases.fallback
+
+    def one_round(self, eligible=None):
+        self.max_fallback_iters = 1
+        fallback(self, eligible)
+        left = np.flatnonzero(self.state.committed == 0)
+        planted.append(f"{left.size} vertices left uncolored (first: {int(left[0])})")
+
+    monkeypatch.setattr(phases, "fallback", one_round)
+
+
+def plant_foreign_color(monkeypatch, planted):
+    """A first commit after which the first batch vertex wears the smallest
+    colour of the palette columns that is not in its own palette."""
+    engine = deltacolor.engine
+    commit = engine.commit_colors
+
+    def commit_and_swap(state, vertices, colors):
+        commit(state, vertices, colors)
+        if planted:
+            return
+        v = int(vertices[0])
+        c = int(state.color_values[np.flatnonzero(~state.original_palette[v])[0]])
+        state.committed[v] = c
+        planted.append(f"vertex {v} wears color {c} outside its own palette")
+
+    monkeypatch.setattr(engine, "commit_colors", commit_and_swap)
+
+
+PLANTS = [
+    (plant_surplus_drop, "full", False),
+    (plant_good_color_excess, "initial-only", False),
+    (plant_colored_miscount, "full", False),
+    (plant_shared_color, "full", False),
+    (plant_stale_degree, "full", False),
+    (plant_stale_palette_size, "full", False),
+    (plant_early_stop, "full", False),
+    (plant_foreign_color, "full", True),
+]
+
+
 @pytest.mark.parametrize(
-    "plant, mode",
-    [
-        (plant_surplus_drop, "full"),
-        (plant_good_color_excess, "initial-only"),
-        (plant_colored_miscount, "full"),
-        (plant_shared_color, "full"),
-        (plant_stale_degree, "full"),
-    ],
+    "plant, mode, lists", PLANTS, ids=[f"{plant.__name__}-{mode}" for plant, mode, _ in PLANTS]
 )
-def test_planted_monitor_defects_reach_the_driver_and_the_cli(tmp_path, monkeypatch, capsys, plant, mode):
+def test_planted_monitor_defects_reach_the_driver_and_the_cli(tmp_path, monkeypatch, capsys, plant, mode, lists):
     # gnp:60,0.3 takes the fallback path in a full run; the checks are the
-    # driver's own, only the defect they catch is planted
+    # driver's own, only the defect they catch is planted. With ``lists``
+    # each vertex v gets the Δ+1 colours from 1 + v % 7 on, read from a file.
     planted = []
     plant(monkeypatch, planted)
     g = deltacolor.generate(deltacolor.GeneratorSpec.parse("gnp:60,0.3", seed=1))
-    driver = deltacolor.engine.PhaseDriver(g, deltacolor.canonical_palettes(g), seed=1)
+    palettes, flags = deltacolor.canonical_palettes(g), []
+    if lists:
+        path = tmp_path / "p.json"
+        need = g.max_degree + 1
+        path.write_text(json.dumps({str(v): list(range(1 + v % 7, 1 + need + v % 7)) for v in range(g.n)}))
+        palettes, flags = deltacolor.io.read_palettes(path, g.n), ["--palettes", str(path)]
+    driver = deltacolor.engine.PhaseDriver(g, palettes, seed=1)
     if mode == "full":
         driver.full()
     else:
@@ -350,7 +418,8 @@ def test_planted_monitor_defects_reach_the_driver_and_the_cli(tmp_path, monkeypa
     failures = driver.report().invariant_failures
     assert len(planted) == 1 and planted[0] in failures
     planted.clear()
-    argv = ["run", "--gen", "gnp:60,0.3", "--seed", "1", "--mode", mode, "--out", str(tmp_path / "r.json")]
+    argv = ["run", "--gen", "gnp:60,0.3", "--seed", "1", "--mode", mode, *flags,
+            "--out", str(tmp_path / "r.json")]
     assert main(argv) == 1
     assert f"invariant failure: {planted[0]}" in capsys.readouterr().err.splitlines()
     assert planted[0] in read_json(tmp_path / "r.json")["invariant_failures"]

@@ -442,12 +442,71 @@ def test_init_state_names_the_first_bad_vertex():
 
 @pytest.mark.parametrize("scale", [1, 10**12])
 def test_init_state_sparse_and_dense_colour_codes_agree(scale):
-    # colours spread far apart take the sorting path, close ones the table
+    # colours spread far apart take the sorting path, close ones the table:
+    # at scale 1 the ten entries span 5 or 10 colours (the table) or 11
     g = build_graph([(0, 1), (1, 2)])
-    palettes = [[scale * c for c in p] for p in ([1, 2, 3], [2, 3, 4, 4], [1, 4, 5])]
-    state = init_state(g, palettes)
-    assert state.color_values.tolist() == [scale * c for c in (1, 2, 3, 4, 5)]
-    assert [palette_of(state, v) for v in range(3)] == [set(p) for p in palettes]
+    for top in (5, 10, 11):
+        palettes = [[scale * c for c in p] for p in ([1, 2, 3], [2, 3, 4, 4], [1, 4, top])]
+        state = init_state(g, palettes)
+        assert state.color_values.tolist() == [scale * c for c in (1, 2, 3, 4, top)]
+        assert [palette_of(state, v) for v in range(3)] == [set(p) for p in palettes]
+
+
+@st.composite
+def spread_list_palettes(draw):
+    """Palettes for an edgeless graph whose entries, repeats included, span
+    fewer colours than there are entries, exactly as many, one more, or
+    both 1 and 2**63 - 1."""
+    lengths = draw(st.lists(st.integers(1, 4), min_size=2, max_size=6))
+    entries = sum(lengths)
+    kind = draw(st.sampled_from(["narrow", "equal", "one over", "extremes"]))
+    if kind == "extremes":
+        offsets = draw(st.lists(st.integers(0, 40), min_size=entries, max_size=entries))
+        offsets[0], offsets[-1] = 0, 2**63 - 2
+        lo = 1
+    else:
+        span = {"narrow": draw(st.integers(1, entries)), "equal": entries, "one over": entries + 1}[kind]
+        offsets = draw(st.lists(st.integers(0, span - 1), min_size=entries, max_size=entries))
+        offsets[0], offsets[-1] = 0, span - 1
+        lo = draw(st.sampled_from([1, 2, 2**40, 2**63 - span]))
+    colors = draw(st.permutations([lo + o for o in offsets]))
+    starts = np.cumsum([0] + lengths).tolist()
+    return [colors[a:b] for a, b in zip(starts, starts[1:])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(spread_list_palettes())
+def test_init_state_column_map_matches_the_sorted_reference(palettes):
+    flat = np.array([c for p in palettes for c in p], dtype=np.int64)
+    values, column = np.unique(flat, return_inverse=True)
+    mapped = state_module._palette_columns(flat)
+    for got, want in zip(mapped, (values, column)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    owner = np.repeat(np.arange(len(palettes)), [len(p) for p in palettes])
+    expected = np.zeros((len(palettes), values.size), dtype=bool)
+    expected[owner, column] = True
+    state = init_state(build_graph([], n=len(palettes)), palettes)
+    assert state.color_values.dtype == values.dtype and np.array_equal(state.color_values, values)
+    assert np.array_equal(state.original_palette, expected)
+    assert np.array_equal(state.palette, expected)
+    assert state.residual_palette_size.tolist() == expected.sum(axis=1).tolist()
+
+
+@pytest.mark.parametrize("top, sorted_", [(9, False), (10, True), (2**63 - 1, True)])
+def test_init_state_sorts_colours_only_when_they_span_more_than_the_entries(monkeypatch, top, sorted_):
+    # nine entries: a span of 9 is read from the table, wider spans are sorted
+    calls = []
+    unique = np.unique
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    state = init_state(k3(), [[1, 2, 3], [3, 2, 1], [1, 2, top]])
+    assert state.color_values.tolist() == [1, 2, 3, top]
+    assert palette_of(state, 2) == {1, 2, top}
+    assert len(calls) == int(sorted_)
 
 
 @settings(max_examples=60, deadline=None)
