@@ -117,11 +117,13 @@ def compute_friend_edges(graph: Graph, epsilon: float) -> Graph:
     vertex set; its degrees are the per-vertex friend counts.
 
     A shared count never exceeds either endpoint's degree, so only
-    vertices of degree at least the threshold are counted at all.
+    vertices of degree at least the threshold are counted at all, and
+    only counts that reach the threshold need be exact: it is passed as
+    the kernel's floor.
     """
     epsilon = check_epsilon(epsilon)
     threshold = (1.0 - epsilon) * graph.max_degree - THRESHOLD_TOL
-    counts = edge_common_counts(graph, keep=graph.degrees() >= threshold)
+    counts = edge_common_counts(graph, keep=graph.degrees() >= threshold, floor=threshold)
     # Counts are symmetric, so the friend slots already form a valid CSR graph.
     friend = np.flatnonzero(counts >= threshold)
     indptr = np.searchsorted(friend, graph.indptr)

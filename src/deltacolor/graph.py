@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -36,6 +37,18 @@ _DENSE_RUN_MULTIPLIES = 7_000_000
 # the multiplies in one sparse block.
 _DENSE_OPERAND_ELEMENTS = 2**28
 _SPARSE_BLOCK_MULTIPLIES = 2**22
+# Share of the columns whose product bounds every pair of a whole dense
+# product taken under a floor (_bounded_counts). On dense-fallback
+# (gnp:3000,0.5 at eps 0.1, floor 1431, 4.3-4.4e6 pairs), seeds 1 and 2,
+# 1/8 of the columns left 4.1-4.3e5 pairs whose bound reaches the floor,
+# 1/6 left 3.2-3.5e4 and 1/4 left none.
+_PREFIX_SHARE = 0.25
+# About this many evenly spaced pairs, and no more than twice the rows
+# (their gathered rows stay within half the dense operand), sample the
+# bound of _bounded_counts to decide whether the prune is tried at all:
+# the share of survivors among 1024 is within 3 % of the true share (two
+# binomial deviations at one half).
+_BOUND_SAMPLE = 1024
 _INT64_MAX = np.iinfo(np.int64).max
 # Most vertices: init_state's palette matrix, one row per vertex, holds at
 # most 2**28 cells, so no run holds more. The square still fits in int64
@@ -371,11 +384,16 @@ def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return sums
 
 
-def edge_common_counts(graph: Graph, keep: np.ndarray | None = None) -> np.ndarray:
+def edge_common_counts(
+    graph: Graph, keep: np.ndarray | None = None, floor: float = 0.0
+) -> np.ndarray:
     """|N(u) & N(v)| for every CSR slot (u, v), aligned with ``graph.indices``.
 
     Only slots whose endpoints both lie in ``keep`` (a boolean mask over
     the vertices; all of them when None) are counted; the others read -1.
+    A counted slot is exact when its count is at least ``floor``, and
+    otherwise holds some value below ``floor`` (see :func:`common_counts`);
+    the default floor 0 makes every count exact.
     """
     keep = np.ones(graph.n, dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
     if keep.shape != (graph.n,):
@@ -390,29 +408,36 @@ def edge_common_counts(graph: Graph, keep: np.ndarray | None = None) -> np.ndarr
     pairs = pairs[counted]
     out = np.full(graph.indices.size, -1, dtype=np.int64)
     if pairs.size:
-        out[counted] = common_counts(graph.sparse_adjacency(np.flatnonzero(keep)), pairs)
+        out[counted] = common_counts(graph.sparse_adjacency(np.flatnonzero(keep)), pairs, floor)
     return out
 
 
-def common_counts(rows: csr_matrix, pairs: np.ndarray) -> np.ndarray:
+def common_counts(rows: csr_matrix, pairs: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Shared-neighbour counts between rows of a 0/1 adjacency row matrix.
 
     ``rows`` holds k vertices' adjacency rows (k x n, as from
     :meth:`Graph.sparse_adjacency`); ``pairs`` are ascending row-major
     keys i * k + j, and entry t of the result counts the columns set in
-    both rows of pair t, as an exact float32. The backend is whichever is
-    estimated cheaper: a row-blocked sparse product (one multiply per two
-    entries sharing a column) or one dense float32 product per run of
-    :func:`_row_runs` (b * b multiply-adds per column a run of b rows
-    reads, plus a fixed cost per run), the latter only while every run's
-    operand fits in memory.
+    both rows of pair t, as a float32. Every entry at or above ``floor``
+    is exact, and every other entry holds some value below ``floor``, so
+    the default floor 0 makes every entry exact; a caller that only
+    compares the counts with a threshold passes it as the floor, and
+    pairs that cannot reach it may be left uncounted.
+
+    The backend is whichever is estimated cheaper: a row-blocked sparse
+    product (one multiply per two entries sharing a column) or one dense
+    float32 product per run of :func:`_row_runs` (b * b multiply-adds per
+    column a run of b rows reads, plus a fixed cost per run), the latter
+    only while every run's operand fits in memory. Only the dense product
+    over one run that spans every row is pruned by the floor.
     """
     k, n = rows.shape
     if rows.nnz and np.diff(rows.indptr).max() >= _FLOAT32_EXACT:
         raise ValidationError(f"shared-neighbour counts need degrees below {_FLOAT32_EXACT}")
     column_degrees = np.asarray(rows.sum(axis=0), dtype=np.float64).ravel()
     sparse_cost = _SPARSE_SECONDS_PER_MULTIPLY * (column_degrees @ column_degrees)
-    _, runs = _row_runs(pairs, k)
+    row_runs = _row_runs(pairs, k)
+    runs = row_runs[1]
     sizes = (runs[:, 1] - runs[:, 0]).astype(np.float64)
     if np.array_equal(runs, [[0, k]]):  # the whole product reads all n columns
         widths = np.array([float(n)])
@@ -422,7 +447,7 @@ def common_counts(rows: csr_matrix, pairs: np.ndarray) -> np.ndarray:
     dense_cost = _DENSE_SECONDS_PER_MULTIPLY * multiplies
     operand = sizes * np.maximum(widths, sizes)  # also bounds the b x b product
     if dense_cost < sparse_cost and operand.max(initial=0) <= _DENSE_OPERAND_ELEMENTS:
-        return _dense_common_counts(rows, pairs)
+        return _dense_common_counts(rows, pairs, floor, row_runs)
     return _sparse_common_counts(rows, pairs)
 
 
@@ -451,17 +476,26 @@ def _row_runs(pairs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.column_stack((bounds[:-1][kept], bounds[1:][kept]))
 
 
-def _dense_common_counts(rows: csr_matrix, pairs: np.ndarray) -> np.ndarray:
+def _dense_common_counts(
+    rows: csr_matrix,
+    pairs: np.ndarray,
+    floor: float = 0.0,
+    row_runs: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """:func:`common_counts` by BLAS products of dense float32 rows, one
-    per run of :func:`_row_runs`; rows outside every run are skipped.
+    per run of :func:`_row_runs` (``row_runs``, computed when None); rows
+    outside every run are skipped.
 
     When one run spans every row, the product is taken whole, over all n
-    columns. Otherwise each run multiplies only the columns its rows
-    touch.
+    columns, and under a positive ``floor`` by :func:`_bounded_counts`.
+    Otherwise each run multiplies only the columns its rows touch, and
+    every count is exact.
     """
     k, n = rows.shape
-    starts, runs = _row_runs(pairs, k)
+    starts, runs = _row_runs(pairs, k) if row_runs is None else row_runs
     if np.array_equal(runs, [[0, k]]):
+        if floor > 0:
+            return _bounded_counts(rows, pairs, floor)
         return _gram(rows.toarray())[pairs]
     out = np.zeros(pairs.size, dtype=np.float32)
     owner = np.zeros(n, dtype=np.int64)  # per column: one slot of the run that holds it
@@ -481,6 +515,49 @@ def _dense_common_counts(rows: csr_matrix, pairs: np.ndarray) -> np.ndarray:
         first = np.repeat(np.arange(b - a), np.diff(starts[a : b + 1]))
         out[lo:hi] = _gram(dense)[pairs[lo:hi] - first * (k - b + a) - a * (k + 1)]
     return out
+
+
+def _bounded_counts(rows: csr_matrix, pairs: np.ndarray, floor: float) -> np.ndarray:
+    """The whole product of :func:`_dense_common_counts` under a floor.
+
+    P, the product over the first ``cut`` = ⌈``_PREFIX_SHARE`` · n⌉
+    columns, plus ``left[i]``, row i's degree in the other columns,
+    bounds every count: count(i, j) <= P(i, j) + left[i]. A pair whose
+    bound is below the floor keeps its bound; the others, the survivors,
+    add the other columns' product, taken over only the rows that hold a
+    survivor. When the bound lets more than half of ``_BOUND_SAMPLE``
+    evenly spaced pairs survive, the whole product is taken instead,
+    before P: there the prune would only add work.
+    """
+    k, n = rows.shape
+    cut = math.ceil(n * _PREFIX_SHARE)
+    dense = rows.toarray()
+    head = dense[:, :cut]  # numpy multiplies this view without a copy
+    left = np.diff(rows.indptr).astype(np.float32) - head.sum(axis=1)
+    i, j = np.divmod(pairs[:: max(pairs.size // min(_BOUND_SAMPLE, k), 1)], k)
+    sampled = np.einsum("ij,ij->i", head[i], head[j]) + left[i]
+    if 2 * np.count_nonzero(sampled >= floor) > sampled.size:
+        return _gram(dense)[pairs]
+    product = _gram(head).reshape(k, k)
+    del dense, head  # freed before the gathers: the peak stays that of the whole product
+    product += left[:, None]
+    bound = product.ravel()[pairs]
+    # Bounds are integers below 2**24, exact in float32. Whether numpy
+    # compares them with the floor in float32 or in float64, rounding the
+    # floor is monotone: a bound at or above the floor is at or above its
+    # rounding, so no pair that can reach the floor is pruned, and a bound
+    # below the rounded floor is below the floor itself.
+    survivors = np.flatnonzero(bound >= floor)
+    if survivors.size == 0:
+        return bound
+    i, j = np.divmod(pairs[survivors], k)
+    held = np.zeros(k, dtype=bool)
+    held[i] = held[j] = True
+    position = np.cumsum(held) - 1  # a held row's place among the held rows
+    b = int(position[-1]) + 1
+    rest = _gram(rows[np.flatnonzero(held)][:, cut:].toarray())
+    bound[survivors] += rest[position[i] * b + position[j]] - left[i]
+    return bound
 
 
 def _gram(dense: np.ndarray) -> np.ndarray:

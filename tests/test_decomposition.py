@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +25,13 @@ from deltacolor import (
 from deltacolor import decomposition as decomposition_module
 from deltacolor import graph as graph_module
 from deltacolor.checks import decomposition_bound_failures, decomposition_failures
-from deltacolor.decomposition import DIAMETER_EXCEEDED, Decomposition, decomposition_to_dict
+from deltacolor.decomposition import (
+    DIAMETER_EXCEEDED,
+    THRESHOLD_TOL,
+    Decomposition,
+    decomposition_to_dict,
+)
+from deltacolor.graph import edge_common_counts
 
 from conftest import same_decomposition
 
@@ -51,6 +58,37 @@ def test_friend_edges_match_brute_force_on_gnp():
     slow = brute_force_decomposition(g, 0.1).friend_graph
     assert np.array_equal(fast.indptr, slow.indptr)
     assert np.array_equal(fast.indices, slow.indices)
+
+
+@pytest.mark.parametrize(
+    "spec, eps, regime",
+    [
+        ("gnp:300,0.3", 0.1, "none"),  # no bound among 160 pairs reaches the floor
+        ("gnp:400,0.5", 0.1, "rows"),  # 2 of 1274 survive, on 3 rows
+        ("gnp:200,0.8", 0.15, "whole"),  # 26138 of 31548 survive, 10 are friends
+        ("complete:21", 0.1, "whole"),  # every pair survives
+    ],
+)
+def test_friend_edges_threshold_the_exact_counts_in_every_regime(monkeypatch, spec, eps, regime):
+    g = generate(GeneratorSpec.parse(spec, seed=1))
+    threshold = (1 - eps) * g.max_degree - THRESHOLD_TOL
+    friend = np.flatnonzero(edge_common_counts(g) >= threshold)
+    products = []
+    gram = graph_module._gram
+    monkeypatch.setattr(graph_module, "_gram", lambda dense: products.append(dense.shape) or gram(dense))
+    fast = compute_friend_edges(g, eps)
+    assert np.array_equal(fast.indices, g.indices[friend])
+    assert np.array_equal(fast.indptr, np.searchsorted(friend, g.indptr))
+    slow = brute_force_decomposition(g, eps).friend_graph
+    assert np.array_equal(fast.indptr, slow.indptr) and np.array_equal(fast.indices, slow.indices)
+    k = int(np.count_nonzero(g.degrees() >= threshold))  # the kept rows
+    quarter = math.ceil(g.n / 4)
+    if regime == "none":
+        assert products == [(k, quarter)]
+    elif regime == "rows":
+        assert products == [(k, quarter), (3, g.n - quarter)]
+    else:
+        assert products == [(k, g.n)]
 
 
 def test_k21_single_clique_with_leader_zero():

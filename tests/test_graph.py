@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 import tempfile
 import tracemalloc
@@ -505,6 +506,33 @@ def test_edge_common_counts_match_recount(draw):
         assert backend(rows, pairs).tolist() == expected[counted].tolist(), backend.__name__
 
 
+def assert_floor_contract(counts, exact, floor):
+    """Counts at or above ``floor`` are exact; the others are below it."""
+    reached = exact >= floor
+    assert counts[reached].tolist() == exact[reached].tolist()
+    assert np.all(counts[~reached] < floor)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gnp_and_keep, st.integers(0, 40), st.sampled_from([0.0, -1e-9, 0.5]))
+@example((40, 0.5, 1, 1.0), 25, 0.0)  # the survivors lie on 4 of the 40 rows
+@example((40, 0.5, 1, 1.0), 25, -1e-9)
+@example((40, 0.5, 1, 1.0), 24, 0.5)
+def test_dense_counts_under_a_floor_are_exact_from_the_floor_up(draw, m, offset):
+    n, p, seed, keep_p = draw
+    g = generate(GeneratorSpec("gnp", {"n": n, "p": p}, seed=seed))
+    keep = np.random.default_rng(seed).random(n) < keep_p
+    expected = recount_common(g, keep)
+    floor = m + offset
+    rows, pairs, counted = kept_pairs(g, keep)
+    assert_floor_contract(graph_module._dense_common_counts(rows, pairs, floor), expected[counted], floor)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, FORCED_BACKEND["dense"], 0.0)
+        counts = edge_common_counts(g, keep, floor)
+    assert np.all(counts[~counted] == -1)
+    assert_floor_contract(counts[counted], expected[counted], floor)
+
+
 @pytest.mark.parametrize("block", [1, 7, 100])
 def test_sparse_backend_row_blocks_match_recount(monkeypatch, block):
     monkeypatch.setattr(graph_module, "_SPARSE_BLOCK_MULTIPLIES", block)
@@ -624,6 +652,11 @@ def test_dense_products_follow_the_row_runs(monkeypatch):
         padded = build_graph(g.edge_array(), n=g.n + 5)
         edge_common_counts(padded, keep=padded.degrees() > 0)
         assert products == [(g.n, g.n + 5)], spec
+        # under a floor above every degree, no pair's bound reaches it: the
+        # whole product covers only the first quarter of the columns
+        products.clear()
+        edge_common_counts(padded, keep=padded.degrees() > 0, floor=g.max_degree + 1)
+        assert products == [(g.n, math.ceil((g.n + 5) / 4))], spec
 
 
 def test_edge_common_counts_mark_slots_outside_keep():
@@ -655,15 +688,20 @@ def test_backend_switch_follows_cost(monkeypatch):
     for name in ("_dense_common_counts", "_sparse_common_counts"):
         real = getattr(graph_module, name)
 
-        def record(rows, pairs, real=real, name=name):
+        def record(rows, pairs, *rest, real=real, name=name):
             picked.append(name)
-            return real(rows, pairs)
+            return real(rows, pairs, *rest)
 
         monkeypatch.setattr(graph_module, name, record)
+    runs = graph_module._row_runs
+    found = []
+    monkeypatch.setattr(graph_module, "_row_runs", lambda pairs, k: found.append(k) or runs(pairs, k))
     edge_common_counts(generate(GeneratorSpec("gnp", {"n": 400, "p": 0.5}, seed=1)))
     pairs = np.random.default_rng(1).integers(0, 20_000, size=(20_000, 2))
     edge_common_counts(build_graph(pairs[pairs[:, 0] != pairs[:, 1]], n=20_000))
     assert picked == ["_dense_common_counts", "_sparse_common_counts"]
+    # each call finds its row runs once, and the dense backend is handed them
+    assert len(found) == 2
 
 
 def test_unsigned_id_beyond_int64_is_out_of_range():
