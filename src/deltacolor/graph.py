@@ -39,16 +39,24 @@ _DENSE_OPERAND_ELEMENTS = 2**28
 _SPARSE_BLOCK_MULTIPLIES = 2**22
 # Share of the columns whose product bounds every pair of a whole dense
 # product taken under a floor (_bounded_counts). On dense-fallback
-# (gnp:3000,0.5 at eps 0.1, floor 1431, 4.3-4.4e6 pairs), seeds 1 and 2,
-# 1/8 of the columns left 4.1-4.3e5 pairs whose bound reaches the floor,
-# 1/6 left 3.2-3.5e4 and 1/4 left none.
+# (gnp:3000,0.5 at eps 0.1, floor about 1441, 4.3-4.4e6 pairs), seeds 1
+# and 2, 1/8 of the columns left 4.9-5.7e4 pairs whose bound reaches the
+# floor, 1/6 left 622-714 (on 95-100 rows) and 1/4 none.
 _PREFIX_SHARE = 0.25
-# About this many evenly spaced pairs, and no more than twice the rows
-# (their gathered rows stay within half the dense operand), sample the
-# bound of _bounded_counts to decide whether the prune is tried at all:
-# the share of survivors among 1024 is within 3 % of the true share (two
-# binomial deviations at one half).
-_BOUND_SAMPLE = 1024
+# About this many evenly spaced rows sample the bound of _bounded_counts
+# before any product, and the prune is tried only while at most
+# _HELD_SHARE of them hold a pair whose bound reaches the floor: the
+# survivors' product runs over every row that holds one, so its cost
+# follows those rows, not the surviving pairs. Measured in process on
+# seed 1 (2-vCPU x86 VM), with the prune always tried, against the whole
+# product: raising eps on gnp:3000,0.5 from 0.16 to 0.19 puts survivors
+# on 44 %, 59 %, 72 %, 89 % and 97 % of the rows, and compute_friend_edges
+# took 0.83x, 1.05x, 1.24x, 1.28x and 1.56x the time; on gnp:2500,0.9 at
+# eps 0.03 and 0.04, 18 % and 77 % of the rows, 0.92x and 1.11x. The
+# cut-off sits below the crossover near 60 % by about the sample's error:
+# 64 rows read the share within 0.12 (two binomial deviations at one half).
+_BOUND_ROWS = 64
+_HELD_SHARE = 0.5
 _INT64_MAX = np.iinfo(np.int64).max
 # Most vertices: init_state's palette matrix, one row per vertex, holds at
 # most 2**28 cells, so no run holds more. The square still fits in int64
@@ -393,7 +401,8 @@ def edge_common_counts(
     the vertices; all of them when None) are counted; the others read -1.
     A counted slot is exact when its count is at least ``floor``, and
     otherwise holds some value below ``floor`` (see :func:`common_counts`);
-    the default floor 0 makes every count exact.
+    the default floor 0 makes every count exact. Slots (u, v) and (v, u)
+    read the same.
     """
     keep = np.ones(graph.n, dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
     if keep.shape != (graph.n,):
@@ -422,7 +431,8 @@ def common_counts(rows: csr_matrix, pairs: np.ndarray, floor: float = 0.0) -> np
     is exact, and every other entry holds some value below ``floor``, so
     the default floor 0 makes every entry exact; a caller that only
     compares the counts with a threshold passes it as the floor, and
-    pairs that cannot reach it may be left uncounted.
+    pairs that cannot reach it may be left uncounted. Either way a key
+    and its mirror j * k + i, where both are asked for, read the same.
 
     The backend is whichever is estimated cheaper: a row-blocked sparse
     product (one multiply per two entries sharing a column) or one dense
@@ -495,7 +505,7 @@ def _dense_common_counts(
     starts, runs = _row_runs(pairs, k) if row_runs is None else row_runs
     if np.array_equal(runs, [[0, k]]):
         if floor > 0:
-            return _bounded_counts(rows, pairs, floor)
+            return _bounded_counts(rows, pairs, floor, starts)
         return _gram(rows.toarray())[pairs]
     out = np.zeros(pairs.size, dtype=np.float32)
     owner = np.zeros(n, dtype=np.int64)  # per column: one slot of the run that holds it
@@ -517,46 +527,73 @@ def _dense_common_counts(
     return out
 
 
-def _bounded_counts(rows: csr_matrix, pairs: np.ndarray, floor: float) -> np.ndarray:
-    """The whole product of :func:`_dense_common_counts` under a floor.
+def _bounded_counts(
+    rows: csr_matrix, pairs: np.ndarray, floor: float, starts: np.ndarray
+) -> np.ndarray:
+    """The whole product of :func:`_dense_common_counts` under a floor;
+    ``starts`` are the rows' first keys, as from :func:`_row_runs`.
 
     P, the product over the first ``cut`` = ⌈``_PREFIX_SHARE`` · n⌉
-    columns, plus ``left[i]``, row i's degree in the other columns,
-    bounds every count: count(i, j) <= P(i, j) + left[i]. A pair whose
-    bound is below the floor keeps its bound; the others, the survivors,
-    add the other columns' product, taken over only the rows that hold a
-    survivor. When the bound lets more than half of ``_BOUND_SAMPLE``
-    evenly spaced pairs survive, the whole product is taken instead,
-    before P: there the prune would only add work.
+    columns, plus the smaller of ``left[i]`` and ``left[j]``, rows i's
+    and j's degrees in the other columns, bounds every count:
+    count(i, j) <= P(i, j) + min(left[i], left[j]). The bound is
+    symmetric, like the counts. A pair whose bound is below the floor
+    keeps its bound; the others, the survivors, add the other columns'
+    product, taken over only the rows that hold a survivor. When more
+    than ``_HELD_SHARE`` of about ``_BOUND_ROWS`` evenly spaced rows hold
+    one, the whole product is taken instead, before P: there the prune
+    would only add work.
     """
     k, n = rows.shape
     cut = math.ceil(n * _PREFIX_SHARE)
     dense = rows.toarray()
     head = dense[:, :cut]  # numpy multiplies this view without a copy
     left = np.diff(rows.indptr).astype(np.float32) - head.sum(axis=1)
-    i, j = np.divmod(pairs[:: max(pairs.size // min(_BOUND_SAMPLE, k), 1)], k)
-    sampled = np.einsum("ij,ij->i", head[i], head[j]) + left[i]
-    if 2 * np.count_nonzero(sampled >= floor) > sampled.size:
-        return _gram(dense)[pairs]
-    product = _gram(head).reshape(k, k)
+    sample = np.arange(0, k, max(k // _BOUND_ROWS, 1))
+    reach = head[sample] @ head.T
+    holding = 0  # sampled rows that hold a survivor
+    for t, r in enumerate(sample.tolist()):
+        x = pairs[starts[r] : starts[r + 1]] - r * k
+        holding += bool(np.any(reach[t, x] + np.minimum(left[r], left[x]) >= floor))
+    del reach
+    whole = holding > _HELD_SHARE * sample.size
+    product = _gram(dense if whole else head)
     del dense, head  # freed before the gathers: the peak stays that of the whole product
-    product += left[:, None]
+    if whole:
+        return product[pairs]
+    product = product.reshape(k, k)
+    product += np.minimum.outer(left, left)  # its k x k temporary fits where dense was
     bound = product.ravel()[pairs]
+    del product  # the gather copied what it needs; the survivors' product reuses the memory
     # Bounds are integers below 2**24, exact in float32. Whether numpy
     # compares them with the floor in float32 or in float64, rounding the
     # floor is monotone: a bound at or above the floor is at or above its
     # rounding, so no pair that can reach the floor is pruned, and a bound
-    # below the rounded floor is below the floor itself.
-    survivors = np.flatnonzero(bound >= floor)
-    if survivors.size == 0:
+    # below the rounded floor is below the floor itself. The survivors go
+    # a block of SLOT_BLOCK keys at a time, so their index arrays stay
+    # small beside the bound.
+    marked = np.zeros(k, dtype=bool)
+    for lo in range(0, pairs.size, SLOT_BLOCK):
+        block = slice(lo, lo + SLOT_BLOCK)
+        i, j = np.divmod(pairs[block][bound[block] >= floor], k)
+        marked[i] = marked[j] = True
+    held_rows = np.flatnonzero(marked)
+    b = held_rows.size
+    if b == 0:
         return bound
-    i, j = np.divmod(pairs[survivors], k)
-    held = np.zeros(k, dtype=bool)
-    held[i] = held[j] = True
-    position = np.cumsum(held) - 1  # a held row's place among the held rows
-    b = int(position[-1]) + 1
-    rest = _gram(rows[np.flatnonzero(held)][:, cut:].toarray())
-    bound[survivors] += rest[position[i] * b + position[j]] - left[i]
+    # the held rows' other columns, densified a few rows at a time: a
+    # sparse copy of them all can outweigh the dense operand
+    operand = np.empty((b, n - cut), dtype=np.float32)
+    step = max(SLOT_BLOCK // n, 1)
+    for lo in range(0, b, step):
+        operand[lo : lo + step] = rows[held_rows[lo : lo + step]].toarray()[:, cut:]
+    rest = _gram(operand)
+    del operand
+    position = (np.cumsum(marked) - 1).astype(pairs.dtype)  # among the held rows; b * b fits
+    for lo in range(0, pairs.size, SLOT_BLOCK):
+        survivors = lo + np.flatnonzero(bound[lo : lo + SLOT_BLOCK] >= floor)
+        i, j = np.divmod(pairs[survivors], k)
+        bound[survivors] += rest[position[i] * b + position[j]] - np.minimum(left[i], left[j])
     return bound
 
 

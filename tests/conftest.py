@@ -11,6 +11,8 @@ import dataclasses
 import numpy as np
 from hypothesis import settings
 
+from deltacolor import GeneratorSpec, build_graph, generate
+
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
@@ -43,3 +45,15 @@ def same_decomposition(a, b) -> bool:
         and np.array_equal(a.friend_graph.indptr, b.friend_graph.indptr)
         and np.array_equal(a.friend_graph.indices, b.friend_graph.indices)
     )
+
+
+def clique_beside_bipartite(size: int = 90, spec: str = "bipartite_random:400,0.37"):
+    """A ``size``-clique beside the bipartite graph ``spec`` (seed 1), IDs
+    shuffled so that all kept rows share one run. Bipartite edges share no
+    neighbour, so only the clique's pairs come near the threshold."""
+    side = generate(GeneratorSpec.parse(spec, seed=1))
+    u, v = side.edge_array().T
+    a, b = np.triu_indices(size, 1)
+    edges = np.concatenate([np.column_stack((u, v)), np.column_stack((a, b)) + side.n])
+    shuffled = np.random.default_rng(1).permutation(side.n + size)
+    return build_graph(shuffled[edges], n=side.n + size)

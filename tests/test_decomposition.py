@@ -33,7 +33,7 @@ from deltacolor.decomposition import (
 )
 from deltacolor.graph import edge_common_counts
 
-from conftest import same_decomposition
+from conftest import clique_beside_bipartite, same_decomposition
 
 
 def cycle(n):
@@ -61,16 +61,23 @@ def test_friend_edges_match_brute_force_on_gnp():
 
 
 @pytest.mark.parametrize(
-    "spec, eps, regime",
+    "spec, eps, held",
     [
-        ("gnp:300,0.3", 0.1, "none"),  # no bound among 160 pairs reaches the floor
-        ("gnp:400,0.5", 0.1, "rows"),  # 2 of 1274 survive, on 3 rows
-        ("gnp:200,0.8", 0.15, "whole"),  # 26138 of 31548 survive, 10 are friends
-        ("complete:21", 0.1, "whole"),  # every pair survives
+        ("gnp:300,0.3", 0.1, 0),  # no bound among 160 pairs reaches the floor
+        ("gnp:400,0.5", 0.13, 3),  # 4 of 8910 pairs survive, on 3 of 127 rows
+        ("clique", 0.19, 90),  # 8010 of 13108 survive, on the clique's rows; all are friends
+        ("gnp:200,0.8", 0.15, None),  # survivors on 194 of 199 rows; 10 pairs are friends
+        ("complete:21", 0.1, None),  # every pair survives
     ],
 )
-def test_friend_edges_threshold_the_exact_counts_in_every_regime(monkeypatch, spec, eps, regime):
-    g = generate(GeneratorSpec.parse(spec, seed=1))
+def test_friend_edges_threshold_the_exact_counts_in_every_regime(monkeypatch, spec, eps, held):
+    """``held`` is the number of rows the survivors' product covers, 0 for
+    none, or None where the sampled rows send the kernel to the whole
+    product."""
+    if spec == "clique":
+        g = clique_beside_bipartite()
+    else:
+        g = generate(GeneratorSpec.parse(spec, seed=1))
     threshold = (1 - eps) * g.max_degree - THRESHOLD_TOL
     friend = np.flatnonzero(edge_common_counts(g) >= threshold)
     products = []
@@ -81,14 +88,16 @@ def test_friend_edges_threshold_the_exact_counts_in_every_regime(monkeypatch, sp
     assert np.array_equal(fast.indptr, np.searchsorted(friend, g.indptr))
     slow = brute_force_decomposition(g, eps).friend_graph
     assert np.array_equal(fast.indptr, slow.indptr) and np.array_equal(fast.indices, slow.indices)
+    if spec == "clique":
+        assert fast.num_edges == 90 * 89 // 2
     k = int(np.count_nonzero(g.degrees() >= threshold))  # the kept rows
     quarter = math.ceil(g.n / 4)
-    if regime == "none":
-        assert products == [(k, quarter)]
-    elif regime == "rows":
-        assert products == [(k, quarter), (3, g.n - quarter)]
-    else:
+    if held is None:
         assert products == [(k, g.n)]
+    elif held == 0:
+        assert products == [(k, quarter)]
+    else:
+        assert products == [(k, quarter), (held, g.n - quarter)]
 
 
 def test_k21_single_clique_with_leader_zero():

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from deltacolor import GeneratorSpec, ValidationError, build_graph, generate
 from deltacolor import graph as graph_module
 from deltacolor import io as io_module
-from deltacolor.decomposition import compute_friend_edges
+from deltacolor.decomposition import THRESHOLD_TOL, compute_friend_edges
 from deltacolor.graph import BLANK, edge_common_counts, same_color_pairs, segment_sum, vertex_ids
 from deltacolor.io import dumps_json, read_edge_list, read_palettes, write_edge_list
+
+from conftest import clique_beside_bipartite
 
 
 def test_path_graph():
@@ -506,31 +508,77 @@ def test_edge_common_counts_match_recount(draw):
         assert backend(rows, pairs).tolist() == expected[counted].tolist(), backend.__name__
 
 
-def assert_floor_contract(counts, exact, floor):
-    """Counts at or above ``floor`` are exact; the others are below it."""
+def assert_floor_contract(counts, exact, floor, pairs, k):
+    """Counts at or above ``floor`` are exact; the others are below it, and
+    a key and its mirror, where both are asked for, read the same."""
     reached = exact >= floor
     assert counts[reached].tolist() == exact[reached].tolist()
     assert np.all(counts[~reached] < floor)
+    mirror = pairs % k * k + pairs // k
+    place = np.minimum(np.searchsorted(pairs, mirror), pairs.size - 1)
+    both = pairs[place] == mirror
+    assert counts[both].tolist() == counts[place[both]].tolist()
 
 
 @settings(max_examples=80, deadline=None)
-@given(gnp_and_keep, st.integers(0, 40), st.sampled_from([0.0, -1e-9, 0.5]))
-@example((40, 0.5, 1, 1.0), 25, 0.0)  # the survivors lie on 4 of the 40 rows
-@example((40, 0.5, 1, 1.0), 25, -1e-9)
-@example((40, 0.5, 1, 1.0), 24, 0.5)
-def test_dense_counts_under_a_floor_are_exact_from_the_floor_up(draw, m, offset):
+@given(gnp_and_keep, st.integers(0, 40), st.sampled_from([0.0, -1e-9, 0.5]), st.booleans())
+@example((40, 0.5, 1, 1.0), 23, 0.0, False)  # the survivors lie on 4 of the 40 rows
+@example((40, 0.5, 1, 1.0), 23, -1e-9, False)
+@example((40, 0.5, 1, 1.0), 22, 0.5, False)
+@example((40, 0.5, 1, 1.0), 16, 0.0, True)  # on 35 rows; 12 pairs reach the floor
+def test_dense_counts_under_a_floor_are_exact_from_the_floor_up(draw, m, offset, always):
+    """``always`` tries the prune whatever the sampled rows say, and takes
+    the survivors 16 keys at a time."""
     n, p, seed, keep_p = draw
     g = generate(GeneratorSpec("gnp", {"n": n, "p": p}, seed=seed))
     keep = np.random.default_rng(seed).random(n) < keep_p
     expected = recount_common(g, keep)
     floor = m + offset
     rows, pairs, counted = kept_pairs(g, keep)
-    assert_floor_contract(graph_module._dense_common_counts(rows, pairs, floor), expected[counted], floor)
+    k = rows.shape[0]
     with pytest.MonkeyPatch.context() as mp:
+        if always:
+            mp.setattr(graph_module, "_HELD_SHARE", 1.0)
+            mp.setattr(graph_module, "SLOT_BLOCK", 16)
+        counts = graph_module._dense_common_counts(rows, pairs, floor)
+        assert_floor_contract(counts, expected[counted], floor, pairs, k)
         mp.setattr(graph_module, FORCED_BACKEND["dense"], 0.0)
         counts = edge_common_counts(g, keep, floor)
     assert np.all(counts[~counted] == -1)
-    assert_floor_contract(counts[counted], expected[counted], floor)
+    assert_floor_contract(counts[counted], expected[counted], floor, pairs, k)
+
+
+@pytest.mark.parametrize(
+    "spec, eps, always",
+    [
+        ("clique", 0.19, False),  # survivors on 90 of 241 rows: the prune is taken
+        ("gnp:800,0.7", 0.1, False),  # on 294 of 772 rows: taken
+        ("gnp:200,0.8", 0.15, False),  # on 194 of 199 rows: the whole product
+        ("gnp:200,0.8", 0.15, True),  # the prune forced on them
+    ],
+)
+def test_floor_keeps_the_memory_of_the_whole_product(monkeypatch, spec, eps, always):
+    """Under the friend threshold, the dense kernel's traced peak stays
+    within that of the whole product it replaces (plus 1 %); where the
+    prune is forced on nearly every row, within that plus the bound's
+    float32 per pair. Survivors go 64 keys at a time, so that the index
+    arrays of a block, which do not grow with the input, weigh little even
+    on these small inputs."""
+    monkeypatch.setattr(graph_module, "SLOT_BLOCK", 64)
+    if always:
+        monkeypatch.setattr(graph_module, "_HELD_SHARE", 1.0)
+    g = clique_beside_bipartite() if spec == "clique" else generate(GeneratorSpec.parse(spec, seed=1))
+    threshold = (1 - eps) * g.max_degree - THRESHOLD_TOL
+    rows, pairs, _ = kept_pairs(g, g.degrees() >= threshold)
+    peaks = []
+    for floor in (0.0, threshold):
+        tracemalloc.start()
+        try:
+            graph_module._dense_common_counts(rows, pairs, floor)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.01 * (peaks[0] + (4 * pairs.size if always else 0)), peaks
 
 
 @pytest.mark.parametrize("block", [1, 7, 100])
