@@ -8,6 +8,7 @@ them against saved colorings.
 
 from __future__ import annotations
 
+import operator
 from itertools import repeat
 
 import numpy as np
@@ -15,52 +16,23 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
-from .graph import BLANK, Graph, first_non_integer, same_color_pairs, vertex_ids
+from .graph import BLANK, Graph, first_non_integer, vertex_ids
 from .state import ColoringState, recompute_residuals
 
 _REPORT_CAP = 5
 
 
 def properness_failures(graph: Graph, committed: np.ndarray) -> list[str]:
-    """Monochromatic edges among committed vertices, found by looking up
-    the same-colour pairs in the graph when that is cheaper (see
-    :func:`~deltacolor.graph.same_color_pairs`), otherwise by one scan of
-    every row (:meth:`~deltacolor.graph.Graph.scan`). Both name the first
-    bad slots in (row, column) order. The pair path assumes the symmetric
-    CSR that :func:`~deltacolor.graph.build_graph` guarantees."""
-    pairs = same_color_pairs(committed, graph.indices.size)
-    if pairs is not None:
-        u, v = pairs
-        hit = graph.adjacent(u, v)
-        rows = np.concatenate((u[hit], v[hit]))  # both slots of each edge
-        columns = np.concatenate((v[hit], u[hit]))
-        first = np.lexsort((columns, rows))[: 2 * _REPORT_CAP]
-        count = rows.size
-        bad = zip(rows[first].tolist(), columns[first].tolist())
-    else:
-        count, bad = _bad_slots(graph, committed)
-    if not count:
+    """Monochromatic edges among committed vertices, from one
+    :meth:`~deltacolor.graph.Graph.same_color_edges` query over every
+    row; names the first bad slots in (row, column) order."""
+    rows, columns = graph.same_color_edges(committed)
+    if not rows.size:
         return []
+    first = np.lexsort((columns, rows))[: 2 * _REPORT_CAP]
+    bad = zip(rows[first].tolist(), columns[first].tolist())
     out = [f"edge ({u}, {v}) is monochromatic with color {int(committed[u])}" for u, v in bad if u < v]
-    return out[:_REPORT_CAP] or [f"{count // 2} monochromatic edges among committed vertices"]
-
-
-def _bad_slots(graph: Graph, committed: np.ndarray) -> tuple[int, list[tuple[int, int]]]:
-    """The number of monochromatic slots among committed vertices and the
-    first ``2 * _REPORT_CAP`` of them as (row, column), from one scan of
-    every row."""
-    first: list[int] = []  # the first bad slots, in slot order
-    count = 0
-    start = 0  # every row in order: the scan's slots are the CSR slots
-    for block, neighbors, degrees in graph.scan(np.arange(graph.n)):
-        own = np.repeat(committed[block], degrees)
-        bad = np.flatnonzero((own == committed[neighbors]) & (own != BLANK))
-        count += bad.size
-        first.extend((bad[: 2 * _REPORT_CAP - len(first)] + start).tolist())
-        start += neighbors.size
-    first_slots = np.array(first, dtype=np.int64)
-    rows = np.searchsorted(graph.indptr, first_slots, side="right") - 1
-    return count, list(zip(rows.tolist(), graph.indices[first_slots].tolist()))
+    return out[:_REPORT_CAP] or [f"{rows.size // 2} monochromatic edges among committed vertices"]
 
 
 def residual_consistency_failures(state: ColoringState) -> list[str]:
@@ -82,20 +54,20 @@ def residual_consistency_failures(state: ColoringState) -> list[str]:
     return out
 
 
-def coloring_failures(state: ColoringState, require_complete: bool = True) -> list[str]:
-    """Final-output check: complete, proper, and palette-respecting."""
+def coloring_failures(
+    graph: Graph, colors: np.ndarray, outside: np.ndarray, require_complete: bool = True
+) -> list[str]:
+    """Final-output check of ``colors`` (one per vertex, blank for none):
+    complete when ``require_complete``, no colored vertex in ``outside``
+    (those wearing a color outside their own palette, ascending), and
+    proper."""
     out = []
-    uncolored = np.flatnonzero(state.committed == BLANK)
+    uncolored = np.flatnonzero(colors == BLANK)
     if require_complete and uncolored.size:
         out.append(f"{uncolored.size} vertices left uncolored (first: {int(uncolored[0])})")
-    colored = np.flatnonzero(state.committed != BLANK)
-    colors = state.committed[colored]
-    values = state.color_values
-    columns = np.minimum(np.searchsorted(values, colors), values.size - 1)
-    inside = (values[columns] == colors) & state.original_palette[colored, columns]
-    for v in colored[~inside][: _REPORT_CAP - len(out)]:
-        out.append(f"vertex {int(v)} wears color {int(state.committed[v])} outside its own palette")
-    out.extend(properness_failures(state.graph, state.committed))
+    for v in outside[: _REPORT_CAP - len(out)].tolist():
+        out.append(f"vertex {v} wears color {int(colors[v])} outside its own palette")
+    out.extend(properness_failures(graph, colors))
     return out
 
 
@@ -104,11 +76,16 @@ def verify_coloring(
 ) -> list[str]:
     """Check a saved coloring against a graph and its palettes.
 
-    A map's keys must be vertex IDs (integers, or strings of ASCII digits
-    after an optional minus sign) and its colors integers; an array must
-    have an integer dtype. Anything else raises :class:`ValidationError`
-    rather than being truncated.
+    ``palettes`` is one color collection per vertex, of any size (the
+    Δ+1 floor of :func:`~deltacolor.state.init_state` does not apply); a
+    list of another length raises :class:`ValidationError`. A map's keys
+    must be vertex IDs (integers, or strings of ASCII digits after an
+    optional minus sign) and its colors integers; an array must have an
+    integer dtype. Anything else raises :class:`ValidationError` rather
+    than being truncated. The failures are :func:`coloring_failures`'.
     """
+    if len(palettes) != graph.n:
+        raise ValidationError(f"expected {graph.n} palettes, got {len(palettes)}")
     if isinstance(coloring, dict):
         vertices, values = vertex_ids(list(coloring), "coloring key"), list(coloring.values())
         bad = first_non_integer(values)
@@ -132,16 +109,8 @@ def verify_coloring(
     if colors.shape != (graph.n,):
         return [f"coloring has {colors.size} entries for {graph.n} vertices"]
 
-    out = []
-    for v, (c, palette) in enumerate(zip(colors.tolist(), palettes)):
-        if c == BLANK:
-            out.append(f"vertex {v} is uncolored")
-        elif c not in palette:
-            out.append(f"vertex {v} wears color {c} outside its own palette")
-        if len(out) >= _REPORT_CAP:
-            break
-    out.extend(properness_failures(graph, colors))
-    return out
+    inside = np.fromiter(map(operator.contains, palettes, colors.tolist()), bool, graph.n)
+    return coloring_failures(graph, colors, np.flatnonzero(~inside & (colors != BLANK)))
 
 
 def decomposition_failures(graph: Graph, decomp) -> list[str]:

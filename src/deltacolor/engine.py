@@ -161,34 +161,14 @@ def _conflicted(
     graph: Graph, tentative: np.ndarray, rank: np.ndarray | None = None
 ) -> np.ndarray:
     """True where some neighbor holds the same non-blank tentative color
-    and, when ``rank`` is given, a strictly smaller rank.
-
-    A blank vertex is never conflicted. The pairs of drawn vertices that
-    share a color are looked up in the graph when that is cheaper (see
-    :func:`~deltacolor.graph.same_color_pairs`); otherwise the rows of
-    the drawn vertices are scanned (:meth:`~deltacolor.graph.Graph.scan`).
-    """
-    drawn = np.flatnonzero(tentative != BLANK)
+    and, when ``rank`` is given, a strictly smaller rank: the
+    :meth:`~deltacolor.graph.Graph.same_color_edges` of the drawn
+    vertices, then the rank rule. A blank vertex is never conflicted."""
+    u, v = graph.same_color_edges(tentative, np.flatnonzero(tentative != BLANK))
+    if rank is not None:
+        u = u[rank[v] < rank[u]]
     conflicted = np.zeros(graph.n, dtype=bool)
-    scanned = int(graph.degrees()[drawn].sum())
-    pairs = graph_module.same_color_pairs(tentative, scanned)
-    if pairs is not None:
-        u, v = pairs
-        hit = graph.adjacent(u, v)
-        u, v = u[hit], v[hit]
-        if rank is None:
-            conflicted[u] = conflicted[v] = True
-        else:
-            conflicted[u[rank[v] < rank[u]]] = True
-            conflicted[v[rank[u] < rank[v]]] = True
-        return conflicted
-    for block, neighbors, degrees in graph.scan(drawn):
-        part = drawn[block]
-        clash = np.flatnonzero(tentative[neighbors] == np.repeat(tentative[part], degrees))
-        owners = part[np.searchsorted(np.cumsum(degrees), clash, side="right")]
-        if rank is not None:
-            owners = owners[rank[neighbors[clash]] < rank[owners]]
-        conflicted[owners] = True
+    conflicted[u] = True
     return conflicted
 
 
@@ -576,7 +556,9 @@ class PhaseDriver:
         and complete once a fallback over all vertices has run; the
         per-step colored counts must add up to the colored vertices."""
         state, sched, graph = self.state, self.schedule, self.state.graph
-        failures = self.failures + coloring_failures(state, require_complete=self._require_complete)
+        failures = self.failures + coloring_failures(
+            graph, state.committed, state.outside_palette(), require_complete=self._require_complete
+        )
         colored = graph.n - state.num_uncolored()
         total_colored = sum(s.colored for s in self.steps)
         if total_colored != colored:

@@ -75,8 +75,8 @@ SLOT_BLOCK = 2**18
 # faster one every time.
 MASK_SPAN = 10
 MASK_ROW = 8
-# Path switch of the same-colour searches (engine._conflicted,
-# checks.properness_failures and the clash check of state.commit_colors):
+# Path switch of the same-colour searches (Graph.same_color_edges, and
+# the clash check of state.commit_colors, fused into its own scan):
 # CSR slots of a row scan that cost as much as one same-colour pair listed
 # by same_color_pairs and looked up by Graph.adjacent. Calibrated like the
 # multiply costs above, on a 2-vCPU x86 VM (numpy 2.4), timing both paths
@@ -119,17 +119,12 @@ class Graph:
         """The CSR row of every slot, aligned with ``indices``."""
         return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
 
-    def row_blocks(self, rows: np.ndarray) -> list[slice]:
-        """``rows`` cut, in order, into consecutive runs of at most
-        ``SLOT_BLOCK`` CSR slots each, as slices of ``rows``; a row with
-        more slots is a run of its own. No rows give no runs."""
-        return _cut(self.indptr[rows + 1] - self.indptr[rows])
-
     def scan(self, rows: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
         """The neighbours of ``rows`` (vertex IDs in any order, repeats
-        allowed), one block of :meth:`row_blocks` at a time: per block,
-        its slice of ``rows``, the neighbours of those rows row after row,
-        and each row's degree.
+        allowed), one block at a time: ``rows`` is cut, in order, into
+        runs of at most ``SLOT_BLOCK`` CSR slots (a row with more is a
+        run of its own), and per run come its slice of ``rows``, the
+        neighbours of those rows row after row, and each row's degree.
 
         A block of consecutive rows reads its neighbours as one slice of
         ``indices``. A block of ascending rows compresses its slot span by
@@ -173,6 +168,43 @@ class Graph:
         hit = lo < end
         hit[hit] = self.indices[lo[hit]] == v[hit]
         return hit
+
+    def same_color_edges(
+        self, colors: np.ndarray, rows: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every CSR slot (u, v) whose ends hold the same non-blank color
+        in ``colors`` (one per vertex), as two aligned arrays, each edge
+        by both of its slots, in no set order.
+
+        ``rows`` must hold every non-blank vertex; None means every row.
+        The same-color pairs are looked up by :meth:`adjacent` when that
+        is cheaper (:func:`same_color_pairs`), which assumes the symmetric
+        CSR that :func:`build_graph` guarantees; otherwise ``rows`` are
+        scanned (:meth:`scan`), and only a scan of every row tests for
+        blank rows.
+        """
+        every = rows is None
+        if every:
+            slots, rows = self.indices.size, np.arange(self.n)
+        else:
+            slots = int((self.indptr[rows + 1] - self.indptr[rows]).sum())
+        pairs = same_color_pairs(colors, slots)
+        if pairs is not None:
+            hit = self.adjacent(*pairs)
+            u, v = pairs[0][hit], pairs[1][hit]
+            return np.concatenate((u, v)), np.concatenate((v, u))
+        us, vs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for block, neighbors, degrees in self.scan(rows):
+            part = rows[block]
+            own = np.repeat(colors[part], degrees)
+            same = own == colors[neighbors]
+            if every:
+                same &= own != BLANK
+            clash = np.flatnonzero(same)
+            if clash.size:
+                us.append(part[np.searchsorted(np.cumsum(degrees), clash, side="right")])
+                vs.append(neighbors[clash])
+        return np.concatenate(us), np.concatenate(vs)
 
     def neighbor_set(self, v: int) -> set[int]:
         return set(int(w) for w in self.neighbors(v))
@@ -347,7 +379,7 @@ def same_color_pairs(colors: np.ndarray, slots: int) -> tuple[np.ndarray, np.nda
 
 def _cut(degrees: np.ndarray) -> list[slice]:
     """Rows of the given degrees cut, in order, into the runs of
-    :meth:`Graph.row_blocks`."""
+    :meth:`Graph.scan`, as slices; no rows give no runs."""
     block = SLOT_BLOCK
     ends = np.cumsum(degrees)
     out = []

@@ -70,9 +70,18 @@ class ColoringState:
 
     def in_residual_palette(self, vertices: np.ndarray, colors: np.ndarray) -> np.ndarray:
         """True where ``colors[i]`` is in the residual palette of ``vertices[i]``."""
+        return self._holds(self.palette, vertices, colors)
+
+    def outside_palette(self) -> np.ndarray:
+        """The colored vertices, ascending, whose committed color is not in
+        their original palette."""
+        colored = np.flatnonzero(self.committed != BLANK)
+        return colored[~self._holds(self.original_palette, colored, self.committed[colored])]
+
+    def _holds(self, palette: np.ndarray, vertices: np.ndarray, colors: np.ndarray) -> np.ndarray:
         columns = self.color_columns(colors)
         found = columns < self.num_colors
-        return found & self.palette[vertices, np.where(found, columns, 0)]
+        return found & palette[vertices, np.where(found, columns, 0)]
 
 
 def init_state(graph: Graph, palettes: Sequence[Sequence[int]]) -> ColoringState:

@@ -9,6 +9,7 @@ from deltacolor import (
     ValidationError,
     build_graph,
     canonical_palettes,
+    coloring_failures,
     commit_colors,
     init_state,
     residual_consistency_failures,
@@ -26,10 +27,43 @@ def test_verify_coloring_reports_uncolored_and_foreign_colors(palette_kind):
         palettes = [[2, 5, 9], [1, 5, 9], [2, 5, 7]]
     good = {"range": [1, 2, 1], "list": [2, 1, 2]}[palette_kind]
     assert verify_coloring(g, palettes, np.array(good)) == []
-    assert verify_coloring(g, palettes, {0: good[0], 1: good[1]}) == ["vertex 2 is uncolored"]
+    assert verify_coloring(g, palettes, {0: good[0], 1: good[1]}) == [
+        "1 vertices left uncolored (first: 2)"
+    ]
     assert verify_coloring(g, palettes, np.array([good[0], good[1], 4])) == [
         "vertex 2 wears color 4 outside its own palette"
     ]
+
+
+@pytest.mark.parametrize("palettes", [[range(1, 4)] * 2, [], [range(1, 4)] * 4])
+def test_verify_coloring_rejects_a_palette_list_of_the_wrong_length(palettes):
+    # a shorter list once left the vertices past its end unchecked
+    g = build_graph([(0, 1), (1, 2)])
+    for coloring in ({0: 1, 1: 2}, {0: 1, 1: 1}, np.array([1, 2, 1])):
+        with pytest.raises(ValidationError, match=f"expected 3 palettes, got {len(palettes)}"):
+            verify_coloring(g, palettes, coloring)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    raw=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40),
+    data=st.data(),
+)
+def test_verify_coloring_matches_the_run_side_final_check(n, raw, data):
+    # list palettes from a few more colours than Δ+1, and colours drawn
+    # from the blank up to one in no palette: blanks, foreign colours and
+    # clashes are all common. Only the palette membership is computed
+    # twice: by the palette lists here, by the state's matrix in a run.
+    g = build_graph([(u % n, v % n) for u, v in raw if u % n != v % n], n=n)
+    need = g.max_degree + 1
+    palette = st.lists(st.integers(1, need + 2), min_size=need, max_size=need + 2, unique=True)
+    palettes = [data.draw(palette) for _ in range(n)]
+    colors = np.array(data.draw(st.lists(st.integers(0, need + 3), min_size=n, max_size=n)), dtype=np.int64)
+    state = init_state(g, palettes)
+    state.committed[:] = colors
+    expected = coloring_failures(g, state.committed, state.outside_palette())
+    assert verify_coloring(g, palettes, colors) == expected
 
 
 @pytest.mark.parametrize(

@@ -173,13 +173,18 @@ def test_empty_edge_list_builds_isolated_vertices():
 
 def row_graph(degrees):
     """A CSR graph built by hand with the given row degrees (only the
-    layout matters to row_blocks)."""
+    layout matters to how Graph.scan cuts its blocks)."""
     return graph_module.Graph(
         n=len(degrees),
         indptr=np.concatenate(([0], np.cumsum(degrees))).astype(np.int64),
         indices=np.zeros(int(sum(degrees)), dtype=np.int64),
         max_degree=max(degrees),
     )
+
+
+def scan_blocks(g, rows):
+    """The slices of ``rows`` that Graph.scan yields, one per block."""
+    return [block for block, _, _ in g.scan(rows)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -194,7 +199,7 @@ def test_row_blocks_cut_rows_in_order_within_the_slot_budget(degrees, block, dat
     rows = np.array(data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n)), dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph_module, "SLOT_BLOCK", block)
-        parts = g.row_blocks(rows)
+        parts = scan_blocks(g, rows)
     if rows.size == 0:
         assert parts == []
         return
@@ -210,12 +215,12 @@ def test_row_blocks_cut_rows_in_order_within_the_slot_budget(degrees, block, dat
 def test_row_blocks_of_one_row_and_of_none(monkeypatch):
     g = row_graph([3, 0, 5])
     monkeypatch.setattr(graph_module, "SLOT_BLOCK", 2)
-    assert g.row_blocks(np.array([2])) == [slice(0, 1)]
-    assert g.row_blocks(np.array([1])) == [slice(0, 1)]
-    assert g.row_blocks(np.zeros(0, dtype=np.int64)) == []
+    assert scan_blocks(g, np.array([2])) == [slice(0, 1)]
+    assert scan_blocks(g, np.array([1])) == [slice(0, 1)]
+    assert scan_blocks(g, np.zeros(0, dtype=np.int64)) == []
     # the budget is read at call time
     monkeypatch.setattr(graph_module, "SLOT_BLOCK", 8)
-    assert g.row_blocks(np.arange(3)) == [slice(0, 3)]
+    assert scan_blocks(g, np.arange(3)) == [slice(0, 3)]
 
 
 def test_adjacent_matches_neighbor_sets_on_edge_rows():
@@ -264,6 +269,39 @@ def test_same_color_pairs_match_combinations(colors, slots):
     colored = sum(c != BLANK for c in colors)
     chosen = same_color_pairs(arr, slots)
     assert (chosen is None) == (colored > 1 and len(expected) * graph_module.PAIR_SLOTS >= slots)
+
+
+def full_slot_same_color_edges(g, colors):
+    """Graph.same_color_edges as one pass over every CSR slot, sorted."""
+    owners = g.slot_owners()
+    own = colors[owners]
+    bad = (own == colors[g.indices]) & (own != BLANK)
+    return sorted(zip(owners[bad].tolist(), g.indices[bad].tolist()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    raw=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=120),
+    colors=st.lists(st.integers(0, 3), min_size=30, max_size=30),
+    given_rows=st.booleans(),
+    pair_slots=st.sampled_from([None, 0, 10**18]),
+    block=st.sampled_from([None, 1, 3, 64]),
+)
+def test_same_color_edges_match_the_full_slot_scan(n, raw, colors, given_rows, pair_slots, block):
+    # few colours and the blank 0, so same-colour edges and blank rows are
+    # common; the rows given are the non-blank vertices; PAIR_SLOTS 0 looks
+    # every same-colour pair up, 10**18 scans the rows
+    g = build_graph([(u % n, v % n) for u, v in raw if u % n != v % n], n=n)
+    arr = np.array(colors[:n], dtype=np.int64)
+    rows = np.flatnonzero(arr != BLANK) if given_rows else None
+    with pytest.MonkeyPatch.context() as mp:
+        if pair_slots is not None:
+            mp.setattr(graph_module, "PAIR_SLOTS", pair_slots)
+        if block is not None:
+            mp.setattr(graph_module, "SLOT_BLOCK", block)
+        u, v = g.same_color_edges(arr, rows)
+    assert sorted(zip(u.tolist(), v.tolist())) == full_slot_same_color_edges(g, arr)
 
 
 def test_edge_list_roundtrip(tmp_path):
@@ -761,10 +799,19 @@ def test_unsigned_id_beyond_int64_is_out_of_range():
 
 
 def reference_scan(g, rows):
-    """Graph.scan by its definition: the blocks of row_blocks, each with
-    its rows' CSR slots listed row by row and gathered from indices."""
+    """Graph.scan by its definition: ``rows`` cut greedily, in order, into
+    blocks of at most SLOT_BLOCK slots (a longer row alone), each with its
+    rows' CSR slots listed row by row and gathered from indices."""
+    degrees = [int(g.indptr[v + 1] - g.indptr[v]) for v in rows]
     out = []
-    for block in g.row_blocks(rows):
+    start = 0
+    while start < len(degrees):
+        stop, size = start + 1, degrees[start]
+        while stop < len(degrees) and size + degrees[stop] <= graph_module.SLOT_BLOCK:
+            size += degrees[stop]
+            stop += 1
+        block = slice(start, stop)
+        start = stop
         slots = [np.arange(g.indptr[v], g.indptr[v + 1]) for v in rows[block]]
         neighbors = g.indices[np.concatenate(slots)]
         out.append((block, neighbors.tolist(), [s.size for s in slots]))
