@@ -72,7 +72,7 @@ def coloring_failures(
 
 
 def verify_coloring(
-    graph: Graph, palettes, coloring: dict[int, int] | np.ndarray
+    graph: Graph, palettes, coloring: dict[int, int] | list[int] | np.ndarray
 ) -> list[str]:
     """Check a saved coloring against a graph and its palettes.
 
@@ -80,9 +80,10 @@ def verify_coloring(
     Δ+1 floor of :func:`~deltacolor.state.init_state` does not apply); a
     list of another length raises :class:`ValidationError`. A map's keys
     must be vertex IDs (integers, or strings of ASCII digits after an
-    optional minus sign) and its colors integers; an array must have an
-    integer dtype. Anything else raises :class:`ValidationError` rather
-    than being truncated. The failures are :func:`coloring_failures`'.
+    optional minus sign) and its colors integers, as must be the entries
+    of a list or tuple; an array must have an integer dtype. Anything
+    else raises :class:`ValidationError` rather than being truncated.
+    The failures are :func:`coloring_failures`'.
     """
     if len(palettes) != graph.n:
         raise ValidationError(f"expected {graph.n} palettes, got {len(palettes)}")
@@ -103,6 +104,10 @@ def verify_coloring(
             return [f"coloring references unknown vertex {outside}"]
         # one color per vertex, blank where the map has none
         coloring = list(map(by_vertex.get, range(graph.n), repeat(BLANK)))
+    elif isinstance(coloring, (list, tuple)):
+        bad = first_non_integer(coloring)
+        if bad is not None:
+            raise ValidationError(f"coloring of vertex {bad}: {coloring[bad]!r} is not an integer")
     colors = np.asarray(coloring)
     if not np.issubdtype(colors.dtype, np.integer):
         raise ValidationError(f"colors must be integers inside the int64 range, not {colors.dtype}")

@@ -39,7 +39,7 @@ from .checks import (
 )
 from .decomposition import Decomposition, decompose
 from .errors import InvariantViolation, ValidationError
-from .graph import BLANK, Graph, as_int64
+from .graph import BLANK, Graph, as_int64, first_non_integer
 from .schedule import ACTIVATION_PROB, DEFAULT_K, RoundParams, ScheduleParams, build_schedule
 from .state import ColoringState, commit_colors, init_state, recompute_residuals
 
@@ -413,13 +413,14 @@ class PhaseDriver:
         force_main_path: bool = False,
         max_fallback_iters: int = DEFAULT_MAX_FALLBACK_ITERS,
     ):
-        if seed < 0:
-            raise ValidationError("seed must be nonnegative")
-        if max_fallback_iters < 0:
-            raise ValidationError("max_fallback_iters must be nonnegative")
-        self.seed = seed
+        for name, value in (("seed", seed), ("max_fallback_iters", max_fallback_iters)):
+            if first_non_integer([value]) is not None:
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValidationError(f"{name} must be nonnegative")
+        self.seed = int(seed)
         self.force_main_path = force_main_path
-        self.max_fallback_iters = max_fallback_iters
+        self.max_fallback_iters = int(max_fallback_iters)
         self.state = init_state(graph, palettes)
         self.schedule = build_schedule(max(graph.max_degree, 1), graph.n, k, epsilon=epsilon)
         if decomp is not None and (decomp.membership.size, decomp.epsilon) != (
@@ -434,7 +435,7 @@ class PhaseDriver:
         self.steps: list[StepStats] = []
         self.decomp: Decomposition | None = None
         self.good: GoodColorDiag | None = None
-        self._root = np.random.default_rng(np.random.SeedSequence(seed))
+        self._root = np.random.default_rng(np.random.SeedSequence(self.seed))
         self._require_complete = False
         self._prev_surplus = self.state.surplus()
         self._prev_uncolored = self.state.uncolored_mask()

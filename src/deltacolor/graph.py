@@ -75,18 +75,17 @@ SLOT_BLOCK = 2**18
 # faster one every time.
 MASK_SPAN = 10
 MASK_ROW = 8
-# Path switch of the same-colour searches (Graph.same_color_edges, and
-# the clash check of state.commit_colors, fused into its own scan):
-# CSR slots of a row scan that cost as much as one same-colour pair listed
+# Path switch of the same-colour search (Graph.same_color_edges): CSR
+# slots of a row scan that cost as much as one same-colour pair listed
 # by same_color_pairs and looked up by Graph.adjacent. Calibrated like the
 # multiply costs above, on a 2-vCPU x86 VM (numpy 2.4), timing both paths
 # on every call of full runs of the three benchmark workloads (seed 11),
 # with every scan reading through Graph.scan: a pair costs 150-250 ns once
 # thousands are looked up (8 to 11 binary-search passes), a slot 5-10 ns
-# in the conflict and properness scans and 3.5-6 ns in commit's clash
-# check, so the paths tie between 29 and 50 slots per pair (properness on
-# mixed-main: 9.7e3 pairs took 2.6 ms against 3.5 ms of scanning 6.3e5
-# slots, 1.6e4 pairs 3.9 ms against 3.5 ms).
+# in the conflict and properness scans, so the paths tie between 29 and
+# 50 slots per pair (properness on mixed-main: 9.7e3 pairs took 2.6 ms
+# against 3.5 ms of scanning 6.3e5 slots, 1.6e4 pairs 3.9 ms against
+# 3.5 ms).
 PAIR_SLOTS = 40
 
 

@@ -16,6 +16,7 @@ integer counts. Natural logarithms throughout.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -66,14 +67,23 @@ class ScheduleParams:
         }
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is a real number: bools are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_k(k: float) -> None:
+    if not _real(k):
+        raise ValidationError(f"K must be a real number, got {k!r}")
     if not (math.isfinite(k) and k > 0):
         raise ValidationError(f"K must be positive and finite, got {k}")
 
 
 def check_epsilon(epsilon: float, what: str = "epsilon", hint: str = "") -> float:
-    """``epsilon`` as a float, which must lie in (0, 1/5); ``what`` names
-    it in the error and ``hint`` ends the error."""
+    """``epsilon`` as a float, which must be a real number in (0, 1/5);
+    ``what`` names it in the error and ``hint`` ends the error."""
+    if not _real(epsilon):
+        raise ValidationError(f"{what} must be a real number, got {epsilon!r}{hint}")
     eps = float(epsilon)
     if not 0.0 < eps < 0.2:
         raise ValidationError(f"{what} must be in (0, 1/5), got {eps}{hint}")

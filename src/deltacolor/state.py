@@ -18,7 +18,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import InvariantViolation, ValidationError
-from .graph import BLANK, Graph, as_int64, same_color_pairs, segment_sum
+from .graph import BLANK, Graph, as_int64, segment_sum
 
 # Most cells of the vertex-by-colour palette matrix: the state holds it
 # twice, and a commit builds one more of its size (its colour-major marks),
@@ -224,14 +224,6 @@ def commit_colors(state: ColoringState, vertices: ArrayLike, colors: ArrayLike) 
         repeat[first] = False
         raise InvariantViolation(f"vertex {int(vertices[np.argmax(repeat)])} is assigned twice")
 
-    # A clash is two batch vertices that are neighbours and share a color.
-    # The batch's same-color pairs are looked up in the graph when that is
-    # cheaper than checking every slot (graph.same_color_pairs); only a
-    # pair that is an edge, or a declined lookup, turns on the slot check
-    # below, which names the first clash in batch order.
-    slots = int((graph.indptr[vertices + 1] - graph.indptr[vertices]).sum())
-    pairs = same_color_pairs(batch, slots)
-    check = pairs is None or bool(graph.adjacent(*pairs).any())
     # One scan of the batch's rows (Graph.scan). It counts each vertex's
     # batch neighbors and scatters one mark per slot into a colour-major
     # matrix, at (color column, neighbor), so each batch vertex's marks
@@ -242,21 +234,23 @@ def commit_colors(state: ColoringState, vertices: ArrayLike, colors: ArrayLike) 
     hit = np.zeros(state.num_colors * n, dtype=bool)
     offsets = state.color_columns(colors) * n
     for block, neighbors, degrees in graph.scan(vertices):
-        if check:
-            own = np.repeat(colors[block], degrees)
-            clash = batch[neighbors] == own
-            if clash.any():
-                k = int(np.argmax(clash))
-                v = int(vertices[block][np.searchsorted(np.cumsum(degrees), k, side="right")])
-                raise InvariantViolation(
-                    f"vertices {v} and {int(neighbors[k])} are neighbors but both assigned color {int(own[k])}"
-                )
         # A conflict with an already-committed neighbor is impossible here:
         # its color was removed from v's residual palette when it committed.
         lost += np.bincount(neighbors, minlength=n)
         cells = np.repeat(offsets[block], degrees)
         cells += neighbors
         hit[cells] = True
+    # A clash is two neighbours of one color in the batch: each marks the
+    # other's own cell, so the first marked batch entry and its first
+    # neighbour of that color in row order name the first clash.
+    clashed = hit[offsets + vertices]
+    if clashed.any():
+        i = int(np.argmax(clashed))
+        v, c = int(vertices[i]), int(colors[i])
+        nbrs = graph.neighbors(v)
+        raise InvariantViolation(
+            f"vertices {v} and {int(nbrs[batch[nbrs] == c][0])} are neighbors but both assigned color {c}"
+        )
 
     # Only live neighbors (uncolored, not in the batch) lose anything.
     lost[(state.committed != BLANK) | (batch != BLANK)] = 0

@@ -78,6 +78,10 @@ def test_verify_coloring_matches_the_run_side_final_check(n, raw, data):
         ({"0": 1, "1": 2**64, "2": 1}, "int64"),
         (np.array([1.0, 2.0, 1.0]), "must be integers"),
         (np.array([True, False, True]), "must be integers"),
+        ([True, 2, 1], "vertex 0: True is not an integer"),
+        ([1, 2.0, 1], "vertex 1: 2.0 is not an integer"),
+        ((1, 2, "1"), "vertex 2: '1' is not an integer"),
+        ([1, 2, np.bool_(True)], r"vertex 2: (np\.)?True_? is not an integer"),
     ],
 )
 def test_verify_coloring_rejects_what_is_not_an_integer(coloring, match):
@@ -102,6 +106,7 @@ def test_verify_coloring_takes_integer_and_string_keys():
     assert verify_coloring(g, palettes, {"0": 1, 1: 2, np.int64(2): np.int32(1)}) == []
     assert verify_coloring(g, palettes, {"0": 1, "7": 2}) == ["coloring references unknown vertex 7"]
     assert verify_coloring(g, palettes, {"-1": 1}) == ["coloring references unknown vertex -1"]
+    assert verify_coloring(g, palettes, [1, np.int64(2), 1]) == []
 
 
 @pytest.mark.parametrize("key", ["1_0", "+0", " 1 ", "\u0661", "1 ", "-", "", "--1", "1-0", "0x1", "1,0"])

@@ -32,6 +32,7 @@ from deltacolor.engine import (
 )
 from deltacolor import graph as graph_module
 from deltacolor.graph import segment_sum
+from deltacolor.io import dumps_json
 
 from conftest import copy_state
 
@@ -553,6 +554,34 @@ def test_run_rejects_negative_seed():
     g = build_graph([(0, 1)])
     with pytest.raises(ValidationError, match="seed"):
         run(g, [[1, 2], [1, 2]], seed=-1)
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": "3"}, "seed must be an integer, got '3'"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"max_fallback_iters": 2.5}, "max_fallback_iters must be an integer, got 2.5"),
+        ({"max_fallback_iters": True}, "max_fallback_iters must be an integer, got True"),
+        ({"epsilon": "0.1"}, "epsilon override must be a real number, got '0.1'"),
+        ({"epsilon": True}, "epsilon override must be a real number, got True"),
+        ({"k": "16"}, "K must be a real number, got '16'"),
+        ({"k": np.bool_(True)}, f"K must be a real number, got {np.bool_(True)!r}"),
+    ],
+)
+def test_run_rejects_scalar_options_that_are_not_numbers(option, message):
+    g = build_graph([(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValidationError) as err:
+        run(g, canonical_palettes(g), **option)
+    assert str(err.value) == message
+
+
+def test_run_reads_a_numpy_integer_seed_as_that_int():
+    g = build_graph([(0, 1), (1, 2), (0, 2)])
+    report = run(g, canonical_palettes(g), seed=np.int64(3))
+    assert type(report.seed) is int
+    assert dumps_json(report.to_dict()) == dumps_json(run(g, canonical_palettes(g), seed=3).to_dict())
 
 
 def test_run_is_reproducible():

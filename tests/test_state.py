@@ -285,11 +285,6 @@ def test_commit_marks_neither_a_committed_nor_an_in_batch_neighbour(monkeypatch,
     assert state.residual_degree[3] == 0
 
 
-# PAIR_SLOTS 0 looks the batch's same-colour pairs up before the slot
-# check, 10**18 checks every slot
-CLASH_PATHS = (0, 10**18)
-
-
 @pytest.mark.parametrize(
     "vertices, colors, message",
     [
@@ -311,12 +306,9 @@ def test_commit_violation_messages_name_the_first_bad_entry(vertices, colors, me
     state = init_state(g, canonical_palettes(g))
     commit_colors(state, [2], [1])
     before = copy_state(state)
-    for pair_slots in CLASH_PATHS:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph_module, "PAIR_SLOTS", pair_slots)
-            with pytest.raises(InvariantViolation, match=message):
-                commit_colors(state, vertices, colors)
-        assert_same_state(state, before)
+    with pytest.raises(InvariantViolation, match=message):
+        commit_colors(state, vertices, colors)
+    assert_same_state(state, before)
 
 
 def full_slot_clash(state, vertices, colors):
@@ -353,12 +345,10 @@ def test_blocked_commit_names_the_first_clash_and_changes_nothing(monkeypatch, b
         before = copy_state(state)
         if expected is None:
             continue
-        for pair_slots in CLASH_PATHS:
-            monkeypatch.setattr(graph_module, "PAIR_SLOTS", pair_slots)
-            with pytest.raises(InvariantViolation) as err:
-                commit_colors(state, vertices, colors)
-            assert str(err.value) == expected
-            assert_same_state(state, before)
+        with pytest.raises(InvariantViolation) as err:
+            commit_colors(state, vertices, colors)
+        assert str(err.value) == expected
+        assert_same_state(state, before)
         seen.add(expected)
     assert len(seen) > 1
     # path 2 - 1 - 0 - 3 with vertex 2 colored 1: with one-slot blocks the
@@ -367,19 +357,15 @@ def test_blocked_commit_names_the_first_clash_and_changes_nothing(monkeypatch, b
     state = init_state(path, canonical_palettes(path))
     commit_colors(state, [2], [1])
     before = copy_state(state)
-    for pair_slots in CLASH_PATHS:
-        monkeypatch.setattr(graph_module, "PAIR_SLOTS", pair_slots)
-        with pytest.raises(InvariantViolation, match="vertices 1 and 0 are neighbors but both assigned color 3"):
-            commit_colors(state, [3, 1, 0], [2, 3, 3])
-        assert_same_state(state, before)
+    with pytest.raises(InvariantViolation, match="vertices 1 and 0 are neighbors but both assigned color 3"):
+        commit_colors(state, [3, 1, 0], [2, 3, 3])
+    assert_same_state(state, before)
 
 
-@pytest.mark.parametrize("pair_slots", CLASH_PATHS)
 @pytest.mark.parametrize("block", [1, 64])
-def test_clean_commit_matches_the_reference_on_both_clash_paths(monkeypatch, pair_slots, block):
+def test_clean_commit_matches_the_reference(monkeypatch, block):
     # permuted batches of an independent set, many vertices per colour, so
-    # the pair path has pairs to look up and finds none of them adjacent
-    monkeypatch.setattr(graph_module, "PAIR_SLOTS", pair_slots)
+    # many marks of a colour land beside, never on, a vertex of that colour
     monkeypatch.setattr(graph_module, "SLOT_BLOCK", block)
     g = generate(GeneratorSpec("gnp", {"n": 40, "p": 0.3}, seed=3))
     state = init_state(g, canonical_palettes(g))
@@ -397,6 +383,39 @@ def test_clean_commit_matches_the_reference_on_both_clash_paths(monkeypatch, pai
         q, d = recompute_residuals(state)
         ref_q, ref_d = reference_residuals(state)
         assert np.array_equal(q, ref_q) and np.array_equal(d, ref_d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(3, 24),
+    st.sampled_from([0.2, 0.4, 0.7]),
+    st.integers(0, 2**16),
+    st.sampled_from([None, 1, 3, 64]),
+    st.data(),
+)
+def test_commit_names_the_first_clash_or_matches_the_reference(n, p, seed, block, data):
+    g = generate(GeneratorSpec("gnp", {"n": n, "p": p}, seed=seed))
+    state = init_state(g, canonical_palettes(g))
+    for v in data.draw(st.lists(st.sampled_from(range(n)), unique=True, max_size=n // 2)):
+        commit_colors(state, [v], [min(palette_of(state, v))])
+    uncolored = np.flatnonzero(state.committed == BLANK).tolist()
+    vertices = data.draw(st.lists(st.sampled_from(uncolored), unique=True, min_size=1))
+    # each vertex picks among its three lowest residual colours, so batch
+    # neighbours often share one
+    colors = [data.draw(st.sampled_from(sorted(palette_of(state, v))[:3])) for v in vertices]
+    expected = full_slot_clash(state, np.array(vertices), np.array(colors))
+    mirror = copy_state(state)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(graph_module, "SLOT_BLOCK", block)
+        if expected is None:
+            commit_colors(state, vertices, colors)
+            reference_commit(mirror, vertices, colors)
+        else:
+            with pytest.raises(InvariantViolation) as err:
+                commit_colors(state, vertices, colors)
+            assert str(err.value) == expected
+    assert_same_state(state, mirror)
 
 
 def test_commit_first_offending_entry_wins():
