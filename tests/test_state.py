@@ -362,10 +362,18 @@ def test_blocked_commit_names_the_first_clash_and_changes_nothing(monkeypatch, b
     assert_same_state(state, before)
 
 
+# PAIR_SLOTS 0 looks the same-colour pairs up, 10**18 scans every slot
+CLASH_PATHS = (0, 10**18)
+
+
+@pytest.mark.parametrize("pair_slots", CLASH_PATHS)
 @pytest.mark.parametrize("block", [1, 64])
-def test_clean_commit_matches_the_reference(monkeypatch, block):
+def test_clean_commit_matches_the_reference_on_both_clash_paths(monkeypatch, pair_slots, block):
     # permuted batches of an independent set, many vertices per colour, so
-    # many marks of a colour land beside, never on, a vertex of that colour
+    # many marks of a colour land beside, never on, a vertex of that colour;
+    # commit reads no PAIR_SLOTS, and the same-colour edge query on either
+    # path finds no clash in what it committed
+    monkeypatch.setattr(graph_module, "PAIR_SLOTS", pair_slots)
     monkeypatch.setattr(graph_module, "SLOT_BLOCK", block)
     g = generate(GeneratorSpec("gnp", {"n": 40, "p": 0.3}, seed=3))
     state = init_state(g, canonical_palettes(g))
@@ -380,6 +388,8 @@ def test_clean_commit_matches_the_reference(monkeypatch, block):
         commit_colors(state, np.array(batch), np.array(colors))
         reference_commit(mirror, batch, colors)
         assert_same_state(state, mirror)
+        u, _ = g.same_color_edges(state.committed, np.flatnonzero(state.committed != BLANK))
+        assert u.size == 0
         q, d = recompute_residuals(state)
         ref_q, ref_d = reference_residuals(state)
         assert np.array_equal(q, ref_q) and np.array_equal(d, ref_d)
