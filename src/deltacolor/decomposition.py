@@ -22,7 +22,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
-from .graph import BLANK, Graph, common_counts, edge_common_counts
+from .graph import BLANK, Graph, as_int64, common_counts, edge_common_counts
 from .schedule import check_epsilon
 
 # Threshold comparisons against (1 - eps) * max_degree use this slack so
@@ -181,6 +181,12 @@ def structural_metrics(
     are always measured in the full original graph.
     """
     if committed is not None:
+        committed = as_int64(committed, "committed colors")
+        if committed.shape != (graph.n,):
+            raise ValidationError(
+                f"committed colors must hold one entry per vertex, shape ({graph.n},); "
+                f"got shape {committed.shape}"
+            )
         uncolored = committed == BLANK
     else:
         uncolored = np.ones(graph.n, dtype=bool)

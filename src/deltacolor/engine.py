@@ -40,7 +40,14 @@ from .checks import (
 from .decomposition import Decomposition, decompose
 from .errors import InvariantViolation, ValidationError
 from .graph import BLANK, Graph, as_int64, first_non_integer
-from .schedule import ACTIVATION_PROB, DEFAULT_K, RoundParams, ScheduleParams, build_schedule
+from .schedule import (
+    ACTIVATION_PROB,
+    DEFAULT_K,
+    RoundParams,
+    ScheduleParams,
+    build_schedule,
+    is_real,
+)
 from .state import ColoringState, commit_colors, init_state, recompute_residuals
 
 DEFAULT_MAX_FALLBACK_ITERS = 500
@@ -153,6 +160,8 @@ def _ceil_frac(x: float) -> int:
 
 
 def _check_gamma(gamma: float) -> None:
+    if not is_real(gamma):
+        raise ValidationError(f"gamma must be a real number, got {gamma!r}")
     if not 0.0 <= gamma <= 1.0:
         raise ValidationError(f"gamma must lie in [0, 1], got {gamma}")
 
@@ -378,11 +387,24 @@ def fallback_round(
     state: ColoringState, rng: np.random.Generator, eligible: np.ndarray | None = None
 ) -> StepStats:
     """One trial round: uniform pick from the residual palette, keep it
-    unless an uncolored neighbor picked the same color."""
+    unless an uncolored neighbor picked the same color. Only ``eligible``
+    vertices (a boolean mask; all when None) pick."""
     mask = state.committed == BLANK
     if eligible is not None:
-        mask &= eligible
+        mask &= _eligible_mask(eligible, state.graph.n)
     return _resolve(state, _uniform_pick(state, np.flatnonzero(mask), rng), "fallback")
+
+
+def _eligible_mask(eligible, n: int) -> np.ndarray:
+    """``eligible`` as a boolean mask over the n vertices, or a
+    :class:`ValidationError` naming its dtype and shape."""
+    eligible = np.asarray(eligible)
+    if eligible.dtype != bool or eligible.shape != (n,):
+        raise ValidationError(
+            f"eligible must be a boolean mask of shape ({n},), "
+            f"got {eligible.dtype} of shape {eligible.shape}"
+        )
+    return eligible
 
 
 class PhaseDriver:
@@ -418,8 +440,10 @@ class PhaseDriver:
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
             if value < 0:
                 raise ValidationError(f"{name} must be nonnegative")
+        if not isinstance(force_main_path, (bool, np.bool_)):
+            raise ValidationError(f"force_main_path must be a bool, got {force_main_path!r}")
         self.seed = int(seed)
-        self.force_main_path = force_main_path
+        self.force_main_path = bool(force_main_path)
         self.max_fallback_iters = int(max_fallback_iters)
         self.state = init_state(graph, palettes)
         self.schedule = build_schedule(max(graph.max_degree, 1), graph.n, k, epsilon=epsilon)
@@ -519,12 +543,7 @@ class PhaseDriver:
         """
         n = self.state.graph.n
         if eligible is not None:
-            eligible = np.asarray(eligible)
-            if eligible.dtype != bool or eligible.shape != (n,):
-                raise ValidationError(
-                    f"eligible must be a boolean mask of shape ({n},), "
-                    f"got {eligible.dtype} of shape {eligible.shape}"
-                )
+            eligible = _eligible_mask(eligible, n)
         rng = self._stream()
         self._require_complete |= eligible is None
         todo = np.ones(n, dtype=bool) if eligible is None else eligible

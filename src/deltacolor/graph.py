@@ -19,18 +19,9 @@ BLANK = 0
 # count shared neighbours exactly while row degrees stay below it.
 _FLOAT32_EXACT = 2**24
 
-# Backend switch for shared-neighbour counts, calibrated on a 2-vCPU x86
-# VM (numpy 2.4 with OpenBLAS, scipy 1.17): seconds per SpGEMM multiply,
-# as measured near the crossover (gnp:2000,0.02), against seconds per
-# dense multiply-add. Denser graphs run cheaper per sparse multiply, but
-# there the dense product wins by 7x or more anyway.
-_SPARSE_SECONDS_PER_MULTIPLY = 2.4e-8
-_DENSE_SECONDS_PER_MULTIPLY = 7e-12
-# The fixed cost of one dense row run (common_counts), in dense
-# multiply-adds. Timed like the costs above, on runs too small for their
-# product to count: 1500-5000 disjoint K_2 to K_8 in contiguous ID ranges,
-# with and without 2e4 unkept vertices, took 44-53 us per run (median 50,
-# 7e6 multiply-adds), so thousands of tiny runs go to SpGEMM.
+# Price of one SpGEMM multiply in dense multiply-adds (_dense_pays).
+_SPARSE_MULTIPLY = 2.4e-8 / 7e-12
+# Fixed price of one dense row run in dense multiply-adds (_dense_pays).
 _DENSE_RUN_MULTIPLIES = 7_000_000
 # Memory bounds: the dense backend's float32 operand per run (b rows x
 # the columns it reads, or b x b for its product if that is larger) and
@@ -43,19 +34,10 @@ _SPARSE_BLOCK_MULTIPLIES = 2**22
 # and 2, 1/8 of the columns left 4.9-5.7e4 pairs whose bound reaches the
 # floor, 1/6 left 622-714 (on 95-100 rows) and 1/4 none.
 _PREFIX_SHARE = 0.25
-# About this many evenly spaced rows sample the bound of _bounded_counts
-# before any product, and the prune is tried only while at most
-# _HELD_SHARE of them hold a pair whose bound reaches the floor: the
-# survivors' product runs over every row that holds one, so its cost
-# follows those rows, not the surviving pairs. Measured in process on
-# seed 1 (2-vCPU x86 VM), with the prune always tried, against the whole
-# product: raising eps on gnp:3000,0.5 from 0.16 to 0.19 puts survivors
-# on 44 %, 59 %, 72 %, 89 % and 97 % of the rows, and compute_friend_edges
-# took 0.83x, 1.05x, 1.24x, 1.28x and 1.56x the time; on gnp:2500,0.9 at
-# eps 0.03 and 0.04, 18 % and 77 % of the rows, 0.92x and 1.11x. The
-# cut-off sits below the crossover near 60 % by about the sample's error:
-# 64 rows read the share within 0.12 (two binomial deviations at one half).
+# Rows sampled before the prune (_bounded_counts): 64 read the share of
+# rows holding a survivor within 0.12 (two binomial deviations at one half).
 _BOUND_ROWS = 64
+# Largest sampled share of rows holding a survivor at which the prune pays (_prune_pays).
 _HELD_SHARE = 0.5
 _INT64_MAX = np.iinfo(np.int64).max
 # Most vertices: init_state's palette matrix, one row per vertex, holds at
@@ -66,26 +48,10 @@ _MAX_VERTICES = 2**28
 # temporaries of one block stay in cache, and the heap reuses them from
 # block to block instead of faulting in fresh pages for every call.
 SLOT_BLOCK = 2**18
-# Path switch of Graph.scan for ascending rows with gaps, in units of one
-# gathered slot (4-7 ns): a masked read costs one per MASK_SPAN slots of
-# its span (0.35-0.4 ns each) and MASK_ROW per row of its reach (about
-# 30 ns), and is taken when that is at most the slots wanted. Timed on a
-# 2-vCPU x86 VM (numpy 2.4), both reads of each of the 67 such blocks of
-# seed-11 runs of the three benchmark workloads: the rule picked the
-# faster one every time.
+# Price of a masked read in gathered slots, per spanned slot and per row (_mask_pays).
 MASK_SPAN = 10
 MASK_ROW = 8
-# Path switch of the same-colour search (Graph.same_color_edges): CSR
-# slots of a row scan that cost as much as one same-colour pair listed
-# by same_color_pairs and looked up by Graph.adjacent. Calibrated like the
-# multiply costs above, on a 2-vCPU x86 VM (numpy 2.4), timing both paths
-# on every call of full runs of the three benchmark workloads (seed 11),
-# with every scan reading through Graph.scan: a pair costs 150-250 ns once
-# thousands are looked up (8 to 11 binary-search passes), a slot 5-10 ns
-# in the conflict and properness scans, so the paths tie between 29 and
-# 50 slots per pair (properness on mixed-main: 9.7e3 pairs took 2.6 ms
-# against 3.5 ms of scanning 6.3e5 slots, 1.6e4 pairs 3.9 ms against
-# 3.5 ms).
+# Price of one same-colour pair lookup in scanned CSR slots (_pairs_pay).
 PAIR_SLOTS = 40
 
 
@@ -127,8 +93,8 @@ class Graph:
 
         A block of consecutive rows reads its neighbours as one slice of
         ``indices``. A block of ascending rows compresses its slot span by
-        a row mask when that is estimated cheaper (``MASK_SPAN``,
-        ``MASK_ROW``). Any other block gathers its slots one by one.
+        a row mask when that pays (:func:`_mask_pays`). Any other block
+        gathers its slots one by one.
         """
         indptr, indices = self.indptr, self.indices
         starts = indptr[rows]
@@ -346,8 +312,8 @@ def _vertex_keys(keys: list) -> bool:
 def same_color_pairs(colors: np.ndarray, slots: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Every pair of vertices u < v whose entries in ``colors`` (one per
     vertex) are the same non-blank color, as two aligned arrays; or None
-    when a scan of ``slots`` CSR slots is cheaper than looking the pairs
-    up at ``PAIR_SLOTS`` slots each. Only their count decides, so the
+    when looking the pairs up does not pay against a scan of ``slots``
+    CSR slots (:func:`_pairs_pay`). Only their count decides, so the
     pairs are listed only when they are used.
 
     k distinct colors among d colored vertices make at least
@@ -360,20 +326,34 @@ def same_color_pairs(colors: np.ndarray, slots: int) -> tuple[np.ndarray, np.nda
         none = np.zeros(0, dtype=np.int64)
         return none, none
     distinct = min(d, int(colors.max()) - int(colors.min()) + 1)
-    if (d * d / (2 * distinct) - d / 2) * PAIR_SLOTS >= slots:
+    if not _pairs_pay(d * d / (2 * distinct) - d / 2, slots):
         return None
     vertices = np.flatnonzero(colors != BLANK)
     order = np.argsort(colors[vertices], kind="stable")
     ordered = colors[vertices[order]]
     starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
     sizes = np.diff(np.append(starts, d))
-    if int((sizes * (sizes - 1) // 2).sum()) * PAIR_SLOTS >= slots:
+    if not _pairs_pay(int((sizes * (sizes - 1) // 2).sum()), slots):
         return None
     # sorted position p pairs with the later positions of its run
     later = np.repeat(starts + sizes, sizes) - np.arange(1, d + 1)
     first = np.repeat(np.arange(d), later)
     second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
     return vertices[order[first]], vertices[order[second]]
+
+
+def _pairs_pay(pairs: float, slots: int) -> bool:
+    """Whether listing ``pairs`` same-colour pairs and looking them up by
+    :meth:`Graph.adjacent` costs less than scanning ``slots`` CSR slots,
+    at ``PAIR_SLOTS`` slots a pair. Timed on a 2-vCPU x86 VM (numpy 2.4),
+    both paths on every call of full runs of the three benchmark
+    workloads (seed 11), with every scan reading through
+    :meth:`Graph.scan`: a pair costs 150-250 ns once thousands are looked
+    up (8 to 11 binary-search passes), a slot 5-10 ns in the conflict and
+    properness scans, so the paths tie between 29 and 50 slots per pair
+    (properness on mixed-main: 9.7e3 pairs took 2.6 ms against 3.5 ms of
+    scanning 6.3e5 slots, 1.6e4 pairs 3.9 ms against 3.5 ms)."""
+    return pairs * PAIR_SLOTS < slots
 
 
 def _cut(degrees: np.ndarray) -> list[slice]:
@@ -396,15 +376,24 @@ def _read(rows: np.ndarray, span: int, wanted: int) -> str:
     that wants ``wanted`` CSR slots, ``span`` slots lying from the first
     row's first slot to the last row's end: ``"slice"`` for consecutive
     rows, ``"mask"`` for ascending rows where the row mask costs at most
-    the gather, and ``"gather"`` for all others."""
+    the gather (:func:`_mask_pays`), and ``"gather"`` for all others."""
     if not (np.diff(rows) > 0).all():
         return "gather"
     reach = int(rows[-1]) - int(rows[0]) + 1
     if reach == rows.size:
         return "slice"
-    if span // MASK_SPAN + MASK_ROW * reach <= wanted:
-        return "mask"
-    return "gather"
+    return "mask" if _mask_pays(span, reach, wanted) else "gather"
+
+
+def _mask_pays(span: int, reach: int, wanted: int) -> bool:
+    """Whether a row mask reads a block of ascending rows with gaps at most
+    as dearly as gathering its ``wanted`` slots: the mask costs one
+    gathered slot (4-7 ns) per ``MASK_SPAN`` slots of its ``span``
+    (0.35-0.4 ns each) and ``MASK_ROW`` per row of its ``reach`` (about
+    30 ns). Timed on a 2-vCPU x86 VM (numpy 2.4), both reads of each of
+    the 67 such blocks of seed-11 runs of the three benchmark workloads:
+    the rule picked the faster one every time."""
+    return span // MASK_SPAN + MASK_ROW * reach <= wanted
 
 
 def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -465,18 +454,17 @@ def common_counts(rows: csr_matrix, pairs: np.ndarray, floor: float = 0.0) -> np
     pairs that cannot reach it may be left uncounted. Either way a key
     and its mirror j * k + i, where both are asked for, read the same.
 
-    The backend is whichever is estimated cheaper: a row-blocked sparse
-    product (one multiply per two entries sharing a column) or one dense
-    float32 product per run of :func:`_row_runs` (b * b multiply-adds per
-    column a run of b rows reads, plus a fixed cost per run), the latter
-    only while every run's operand fits in memory. Only the dense product
-    over one run that spans every row is pruned by the floor.
+    The backend is a row-blocked sparse product (one multiply per two
+    entries sharing a column), or one dense float32 product per run of
+    :func:`_row_runs` (b * b multiply-adds per column a run of b rows
+    reads) where that pays (:func:`_dense_pays`) and every run's operand
+    fits in memory. Only the dense product over one run that spans every
+    row is pruned by the floor.
     """
     k, n = rows.shape
     if rows.nnz and np.diff(rows.indptr).max() >= _FLOAT32_EXACT:
         raise ValidationError(f"shared-neighbour counts need degrees below {_FLOAT32_EXACT}")
     column_degrees = np.asarray(rows.sum(axis=0), dtype=np.float64).ravel()
-    sparse_cost = _SPARSE_SECONDS_PER_MULTIPLY * (column_degrees @ column_degrees)
     row_runs = _row_runs(pairs, k)
     runs = row_runs[1]
     sizes = (runs[:, 1] - runs[:, 0]).astype(np.float64)
@@ -484,12 +472,32 @@ def common_counts(rows: csr_matrix, pairs: np.ndarray, floor: float = 0.0) -> np
         widths = np.array([float(n)])
     else:  # a run reads the columns it touches: at most n, at most one per slot
         widths = np.minimum(np.diff(rows.indptr[runs]).ravel(), n).astype(np.float64)
-    multiplies = sizes * sizes @ widths + _DENSE_RUN_MULTIPLIES * sizes.size
-    dense_cost = _DENSE_SECONDS_PER_MULTIPLY * multiplies
     operand = sizes * np.maximum(widths, sizes)  # also bounds the b x b product
-    if dense_cost < sparse_cost and operand.max(initial=0) <= _DENSE_OPERAND_ELEMENTS:
+    if (
+        _dense_pays(sizes * sizes @ widths, sizes.size, column_degrees @ column_degrees)
+        and operand.max(initial=0) <= _DENSE_OPERAND_ELEMENTS
+    ):
         return _dense_common_counts(rows, pairs, floor, row_runs)
     return _sparse_common_counts(rows, pairs)
+
+
+def _dense_pays(multiplies: float, runs: int, sparse_multiplies: float) -> bool:
+    """Whether :func:`common_counts`' dense products, ``multiplies``
+    multiply-adds over ``runs`` row runs, cost less than the
+    ``sparse_multiplies`` multiplies of SpGEMM, all priced in dense
+    multiply-adds: ``_SPARSE_MULTIPLY`` per sparse multiply and
+    ``_DENSE_RUN_MULTIPLIES`` per run.
+
+    Calibrated on a 2-vCPU x86 VM (numpy 2.4 with OpenBLAS, scipy 1.17):
+    an SpGEMM multiply took 2.4e-8 s near the crossover (gnp:2000,0.02),
+    a dense multiply-add 7e-12 s. Denser graphs run cheaper per sparse
+    multiply, but there the dense product wins by 7x or more anyway. The
+    per-run price was timed on runs too small for their product to
+    count: 1500-5000 disjoint K_2 to K_8 in contiguous ID ranges, with
+    and without 2e4 unkept vertices, took 44-53 us per run (median 50,
+    7e6 multiply-adds), so thousands of tiny runs go to SpGEMM.
+    """
+    return multiplies + _DENSE_RUN_MULTIPLIES * runs < _SPARSE_MULTIPLY * sparse_multiplies
 
 
 def _row_runs(pairs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -518,14 +526,11 @@ def _row_runs(pairs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dense_common_counts(
-    rows: csr_matrix,
-    pairs: np.ndarray,
-    floor: float = 0.0,
-    row_runs: tuple[np.ndarray, np.ndarray] | None = None,
+    rows: csr_matrix, pairs: np.ndarray, floor: float, row_runs: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
     """:func:`common_counts` by BLAS products of dense float32 rows, one
-    per run of :func:`_row_runs` (``row_runs``, computed when None); rows
-    outside every run are skipped.
+    per run of ``row_runs``, as from :func:`_row_runs`; rows outside
+    every run are skipped.
 
     When one run spans every row, the product is taken whole, over all n
     columns, and under a positive ``floor`` by :func:`_bounded_counts`.
@@ -533,7 +538,7 @@ def _dense_common_counts(
     every count is exact.
     """
     k, n = rows.shape
-    starts, runs = _row_runs(pairs, k) if row_runs is None else row_runs
+    starts, runs = row_runs
     if np.array_equal(runs, [[0, k]]):
         if floor > 0:
             return _bounded_counts(rows, pairs, floor, starts)
@@ -570,10 +575,9 @@ def _bounded_counts(
     count(i, j) <= P(i, j) + min(left[i], left[j]). The bound is
     symmetric, like the counts. A pair whose bound is below the floor
     keeps its bound; the others, the survivors, add the other columns'
-    product, taken over only the rows that hold a survivor. When more
-    than ``_HELD_SHARE`` of about ``_BOUND_ROWS`` evenly spaced rows hold
-    one, the whole product is taken instead, before P: there the prune
-    would only add work.
+    product, taken over only the rows that hold a survivor. Unless the
+    prune pays on about ``_BOUND_ROWS`` evenly spaced rows
+    (:func:`_prune_pays`), the whole product is taken instead, before P.
     """
     k, n = rows.shape
     cut = math.ceil(n * _PREFIX_SHARE)
@@ -587,7 +591,7 @@ def _bounded_counts(
         x = pairs[starts[r] : starts[r + 1]] - r * k
         holding += bool(np.any(reach[t, x] + np.minimum(left[r], left[x]) >= floor))
     del reach
-    whole = holding > _HELD_SHARE * sample.size
+    whole = not _prune_pays(holding, sample.size)
     product = _gram(dense if whole else head)
     del dense, head  # freed before the gathers: the peak stays that of the whole product
     if whole:
@@ -626,6 +630,24 @@ def _bounded_counts(
         i, j = np.divmod(pairs[survivors], k)
         bound[survivors] += rest[position[i] * b + position[j]] - np.minimum(left[i], left[j])
     return bound
+
+
+def _prune_pays(held: int, sampled: int) -> bool:
+    """Whether :func:`_bounded_counts` tries the prune, given that ``held``
+    of ``sampled`` rows hold a pair whose bound reaches the floor: at
+    most ``_HELD_SHARE`` of them. The survivors' product runs over every
+    row that holds one, so its cost follows those rows, not the
+    surviving pairs.
+
+    Measured in process on seed 1 (2-vCPU x86 VM), with the prune always
+    tried, against the whole product: raising eps on gnp:3000,0.5 from
+    0.16 to 0.19 puts survivors on 44 %, 59 %, 72 %, 89 % and 97 % of the
+    rows, and compute_friend_edges took 0.83x, 1.05x, 1.24x, 1.28x and
+    1.56x the time; on gnp:2500,0.9 at eps 0.03 and 0.04, 18 % and 77 %
+    of the rows, 0.92x and 1.11x. The cut-off sits below the crossover
+    near 60 % by about the sample's error (``_BOUND_ROWS``).
+    """
+    return held <= _HELD_SHARE * sampled
 
 
 def _gram(dense: np.ndarray) -> np.ndarray:

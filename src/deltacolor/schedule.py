@@ -67,13 +67,13 @@ class ScheduleParams:
         }
 
 
-def _real(value) -> bool:
+def is_real(value) -> bool:
     """Whether ``value`` is a real number: bools are not."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_k(k: float) -> None:
-    if not _real(k):
+    if not is_real(k):
         raise ValidationError(f"K must be a real number, got {k!r}")
     if not (math.isfinite(k) and k > 0):
         raise ValidationError(f"K must be positive and finite, got {k}")
@@ -82,7 +82,7 @@ def _check_k(k: float) -> None:
 def check_epsilon(epsilon: float, what: str = "epsilon", hint: str = "") -> float:
     """``epsilon`` as a float, which must be a real number in (0, 1/5);
     ``what`` names it in the error and ``hint`` ends the error."""
-    if not _real(epsilon):
+    if not is_real(epsilon):
         raise ValidationError(f"{what} must be a real number, got {epsilon!r}{hint}")
     eps = float(epsilon)
     if not 0.0 < eps < 0.2:

@@ -177,18 +177,18 @@ def full_slot_properness(graph, committed):
     raw=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=120),
     colors=st.lists(st.integers(0, 3), min_size=30, max_size=30),
     block=st.sampled_from([None, 1, 3, 64]),
-    pair_slots=st.sampled_from([None, 0, 10**18]),
+    pairs_pay=st.sampled_from([None, True, False]),
 )
-def test_blocked_properness_scan_matches_the_full_slot_scan(n, raw, colors, block, pair_slots):
+def test_blocked_properness_scan_matches_the_full_slot_scan(n, raw, colors, block, pairs_pay):
     # few colours, so monochromatic edges are common and often more than
-    # five; PAIR_SLOTS 0 looks every same-colour pair up, 10**18 scans
+    # five; pairs_pay True looks every same-colour pair up, False scans
     g = build_graph([(u % n, v % n) for u, v in raw if u % n != v % n], n=n)
     committed = np.array(colors[:n], dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(graph_module, "SLOT_BLOCK", block)
-        if pair_slots is not None:
-            mp.setattr(graph_module, "PAIR_SLOTS", pair_slots)
+        if pairs_pay is not None:
+            mp.setattr(graph_module, "_pairs_pay", lambda pairs, slots: pairs_pay)
         assert properness_failures(g, committed) == full_slot_properness(g, committed)
 
 
@@ -206,7 +206,7 @@ def test_properness_count_message_spans_blocks(block):
     )
     committed = np.ones(n, dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_module, "PAIR_SLOTS", 10**18)
+        mp.setattr(graph_module, "_pairs_pay", lambda pairs, slots: False)
         if block is not None:
             mp.setattr(graph_module, "SLOT_BLOCK", block)
         got = properness_failures(g, committed)

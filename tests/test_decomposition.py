@@ -195,6 +195,20 @@ def test_metrics_restrict_to_uncolored():
     assert m.clique_size == [21, 20]
 
 
+@pytest.mark.parametrize(
+    "committed, message",
+    [
+        (np.zeros(1, dtype=np.int64), r"one entry per vertex, shape \(63,\); got shape \(1,\)"),
+        (np.zeros(68, dtype=np.int64), r"one entry per vertex, shape \(63,\); got shape \(68,\)"),
+        (np.zeros(63) + 0.5, "committed colors must hold integers, not float64"),
+    ],
+)
+def test_metrics_reject_a_malformed_committed_array(committed, message):
+    g = generate(GeneratorSpec.parse("clique_chain:21x3"))
+    with pytest.raises(ValidationError, match=message):
+        structural_metrics(g, decompose(g, 0.1), committed)
+
+
 def test_decomposition_export_shape():
     g = generate(GeneratorSpec("complete", {"n": 21}))
     d = decompose(g, 0.1)
@@ -249,9 +263,8 @@ def one_clique(g, members):
     ],
 )
 def test_weak_diameter_values(monkeypatch, backend, edges, members, expected):
-    # force one backend of the shared-neighbour kernel by zeroing the other's cost
-    slow = "_SPARSE_SECONDS_PER_MULTIPLY" if backend == "sparse" else "_DENSE_SECONDS_PER_MULTIPLY"
-    monkeypatch.setattr(graph_module, slow, 0.0)
+    # force one backend of the shared-neighbour kernel through its switch
+    monkeypatch.setattr(graph_module, "_dense_pays", lambda *priced: backend == "dense")
     g = build_graph(edges)
     m = structural_metrics(g, one_clique(g, members))
     assert m.weak_diameter == [expected]

@@ -17,6 +17,7 @@ from deltacolor import (
     count_good_colors,
     decompose,
     dense_coloring_step,
+    fallback_round,
     generate,
     init_state,
     initial_coloring_step,
@@ -366,13 +367,28 @@ def test_driver_dense_needs_the_decomposition():
     assert driver.steps == []
 
 
-@pytest.mark.parametrize("eligible", [np.ones(2, dtype=bool), np.ones((3, 1), dtype=bool), np.ones(3)])
+@pytest.mark.parametrize(
+    "eligible",
+    [
+        np.ones(2, dtype=bool),
+        np.ones((3, 1), dtype=bool),
+        np.ones(3),
+        np.array([False]),  # would broadcast to no vertex
+        np.array([True]),  # would broadcast to every vertex
+        np.ones(3, dtype=np.int64),
+    ],
+)
 def test_driver_fallback_rejects_a_mask_of_another_shape_or_dtype(eligible):
     g = build_graph([(0, 1), (1, 2)])
     driver = PhaseDriver(g, canonical_palettes(g))
     with pytest.raises(ValidationError, match=r"boolean mask of shape \(3,\)"):
         driver.fallback(eligible)
     assert driver.steps == []
+    # the exported step function takes the same check, before any pick
+    state = init_state(g, canonical_palettes(g))
+    with pytest.raises(ValidationError, match=r"boolean mask of shape \(3,\)"):
+        fallback_round(state, np.random.default_rng(1), eligible)
+    assert np.all(state.committed == BLANK)
 
 
 def test_driver_rejects_a_decomposition_of_another_graph_or_epsilon():
@@ -404,6 +420,8 @@ def test_driver_adopts_a_precomputed_decomposition(monkeypatch):
     ([0.6], 2, "got 2 rows for 1 gammas"),
     ([0.6, 1.5], None, r"gamma must lie in \[0, 1\], got 1.5"),
     ([0.6, -0.1], 2, r"gamma must lie in \[0, 1\], got -0.1"),
+    ([0.6, "0.5"], None, "gamma must be a real number, got '0.5'"),
+    ([0.6, True], None, "gamma must be a real number, got True"),
 ])
 def test_driver_checks_the_whole_dense_plan_before_the_first_step(gammas, rows, match):
     g = generate(GeneratorSpec.parse("clique_chain:50x4"))
@@ -568,6 +586,8 @@ def test_run_rejects_negative_seed():
         ({"epsilon": True}, "epsilon override must be a real number, got True"),
         ({"k": "16"}, "K must be a real number, got '16'"),
         ({"k": np.bool_(True)}, f"K must be a real number, got {np.bool_(True)!r}"),
+        ({"force_main_path": "no"}, "force_main_path must be a bool, got 'no'"),
+        ({"force_main_path": 0.0}, "force_main_path must be a bool, got 0.0"),
     ],
 )
 def test_run_rejects_scalar_options_that_are_not_numbers(option, message):
@@ -582,6 +602,14 @@ def test_run_reads_a_numpy_integer_seed_as_that_int():
     report = run(g, canonical_palettes(g), seed=np.int64(3))
     assert type(report.seed) is int
     assert dumps_json(report.to_dict()) == dumps_json(run(g, canonical_palettes(g), seed=3).to_dict())
+
+
+def test_run_reads_a_numpy_bool_force_main_path_as_that_bool():
+    g = generate(GeneratorSpec.parse("clique_chain:21x3"))
+    report = run(g, canonical_palettes(g), seed=1, epsilon=0.1, force_main_path=np.bool_(True))
+    assert report.to_dict()["forced_main_path"] is True
+    forced = run(g, canonical_palettes(g), seed=1, epsilon=0.1, force_main_path=True)
+    assert dumps_json(report.to_dict()) == dumps_json(forced.to_dict())
 
 
 def test_run_is_reproducible():
@@ -839,21 +867,21 @@ def full_slot_conflicted(graph, tentative, rank=None):
     blank=st.lists(st.booleans(), min_size=14, max_size=14),
     block=st.sampled_from([None, 1, 3, 64]),
     ranks=st.none() | st.lists(st.integers(-1, 2), min_size=14, max_size=14),
-    pair_slots=st.sampled_from([None, 0, 10**18]),
+    pairs_pay=st.sampled_from([None, True, False]),
 )
-def test_live_row_conflicts_match_the_full_slot_scan(n, raw, colors, blank, block, ranks, pair_slots):
+def test_live_row_conflicts_match_the_full_slot_scan(n, raw, colors, blank, block, ranks, pairs_pay):
     # few colours, so neighbours clash often; blank rows are never scanned;
     # small slot blocks spread the rows over many blocks; few ranks, so
-    # equal ranks (which never conflict) occur often; PAIR_SLOTS 0 looks
-    # every same-colour pair up, 10**18 scans the rows whenever any pair
+    # equal ranks (which never conflict) occur often; pairs_pay True looks
+    # every same-colour pair up, False scans the rows whenever any pair
     g = build_graph([(u % n, v % n) for u, v in raw if u % n != v % n], n=n)
     tentative = np.where(blank[:n], BLANK, colors[:n]).astype(np.int64)
     rank = None if ranks is None else np.array(ranks[:n], dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(graph_module, "SLOT_BLOCK", block)
-        if pair_slots is not None:
-            mp.setattr(graph_module, "PAIR_SLOTS", pair_slots)
+        if pairs_pay is not None:
+            mp.setattr(graph_module, "_pairs_pay", lambda pairs, slots: pairs_pay)
         assert np.array_equal(
             _conflicted(g, tentative, rank), full_slot_conflicted(g, tentative, rank)
         )

@@ -92,11 +92,10 @@ def case_hashes(name: str) -> dict[str, str]:
 @pytest.mark.parametrize("backend", ["auto", "dense", "sparse"])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_decomposition_matches_golden_hashes(monkeypatch, name, backend):
-    # "dense" and "sparse" zero the other backend's cost, so the switch
-    # picks that backend wherever its memory bound allows
+    # "dense" and "sparse" force the switch's answer, so it picks that
+    # backend wherever its memory bound allows
     if backend != "auto":
-        free = "_DENSE" if backend == "dense" else "_SPARSE"
-        monkeypatch.setattr(graph_module, f"{free}_SECONDS_PER_MULTIPLY", 0.0)
+        monkeypatch.setattr(graph_module, "_dense_pays", lambda *priced: backend == "dense")
     golden = json.loads(FIXTURE.read_text())
     assert case_hashes(name) == golden[name]
 

@@ -137,24 +137,27 @@ def test_full_reports_hold_with_small_slot_blocks(tmp_path, monkeypatch, name):
     assert api_hash(name, tmp_path) == json.loads(FIXTURE.read_text())[name]
 
 
-@pytest.mark.parametrize("pair_slots", [0, 10**18])
+# The ids of the forced paths below are the PAIR_SLOTS, MASK_SPAN and
+# MASK_ROW values that once chose them, so that each case keeps its name.
+@pytest.mark.parametrize("pairs_pay", [pytest.param(True, id="0"), pytest.param(False, id=str(10**18))])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_full_reports_hold_on_both_same_colour_paths(tmp_path, monkeypatch, name, pair_slots):
-    # PAIR_SLOTS 0 looks up every same-colour pair, 10**18 scans every
+def test_full_reports_hold_on_both_same_colour_paths(tmp_path, monkeypatch, name, pairs_pay):
+    # pairs_pay True looks up every same-colour pair, False scans every
     # row, in each conflict check and properness check of the run
-    monkeypatch.setattr(graph_module, "PAIR_SLOTS", pair_slots)
+    monkeypatch.setattr(graph_module, "_pairs_pay", lambda pairs, slots: pairs_pay)
     assert api_hash(name, tmp_path) == json.loads(FIXTURE.read_text())[name]
 
 
-@pytest.mark.parametrize("mask_span, mask_row", [(10**18, 0), (1, 10**18)])
+@pytest.mark.parametrize(
+    "mask_pays", [pytest.param(True, id=f"{10**18}-0"), pytest.param(False, id=f"1-{10**18}")]
+)
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_full_reports_hold_on_every_scan_read(tmp_path, monkeypatch, name, mask_span, mask_row):
-    # (10**18, 0) reads every block of ascending rows with gaps through a
-    # row mask, (1, 10**18) gathers their slots; Graph.scan must yield the
+def test_full_reports_hold_on_every_scan_read(tmp_path, monkeypatch, name, mask_pays):
+    # mask_pays True reads every block of ascending rows with gaps through
+    # a row mask, False gathers their slots; Graph.scan must yield the
     # same neighbours either way
     monkeypatch.setattr(graph_module, "SLOT_BLOCK", 64)
-    monkeypatch.setattr(graph_module, "MASK_SPAN", mask_span)
-    monkeypatch.setattr(graph_module, "MASK_ROW", mask_row)
+    monkeypatch.setattr(graph_module, "_mask_pays", lambda span, reach, wanted: mask_pays)
     assert api_hash(name, tmp_path) == json.loads(FIXTURE.read_text())[name]
 
 

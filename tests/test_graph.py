@@ -285,19 +285,19 @@ def full_slot_same_color_edges(g, colors):
     raw=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=120),
     colors=st.lists(st.integers(0, 3), min_size=30, max_size=30),
     given_rows=st.booleans(),
-    pair_slots=st.sampled_from([None, 0, 10**18]),
+    pairs_pay=st.sampled_from([None, True, False]),
     block=st.sampled_from([None, 1, 3, 64]),
 )
-def test_same_color_edges_match_the_full_slot_scan(n, raw, colors, given_rows, pair_slots, block):
+def test_same_color_edges_match_the_full_slot_scan(n, raw, colors, given_rows, pairs_pay, block):
     # few colours and the blank 0, so same-colour edges and blank rows are
-    # common; the rows given are the non-blank vertices; PAIR_SLOTS 0 looks
-    # every same-colour pair up, 10**18 scans the rows
+    # common; the rows given are the non-blank vertices; pairs_pay True
+    # looks every same-colour pair up, False scans the rows
     g = build_graph([(u % n, v % n) for u, v in raw if u % n != v % n], n=n)
     arr = np.array(colors[:n], dtype=np.int64)
     rows = np.flatnonzero(arr != BLANK) if given_rows else None
     with pytest.MonkeyPatch.context() as mp:
-        if pair_slots is not None:
-            mp.setattr(graph_module, "PAIR_SLOTS", pair_slots)
+        if pairs_pay is not None:
+            mp.setattr(graph_module, "_pairs_pay", lambda pairs, slots: pairs_pay)
         if block is not None:
             mp.setattr(graph_module, "SLOT_BLOCK", block)
         u, v = g.same_color_edges(arr, rows)
@@ -542,8 +542,10 @@ def test_edge_common_counts_match_recount(draw):
     everything = recount_common(g, np.ones(n, dtype=bool))
     assert edge_common_counts(g).tolist() == everything.tolist()
     rows, pairs, counted = kept_pairs(g, keep)
-    for backend in (graph_module._dense_common_counts, graph_module._sparse_common_counts):
-        assert backend(rows, pairs).tolist() == expected[counted].tolist(), backend.__name__
+    row_runs = graph_module._row_runs(pairs, rows.shape[0])
+    dense = graph_module._dense_common_counts(rows, pairs, 0.0, row_runs)
+    assert dense.tolist() == expected[counted].tolist()
+    assert graph_module._sparse_common_counts(rows, pairs).tolist() == expected[counted].tolist()
 
 
 def assert_floor_contract(counts, exact, floor, pairs, k):
@@ -576,11 +578,12 @@ def test_dense_counts_under_a_floor_are_exact_from_the_floor_up(draw, m, offset,
     k = rows.shape[0]
     with pytest.MonkeyPatch.context() as mp:
         if always:
-            mp.setattr(graph_module, "_HELD_SHARE", 1.0)
+            mp.setattr(graph_module, "_prune_pays", lambda held, sampled: True)
             mp.setattr(graph_module, "SLOT_BLOCK", 16)
-        counts = graph_module._dense_common_counts(rows, pairs, floor)
+        row_runs = graph_module._row_runs(pairs, k)
+        counts = graph_module._dense_common_counts(rows, pairs, floor, row_runs)
         assert_floor_contract(counts, expected[counted], floor, pairs, k)
-        mp.setattr(graph_module, FORCED_BACKEND["dense"], 0.0)
+        mp.setattr(graph_module, "_dense_pays", lambda *priced: FORCED_BACKEND["dense"])
         counts = edge_common_counts(g, keep, floor)
     assert np.all(counts[~counted] == -1)
     assert_floor_contract(counts[counted], expected[counted], floor, pairs, k)
@@ -604,15 +607,16 @@ def test_floor_keeps_the_memory_of_the_whole_product(monkeypatch, spec, eps, alw
     on these small inputs."""
     monkeypatch.setattr(graph_module, "SLOT_BLOCK", 64)
     if always:
-        monkeypatch.setattr(graph_module, "_HELD_SHARE", 1.0)
+        monkeypatch.setattr(graph_module, "_prune_pays", lambda held, sampled: True)
     g = clique_beside_bipartite() if spec == "clique" else generate(GeneratorSpec.parse(spec, seed=1))
     threshold = (1 - eps) * g.max_degree - THRESHOLD_TOL
     rows, pairs, _ = kept_pairs(g, g.degrees() >= threshold)
+    row_runs = graph_module._row_runs(pairs, rows.shape[0])
     peaks = []
     for floor in (0.0, threshold):
         tracemalloc.start()
         try:
-            graph_module._dense_common_counts(rows, pairs, floor)
+            graph_module._dense_common_counts(rows, pairs, floor, row_runs)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -669,8 +673,8 @@ def clique_layouts(draw):
     return sizes, gaps, bridges, draw(st.sampled_from([0.0, 0.3, 0.7])), draw(st.integers(0, 2**16))
 
 
-# the cost constant each backend forces when zeroed, as in test_weak_diameter_values
-FORCED_BACKEND = {"dense": "_DENSE_SECONDS_PER_MULTIPLY", "sparse": "_SPARSE_SECONDS_PER_MULTIPLY"}
+# what _dense_pays answers to force each backend, as in test_weak_diameter_values
+FORCED_BACKEND = {"dense": True, "sparse": False}
 
 
 @settings(max_examples=80, deadline=None)
@@ -686,10 +690,10 @@ def test_blocked_common_counts_match_recount(layout):
     k = rows.shape[0]
     _, runs = graph_module._row_runs(pairs, k)
     assert [tuple(r) for r in runs.tolist()] == reference_runs(pairs, k)
-    for backend, cost in FORCED_BACKEND.items():
+    for backend, dense in FORCED_BACKEND.items():
         products = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph_module, cost, 0.0)
+            mp.setattr(graph_module, "_dense_pays", lambda *priced, dense=dense: dense)
             gram = graph_module._gram
             mp.setattr(graph_module, "_gram", lambda dense: products.append(dense.shape) or gram(dense))
             assert edge_common_counts(g, keep).tolist() == expected.tolist(), backend
@@ -818,9 +822,9 @@ def reference_scan(g, rows):
     return out
 
 
-# (MASK_SPAN, MASK_ROW) that leave the read of a block of ascending rows
+# what _mask_pays answers to leave the read of a block of ascending rows
 # with gaps to the measured rule, force the row mask, or force the gather
-SCAN_READS = {"rule": None, "mask": (10**18, 0), "gather": (1, 10**18)}
+SCAN_READS = {"rule": None, "mask": True, "gather": False}
 
 
 @settings(max_examples=200, deadline=None)
@@ -848,12 +852,11 @@ def test_scan_matches_row_blocks_and_gathered_slots(rows_of_neighbors, kind, dat
         rows = np.array(data.draw(st.lists(vertex, max_size=2 * g.n)), dtype=np.int64)
     else:
         rows = np.zeros(0, dtype=np.int64)
-    for block, thresholds in itertools.product((1, 3, graph_module.SLOT_BLOCK), SCAN_READS.values()):
+    for block, mask in itertools.product((1, 3, graph_module.SLOT_BLOCK), SCAN_READS.values()):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph_module, "SLOT_BLOCK", block)
-            if thresholds is not None:
-                mp.setattr(graph_module, "MASK_SPAN", thresholds[0])
-                mp.setattr(graph_module, "MASK_ROW", thresholds[1])
+            if mask is not None:
+                mp.setattr(graph_module, "_mask_pays", lambda span, reach, wanted, mask=mask: mask)
             scanned = list(g.scan(rows))
             expected = reference_scan(g, rows)
         assert [(b, nb.tolist(), d.tolist()) for b, nb, d in scanned] == expected
@@ -887,3 +890,20 @@ def test_scan_reads_each_kind_of_block(monkeypatch):
             got = [(b, nb.tolist(), d.tolist()) for b, nb, d in g.scan(rows)]
             assert got == reference_scan(g, rows)
             assert reads == (expected if block > 99 else ["slice"] * rows.size), (rows, block)
+
+
+@pytest.mark.parametrize(
+    "switch, tie, pays",
+    [
+        # a row mask that costs as much as the gather is taken
+        ("_mask_pays", lambda: (3 * graph_module.MASK_SPAN, 2, 3 + 2 * graph_module.MASK_ROW), True),
+        # pairs that cost as much as the scan are scanned
+        ("_pairs_pay", lambda: (5, 5 * graph_module.PAIR_SLOTS), False),
+        # dense products that cost as much as SpGEMM go to SpGEMM
+        ("_dense_pays", lambda: (1000 * graph_module._SPARSE_MULTIPLY, 0, 1000), False),
+        # exactly the held share of the sampled rows still prunes
+        ("_prune_pays", lambda: (64 * graph_module._HELD_SHARE, 64), True),
+    ],
+)
+def test_each_switch_breaks_a_cost_tie_one_way(switch, tie, pays):
+    assert getattr(graph_module, switch)(*tie()) is pays

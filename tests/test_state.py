@@ -362,18 +362,20 @@ def test_blocked_commit_names_the_first_clash_and_changes_nothing(monkeypatch, b
     assert_same_state(state, before)
 
 
-# PAIR_SLOTS 0 looks the same-colour pairs up, 10**18 scans every slot
-CLASH_PATHS = (0, 10**18)
+# what _pairs_pay answers: True looks the same-colour pairs up, False
+# scans every slot; the ids are the PAIR_SLOTS values that once chose
+# these paths, so that each case keeps its name
+CLASH_PATHS = [pytest.param(True, id="0"), pytest.param(False, id=str(10**18))]
 
 
-@pytest.mark.parametrize("pair_slots", CLASH_PATHS)
+@pytest.mark.parametrize("pairs_pay", CLASH_PATHS)
 @pytest.mark.parametrize("block", [1, 64])
-def test_clean_commit_matches_the_reference_on_both_clash_paths(monkeypatch, pair_slots, block):
+def test_clean_commit_matches_the_reference_on_both_clash_paths(monkeypatch, pairs_pay, block):
     # permuted batches of an independent set, many vertices per colour, so
     # many marks of a colour land beside, never on, a vertex of that colour;
-    # commit reads no PAIR_SLOTS, and the same-colour edge query on either
+    # commit asks no _pairs_pay, and the same-colour edge query on either
     # path finds no clash in what it committed
-    monkeypatch.setattr(graph_module, "PAIR_SLOTS", pair_slots)
+    monkeypatch.setattr(graph_module, "_pairs_pay", lambda pairs, slots: pairs_pay)
     monkeypatch.setattr(graph_module, "SLOT_BLOCK", block)
     g = generate(GeneratorSpec("gnp", {"n": 40, "p": 0.3}, seed=3))
     state = init_state(g, canonical_palettes(g))
