@@ -12,11 +12,10 @@ import operator
 from itertools import repeat
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
+from .decomposition import check_decomposition_of
 from .errors import ValidationError
-from .graph import BLANK, Graph, first_non_integer, vertex_ids
+from .graph import BLANK, Graph, first_non_integer, slot_components, vertex_ids
 from .state import ColoringState, recompute_residuals
 
 _REPORT_CAP = 5
@@ -120,17 +119,22 @@ def verify_coloring(
 
 def decomposition_failures(graph: Graph, decomp) -> list[str]:
     """Friend-edge connectivity of each almost-clique; the split itself
-    holds by construction of the decomposition."""
+    holds by construction of the decomposition.
+
+    The components come from :func:`~deltacolor.graph.slot_components`
+    over the friend slots whose ends share a clique. Friend slots are
+    symmetric, so these are the cliques' connected components; were
+    they not, the strong components would only split finer, so the
+    check could report more failures, never fewer.
+    """
+    check_decomposition_of(graph, decomp)
     member, friends = decomp.membership, decomp.friend_graph
     dense = np.flatnonzero(member >= 0)
     if dense.size == 0:
         return []
-    src, dst = friends.slot_owners(), friends.indices
-    inside = (member[src] >= 0) & (member[src] == member[dst])
-    ones = np.ones(int(np.count_nonzero(inside)), dtype=np.int8)
-    intra = csr_matrix((ones, (src[inside], dst[inside])), shape=(friends.n, friends.n))
+    owner = np.repeat(member, friends.degrees())  # the clique of each slot's row
+    labels = slot_components(friends, (owner >= 0) & (owner == member[friends.indices]))
     # a clique is connected iff all its members share its leader's label
-    labels = connected_components(intra, directed=False)[1]
     split = labels[dense] != labels[decomp.leader_by_vertex()[dense]]
     bad = np.unique(member[dense[split]]).tolist()
     return [f"almost-clique {j} is not connected under friend edges" for j in bad]

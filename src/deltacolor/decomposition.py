@@ -19,10 +19,17 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
-from .graph import BLANK, Graph, as_int64, common_counts, edge_common_counts
+from .graph import (
+    BLANK,
+    Graph,
+    as_int64,
+    common_counts,
+    edge_common_counts,
+    segment_sum,
+    slot_components,
+)
 from .schedule import check_epsilon
 
 # Threshold comparisons against (1 - eps) * max_degree use this slack so
@@ -93,6 +100,15 @@ class Decomposition:
         return leaders[self.membership]
 
 
+def check_decomposition_of(graph: Graph, decomp: Decomposition) -> None:
+    """Raise :class:`ValidationError` unless ``decomp`` splits as many
+    vertices as ``graph`` has."""
+    if decomp.membership.size != graph.n:
+        raise ValidationError(
+            f"decomposition of {decomp.membership.size} vertices given for {graph.n} vertices"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class StructuralMetrics:
     """Per-vertex and per-clique structure, restricted to uncolored vertices.
@@ -156,11 +172,13 @@ def classify_and_components(graph: Graph, friend_graph: Graph, epsilon: float) -
 
     dense_ids = np.flatnonzero(dense_mask)
     if dense_ids.size:
-        sub = friend_graph.sparse_adjacency(dense_ids)[:, dense_ids]
-        _, labels = connected_components(sub, directed=False)
-        # number the components by leader, the first position of each label
-        _, first = np.unique(labels, return_index=True)
-        membership[dense_ids] = np.argsort(np.argsort(first))[labels]
+        # friend slots with both ends dense; friend counts are symmetric
+        inner = np.repeat(dense_mask, friend_graph.degrees()) & dense_mask[friend_graph.indices]
+        labels = slot_components(friend_graph, inner)[dense_ids]
+        # labels cover all n vertices: renumber the dense ones' by leader,
+        # the first position of each label
+        _, first, component = np.unique(labels, return_index=True, return_inverse=True)
+        membership[dense_ids] = np.argsort(np.argsort(first))[component]
 
     return Decomposition(epsilon=epsilon, friend_graph=friend_graph, membership=membership)
 
@@ -178,8 +196,11 @@ def structural_metrics(
 
     Given the ``committed`` colors, metrics cover only uncolored vertices
     (the residual view of each clique); distances for the weak diameter
-    are always measured in the full original graph.
+    are always measured in the full original graph. A clique whose
+    anti-degrees sum to 0 has no apart pair, so its weak diameter (1, or
+    0 for at most one uncolored member) needs no distance count.
     """
+    check_decomposition_of(graph, decomp)
     if committed is not None:
         committed = as_int64(committed, "committed colors")
         if committed.shape != (graph.n,):
@@ -193,21 +214,26 @@ def structural_metrics(
 
     live = np.flatnonzero(uncolored & (decomp.membership >= 0))
     rows = graph.sparse_adjacency(live)
-    local = np.repeat(np.arange(live.size), np.diff(rows.indptr))
     own = decomp.membership[live]
     other = decomp.membership[rows.indices]
-    live_neighbor = uncolored[rows.indices] & (other >= 0)
-    same = other == own[local]
-    external = np.bincount(local[live_neighbor & ~same], minlength=live.size)
-    inside = np.bincount(local[live_neighbor & same], minlength=live.size)
+    counted = uncolored[rows.indices] & (other >= 0)
+    external = segment_sum(counted, rows.indptr)
+    counted &= other == np.repeat(own, np.diff(rows.indptr))
+    inside = segment_sum(counted, rows.indptr)
+    external -= inside
     sizes = np.bincount(own, minlength=len(decomp.cliques))
     anti = sizes[own] - 1 - inside
+    # twice each clique's count of uncolored non-adjacent member pairs
+    apart = np.bincount(own, weights=anti, minlength=sizes.size)
 
     # report order: clique by clique, members ascending
     order = np.argsort(own, kind="stable")
     vertices = live[order].tolist()
     diameters = []
-    for clique in decomp.cliques:
+    for j, clique in enumerate(decomp.cliques):
+        if apart[j] == 0:  # every pair of live members adjacent: no kernel call
+            diameters.append(int(sizes[j] > 1))
+            continue
         members = clique.members[uncolored[clique.members]]
         diameters.append(_weak_diameter(rows[np.searchsorted(live, members)], members))
     return StructuralMetrics(

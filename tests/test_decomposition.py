@@ -286,6 +286,72 @@ def test_clique_connectivity_ignores_paths_outside_the_clique():
     ]
 
 
+def test_apart_free_cliques_skip_the_distance_count(monkeypatch):
+    # K5 on 0..4 and K5 minus the edge 5-9 on 5..9, one clique each
+    edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    edges += [(u + 5, v + 5) for u, v in edges if (u, v) != (0, 4)]
+    g = build_graph(edges)
+    membership = np.repeat(np.arange(2, dtype=np.int64), 5)
+    d = Decomposition(epsilon=0.1, friend_graph=g, membership=membership)
+    calls = []
+    measure = decomposition_module._weak_diameter
+
+    def counted(rows, members):
+        calls.append(members.tolist())
+        return measure(rows, members)
+
+    monkeypatch.setattr(decomposition_module, "_weak_diameter", counted)
+    assert structural_metrics(g, d).weak_diameter == [1, 2]
+    assert calls == [[5, 6, 7, 8, 9]]  # only the clique with an apart pair, (5, 9)
+
+    def refuse(*args):
+        raise AssertionError("a clique with no apart pair reached the kernel")
+
+    monkeypatch.setattr(decomposition_module, "common_counts", refuse)
+    complete = generate(GeneratorSpec("clique_chain", {"size": 21, "count": 3}))
+    assert structural_metrics(complete, decompose(complete, 0.1)).weak_diameter == [1, 1, 1]
+    # coloring 5 takes the apart pair out of the residual view; then
+    # clique 0 keeps one uncolored member and clique 1 none
+    committed = np.zeros(g.n, dtype=np.int64)
+    committed[[0, 1, 2, 5, 6, 7]] = 1
+    assert structural_metrics(g, d, committed).weak_diameter == [1, 1]
+    committed[[3, 8, 9]] = 1
+    assert structural_metrics(g, d, committed).weak_diameter == [0, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=3, max_value=40),
+    seed=st.integers(min_value=0, max_value=10_000),
+    p=st.sampled_from([0.5, 0.8, 0.95]),
+    eps=st.sampled_from([0.1, 0.19]),
+    colored=st.floats(min_value=0.0, max_value=0.6),
+)
+def test_weak_diameter_skip_matches_the_distance_count(n, seed, p, eps, colored):
+    g = generate(GeneratorSpec("gnp", {"n": n, "p": p}, seed=seed))
+    d = decompose(g, eps)
+    rng = np.random.default_rng(seed)
+    committed = np.where(rng.random(n) < colored, 1, 0).astype(np.int64)
+    uncolored = committed == 0
+    expected = []
+    for clique in d.cliques:
+        members = clique.members[uncolored[clique.members]]
+        expected.append(decomposition_module._weak_diameter(g.sparse_adjacency(members), members))
+    assert structural_metrics(g, d, committed).weak_diameter == expected
+
+
+@pytest.mark.parametrize("graph_count, decomp_count", [(2, 3), (3, 2)])
+def test_decomposition_of_another_graph_is_rejected(graph_count, decomp_count):
+    g = generate(GeneratorSpec("clique_chain", {"size": 21, "count": graph_count}))
+    other = generate(GeneratorSpec("clique_chain", {"size": 21, "count": decomp_count}))
+    d = decompose(other, 0.1)
+    match = f"^decomposition of {other.n} vertices given for {g.n} vertices$"
+    with pytest.raises(ValidationError, match=match):
+        decomposition_failures(g, d)
+    with pytest.raises(ValidationError, match=match):
+        structural_metrics(g, d)
+
+
 def loop_metrics(g, d, uncolored):
     """External and anti-degrees by a per-member loop over neighbour sets."""
     external, anti = {}, {}
@@ -392,11 +458,11 @@ def test_membership_not_numbered_in_leader_order_is_rejected(raw):
 
 def test_components_are_renumbered_by_leader(monkeypatch):
     # reversed component labels must still give cliques in leader order
-    def reversed_labels(graph, directed):
-        count, labels = connected_components(graph, directed=directed)
+    def reversed_labels(graph, directed, connection="weak"):
+        count, labels = connected_components(graph, directed=directed, connection=connection)
         return count, count - 1 - labels
 
-    monkeypatch.setattr(decomposition_module, "connected_components", reversed_labels)
+    monkeypatch.setattr(graph_module, "connected_components", reversed_labels)
     g = generate(GeneratorSpec("clique_chain", {"size": 21, "count": 3}))
     d = decompose(g, 0.1)
     assert [c.leader for c in d.cliques] == [0, 21, 42]

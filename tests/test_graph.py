@@ -10,12 +10,21 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from deltacolor import GeneratorSpec, ValidationError, build_graph, generate
 from deltacolor import graph as graph_module
 from deltacolor import io as io_module
 from deltacolor.decomposition import THRESHOLD_TOL, compute_friend_edges
-from deltacolor.graph import BLANK, edge_common_counts, same_color_pairs, segment_sum, vertex_ids
+from deltacolor.graph import (
+    BLANK,
+    edge_common_counts,
+    same_color_pairs,
+    segment_sum,
+    slot_components,
+    vertex_ids,
+)
 from deltacolor.io import dumps_json, read_edge_list, read_palettes, write_edge_list
 
 from conftest import clique_beside_bipartite
@@ -491,6 +500,34 @@ def test_segment_sum_matches_python_sums(segments, dtype):
     expected = [int(sum(seg)) for seg in segments]
     sums = segment_sum(flat, np.asarray(indptr))
     assert sums.dtype == np.int64 and sums.tolist() == expected
+
+
+def same_partition(a, b):
+    """Whether two label arrays group the vertices the same way."""
+    return np.array_equal(a[:, None] == a[None, :], b[:, None] == b[None, :])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=14),
+    raw=st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=30),
+    data=st.data(),
+)
+def test_slot_components_match_undirected_components(n, raw, data):
+    # a symmetric slot mask: each undirected edge is kept or dropped both
+    # ways round; an empty mask and isolated vertices included
+    g = build_graph([(u % n, v % n) for u, v in raw if u % n != v % n], n=n)
+    edges = g.edge_array()
+    kept = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    kept = np.array(kept, dtype=bool)
+    chosen = np.zeros((n, n), dtype=bool)
+    chosen[edges[kept, 0], edges[kept, 1]] = True
+    chosen |= chosen.T
+    mask = chosen[g.slot_owners(), g.indices]
+    labels = slot_components(g, mask)
+    expected = connected_components(csr_matrix(chosen), directed=False)[1]
+    assert labels.shape == (n,)
+    assert same_partition(labels, expected)
 
 
 def test_segment_sum_does_not_wrap_narrow_values():
