@@ -196,9 +196,10 @@ def structural_metrics(
 
     Given the ``committed`` colors, metrics cover only uncolored vertices
     (the residual view of each clique); distances for the weak diameter
-    are always measured in the full original graph. A clique whose
-    anti-degrees sum to 0 has no apart pair, so its weak diameter (1, or
-    0 for at most one uncolored member) needs no distance count.
+    are always measured in the full original graph. The counts read the
+    live rows through :meth:`~deltacolor.graph.Graph.scan`. A clique
+    whose anti-degrees sum to 0 has no apart pair, so its weak diameter
+    (1, or 0 for at most one uncolored member) needs no distance count.
     """
     check_decomposition_of(graph, decomp)
     if committed is not None:
@@ -212,14 +213,18 @@ def structural_metrics(
     else:
         uncolored = np.ones(graph.n, dtype=bool)
 
-    live = np.flatnonzero(uncolored & (decomp.membership >= 0))
-    rows = graph.sparse_adjacency(live)
-    own = decomp.membership[live]
-    other = decomp.membership[rows.indices]
-    counted = uncolored[rows.indices] & (other >= 0)
-    external = segment_sum(counted, rows.indptr)
-    counted &= other == np.repeat(own, np.diff(rows.indptr))
-    inside = segment_sum(counted, rows.indptr)
+    member = decomp.membership
+    live = np.flatnonzero(uncolored & (member >= 0))
+    own = member[live]
+    inside = np.zeros(live.size, dtype=np.int64)
+    external = np.zeros(live.size, dtype=np.int64)
+    for block, neighbors, degrees in graph.scan(live):
+        other = member[neighbors]
+        counted = uncolored[neighbors] & (other >= 0)
+        indptr = np.concatenate(([0], np.cumsum(degrees)))
+        external[block] = segment_sum(counted, indptr)
+        counted &= other == np.repeat(own[block], degrees)
+        inside[block] = segment_sum(counted, indptr)
     external -= inside
     sizes = np.bincount(own, minlength=len(decomp.cliques))
     anti = sizes[own] - 1 - inside
@@ -230,10 +235,13 @@ def structural_metrics(
     order = np.argsort(own, kind="stable")
     vertices = live[order].tolist()
     diameters = []
+    rows = None  # the live rows' adjacency, built once a clique needs it
     for j, clique in enumerate(decomp.cliques):
         if apart[j] == 0:  # every pair of live members adjacent: no kernel call
             diameters.append(int(sizes[j] > 1))
             continue
+        if rows is None:
+            rows = graph.sparse_adjacency(live)
         members = clique.members[uncolored[clique.members]]
         diameters.append(_weak_diameter(rows[np.searchsorted(live, members)], members))
     return StructuralMetrics(
