@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
@@ -35,7 +34,7 @@ from .engine import (
 from .errors import DeltaColorError, InvariantViolation, ValidationError
 from .generators import GeneratorSpec, generate
 from .graph import Graph
-from .io import dumps_json, load_palettes, read_edge_list, write_edge_list
+from .io import dumps_json, load_palettes, read_edge_list, read_json, write_edge_list
 from .schedule import DEFAULT_K, build_schedule
 
 MODES = ("full", "decompose-only", "initial-only", "dense-steps", "fallback-only", "verify")
@@ -103,8 +102,7 @@ def _parse_args(
     args = parser.parse_args(argv)
     if args.command != "run" or args.config is None:
         return args
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    cfg = read_json(args.config)
     if not isinstance(cfg, dict):
         raise ValidationError(f"{args.config}: config must be a JSON object")
     actions = {a.dest: a for a in run_p._actions if a.dest not in ("help", "config")}
@@ -268,8 +266,7 @@ def _mode_decompose(graph: Graph, args) -> int:
 
 
 def _mode_verify(graph: Graph, palettes, args) -> int:
-    with open(args.coloring, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(args.coloring)
     coloring = data.get("coloring", data) if isinstance(data, dict) else data
     if not isinstance(coloring, dict):
         raise ValidationError(f"{args.coloring}: expected a JSON object mapping vertex -> color")
@@ -329,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, DeltaColorError) as exc:
+    except (OSError, DeltaColorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,8 +26,8 @@ from .graph import (
     Graph,
     as_int64,
     common_counts,
-    edge_common_counts,
     segment_sum,
+    sharing_subgraph,
     slot_components,
 )
 from .schedule import check_epsilon
@@ -133,21 +133,13 @@ def compute_friend_edges(graph: Graph, epsilon: float) -> Graph:
     vertex set; its degrees are the per-vertex friend counts.
 
     A shared count never exceeds either endpoint's degree, so only
-    vertices of degree at least the threshold are counted at all, and
-    only counts that reach the threshold need be exact: it is passed as
-    the kernel's floor.
+    vertices of degree at least the threshold are kept at all, and the
+    kernel, which only compares counts with the threshold, may prune
+    pairs that cannot reach it.
     """
     epsilon = check_epsilon(epsilon)
     threshold = (1.0 - epsilon) * graph.max_degree - THRESHOLD_TOL
-    counts = edge_common_counts(graph, keep=graph.degrees() >= threshold, floor=threshold)
-    # Counts are symmetric, so the friend slots already form a valid CSR graph.
-    friend = np.flatnonzero(counts >= threshold)
-    indptr = np.searchsorted(friend, graph.indptr)
-    indices = graph.indices[friend]
-    indptr.setflags(write=False)
-    indices.setflags(write=False)
-    degrees = np.diff(indptr)
-    return Graph(n=graph.n, indptr=indptr, indices=indices, max_degree=int(degrees.max()))
+    return sharing_subgraph(graph, threshold, keep=graph.degrees() >= threshold)
 
 
 def classify_and_components(graph: Graph, friend_graph: Graph, epsilon: float) -> Decomposition:

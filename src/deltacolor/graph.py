@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -30,7 +31,7 @@ _DENSE_RUN_MULTIPLIES = 7_000_000
 _DENSE_OPERAND_ELEMENTS = 2**28
 _SPARSE_BLOCK_MULTIPLIES = 2**22
 # Share of the columns whose product bounds every pair of a whole dense
-# product taken under a floor (_bounded_counts). On dense-fallback
+# product read under a floor (_dense_sharing). On dense-fallback
 # (gnp:3000,0.5 at eps 0.1, floor about 1441, 4.3-4.4e6 pairs), seeds 1
 # and 2, 1/8 of the columns left 4.9-5.7e4 pairs whose bound reaches the
 # floor, 1/6 left 622-714 (on 95-100 rows) and 1/4 none. Yet 1/6 buys no
@@ -38,7 +39,7 @@ _SPARSE_BLOCK_MULTIPLIES = 2**22
 # 303 against 305 ms (seed 1) and 297 against 299 ms (seed 2) in median,
 # 1/6 faster in 6 and 7 of 12 pairs (in process, 2-vCPU x86 VM).
 _PREFIX_SHARE = 0.25
-# Rows sampled before the prune (_bounded_counts): 64 read the share of
+# Rows sampled before the prune (_dense_sharing): 64 read the share of
 # rows holding a survivor within 0.12 (two binomial deviations at one half).
 _BOUND_ROWS = 64
 # Largest sampled share of rows holding a survivor at which the prune pays (_prune_pays).
@@ -437,21 +438,207 @@ def slot_components(graph: Graph, mask: np.ndarray) -> np.ndarray:
     return connected_components(adjacency, directed=True, connection="strong")[1]
 
 
-def edge_common_counts(
-    graph: Graph, keep: np.ndarray | None = None, floor: float = 0.0
-) -> np.ndarray:
+def _keep_mask(graph: Graph, keep: np.ndarray | None) -> np.ndarray:
+    """``keep`` as a boolean mask over the vertices, every one when None."""
+    keep = np.ones(graph.n, dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
+    if keep.shape != (graph.n,):
+        raise ValidationError(f"keep mask has shape {keep.shape} for {graph.n} vertices")
+    return keep
+
+
+def _subgraph(indptr: np.ndarray, indices: np.ndarray) -> Graph:
+    """A read-only :class:`Graph` on the CSR arrays of some of a graph's slots."""
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    return Graph(indptr.size - 1, indptr, indices, int(np.diff(indptr).max()))
+
+
+def sharing_subgraph(graph: Graph, floor: float, keep: np.ndarray | None = None) -> Graph:
+    """The edges uv of ``graph`` whose ends both lie in ``keep`` (a boolean
+    mask over the vertices; all of them when None) and share at least
+    ``floor`` neighbours, as a graph on the same vertices.
+
+    When the k kept rows form one run of :func:`_row_runs`, the dense
+    backend pays (:func:`_dense_pays`) and its k x n operand fits, the
+    edges are read off a k x k product by :func:`_dense_sharing`, which
+    makes no array with one entry per slot. The run is read off each
+    row's farthest kept neighbour (:func:`_farthest_partners`), without
+    keying the slots. Otherwise the exact counts of
+    :func:`edge_common_counts` are compared with ``floor``.
+    """
+    keep = _keep_mask(graph, keep)
+    k, n = int(np.count_nonzero(keep)), graph.n
+    if k * max(n, k) <= _DENSE_OPERAND_ELEMENTS:
+        kept = np.flatnonzero(keep)
+        position = np.cumsum(keep) - 1
+        far = _farthest_partners(graph, keep, kept, position)
+        if far is not None and not np.any(far >= 0):  # no edge has both ends kept
+            return _subgraph(np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        if far is not None and _spans_one_run(far):
+            # as in common_counts: one run over all n columns against SpGEMM,
+            # whose multiplies are the squared kept degrees of the columns;
+            # only the unkept rows are read, to take their slots off the degrees
+            columns = graph.degrees()
+            for _, neighbors, _ in graph.scan(np.flatnonzero(~keep)):
+                columns -= np.bincount(neighbors, minlength=n)
+            if _dense_pays(float(k) * k * n, 1, float(columns @ columns)):
+                return _dense_sharing(graph, keep, kept, position, floor)
+    counts = edge_common_counts(graph, keep)
+    slots = np.flatnonzero(counts >= max(floor, 0))  # unkept slots read -1
+    return _subgraph(np.searchsorted(slots, graph.indptr), graph.indices[slots])
+
+
+def _spans_one_run(far: np.ndarray) -> bool:
+    """Whether rows whose farthest partners (row places, -1 for none) are
+    ``far`` form one run of :func:`_row_runs`, their pairs being
+    symmetric: a cut is a boundary that no row above it reaches across."""
+    row = np.arange(far.size)
+    return bool(np.all(np.maximum.accumulate(np.maximum(far, row))[:-1] >= row[1:]))
+
+
+def _farthest_partners(
+    graph: Graph, keep: np.ndarray, kept: np.ndarray, position: np.ndarray
+) -> np.ndarray | None:
+    """Per kept row (``kept``, ascending vertex IDs), the place among the
+    kept rows (``position``, per vertex) of its farthest kept neighbour,
+    or -1 where it has none; or None where the rows certainly fall into
+    several runs of :func:`_row_runs`.
+
+    CSR rows are sorted, so a row's first and last slots bound its
+    nearest and farthest kept neighbours, exactly where those neighbours
+    are kept. The bounds only merge runs, so a cut they leave is real,
+    and None is returned at once. Otherwise only the rows whose last
+    neighbour is not kept are scanned for it."""
+    starts, ends = graph.indptr[kept], graph.indptr[kept + 1]
+    held = np.flatnonzero(ends > starts)
+    # the nearest kept neighbour lies at or after a row's first neighbour
+    first = graph.indices[starts[held]]
+    near = np.arange(kept.size)
+    near[held] = np.minimum(position[first] + ~keep[first], held)
+    if np.any(np.minimum.accumulate(near[::-1])[::-1][1:] >= np.arange(1, kept.size)):
+        return None
+    # and the farthest at or before its last
+    last = graph.indices[ends[held] - 1]
+    far = np.full(kept.size, -1, dtype=np.int64)
+    far[held] = position[last]
+    if not _spans_one_run(far):
+        return None
+    rows = held[~keep[last]]
+    for block, neighbors, degrees in graph.scan(kept[rows]):
+        marks = np.where(keep[neighbors], position[neighbors], -1)
+        # every scanned row has a slot, so the segment starts ascend strictly
+        far[rows[block]] = np.maximum.reduceat(marks, np.cumsum(degrees) - degrees)
+    return far
+
+
+def _dense_sharing(
+    graph: Graph, keep: np.ndarray, kept: np.ndarray, position: np.ndarray, floor: float
+) -> Graph:
+    """:func:`sharing_subgraph` from dense float32 products over the k kept
+    rows (``kept``; ``position`` places each vertex among them), each row
+    made dense from its own CSR slots.
+
+    M is the whole product, exact, unless the prune pays. Under the prune,
+    M is P, the product over the first ``cut`` = ⌈``_PREFIX_SHARE`` · n⌉
+    columns, and with ``left[i]``, row i's degree in the other columns,
+    count(i, j) <= P(i, j) + min(left[i], left[j]): a pair whose bound is
+    below the floor is below it too. The prune pays when about
+    ``_BOUND_ROWS`` evenly spaced rows, their partners read off their CSR
+    rows, say so (:func:`_prune_pays`).
+
+    M, plus the min under the prune, is read a block of about
+    ``SLOT_BLOCK`` entries at a time. A block with no entry at or above
+    the floor is skipped. In the others, the entries at or above it whose
+    rows are adjacent, as the dense rows say, are kept: the edges, or under
+    the prune the survivors. Survivors add the other columns' product,
+    taken over only the rows that hold one, and are compared again.
+    Non-edges may pass the bound (on a bipartite graph every pair on one
+    side does); the adjacency test drops them before any index is listed.
+    """
+    k, n = kept.size, graph.n
+    indptr, indices = graph.indptr, graph.indices
+    degrees = graph.degrees()[kept]
+    _check_exact(int(degrees.max()))
+    # Bounds and counts are integers below 2**24, exact in float32, and so
+    # is the least integer at or above the floor, which they are compared with.
+    floor = math.ceil(floor)
+    dense = _dense_rows(graph, kept)
+    cut = math.ceil(n * _PREFIX_SHARE)
+    head = dense[:, :cut]  # numpy multiplies this view without a copy
+    left = degrees.astype(np.float32) - head.sum(axis=1)
+    sample = np.arange(0, k, max(k // _BOUND_ROWS, 1))
+    reach = head[sample] @ head.T
+    holding = 0  # sampled rows that hold a survivor
+    for t, v in enumerate(kept[sample].tolist()):
+        x = indices[indptr[v] : indptr[v + 1]]
+        x = position[x[keep[x]]]
+        holding += bool(np.any(reach[t, x] + np.minimum(left[sample[t]], left[x]) >= floor))
+    del reach
+    prune = _prune_pays(holding, sample.size)
+    matrix = _gram(head if prune else dense).reshape(k, k)
+    np.fill_diagonal(matrix, -np.inf)  # a row is no partner of its own
+    columns = slice(None) if k == n else kept
+    step = max(SLOT_BLOCK // k, 1)
+    # the keys i * k + j of the entries kept, as C ints (k * k fits), in a
+    # buffer that grows without one array object per block
+    found = array("i")
+    for a in range(0, k, step):
+        bound = matrix[a : a + step]
+        if prune:
+            bound = np.minimum.outer(left[a : a + step], left) + bound
+        hit = bound >= floor
+        if hit.any():
+            hit &= dense[a : a + step, columns] > 0
+            found.frombytes((np.flatnonzero(hit) + a * k).astype(np.intc).tobytes())
+    del dense, head
+    keys = np.frombuffer(found, dtype=np.intc)
+    if prune and keys.size:
+        keys = keys.copy()  # without the buffer's spare room
+        del found
+        # counts are integers, exact in any order of summation, so the bound
+        # is symmetric: the rows holding a survivor are its first rows
+        marked = np.zeros(k, dtype=bool)
+        marked[keys // k] = True
+        held = np.flatnonzero(marked)
+        counts = matrix.ravel()[keys]
+        del matrix  # the survivors' product reuses its memory
+        rest = _gram(_dense_rows(graph, kept[held], cut))
+        where = np.cumsum(marked) - 1  # among the held rows; b * b fits
+        for lo in range(0, keys.size, SLOT_BLOCK):
+            i = keys[lo : lo + SLOT_BLOCK] // k
+            j = keys[lo : lo + SLOT_BLOCK] - i * k
+            counts[lo : lo + SLOT_BLOCK] += rest[where[i] * held.size + where[j]]
+        keys = keys[counts >= floor]
+    # the keys ascend: each kept row's first key places its edges, and a
+    # division by the scalar k is much cheaper than a remainder
+    starts = np.searchsorted(keys, np.arange(k + 1, dtype=keys.dtype) * k)
+    out = np.zeros(n + 1, dtype=np.int64)
+    out[kept + 1] = np.diff(starts)
+    np.cumsum(out, out=out)
+    partners = keys - keys // k * k
+    return _subgraph(out, partners.astype(np.int64) if k == n else kept[partners])
+
+
+def _dense_rows(graph: Graph, rows: np.ndarray, first: int = 0) -> np.ndarray:
+    """The adjacency rows of the vertices ``rows`` from column ``first``
+    on, as a dense float32 matrix, each row set from its own CSR slots."""
+    indptr, indices = graph.indptr, graph.indices
+    out = np.zeros((rows.size, graph.n - first), dtype=np.float32)
+    for row, v in zip(out, rows.tolist()):
+        x = indices[indptr[v] : indptr[v + 1]]
+        row[x[np.searchsorted(x, first) :] - first if first else x] = 1
+    return out
+
+
+def edge_common_counts(graph: Graph, keep: np.ndarray | None = None) -> np.ndarray:
     """|N(u) & N(v)| for every CSR slot (u, v), aligned with ``graph.indices``.
 
     Only slots whose endpoints both lie in ``keep`` (a boolean mask over
     the vertices; all of them when None) are counted; the others read -1.
-    A counted slot is exact when its count is at least ``floor``, and
-    otherwise holds some value below ``floor`` (see :func:`common_counts`);
-    the default floor 0 makes every count exact. Slots (u, v) and (v, u)
-    read the same.
+    Every count is exact (see :func:`common_counts`), so slots (u, v) and
+    (v, u) read the same.
     """
-    keep = np.ones(graph.n, dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
-    if keep.shape != (graph.n,):
-        raise ValidationError(f"keep mask has shape {keep.shape} for {graph.n} vertices")
+    keep = _keep_mask(graph, keep)
     degrees = graph.degrees()
     counted = np.repeat(keep, degrees) & keep[graph.indices]
     k = int(np.count_nonzero(keep))
@@ -462,33 +649,27 @@ def edge_common_counts(
     pairs = pairs[counted]
     out = np.full(graph.indices.size, -1, dtype=np.int64)
     if pairs.size:
-        out[counted] = common_counts(graph.sparse_adjacency(np.flatnonzero(keep)), pairs, floor)
+        out[counted] = common_counts(graph.sparse_adjacency(np.flatnonzero(keep)), pairs)
     return out
 
 
-def common_counts(rows: csr_matrix, pairs: np.ndarray, floor: float = 0.0) -> np.ndarray:
+def common_counts(rows: csr_matrix, pairs: np.ndarray) -> np.ndarray:
     """Shared-neighbour counts between rows of a 0/1 adjacency row matrix.
 
     ``rows`` holds k vertices' adjacency rows (k x n, as from
     :meth:`Graph.sparse_adjacency`); ``pairs`` are ascending row-major
     keys i * k + j, and entry t of the result counts the columns set in
-    both rows of pair t, as a float32. Every entry at or above ``floor``
-    is exact, and every other entry holds some value below ``floor``, so
-    the default floor 0 makes every entry exact; a caller that only
-    compares the counts with a threshold passes it as the floor, and
-    pairs that cannot reach it may be left uncounted. Either way a key
-    and its mirror j * k + i, where both are asked for, read the same.
+    both rows of pair t, exactly, as a float32. A key and its mirror
+    j * k + i, where both are asked for, read the same.
 
     The backend is a row-blocked sparse product (one multiply per two
     entries sharing a column), or one dense float32 product per run of
     :func:`_row_runs` (b * b multiply-adds per column a run of b rows
     reads) where that pays (:func:`_dense_pays`) and every run's operand
-    fits in memory. Only the dense product over one run that spans every
-    row is pruned by the floor.
+    fits in memory.
     """
     k, n = rows.shape
-    if rows.nnz and np.diff(rows.indptr).max() >= _FLOAT32_EXACT:
-        raise ValidationError(f"shared-neighbour counts need degrees below {_FLOAT32_EXACT}")
+    _check_exact(int(np.diff(rows.indptr).max(initial=0)))
     column_degrees = np.asarray(rows.sum(axis=0), dtype=np.float64).ravel()
     row_runs = _row_runs(pairs, k)
     runs = row_runs[1]
@@ -502,8 +683,15 @@ def common_counts(rows: csr_matrix, pairs: np.ndarray, floor: float = 0.0) -> np
         _dense_pays(sizes * sizes @ widths, sizes.size, column_degrees @ column_degrees)
         and operand.max(initial=0) <= _DENSE_OPERAND_ELEMENTS
     ):
-        return _dense_common_counts(rows, pairs, floor, row_runs)
+        return _dense_common_counts(rows, pairs, row_runs)
     return _sparse_common_counts(rows, pairs)
+
+
+def _check_exact(degree: int) -> None:
+    """Refuse rows of ``degree`` or more neighbours, whose float32 shared
+    counts could round."""
+    if degree >= _FLOAT32_EXACT:
+        raise ValidationError(f"shared-neighbour counts need degrees below {_FLOAT32_EXACT}")
 
 
 def _dense_pays(multiplies: float, runs: int, sparse_multiplies: float) -> bool:
@@ -551,22 +739,18 @@ def _row_runs(pairs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dense_common_counts(
-    rows: csr_matrix, pairs: np.ndarray, floor: float, row_runs: tuple[np.ndarray, np.ndarray]
+    rows: csr_matrix, pairs: np.ndarray, row_runs: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
     """:func:`common_counts` by BLAS products of dense float32 rows, one
     per run of ``row_runs``, as from :func:`_row_runs`; rows outside
     every run are skipped.
 
     When one run spans every row, the product is taken whole, over all n
-    columns, and under a positive ``floor`` by :func:`_bounded_counts`.
-    Otherwise each run multiplies only the columns its rows touch, and
-    every count is exact.
+    columns. Otherwise each run multiplies only the columns its rows touch.
     """
     k, n = rows.shape
     starts, runs = row_runs
     if np.array_equal(runs, [[0, k]]):
-        if floor > 0:
-            return _bounded_counts(rows, pairs, floor, starts)
         return _gram(rows.toarray())[pairs]
     out = np.zeros(pairs.size, dtype=np.float32)
     owner = np.zeros(n, dtype=np.int64)  # per column: one slot of the run that holds it
@@ -588,89 +772,21 @@ def _dense_common_counts(
     return out
 
 
-def _bounded_counts(
-    rows: csr_matrix, pairs: np.ndarray, floor: float, starts: np.ndarray
-) -> np.ndarray:
-    """The whole product of :func:`_dense_common_counts` under a floor;
-    ``starts`` are the rows' first keys, as from :func:`_row_runs`.
-
-    P, the product over the first ``cut`` = ⌈``_PREFIX_SHARE`` · n⌉
-    columns, plus the smaller of ``left[i]`` and ``left[j]``, rows i's
-    and j's degrees in the other columns, bounds every count:
-    count(i, j) <= P(i, j) + min(left[i], left[j]). The bound is
-    symmetric, like the counts. A pair whose bound is below the floor
-    keeps its bound; the others, the survivors, add the other columns'
-    product, taken over only the rows that hold a survivor. Unless the
-    prune pays on about ``_BOUND_ROWS`` evenly spaced rows
-    (:func:`_prune_pays`), the whole product is taken instead, before P.
-    """
-    k, n = rows.shape
-    cut = math.ceil(n * _PREFIX_SHARE)
-    dense = rows.toarray()
-    head = dense[:, :cut]  # numpy multiplies this view without a copy
-    left = np.diff(rows.indptr).astype(np.float32) - head.sum(axis=1)
-    sample = np.arange(0, k, max(k // _BOUND_ROWS, 1))
-    reach = head[sample] @ head.T
-    holding = 0  # sampled rows that hold a survivor
-    for t, r in enumerate(sample.tolist()):
-        x = pairs[starts[r] : starts[r + 1]] - r * k
-        holding += bool(np.any(reach[t, x] + np.minimum(left[r], left[x]) >= floor))
-    del reach
-    whole = not _prune_pays(holding, sample.size)
-    product = _gram(dense if whole else head)
-    del dense, head  # freed before the gathers: the peak stays that of the whole product
-    if whole:
-        return product[pairs]
-    product = product.reshape(k, k)
-    product += np.minimum.outer(left, left)  # its k x k temporary fits where dense was
-    bound = product.ravel()[pairs]
-    del product  # the gather copied what it needs; the survivors' product reuses the memory
-    # Bounds are integers below 2**24, exact in float32. Whether numpy
-    # compares them with the floor in float32 or in float64, rounding the
-    # floor is monotone: a bound at or above the floor is at or above its
-    # rounding, so no pair that can reach the floor is pruned, and a bound
-    # below the rounded floor is below the floor itself. The survivors go
-    # a block of SLOT_BLOCK keys at a time, so their index arrays stay
-    # small beside the bound.
-    marked = np.zeros(k, dtype=bool)
-    for lo in range(0, pairs.size, SLOT_BLOCK):
-        block = slice(lo, lo + SLOT_BLOCK)
-        i, j = np.divmod(pairs[block][bound[block] >= floor], k)
-        marked[i] = marked[j] = True
-    held_rows = np.flatnonzero(marked)
-    b = held_rows.size
-    if b == 0:
-        return bound
-    # the held rows' other columns, densified a few rows at a time: a
-    # sparse copy of them all can outweigh the dense operand
-    operand = np.empty((b, n - cut), dtype=np.float32)
-    step = max(SLOT_BLOCK // n, 1)
-    for lo in range(0, b, step):
-        operand[lo : lo + step] = rows[held_rows[lo : lo + step]].toarray()[:, cut:]
-    rest = _gram(operand)
-    del operand
-    position = (np.cumsum(marked) - 1).astype(pairs.dtype)  # among the held rows; b * b fits
-    for lo in range(0, pairs.size, SLOT_BLOCK):
-        survivors = lo + np.flatnonzero(bound[lo : lo + SLOT_BLOCK] >= floor)
-        i, j = np.divmod(pairs[survivors], k)
-        bound[survivors] += rest[position[i] * b + position[j]] - np.minimum(left[i], left[j])
-    return bound
-
-
 def _prune_pays(held: int, sampled: int) -> bool:
-    """Whether :func:`_bounded_counts` tries the prune, given that ``held``
+    """Whether :func:`_dense_sharing` tries the prune, given that ``held``
     of ``sampled`` rows hold a pair whose bound reaches the floor: at
     most ``_HELD_SHARE`` of them. The survivors' product runs over every
     row that holds one, so its cost follows those rows, not the
     surviving pairs.
 
     Measured in process on seed 1 (2-vCPU x86 VM), with the prune always
-    tried, against the whole product: raising eps on gnp:3000,0.5 from
-    0.16 to 0.19 puts survivors on 44 %, 59 %, 72 %, 89 % and 97 % of the
-    rows, and compute_friend_edges took 0.83x, 1.05x, 1.24x, 1.28x and
-    1.56x the time; on gnp:2500,0.9 at eps 0.03 and 0.04, 18 % and 77 %
-    of the rows, 0.92x and 1.11x. The cut-off sits below the crossover
-    near 60 % by about the sample's error (``_BOUND_ROWS``).
+    tried, against the whole product read: on gnp:3000,0.5 at eps 0.16,
+    0.17, 0.18 and 0.19 the sample finds survivors on 47 %, 71 %, 89 %
+    and 97 % of its rows, and compute_friend_edges took 0.84x, 1.20x,
+    1.47x and 1.73x the time (medians of 7 interleaved calls); on
+    gnp:2500,0.9 at eps 0.03 and 0.04, 29 % and 80 %, 0.86x and 1.51x.
+    The two cross near 58 %, and the cut-off sits below it by about the
+    sample's error (``_BOUND_ROWS``).
     """
     return held <= _HELD_SHARE * sampled
 

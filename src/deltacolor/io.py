@@ -8,8 +8,9 @@ the vertex count (needed for isolated vertices).
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import NoReturn, Sequence
+from typing import Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -24,6 +25,27 @@ from .graph import Graph, build_graph, first_non_integer, vertex_ids
 _READ_CHARS = 2**14
 
 
+@contextmanager
+def _text_file(path: str | Path) -> Iterator[TextIO]:
+    """``path`` open as UTF-8 text; a byte that is not UTF-8, wherever it
+    is read, raises :class:`ValidationError` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def read_json(path: str | Path):
+    """The JSON value in the file at ``path``; text that is not UTF-8 JSON
+    raises :class:`ValidationError` naming the file."""
+    with _text_file(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
+
+
 def read_edge_list(path: str | Path) -> Graph:
     """The graph of an edge-list file.
 
@@ -31,13 +53,14 @@ def read_edge_list(path: str | Path) -> Graph:
     (:func:`~deltacolor.graph.vertex_ids`). They and the shape of every
     line are checked about a thousand lines at a time, in one pass over
     each chunk's joined text; only a file that fails is read again, line
-    by line, to name its first bad line as ``path:lineno``.
+    by line, to name its first bad line as ``path:lineno``. A byte that
+    is not UTF-8 is named by the file and its position.
     """
     declared_n: int | None = None
     ids: list[int] = []
     started = False  # some line before this chunk holds fields
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _text_file(path) as fh:
             for lines in iter(lambda: fh.readlines(_READ_CHARS), []):
                 text = "".join(lines)
                 if "#" in text:
@@ -68,7 +91,7 @@ def _raise_at_first_bad_line(path: str | Path) -> NoReturn:
     """Raise :class:`ValidationError` naming the first line of an edge-list
     file that :func:`read_edge_list` refuses."""
     started = False
-    with open(path, "r", encoding="utf-8") as fh:
+    with _text_file(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             parts = line.split()
@@ -111,8 +134,7 @@ def canonical_palettes(graph: Graph) -> list[range]:
 
 def read_palettes(path: str | Path, n: int) -> list[list[int]]:
     """Read a JSON object mapping vertex ID -> list of colors."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: palette file must be a JSON object")
     out: list = [None] * n

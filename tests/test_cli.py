@@ -14,6 +14,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import deltacolor
+from deltacolor import graph as graph_module
 from deltacolor.cli import MODES, main
 
 
@@ -518,6 +519,42 @@ def test_edge_list_ids_outside_ascii_digits_are_a_usage_error(tmp_path, capsys, 
     graph_file.write_text(text, encoding="utf-8")
     err = _usage_error(capsys, ["run", "--input", str(graph_file)])
     assert "g.edges:" in err and ("vertex ID" in err or "vertex count" in err)
+
+
+@pytest.mark.parametrize(
+    "flag, content, reason",
+    [
+        ("--input", b"0 1\n1 2\n2 3 \xff\n", "can't decode byte 0xff in position 12"),
+        ("--palettes", b'{"0": [1, 2, 3], "1": [1 2', "Expecting ',' delimiter"),
+        ("--coloring", b'{"coloring": {"0": 1, \xff', "can't decode byte 0xff in position 22"),
+        ("--config", b'{"gen": "complete:3", "mode"', "Expecting ':' delimiter"),
+    ],
+)
+def test_unreadable_files_are_named_in_the_error(tmp_path, capsys, flag, content, reason):
+    path = tmp_path / "file"
+    path.write_bytes(content)
+    argv = {
+        "--input": ["run", "--input", str(path)],
+        "--palettes": ["run", "--gen", "complete:3", "--palettes", str(path)],
+        "--coloring": ["run", "--gen", "complete:3", "--mode", "verify", "--coloring", str(path)],
+        "--config": ["run", "--config", str(path)],
+    }[flag]
+    err = _usage_error(capsys, argv)
+    assert err.startswith(f"error: {path}: ") and reason in err, err
+
+
+def test_bipartite_console_step_takes_the_prune(monkeypatch, capsys):
+    """The workflow's bipartite console-script step: no sampled row holds a
+    survivor, so the prune is taken, though every non-edge within a side
+    passes the bound; the adjacency test leaves no survivor to count."""
+    pays, gram = graph_module._prune_pays, graph_module._gram
+    taken, products = [], []
+    monkeypatch.setattr(graph_module, "_prune_pays", lambda *sampled: taken.append(pays(*sampled)) or taken[-1])
+    monkeypatch.setattr(graph_module, "_gram", lambda dense: products.append(dense.shape) or gram(dense))
+    argv = ["run", "--gen", "bipartite_random:400,0.95", "--seed", "1", "--epsilon", "0.1"]
+    assert main(argv + ["--mode", "decompose-only"]) == 0, capsys.readouterr().err
+    assert taken == [True] and products == [(400, 100)]
+    assert json.loads(capsys.readouterr().out)["num_cliques"] == 0
 
 
 def test_negative_seed_is_a_usage_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,9 @@ def test_friend_edges_match_brute_force_on_gnp():
         ("clique", 0.19, 90),  # 8010 of 13108 survive, on the clique's rows; all are friends
         ("gnp:200,0.8", 0.15, None),  # survivors on 194 of 199 rows; 10 pairs are friends
         ("complete:21", 0.1, None),  # every pair survives
+        # no sampled row holds a survivor, yet every pair on one side passes
+        # the bound: all of them non-edges, so none survives
+        ("bipartite_random:400,0.95", 0.1, 0),
     ],
 )
 def test_friend_edges_threshold_the_exact_counts_in_every_regime(monkeypatch, spec, eps, held):
@@ -98,6 +102,48 @@ def test_friend_edges_threshold_the_exact_counts_in_every_regime(monkeypatch, sp
         assert products == [(k, quarter)]
     else:
         assert products == [(k, quarter), (held, g.n - quarter)]
+
+
+def twin_in_gnp():
+    """gnp:400,0.5 (seed 1) with vertex 1 made a twin of the vertex of
+    largest degree, adjacent to it: the twins share every other neighbour,
+    the one friend edge at eps 0.19, among 5.2e4 slots between kept rows."""
+    g = generate(GeneratorSpec.parse("gnp:400,0.5", seed=1))
+    top = int(np.argmax(g.degrees()))
+    edges = g.edge_array()
+    edges = edges[(edges != 1).all(axis=1)]
+    twin = [(1, int(w)) for w in g.neighbors(top) if w != 1] + [(top, 1)]
+    return build_graph(np.concatenate([edges, twin]), n=g.n)
+
+
+@pytest.mark.parametrize("branch", ["prune", "whole", "slots"])
+def test_only_the_slot_path_keys_every_kept_slot(monkeypatch, branch):
+    """Each branch of the friend-edge kernel, forced, finds the oracle's
+    friend edges. The dense reads, pruned or whole, never key the kept
+    slots (only ``edge_common_counts`` does), and their traced peak stays
+    within their k x n operand and k x k product plus one byte per kept
+    slot, so no array holds an entry per kept slot beside them."""
+    monkeypatch.setattr(graph_module, "SLOT_BLOCK", 64)
+    monkeypatch.setattr(graph_module, "_dense_pays", lambda *priced: branch != "slots")
+    monkeypatch.setattr(graph_module, "_prune_pays", lambda held, sampled: branch == "prune")
+    keyed = []
+    counts = graph_module.edge_common_counts
+    monkeypatch.setattr(graph_module, "edge_common_counts", lambda *args: keyed.append(1) or counts(*args))
+    g, eps = twin_in_gnp(), 0.19
+    tracemalloc.start()
+    try:
+        fast = compute_friend_edges(g, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slow = brute_force_decomposition(g, eps).friend_graph
+    assert np.array_equal(fast.indptr, slow.indptr) and np.array_equal(fast.indices, slow.indices)
+    assert fast.num_edges == 1
+    assert bool(keyed) == (branch == "slots")
+    if branch != "slots":
+        keep = g.degrees() >= (1 - eps) * g.max_degree - THRESHOLD_TOL
+        k, slots = int(keep.sum()), int(keep[g.indices][np.repeat(keep, g.degrees())].sum())
+        assert peak < 4 * k * g.n + 4 * k * k + slots, (peak, k, slots)
 
 
 def test_k21_single_clique_with_leader_zero():

@@ -580,21 +580,19 @@ def test_edge_common_counts_match_recount(draw):
     assert edge_common_counts(g).tolist() == everything.tolist()
     rows, pairs, counted = kept_pairs(g, keep)
     row_runs = graph_module._row_runs(pairs, rows.shape[0])
-    dense = graph_module._dense_common_counts(rows, pairs, 0.0, row_runs)
+    dense = graph_module._dense_common_counts(rows, pairs, row_runs)
     assert dense.tolist() == expected[counted].tolist()
     assert graph_module._sparse_common_counts(rows, pairs).tolist() == expected[counted].tolist()
 
 
-def assert_floor_contract(counts, exact, floor, pairs, k):
-    """Counts at or above ``floor`` are exact; the others are below it, and
-    a key and its mirror, where both are asked for, read the same."""
-    reached = exact >= floor
-    assert counts[reached].tolist() == exact[reached].tolist()
-    assert np.all(counts[~reached] < floor)
-    mirror = pairs % k * k + pairs // k
-    place = np.minimum(np.searchsorted(pairs, mirror), pairs.size - 1)
-    both = pairs[place] == mirror
-    assert counts[both].tolist() == counts[place[both]].tolist()
+def assert_edges_reaching(sub, g, counts, floor):
+    """``sub`` holds exactly the slots of ``g`` whose ``counts`` (-1 where
+    not counted) reach ``floor``, in CSR order, as a graph."""
+    slots = np.flatnonzero((counts >= floor) & (counts >= 0))
+    assert sub.n == g.n
+    assert sub.indices.tolist() == g.indices[slots].tolist()
+    assert sub.indptr.tolist() == np.searchsorted(slots, g.indptr).tolist()
+    assert sub.max_degree == int(np.diff(sub.indptr).max())
 
 
 @settings(max_examples=80, deadline=None)
@@ -603,27 +601,30 @@ def assert_floor_contract(counts, exact, floor, pairs, k):
 @example((40, 0.5, 1, 1.0), 23, -1e-9, False)
 @example((40, 0.5, 1, 1.0), 22, 0.5, False)
 @example((40, 0.5, 1, 1.0), 16, 0.0, True)  # on 35 rows; 12 pairs reach the floor
-def test_dense_counts_under_a_floor_are_exact_from_the_floor_up(draw, m, offset, always):
-    """``always`` tries the prune whatever the sampled rows say, and takes
-    the survivors 16 keys at a time."""
+def test_sharing_subgraph_keeps_the_edges_whose_counts_reach_the_floor(draw, m, offset, always):
+    """Each backend is forced in turn. ``always`` tries the prune whatever
+    the sampled rows say, and reads the bound 16 entries at a time."""
     n, p, seed, keep_p = draw
     g = generate(GeneratorSpec("gnp", {"n": n, "p": p}, seed=seed))
     keep = np.random.default_rng(seed).random(n) < keep_p
     expected = recount_common(g, keep)
     floor = m + offset
-    rows, pairs, counted = kept_pairs(g, keep)
-    k = rows.shape[0]
     with pytest.MonkeyPatch.context() as mp:
         if always:
             mp.setattr(graph_module, "_prune_pays", lambda held, sampled: True)
             mp.setattr(graph_module, "SLOT_BLOCK", 16)
-        row_runs = graph_module._row_runs(pairs, k)
-        counts = graph_module._dense_common_counts(rows, pairs, floor, row_runs)
-        assert_floor_contract(counts, expected[counted], floor, pairs, k)
-        mp.setattr(graph_module, "_dense_pays", lambda *priced: FORCED_BACKEND["dense"])
-        counts = edge_common_counts(g, keep, floor)
-    assert np.all(counts[~counted] == -1)
-    assert_floor_contract(counts[counted], expected[counted], floor, pairs, k)
+        for dense in FORCED_BACKEND.values():
+            mp.setattr(graph_module, "_dense_pays", lambda *priced, dense=dense: dense)
+            assert_edges_reaching(graph_module.sharing_subgraph(g, floor, keep), g, expected, floor)
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize(
@@ -633,30 +634,35 @@ def test_dense_counts_under_a_floor_are_exact_from_the_floor_up(draw, m, offset,
         ("gnp:800,0.7", 0.1, False),  # on 294 of 772 rows: taken
         ("gnp:200,0.8", 0.15, False),  # on 194 of 199 rows: the whole product
         ("gnp:200,0.8", 0.15, True),  # the prune forced on them
+        # taken (no sampled row holds a survivor), yet every pair on one side
+        # passes the bound; none of those non-edges is listed
+        ("bipartite_random:400,0.95", 0.1, False),
     ],
 )
 def test_floor_keeps_the_memory_of_the_whole_product(monkeypatch, spec, eps, always):
-    """Under the friend threshold, the dense kernel's traced peak stays
-    within that of the whole product it replaces (plus 1 %); where the
-    prune is forced on nearly every row, within that plus the bound's
-    float32 per pair. Survivors go 64 keys at a time, so that the index
-    arrays of a block, which do not grow with the input, weigh little even
-    on these small inputs."""
+    """Under the friend threshold, the dense kernel's traced peak with the
+    prune stays within that of the whole product it replaces (plus 1 %);
+    where the prune is forced on nearly every row, within that plus 4
+    bytes per kept slot. The bound is read 64 entries at a time, so that
+    a block's temporaries, which do not grow with the input, weigh little
+    even on these small inputs."""
     monkeypatch.setattr(graph_module, "SLOT_BLOCK", 64)
-    if always:
-        monkeypatch.setattr(graph_module, "_prune_pays", lambda held, sampled: True)
     g = clique_beside_bipartite() if spec == "clique" else generate(GeneratorSpec.parse(spec, seed=1))
     threshold = (1 - eps) * g.max_degree - THRESHOLD_TOL
-    rows, pairs, _ = kept_pairs(g, g.degrees() >= threshold)
-    row_runs = graph_module._row_runs(pairs, rows.shape[0])
+    keep = g.degrees() >= threshold
+    _, pairs, _ = kept_pairs(g, keep)
+    pays = graph_module._prune_pays
+    taken = []
     peaks = []
-    for floor in (0.0, threshold):
-        tracemalloc.start()
-        try:
-            graph_module._dense_common_counts(rows, pairs, floor, row_runs)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    for forced in (False, True if always else None):
+        monkeypatch.setattr(
+            graph_module,
+            "_prune_pays",
+            lambda *sampled, forced=forced: taken.append(pays(*sampled) if forced is None else forced)
+            or taken[-1],
+        )
+        peaks.append(traced_peak(lambda: graph_module.sharing_subgraph(g, threshold, keep)))
+    assert taken == [False, always or spec != "gnp:200,0.8"]
     assert peaks[1] <= 1.01 * (peaks[0] + (4 * pairs.size if always else 0)), peaks
 
 
@@ -746,6 +752,28 @@ def test_blocked_common_counts_match_recount(layout):
         assert direct.tolist() == expected[counted].tolist(), backend
 
 
+@settings(max_examples=80, deadline=None)
+@given(clique_layouts())
+@example(([3, 4, 2], [0, 1, 0, 2], [(0, 1)], 0.3, 1))  # a bridge merges two runs
+@example(([5, 4], [0, 0, 3], [], 0.7, 5))  # last neighbours unkept: the first slots cut
+@example(([5], [0, 3], [], 0.7, 6))  # one run, its last neighbours unkept: scanned
+@example(([1, 1, 1], [0, 1, 1, 0], [], 0.7, 4))  # no pairs at all
+def test_the_csr_rows_tell_one_run_as_the_keys_do(layout):
+    """``_farthest_partners`` reads each kept row's farthest kept partner
+    off the CSR, or gives up where the rows certainly form several runs,
+    and a single run is found exactly where ``_row_runs`` finds it."""
+    g, keep = clique_layout_graph(*layout)
+    _, pairs, _ = kept_pairs(g, keep)
+    kept = np.flatnonzero(keep)
+    k = kept.size
+    far = graph_module._farthest_partners(g, keep, kept, np.cumsum(keep) - 1)
+    one = np.array_equal(graph_module._row_runs(pairs, k)[1], [[0, k]])
+    assert (far is not None and far.max(initial=-1) >= 0 and graph_module._spans_one_run(far)) == one
+    if far is not None:
+        farthest = [max((int(p) % k for p in pairs if p // k == i), default=-1) for i in range(k)]
+        assert far.tolist() == farthest
+
+
 def mixed_main_shaped(cliques=12, size=40, periphery=300, seed=1):
     """Planted cliques in contiguous ID ranges, a G(periphery, 0.06) after
     them, and at most one edge from each clique member into it."""
@@ -780,10 +808,10 @@ def test_dense_products_follow_the_row_runs(monkeypatch):
         edge_common_counts(padded, keep=padded.degrees() > 0)
         assert products == [(g.n, g.n + 5)], spec
         # under a floor above every degree, no pair's bound reaches it: the
-        # whole product covers only the first quarter of the columns
+        # product covers only the first quarter of the columns
         products.clear()
-        edge_common_counts(padded, keep=padded.degrees() > 0, floor=g.max_degree + 1)
-        assert products == [(g.n, math.ceil((g.n + 5) / 4))], spec
+        friends = graph_module.sharing_subgraph(padded, g.max_degree + 1, padded.degrees() > 0)
+        assert products == [(g.n, math.ceil((g.n + 5) / 4))] and friends.num_edges == 0, spec
 
 
 def test_edge_common_counts_mark_slots_outside_keep():
@@ -808,6 +836,28 @@ def test_common_counts_refuse_degrees_that_float32_would_round(monkeypatch):
     g = generate(GeneratorSpec("complete", {"n": 5}))
     with pytest.raises(ValidationError, match="degrees below"):
         edge_common_counts(g)
+    for dense in FORCED_BACKEND.values():  # the dense read, and the slot counts
+        monkeypatch.setattr(graph_module, "_dense_pays", lambda *priced, dense=dense: dense)
+        with pytest.raises(ValidationError, match="degrees below"):
+            graph_module.sharing_subgraph(g, 3)
+
+
+def test_sharing_subgraph_compares_counts_with_the_floor_exactly(monkeypatch):
+    """Two adjacent hubs share 2**20 + 1 leaves. float32 cannot tell that
+    count from a floor 1e-6 above it, yet the dense read, which holds its
+    counts in float32, keeps the edge only under floors it reaches."""
+    shared = 2**20 + 1
+    assert np.float32(shared + 1e-6) == np.float32(shared)
+    leaves = np.arange(2, shared + 2)
+    edges = np.concatenate([[(0, 1)], np.column_stack((np.zeros_like(leaves), leaves)),
+                            np.column_stack((np.ones_like(leaves), leaves))])
+    g = build_graph(edges)
+    read = []
+    dense_sharing = graph_module._dense_sharing
+    monkeypatch.setattr(graph_module, "_dense_sharing", lambda *args: read.append(1) or dense_sharing(*args))
+    for floor, friends in ((shared, 1), (shared + 1e-6, 0), (shared - 1e-6, 1)):
+        assert graph_module.sharing_subgraph(g, floor, g.degrees() > 2).num_edges == friends, floor
+    assert len(read) == 3
 
 
 def test_backend_switch_follows_cost(monkeypatch):
