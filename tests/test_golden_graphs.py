@@ -1,10 +1,12 @@
 """Golden graph hashes: the CSR that ``build_graph`` and ``read_edge_list``
 produce, and the bytes ``write_edge_list`` writes, must stay identical.
 
-Each graph case hashes ``(n, indptr, indices)`` as int64. The hashes in
-``golden/graphs.json`` were recorded from the ``build_graph`` that still
-converted pair lists one pair at a time. To record them again (only after
-a deliberate change of output), run
+Each graph case hashes ``(n, indptr, indices)`` as int64. The hashes of
+the pair and file cases in ``golden/graphs.json`` were recorded from the
+``build_graph`` that still converted pair lists one pair at a time, and
+those of the generated graphs (``gen:`` cases, seed 1) from the
+``build_graph`` that sorted all 2m directed slot keys. To record them
+again (only after a deliberate change of output), run
 
     PYTHONPATH=src python tests/test_golden_graphs.py --write
 """
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 from deltacolor import build_graph
+from deltacolor.generators import GeneratorSpec, generate
 from deltacolor.io import read_edge_list, write_edge_list
 
 FIXTURE = Path(__file__).parent / "golden" / "graphs.json"
@@ -77,6 +80,15 @@ CASES = {
         _written_bytes(build_graph(_pairs(), n=N))
     ).hexdigest(),
 }
+GENERATED = [
+    "gnp:400,0.5",
+    "locally_sparse:2000,0.01,0.5",
+    "complete:60",
+    "clique_chain:40x6",
+    "bipartite_random:400,0.95",
+]
+for _spec in GENERATED:
+    CASES[f"gen:{_spec}"] = lambda spec=_spec: _csr_sha(generate(GeneratorSpec.parse(spec, seed=1)))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
