@@ -15,7 +15,14 @@ import numpy as np
 
 from .decomposition import THRESHOLD_TOL, Decomposition
 from .errors import GenerationError, ValidationError
-from .graph import _MAX_VERTICES, Graph, build_graph, edge_common_counts, segment_sum
+from .graph import (
+    _MAX_VERTICES,
+    Graph,
+    _csr_from_keys,
+    build_graph,
+    edge_common_counts,
+    segment_sum,
+)
 from .schedule import check_epsilon
 
 _BRUTE_FORCE_LIMIT = 500
@@ -113,12 +120,12 @@ def _require_gnp(kind: str, n: int, p: float) -> None:
 
 
 def _gnp_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Each pair u < v kept with probability p, in row-major order. One
-    draw per row consumes the generator exactly as one draw over all
-    ``np.triu_indices(n, k=1)`` pairs would, without their O(n^2) arrays."""
-    cols = [np.flatnonzero(rng.random(n - 1 - u) < p) + (u + 1) for u in range(n)]
-    rows = np.repeat(np.arange(n, dtype=np.int64), [c.size for c in cols])
-    return np.column_stack((rows, np.concatenate(cols)))
+    """Each pair u < v kept with probability p, as the strictly ascending
+    keys ``u * n + v``. One draw per row consumes the generator exactly as
+    one draw over all ``np.triu_indices(n, k=1)`` pairs would, without
+    their O(n^2) arrays."""
+    rows = [np.flatnonzero(rng.random(n - 1 - u) < p) + (u * n + u + 1) for u in range(n)]
+    return np.concatenate(rows)
 
 
 def generate(spec: GeneratorSpec) -> Graph:
@@ -131,15 +138,15 @@ def generate(spec: GeneratorSpec) -> Graph:
         n = int(params["n"])
         _require(n >= 1, "complete graph needs n >= 1")
         _require_pairs(kind, n * (n - 1) // 2)
-        rows, cols = np.triu_indices(n, k=1)
-        return build_graph(np.column_stack((rows, cols)).astype(np.int64), n=n)
+        # the flat places u * n + v above the diagonal, ascending
+        return _csr_from_keys(np.flatnonzero(~np.tri(n, dtype=bool)), n)
 
     if kind == "gnp":
         n, p = int(params["n"]), float(params["p"])
         _require(n >= 1, "gnp needs n >= 1")
         _require(0.0 < p < 1.0, "gnp needs 0 < p < 1")
         _require_gnp(kind, n, p)
-        return build_graph(_gnp_edges(n, p, rng), n=n)
+        return _csr_from_keys(_gnp_edges(n, p, rng), n)
 
     if kind == "clique_chain":
         size, count = int(params["size"]), int(params["count"])
@@ -162,7 +169,7 @@ def generate(spec: GeneratorSpec) -> Graph:
         _require_pairs(kind, left * right)
         mask = rng.random((left, right)) < p
         li, ri = np.nonzero(mask)
-        return build_graph(np.column_stack((li, ri + left)).astype(np.int64), n=n)
+        return _csr_from_keys(li * n + (ri + left), n)
 
     if kind == "locally_sparse":
         n, p, delta = int(params["n"]), float(params["p"]), float(params["delta"])
@@ -171,7 +178,7 @@ def generate(spec: GeneratorSpec) -> Graph:
         _require(0.0 < delta < 1.0, "locally_sparse needs 0 < delta < 1")
         _require_gnp(kind, n, p)
         for _ in range(_LOCALLY_SPARSE_ATTEMPTS):
-            g = build_graph(_gnp_edges(n, p, rng), n=n)
+            g = _csr_from_keys(_gnp_edges(n, p, rng), n)
             if is_locally_sparse(g, delta):
                 return g
         raise GenerationError(

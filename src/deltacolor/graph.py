@@ -45,6 +45,7 @@ _BOUND_ROWS = 64
 # Largest sampled share of rows holding a survivor at which the prune pays (_prune_pays).
 _HELD_SHARE = 0.5
 _INT64_MAX = np.iinfo(np.int64).max
+_INT32_MAX = np.iinfo(np.int32).max
 # Most vertices: init_state's palette matrix, one row per vertex, holds at
 # most 2**28 cells, so no run holds more. The square still fits in int64
 # (build_graph's edge keys), and no n-sized array is allocated beyond it.
@@ -209,6 +210,12 @@ def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int | None = N
     are rejected, never truncated. Pairs are normalized (order ignored)
     and deduplicated. Self-loops, negative IDs and IDs at or beyond a
     declared ``n`` are rejected.
+
+    Each pair becomes the undirected key ``lo * n + hi``. The keys are
+    sorted and deduped only when one compare finds that they do not
+    already ascend strictly, as they do for the sorted, unique pairs that
+    :func:`~deltacolor.io.write_edge_list` writes; :func:`_csr_from_keys`
+    then lays out the CSR.
     """
     try:
         arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
@@ -246,25 +253,53 @@ def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int | None = N
         )
 
     # Scalar keys lo * n + hi, deduped by one sort and an adjacent-difference
-    # mask; n <= _MAX_VERTICES keeps them, and the slot keys below, in int64.
+    # mask unless they already ascend strictly; n <= _MAX_VERTICES keeps
+    # them, and the transposed keys of _csr_from_keys, in int64.
     keys = np.minimum(arr[:, 0], arr[:, 1]) * np.int64(n)
     keys += np.maximum(arr[:, 0], arr[:, 1])
-    keys.sort()
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    lo, hi = np.divmod(keys, n)
+    if not np.all(keys[1:] > keys[:-1]):
+        keys.sort()
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+    return _csr_from_keys(keys, n)
 
-    # One directed key src * n + dst per CSR slot; sorted, they are the
-    # rows in order, each row's neighbours ascending.
-    slots = np.concatenate((keys, hi * np.int64(n) + lo))
-    slots.sort()
-    indices = slots % n
-    counts = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
+
+def _csr_from_keys(keys: np.ndarray, n: int) -> Graph:
+    """The :class:`Graph` on ``n`` vertices whose edges are the strictly
+    ascending int64 keys ``lo * n + hi`` (lo < hi < n), unchecked.
+
+    Row r holds its lower neighbours, then its upper ones. The keys list
+    each row's upper neighbours in order already; the lower ones come
+    from one sort of the m transposed keys ``hi * n + lo``, and a mask
+    over the 2m slots, row by row, places both. Both key arrays are
+    int32 when every key fits, which halves their memory and the sort.
+    """
+    if n * n <= _INT32_MAX:  # so do the keys, which lie below it
+        keys = keys.astype(np.int32)
+    lo = keys // n
+    hi = lo * n
+    np.subtract(keys, hi, out=hi)
+    transposed = hi * n
+    transposed += lo
+    del lo
+    transposed.sort()
+    # row starts of either key array: the keys ascend, so each row's
+    # count is the difference of two binary searches
+    starts = np.arange(n + 1, dtype=keys.dtype) * n
+    above = np.diff(np.searchsorted(keys, starts))
+    below = np.diff(np.searchsorted(transposed, starts))
+    # each row's lower neighbours, in place
+    rows = transposed // n
+    rows *= n
+    transposed -= rows
+    del rows
+    lower = np.repeat(np.tile([True, False], n), np.column_stack((below, above)).ravel())
+    indices = np.empty(2 * keys.size, dtype=np.int64)
+    indices[lower] = transposed
+    del transposed
+    indices[~lower] = hi
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices.setflags(write=False)
-    indptr.setflags(write=False)
-    max_degree = int(counts.max()) if n else 0
-    return Graph(n=n, indptr=indptr, indices=indices, max_degree=max_degree)
+    np.cumsum(below + above, out=indptr[1:])
+    return _subgraph(indptr, indices)
 
 
 def as_int64(values, what: str) -> np.ndarray:
@@ -447,7 +482,7 @@ def _keep_mask(graph: Graph, keep: np.ndarray | None) -> np.ndarray:
 
 
 def _subgraph(indptr: np.ndarray, indices: np.ndarray) -> Graph:
-    """A read-only :class:`Graph` on the CSR arrays of some of a graph's slots."""
+    """A read-only :class:`Graph` on CSR arrays that already meet its invariants."""
     indptr.setflags(write=False)
     indices.setflags(write=False)
     return Graph(indptr.size - 1, indptr, indices, int(np.diff(indptr).max()))
@@ -502,13 +537,16 @@ def _farthest_partners(
     """Per kept row (``kept``, ascending vertex IDs), the place among the
     kept rows (``position``, per vertex) of its farthest kept neighbour,
     or -1 where it has none; or None where the rows certainly fall into
-    several runs of :func:`_row_runs`.
+    several runs of :func:`_row_runs`. Where lower bounds of these places
+    already prove one run, the bounds are returned instead: they span one
+    run, and hold a place >= 0 exactly when some edge has both ends kept.
 
     CSR rows are sorted, so a row's first and last slots bound its
     nearest and farthest kept neighbours, exactly where those neighbours
-    are kept. The bounds only merge runs, so a cut they leave is real,
-    and None is returned at once. Otherwise only the rows whose last
-    neighbour is not kept are scanned for it."""
+    are kept. The upper bounds only merge runs, so a cut they leave is
+    real, and None is returned at once. A kept first neighbour bounds
+    the farthest one from below; only when these lower bounds leave a
+    cut are the rows whose last neighbour is not kept scanned for it."""
     starts, ends = graph.indptr[kept], graph.indptr[kept + 1]
     held = np.flatnonzero(ends > starts)
     # the nearest kept neighbour lies at or after a row's first neighbour
@@ -523,7 +561,13 @@ def _farthest_partners(
     far[held] = position[last]
     if not _spans_one_run(far):
         return None
-    rows = held[~keep[last]]
+    unkept = ~keep[last]
+    rows, first = held[unkept], first[unkept]
+    far[rows] = np.where(keep[first], position[first], -1)
+    if _spans_one_run(far):
+        # with two rows or more, the first row's bound reaches the second;
+        # a single row has no kept neighbour
+        return far
     for block, neighbors, degrees in graph.scan(kept[rows]):
         marks = np.where(keep[neighbors], position[neighbors], -1)
         # every scanned row has a slot, so the segment starts ascend strictly

@@ -92,11 +92,11 @@ def test_gnp_determinism():
     assert not np.array_equal(a.indices, c.indices)
 
 
-def triu_gnp_edges(n, p, rng):
-    """G(n, p) pairs by one draw over every ``np.triu_indices`` pair."""
+def triu_gnp_keys(n, p, rng):
+    """G(n, p) edge keys u * n + v by one draw over every ``np.triu_indices`` pair."""
     rows, cols = np.triu_indices(n, k=1)
     keep = rng.random(rows.size) < p
-    return np.column_stack((rows[keep], cols[keep])).astype(np.int64)
+    return (rows[keep] * n + cols[keep]).astype(np.int64)
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,9 +107,9 @@ def triu_gnp_edges(n, p, rng):
 )
 def test_row_chunked_gnp_draws_match_the_triu_formula(n, p, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    edges = generators._gnp_edges(n, p, rng)
-    expected = triu_gnp_edges(n, p, ref_rng)
-    assert edges.dtype == expected.dtype and np.array_equal(edges, expected)
+    keys = generators._gnp_edges(n, p, rng)
+    expected = triu_gnp_keys(n, p, ref_rng)
+    assert keys.dtype == expected.dtype and np.array_equal(keys, expected)
     # both consumed the same stream, so later draws agree as well
     assert rng.random() == ref_rng.random()
 
@@ -163,7 +163,7 @@ def test_sparse_gnp_within_the_limits_still_draws(monkeypatch):
 
     def record(n, p, rng):
         drawn.append((n, p))
-        return np.zeros((0, 2), dtype=np.int64)
+        return np.zeros(0, dtype=np.int64)
 
     monkeypatch.setattr(generators, "_gnp_edges", record)
     assert generate(GeneratorSpec("gnp", {"n": 40000, "p": 0.00025})).n == 40000

@@ -180,6 +180,74 @@ def test_empty_edge_list_builds_isolated_vertices():
         assert g.indptr.tolist() == [0] * 5 and g.indices.size == 0 and g.max_degree == 0
 
 
+def neighbour_set_csr(edges, n):
+    """CSR arrays of each vertex's neighbour set, sorted, from plain Python."""
+    adjacent = [set() for _ in range(n)]
+    for u, v in edges:
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    indptr = [0, *itertools.accumulate(len(a) for a in adjacent)]
+    return indptr, [w for a in adjacent for w in sorted(a)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=25),
+    data=st.data(),
+    order=st.sampled_from(["sorted", "shuffled", "repeated", "reversed"]),
+    isolated=st.one_of(st.none(), st.integers(0, 3)),
+    as_array=st.booleans(),
+    narrow=st.booleans(),
+)
+def test_build_graph_matches_neighbour_sets(n, data, order, isolated, as_array, narrow):
+    """Sorted unique pairs skip the dedupe; shuffled, repeated and reversed
+    ones take it; both give the CSR of the neighbour sets, from int32 keys
+    or, as past n = 46340, from int64 ones."""
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])
+    edges = sorted(data.draw(st.sets(pair, max_size=60 if n > 1 else 0)))
+    if order == "shuffled":
+        edges = data.draw(st.permutations(edges))
+    elif order == "repeated" and edges:
+        edges = data.draw(st.permutations(edges + data.draw(st.lists(st.sampled_from(edges), max_size=20))))
+    elif order == "reversed":
+        edges = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in edges]
+    if isolated is None and not edges:
+        return
+    # a declared n beyond the largest ID leaves isolated vertices; n = 1 and
+    # an empty list with n given are drawn too
+    declared = None if isolated is None else n + isolated
+    with pytest.MonkeyPatch.context() as mp:
+        if not narrow:
+            mp.setattr(graph_module, "_INT32_MAX", 0)
+        g = build_graph(np.array(edges, dtype=np.int64).reshape(-1, 2) if as_array else edges, n=declared)
+    indptr, indices = neighbour_set_csr(edges, g.n)
+    assert g.n == (max(map(max, edges)) + 1 if isolated is None else declared)
+    assert g.indptr.dtype == g.indices.dtype == np.int64
+    assert g.indptr.tolist() == indptr and g.indices.tolist() == indices
+    assert g.max_degree == max(np.diff(indptr))
+    assert not g.indptr.flags.writeable and not g.indices.flags.writeable
+
+
+def _peak_over_indices(build):
+    """Traced peak of ``build()`` over the bytes of its graph's ``indices``."""
+    tracemalloc.start()
+    try:
+        g = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / g.indices.nbytes
+
+
+def test_set_up_peaks_within_three_times_the_final_indices():
+    spec = GeneratorSpec.parse("gnp:1000,0.5", seed=1)
+    pairs = np.random.default_rng(1).integers(0, 20_000, size=(200_000, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    # a sort of all 2m directed slot keys peaked at 4.5x and 3.7x
+    assert _peak_over_indices(lambda: generate(spec)) <= 3
+    assert _peak_over_indices(lambda: build_graph(pairs, n=20_000)) <= 3
+
+
 def row_graph(degrees):
     """A CSR graph built by hand with the given row degrees (only the
     layout matters to how Graph.scan cuts its blocks)."""
@@ -760,8 +828,9 @@ def test_blocked_common_counts_match_recount(layout):
 @example(([1, 1, 1], [0, 1, 1, 0], [], 0.7, 4))  # no pairs at all
 def test_the_csr_rows_tell_one_run_as_the_keys_do(layout):
     """``_farthest_partners`` reads each kept row's farthest kept partner
-    off the CSR, or gives up where the rows certainly form several runs,
-    and a single run is found exactly where ``_row_runs`` finds it."""
+    off the CSR, or lower bounds of them that prove one run, or gives up
+    where the rows certainly form several runs, and a single run is found
+    exactly where ``_row_runs`` finds it."""
     g, keep = clique_layout_graph(*layout)
     _, pairs, _ = kept_pairs(g, keep)
     kept = np.flatnonzero(keep)
@@ -771,7 +840,26 @@ def test_the_csr_rows_tell_one_run_as_the_keys_do(layout):
     assert (far is not None and far.max(initial=-1) >= 0 and graph_module._spans_one_run(far)) == one
     if far is not None:
         farthest = [max((int(p) % k for p in pairs if p // k == i), default=-1) for i in range(k)]
-        assert far.tolist() == farthest
+        assert all(-1 <= bound <= place for bound, place in zip(far.tolist(), farthest))
+        if not one:  # no bound proved one run, so the rows were scanned: exact places
+            assert far.tolist() == farthest
+
+
+@pytest.mark.parametrize("linked, scans", [(range(1, 5), 0), (range(5), 1)])
+def test_kept_first_neighbours_spare_the_scan_when_they_prove_one_run(monkeypatch, linked, scans):
+    """K5 on the kept vertices 0..4 and an unkept vertex 5 after them:
+    joined to rows 1..4, it hides their farthest kept partners, but row 0
+    reaches row 4 by its last slot, which proves one run with no scan.
+    Joined to row 0 as well, every last slot is unkept, and the kept first
+    neighbours (places 1, 0, 0, 0, 0) leave cuts, so the rows are scanned."""
+    g = build_graph(list(itertools.combinations(range(5), 2)) + [(v, 5) for v in linked], n=6)
+    keep = np.arange(6) < 5
+    calls = []
+    scan = graph_module.Graph.scan
+    monkeypatch.setattr(graph_module.Graph, "scan", lambda *a: calls.append(1) or scan(*a))
+    far = graph_module._farthest_partners(g, keep, np.arange(5), np.cumsum(keep) - 1)
+    assert len(calls) == scans and graph_module._spans_one_run(far)
+    assert far.tolist() == ([4, 0, 0, 0, 0] if scans == 0 else [4, 4, 4, 4, 3])
 
 
 def mixed_main_shaped(cliques=12, size=40, periphery=300, seed=1):
