@@ -23,7 +23,7 @@ _FLOAT32_EXACT = 2**24
 
 # Price of one SpGEMM multiply in dense multiply-adds (_dense_pays).
 _SPARSE_MULTIPLY = 2.4e-8 / 7e-12
-# Fixed price of one dense row run in dense multiply-adds (_dense_pays).
+# Fixed price of one dense row run in dense multiply-adds (_dense_pays, _join_runs).
 _DENSE_RUN_MULTIPLIES = 7_000_000
 # Memory bounds: the dense backend's float32 operand per run (b rows x
 # the columns it reads, or b x b for its product if that is larger) and
@@ -493,80 +493,98 @@ def sharing_subgraph(graph: Graph, floor: float, keep: np.ndarray | None = None)
     mask over the vertices; all of them when None) and share at least
     ``floor`` neighbours, as a graph on the same vertices.
 
-    When the k kept rows form one run of :func:`_row_runs`, the dense
-    backend pays (:func:`_dense_pays`) and its k x n operand fits, the
-    edges are read off a k x k product by :func:`_dense_sharing`, which
-    makes no array with one entry per slot. The run is read off each
-    row's farthest kept neighbour (:func:`_farthest_partners`), without
-    keying the slots. Otherwise the exact counts of
+    The kept rows are cut into runs (:func:`_runs`) by their farthest kept
+    neighbours (:func:`_farthest_partners`), without keying the slots, and
+    cheap runs are joined (:func:`_join_runs`). Where the dense backend
+    pays (:func:`_dense_runs_pay`), :func:`_dense_sharing` reads the edges
+    off one product per run. Otherwise the exact counts of
     :func:`edge_common_counts` are compared with ``floor``.
     """
     keep = _keep_mask(graph, keep)
-    k, n = int(np.count_nonzero(keep)), graph.n
-    if k * max(n, k) <= _DENSE_OPERAND_ELEMENTS:
-        kept = np.flatnonzero(keep)
-        position = np.cumsum(keep) - 1
-        far = _farthest_partners(graph, keep, kept, position)
-        if far is not None and not np.any(far >= 0):  # no edge has both ends kept
-            return _subgraph(np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
-        if far is not None and _spans_one_run(far):
-            # as in common_counts: one run over all n columns against SpGEMM,
-            # whose multiplies are the squared kept degrees of the columns;
-            # only the unkept rows are read, to take their slots off the degrees
-            columns = graph.degrees()
-            for _, neighbors, _ in graph.scan(np.flatnonzero(~keep)):
-                columns -= np.bincount(neighbors, minlength=n)
-            if _dense_pays(float(k) * k * n, 1, float(columns @ columns)):
-                return _dense_sharing(graph, keep, kept, position, floor)
+    kept = np.flatnonzero(keep)
+    runs = _runs(_farthest_partners(graph, keep, kept, np.cumsum(keep) - 1))
+    if not runs.size:  # no edge has both ends kept
+        return _subgraph(np.zeros(graph.n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    runs = _join_runs(runs, int(graph.degrees()[kept].max()))
+    if _dense_runs_pay(graph, keep, kept, runs):
+        return _dense_sharing(graph, kept, runs, floor)
     counts = edge_common_counts(graph, keep)
     slots = np.flatnonzero(counts >= max(floor, 0))  # unkept slots read -1
     return _subgraph(np.searchsorted(slots, graph.indptr), graph.indices[slots])
 
 
-def _spans_one_run(far: np.ndarray) -> bool:
-    """Whether rows whose farthest partners (row places, -1 for none) are
-    ``far`` form one run of :func:`_row_runs`, their pairs being
-    symmetric: a cut is a boundary that no row above it reaches across."""
+def _dense_runs_pay(graph: Graph, keep: np.ndarray, kept: np.ndarray, runs: np.ndarray) -> bool:
+    """Whether dense reads of the kept rows ``kept`` (``keep`` as a mask)
+    in ``runs`` fit (b x max(w, b) elements for b rows over w columns) and
+    cost less than SpGEMM (:func:`_dense_pays`). A run of every kept row
+    reads all n columns, any other its own rows and at most one more per
+    slot. SpGEMM multiplies the squared kept degrees of the columns, read
+    off the unkept rows' slots."""
+    n = graph.n
+    degrees = graph.degrees()
+    sizes = (runs[:, 1] - runs[:, 0]).astype(np.float64)
+    slots = np.concatenate(([0], np.cumsum(degrees[kept])))
+    widths = np.minimum(sizes + slots[runs[:, 1]] - slots[runs[:, 0]], n)
+    if np.array_equal(runs, [[0, kept.size]]):
+        widths[:] = n
+    if np.max(sizes * np.maximum(widths, sizes)) > _DENSE_OPERAND_ELEMENTS:
+        return False
+    for _, neighbors, _ in graph.scan(np.flatnonzero(~keep)):
+        degrees -= np.bincount(neighbors, minlength=n)
+    return _dense_pays(sizes * sizes @ widths, sizes.size, float(degrees @ degrees))
+
+
+def _runs(far: np.ndarray) -> np.ndarray:
+    """The runs of rows whose farthest partners (row places, -1 for none)
+    are ``far``, their pairs being symmetric: the maximal blocks of
+    consecutive rows that no pair crosses, those that hold a pair, as
+    (first, stop) rows. A run ends at a row that no row at or above it
+    reaches past; a row alone holds no pair."""
     row = np.arange(far.size)
-    return bool(np.all(np.maximum.accumulate(np.maximum(far, row))[:-1] >= row[1:]))
+    stops = np.flatnonzero(np.maximum.accumulate(np.maximum(far, row)) == row) + 1
+    firsts = np.concatenate(([0], stops))[:-1]
+    paired = stops - firsts > 1
+    return np.column_stack((firsts[paired], stops[paired]))
+
+
+def _join_runs(runs: np.ndarray, degree: int) -> np.ndarray:
+    """``runs`` (first, stop rows) of rows of degree at most ``degree``
+    joined, in order, into runs read as one, rows between them included.
+    b such rows make a product of at most b² (b + b · ``degree``)
+    multiply-adds, and runs join while that stays within one run's fixed
+    price, ``_DENSE_RUN_MULTIPLIES``, so they cost less together than
+    apart. A longer run stays alone."""
+    most = int((_DENSE_RUN_MULTIPLIES / (1 + degree)) ** (1 / 3))
+    firsts, stops = runs[:, 0], runs[:, 1]
+    # per run, the end of the runs that stop within that many rows of its first
+    ends = np.searchsorted(stops, firsts + most, side="right")
+    heads = [0]
+    while heads[-1] < len(runs):
+        heads.append(max(int(ends[heads[-1]]), heads[-1] + 1))
+    return np.column_stack((firsts[heads[:-1]], stops[np.array(heads[1:]) - 1]))
 
 
 def _farthest_partners(
     graph: Graph, keep: np.ndarray, kept: np.ndarray, position: np.ndarray
-) -> np.ndarray | None:
+) -> np.ndarray:
     """Per kept row (``kept``, ascending vertex IDs), the place among the
     kept rows (``position``, per vertex) of its farthest kept neighbour,
-    or -1 where it has none; or None where the rows certainly fall into
-    several runs of :func:`_row_runs`. Where lower bounds of these places
-    already prove one run, the bounds are returned instead: they span one
-    run, and hold a place >= 0 exactly when some edge has both ends kept.
+    or -1 where it has none; or lower bounds of these places where they
+    already cut the rows into one run of :func:`_runs`.
 
-    CSR rows are sorted, so a row's first and last slots bound its
-    nearest and farthest kept neighbours, exactly where those neighbours
-    are kept. The upper bounds only merge runs, so a cut they leave is
-    real, and None is returned at once. A kept first neighbour bounds
-    the farthest one from below; only when these lower bounds leave a
-    cut are the rows whose last neighbour is not kept scanned for it."""
+    CSR rows are sorted, so a row's last slot gives its farthest kept
+    neighbour where that neighbour is kept, and a kept first neighbour
+    bounds it from below otherwise. Only when these bounds leave a cut
+    are the rows whose last neighbour is not kept scanned for it."""
     starts, ends = graph.indptr[kept], graph.indptr[kept + 1]
     held = np.flatnonzero(ends > starts)
-    # the nearest kept neighbour lies at or after a row's first neighbour
-    first = graph.indices[starts[held]]
-    near = np.arange(kept.size)
-    near[held] = np.minimum(position[first] + ~keep[first], held)
-    if np.any(np.minimum.accumulate(near[::-1])[::-1][1:] >= np.arange(1, kept.size)):
-        return None
-    # and the farthest at or before its last
     last = graph.indices[ends[held] - 1]
     far = np.full(kept.size, -1, dtype=np.int64)
     far[held] = position[last]
-    if not _spans_one_run(far):
-        return None
-    unkept = ~keep[last]
-    rows, first = held[unkept], first[unkept]
+    rows = held[~keep[last]]
+    first = graph.indices[starts[rows]]
     far[rows] = np.where(keep[first], position[first], -1)
-    if _spans_one_run(far):
-        # with two rows or more, the first row's bound reaches the second;
-        # a single row has no kept neighbour
+    if not rows.size or np.array_equal(_runs(far), [[0, kept.size]]):
         return far
     for block, neighbors, degrees in graph.scan(kept[rows]):
         marks = np.where(keep[neighbors], position[neighbors], -1)
@@ -575,86 +593,34 @@ def _farthest_partners(
     return far
 
 
-def _dense_sharing(
-    graph: Graph, keep: np.ndarray, kept: np.ndarray, position: np.ndarray, floor: float
-) -> Graph:
-    """:func:`sharing_subgraph` from dense float32 products over the k kept
-    rows (``kept``; ``position`` places each vertex among them), each row
-    made dense from its own CSR slots.
-
-    M is the whole product, exact, unless the prune pays. Under the prune,
-    M is P, the product over the first ``cut`` = ⌈``_PREFIX_SHARE`` · n⌉
-    columns, and with ``left[i]``, row i's degree in the other columns,
-    count(i, j) <= P(i, j) + min(left[i], left[j]): a pair whose bound is
-    below the floor is below it too. The prune pays when about
-    ``_BOUND_ROWS`` evenly spaced rows, their partners read off their CSR
-    rows, say so (:func:`_prune_pays`).
-
-    M, plus the min under the prune, is read a block of about
-    ``SLOT_BLOCK`` entries at a time. A block with no entry at or above
-    the floor is skipped. In the others, the entries at or above it whose
-    rows are adjacent, as the dense rows say, are kept: the edges, or under
-    the prune the survivors. Survivors add the other columns' product,
-    taken over only the rows that hold one, and are compared again.
-    Non-edges may pass the bound (on a bipartite graph every pair on one
-    side does); the adjacency test drops them before any index is listed.
+def _dense_sharing(graph: Graph, kept: np.ndarray, runs: np.ndarray, floor: float) -> Graph:
+    """:func:`sharing_subgraph` from one dense float32 product per run
+    of the k kept rows ``kept``. A run of every kept row reads all n
+    columns, any other only those its rows touch (:func:`_dense_rows`).
+    :func:`_run_keys` finds a run's edges as keys i * b + j among its b
+    rows, placed as keys i * k + j among the kept rows; these ascend, so
+    each kept row's first key places its edges.
     """
     k, n = kept.size, graph.n
-    indptr, indices = graph.indptr, graph.indices
     degrees = graph.degrees()[kept]
     _check_exact(int(degrees.max()))
     # Bounds and counts are integers below 2**24, exact in float32, and so
     # is the least integer at or above the floor, which they are compared with.
     floor = math.ceil(floor)
-    dense = _dense_rows(graph, kept)
-    cut = math.ceil(n * _PREFIX_SHARE)
-    head = dense[:, :cut]  # numpy multiplies this view without a copy
-    left = degrees.astype(np.float32) - head.sum(axis=1)
-    sample = np.arange(0, k, max(k // _BOUND_ROWS, 1))
-    reach = head[sample] @ head.T
-    holding = 0  # sampled rows that hold a survivor
-    for t, v in enumerate(kept[sample].tolist()):
-        x = indices[indptr[v] : indptr[v + 1]]
-        x = position[x[keep[x]]]
-        holding += bool(np.any(reach[t, x] + np.minimum(left[sample[t]], left[x]) >= floor))
-    del reach
-    prune = _prune_pays(holding, sample.size)
-    matrix = _gram(head if prune else dense).reshape(k, k)
-    np.fill_diagonal(matrix, -np.inf)  # a row is no partner of its own
-    columns = slice(None) if k == n else kept
-    step = max(SLOT_BLOCK // k, 1)
-    # the keys i * k + j of the entries kept, as C ints (k * k fits), in a
-    # buffer that grows without one array object per block
-    found = array("i")
-    for a in range(0, k, step):
-        bound = matrix[a : a + step]
-        if prune:
-            bound = np.minimum.outer(left[a : a + step], left) + bound
-        hit = bound >= floor
-        if hit.any():
-            hit &= dense[a : a + step, columns] > 0
-            found.frombytes((np.flatnonzero(hit) + a * k).astype(np.intc).tobytes())
-    del dense, head
-    keys = np.frombuffer(found, dtype=np.intc)
-    if prune and keys.size:
-        keys = keys.copy()  # without the buffer's spare room
-        del found
-        # counts are integers, exact in any order of summation, so the bound
-        # is symmetric: the rows holding a survivor are its first rows
-        marked = np.zeros(k, dtype=bool)
-        marked[keys // k] = True
-        held = np.flatnonzero(marked)
-        counts = matrix.ravel()[keys]
-        del matrix  # the survivors' product reuses its memory
-        rest = _gram(_dense_rows(graph, kept[held], cut))
-        where = np.cumsum(marked) - 1  # among the held rows; b * b fits
-        for lo in range(0, keys.size, SLOT_BLOCK):
-            i = keys[lo : lo + SLOT_BLOCK] // k
-            j = keys[lo : lo + SLOT_BLOCK] - i * k
-            counts[lo : lo + SLOT_BLOCK] += rest[where[i] * held.size + where[j]]
-        keys = keys[counts >= floor]
-    # the keys ascend: each kept row's first key places its edges, and a
-    # division by the scalar k is much cheaper than a remainder
+    if np.array_equal(runs, [[0, k]]):
+        keys = _run_keys(_dense_rows(graph, kept), slice(None) if k == n else kept, degrees, floor)
+    else:
+        kind = np.int32 if k * k <= _INT32_MAX else np.int64
+        found = array("i" if kind is np.int32 else "q")
+        rank = np.full(n, -1, dtype=np.int64)  # per vertex: its column in a run
+        for a, b in runs.tolist():
+            read = _dense_rows(graph, kept[a:b], rank, a * n)
+            keys = _run_keys(read, slice(0, b - a), degrees[a:b], floor).astype(kind)
+            # the local key i * (b - a) + j is row a + i, partner a + j
+            keys += keys // (b - a) * (k - b + a) + a * (k + 1)
+            found.frombytes(keys.tobytes())
+        keys = np.frombuffer(found, dtype=kind)
+    # a division by the scalar k is much cheaper than a remainder
     starts = np.searchsorted(keys, np.arange(k + 1, dtype=keys.dtype) * k)
     out = np.zeros(n + 1, dtype=np.int64)
     out[kept + 1] = np.diff(starts)
@@ -663,15 +629,116 @@ def _dense_sharing(
     return _subgraph(out, partners.astype(np.int64) if k == n else kept[partners])
 
 
-def _dense_rows(graph: Graph, rows: np.ndarray, first: int = 0) -> np.ndarray:
-    """The adjacency rows of the vertices ``rows`` from column ``first``
-    on, as a dense float32 matrix, each row set from its own CSR slots."""
+def _run_keys(read, own, degrees: np.ndarray, floor: int) -> np.ndarray:
+    """The keys i * b + j, ascending, of the pairs of a run's b rows
+    (``degrees``) that are adjacent and share at least ``floor``
+    neighbours. ``read(held, first)`` gives the dense float32 rows
+    ``held`` (all by default) from column ``first`` on; ``own`` picks the
+    run's rows among the columns.
+
+    M is the whole product, unless the prune pays. Under the prune, M is
+    P, the product over the first ⌈``_PREFIX_SHARE`` · w⌉ of the w
+    columns, and with ``left[i]``, row i's degree in the others, count(i,
+    j) <= P(i, j) + min(left[i], left[j]). The prune pays when about
+    ``_BOUND_ROWS`` evenly spaced rows say so (:func:`_prune_pays`).
+
+    M (plus the min) is read about ``SLOT_BLOCK`` entries at a time,
+    skipping blocks with no entry at the floor. Entries at the floor whose
+    rows are adjacent, as the dense rows say, are kept: the edges, or the
+    survivors, which add the other columns' product over the rows that
+    hold one and are compared again. Non-edges may pass the bound (on a
+    bipartite graph every pair on one side does); the adjacency test
+    drops them before any key is listed.
+    """
+    dense = read()
+    b, width = dense.shape
+    cut = math.ceil(width * _PREFIX_SHARE)
+    head = dense[:, :cut]  # numpy multiplies this view without a copy
+    left = degrees.astype(np.float32) - head.sum(axis=1)
+    sample = slice(0, b, max(b // _BOUND_ROWS, 1))  # views, not copies
+    reach = head[sample] @ head.T
+    reach += np.minimum.outer(left[sample], left)
+    # sampled rows that hold a survivor: a partner whose bound reaches the floor
+    reach = (reach >= floor) & (dense[sample][:, own] > 0)
+    prune = _prune_pays(int(np.count_nonzero(reach.any(axis=1))), reach.shape[0])
+    del reach
+    matrix = _gram(head if prune else dense).reshape(b, b)
+    np.fill_diagonal(matrix, -np.inf)  # a row is no partner of its own
+    step = max(SLOT_BLOCK // b, 1)
+    # the keys of the entries kept, as C ints (b * b fits), in a buffer
+    # that grows without one array object per block
+    found = array("i")
+    for a in range(0, b, step):
+        bound = matrix[a : a + step]
+        if prune:
+            bound = np.minimum.outer(left[a : a + step], left) + bound
+        hit = bound >= floor
+        if hit.any():
+            hit &= dense[a : a + step, own] > 0
+            found.frombytes((np.flatnonzero(hit) + a * b).astype(np.intc).tobytes())
+    del dense, head
+    keys = np.frombuffer(found, dtype=np.intc)
+    if prune and keys.size:
+        keys = keys.copy()  # without the buffer's spare room
+        del found
+        # counts are integers, exact in any order of summation, so the bound
+        # is symmetric: the rows holding a survivor are its first rows
+        marked = np.zeros(b, dtype=bool)
+        marked[keys // b] = True
+        held = np.flatnonzero(marked)
+        counts = matrix.ravel()[keys]
+        del matrix  # the survivors' product reuses its memory
+        rest = _gram(read(held, cut))
+        where = np.cumsum(marked) - 1  # among the held rows; h * h fits
+        for lo in range(0, keys.size, SLOT_BLOCK):
+            i = keys[lo : lo + SLOT_BLOCK] // b
+            j = keys[lo : lo + SLOT_BLOCK] - i * b
+            counts[lo : lo + SLOT_BLOCK] += rest[where[i] * held.size + where[j]]
+        keys = keys[counts >= floor]
+    return keys
+
+
+def _dense_rows(graph: Graph, rows: np.ndarray, rank: np.ndarray | None = None, base: int = 0):
+    """A reader, as :func:`_run_keys` takes it, of the vertices ``rows``.
+    With no ``rank``, over all n columns, each row set from its own CSR
+    slots. Otherwise over the columns their slots touch, ``rows`` first:
+    column c is the vertex whose ``rank`` entry reads ``base`` + c. Runs
+    share ``rank`` (-1 at first), each with a base past every entry an
+    earlier one set, so no entry is reset; their rows are scanned
+    (:meth:`Graph.scan`) once to number the columns and once per read.
+    """
     indptr, indices = graph.indptr, graph.indices
-    out = np.zeros((rows.size, graph.n - first), dtype=np.float32)
-    for row, v in zip(out, rows.tolist()):
-        x = indices[indptr[v] : indptr[v + 1]]
-        row[x[np.searchsorted(x, first) :] - first if first else x] = 1
-    return out
+    width = graph.n
+    if rank is not None:
+        rank[rows] = np.arange(base, base + rows.size)
+        width = rows.size
+        for _, neighbors, _ in graph.scan(rows):
+            new = neighbors[rank[neighbors] < base]
+            if new.size:
+                # each new column is marked by its last slot, then numbered
+                marks = np.arange(-2, -2 - new.size, -1)
+                rank[new] = marks
+                new = new[rank[new] == marks]
+                rank[new] = np.arange(base + width, base + width + new.size)
+                width += new.size
+
+    def read(held=slice(None), first=0):
+        part = rows[held]
+        out = np.zeros((part.size, width - first), dtype=np.float32)
+        if rank is None:
+            for row, v in zip(out, part.tolist()):
+                x = indices[indptr[v] : indptr[v + 1]]
+                row[x[np.searchsorted(x, first) :] - first if first else x] = 1
+            return out
+        for block, neighbors, degrees in graph.scan(part):
+            columns = rank[neighbors] - (base + first)
+            at = np.repeat(np.arange(block.start, block.stop), degrees), columns
+            if first:
+                at = at[0][columns >= 0], columns[columns >= 0]
+            out[at] = 1
+        return out
+
+    return read
 
 
 def edge_common_counts(graph: Graph, keep: np.ndarray | None = None) -> np.ndarray:
@@ -707,27 +774,17 @@ def common_counts(rows: csr_matrix, pairs: np.ndarray) -> np.ndarray:
     j * k + i, where both are asked for, read the same.
 
     The backend is a row-blocked sparse product (one multiply per two
-    entries sharing a column), or one dense float32 product per run of
-    :func:`_row_runs` (b * b multiply-adds per column a run of b rows
-    reads) where that pays (:func:`_dense_pays`) and every run's operand
-    fits in memory.
+    entries sharing a column), or one dense float32 product of the whole
+    rows where that pays (:func:`_dense_pays`, one run over all n
+    columns) and its operand fits in memory.
     """
     k, n = rows.shape
     _check_exact(int(np.diff(rows.indptr).max(initial=0)))
     column_degrees = np.asarray(rows.sum(axis=0), dtype=np.float64).ravel()
-    row_runs = _row_runs(pairs, k)
-    runs = row_runs[1]
-    sizes = (runs[:, 1] - runs[:, 0]).astype(np.float64)
-    if np.array_equal(runs, [[0, k]]):  # the whole product reads all n columns
-        widths = np.array([float(n)])
-    else:  # a run reads the columns it touches: at most n, at most one per slot
-        widths = np.minimum(np.diff(rows.indptr[runs]).ravel(), n).astype(np.float64)
-    operand = sizes * np.maximum(widths, sizes)  # also bounds the b x b product
-    if (
-        _dense_pays(sizes * sizes @ widths, sizes.size, column_degrees @ column_degrees)
-        and operand.max(initial=0) <= _DENSE_OPERAND_ELEMENTS
+    if k * max(n, k) <= _DENSE_OPERAND_ELEMENTS and _dense_pays(
+        float(k) * k * n, 1, column_degrees @ column_degrees
     ):
-        return _dense_common_counts(rows, pairs, row_runs)
+        return _gram(rows.toarray())[pairs]
     return _sparse_common_counts(rows, pairs)
 
 
@@ -739,8 +796,8 @@ def _check_exact(degree: int) -> None:
 
 
 def _dense_pays(multiplies: float, runs: int, sparse_multiplies: float) -> bool:
-    """Whether :func:`common_counts`' dense products, ``multiplies``
-    multiply-adds over ``runs`` row runs, cost less than the
+    """Whether dense products, ``multiplies`` multiply-adds over ``runs``
+    row runs, cost less than the
     ``sparse_multiplies`` multiplies of SpGEMM, all priced in dense
     multiply-adds: ``_SPARSE_MULTIPLY`` per sparse multiply and
     ``_DENSE_RUN_MULTIPLIES`` per run.
@@ -757,67 +814,8 @@ def _dense_pays(multiplies: float, runs: int, sparse_multiplies: float) -> bool:
     return multiplies + _DENSE_RUN_MULTIPLIES * runs < _SPARSE_MULTIPLY * sparse_multiplies
 
 
-def _row_runs(pairs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where each of k rows starts in the ascending keys ``pairs`` (k + 1
-    positions), and the maximal runs of consecutive rows that no pair
-    crosses, those that hold a pair, as (first, stop) rows.
-
-    A row's first and last keys give its nearest and farthest partners,
-    so a running max from the top and a running min from the bottom
-    place the cuts in O(k).
-    """
-    # row starts in the keys' own dtype: any other would convert every key
-    starts = np.searchsorted(pairs, np.arange(k + 1, dtype=pairs.dtype) * k)
-    row = np.arange(k)
-    reach, back = row.copy(), row.copy()
-    held = np.flatnonzero(starts[1:] > starts[:-1])
-    reach[held] = np.maximum(pairs[starts[held + 1] - 1] - held * k, held)
-    back[held] = np.minimum(pairs[starts[held]] - held * k, held)
-    # cut before row r when no pair of the rows above reaches r and no pair
-    # of r or the rows below reaches above it
-    above = np.maximum.accumulate(reach)[:-1]
-    below = np.minimum.accumulate(back[::-1])[::-1][1:]
-    bounds = np.concatenate(([0], np.flatnonzero((above < row[1:]) & (below >= row[1:])) + 1, [k]))
-    kept = starts[bounds[1:]] > starts[bounds[:-1]]
-    return starts, np.column_stack((bounds[:-1][kept], bounds[1:][kept]))
-
-
-def _dense_common_counts(
-    rows: csr_matrix, pairs: np.ndarray, row_runs: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """:func:`common_counts` by BLAS products of dense float32 rows, one
-    per run of ``row_runs``, as from :func:`_row_runs`; rows outside
-    every run are skipped.
-
-    When one run spans every row, the product is taken whole, over all n
-    columns. Otherwise each run multiplies only the columns its rows touch.
-    """
-    k, n = rows.shape
-    starts, runs = row_runs
-    if np.array_equal(runs, [[0, k]]):
-        return _gram(rows.toarray())[pairs]
-    out = np.zeros(pairs.size, dtype=np.float32)
-    owner = np.zeros(n, dtype=np.int64)  # per column: one slot of the run that holds it
-    for a, b in runs.tolist():
-        slots = rows.indices[rows.indptr[a] : rows.indptr[b]]
-        if slots.size == 0:  # no neighbours, so nothing shared
-            continue
-        order = np.arange(slots.size)
-        owner[slots] = order
-        owning = owner[slots]
-        # the touched columns, numbered in the order of their owning slots
-        rank = np.cumsum(owning == order) - 1
-        dense = np.zeros((b - a, int(rank[-1]) + 1), dtype=np.float32)
-        dense[np.repeat(np.arange(b - a), np.diff(rows.indptr[a : b + 1])), rank[owning]] = 1
-        # key (a + r) * k + a + c is entry r * (b - a) + c of the run's product
-        lo, hi = starts[a], starts[b]
-        first = np.repeat(np.arange(b - a), np.diff(starts[a : b + 1]))
-        out[lo:hi] = _gram(dense)[pairs[lo:hi] - first * (k - b + a) - a * (k + 1)]
-    return out
-
-
 def _prune_pays(held: int, sampled: int) -> bool:
-    """Whether :func:`_dense_sharing` tries the prune, given that ``held``
+    """Whether :func:`_run_keys` tries the prune, given that ``held``
     of ``sampled`` rows hold a pair whose bound reaches the floor: at
     most ``_HELD_SHARE`` of them. The survivors' product runs over every
     row that holds one, so its cost follows those rows, not the

@@ -7,6 +7,7 @@ helpers below read states and decompositions for the tests.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 from hypothesis import settings
@@ -57,3 +58,21 @@ def clique_beside_bipartite(size: int = 90, spec: str = "bipartite_random:400,0.
     edges = np.concatenate([np.column_stack((u, v)), np.column_stack((a, b)) + side.n])
     shuffled = np.random.default_rng(1).permutation(side.n + size)
     return build_graph(shuffled[edges], n=side.n + size)
+
+
+def mixed_main_shaped(cliques=12, size=40, periphery=300, seed=1):
+    """Planted cliques in contiguous ID ranges, a G(periphery, 0.06) after
+    them, and at most one edge from each clique member into it."""
+    rng = np.random.default_rng(seed)
+    base = cliques * size
+    edges = [
+        (u, v)
+        for j in range(0, base, size)
+        for u, v in itertools.combinations(range(j, j + size), 2)
+    ]
+    periphery_pairs = itertools.combinations(range(base, base + periphery), 2)
+    edges += [pair for pair in periphery_pairs if rng.random() < 0.06]
+    edges += [(u, base + rng.integers(periphery)) for u in range(base) if rng.random() < 0.5]
+    return build_graph(edges, n=base + periphery)
+
+

@@ -16,7 +16,9 @@ from deltacolor import (
     verify_coloring,
 )
 from deltacolor import graph as graph_module
-from deltacolor.checks import properness_failures
+from deltacolor.checks import decomposition_bound_failures, properness_failures
+from deltacolor.decomposition import StructuralMetrics, decompose
+from deltacolor.generators import GeneratorSpec, generate
 
 
 @pytest.mark.parametrize("palette_kind", ["range", "list"])
@@ -211,3 +213,22 @@ def test_properness_count_message_spans_blocks(block):
             mp.setattr(graph_module, "SLOT_BLOCK", block)
         got = properness_failures(g, committed)
     assert got == full_slot_properness(g, committed) == ["5 monochromatic edges among committed vertices"]
+
+
+def test_each_decomposition_bound_names_its_violation():
+    """K21 (max degree 20) at eps 0.1, one almost-clique, with metrics
+    planted at and just past each bound: an external degree of 2, an
+    anti-degree of 6, a weak diameter of 2 and 26 members pass."""
+    g = generate(GeneratorSpec("complete", {"n": 21}))
+    d = decompose(g, 0.1)
+
+    def metrics(external, anti, diameter, size):
+        return StructuralMetrics({0: external}, {1: anti}, [diameter], [size])
+
+    assert decomposition_bound_failures(g, d, metrics(2, 6, 2, 26)) == []
+    assert decomposition_bound_failures(g, d, metrics(3, 7, 3, 27)) == [
+        "external degree of 0 is 3 > eps*max_degree = 2.000",
+        "anti-degree of 1 is 7 > 3*eps*max_degree = 6.000",
+        "almost-clique 0 has weak diameter > 2",
+        "almost-clique 0 has 27 members > (1+3*eps)*max_degree = 26.000",
+    ]

@@ -949,3 +949,45 @@ def test_module_entry_point_exit_codes(tmp_path):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.splitlines() == ["error: --seed must be nonnegative"]
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("[[1, 2, 3]]", "palette file must be a JSON object"),
+        ('{"0": [1, 2, 3], "1": 3, "2": [1, 2, 3]}', "palette of vertex 1 must be a list"),
+        ('{"1": [1, 2, 3]}', "no palette for vertices [0, 2]"),
+    ],
+)
+def test_palette_file_shape_errors_are_one_line(tmp_path, capsys, content, message):
+    path = tmp_path / "palettes.json"
+    path.write_text(content)
+    with pytest.raises(deltacolor.ValidationError) as exc:
+        deltacolor.io.read_palettes(path, 3)
+    assert str(exc.value) == f"{path}: {message}"
+    err = _usage_error(capsys, ["run", "--gen", "complete:3", "--palettes", str(path)])
+    assert err == f"error: {path}: {message}\n"
+
+
+def test_zero_repetitions_are_a_usage_error(capsys):
+    err = _usage_error(capsys, ["run", "--gen", "complete:5", "--repetitions", "0"])
+    assert err == "error: --repetitions must be at least 1\n"
+
+
+@pytest.mark.parametrize("content", ["[1, 2, 3]", '{"coloring": [1, 2, 3]}'])
+def test_a_coloring_that_is_no_json_object_is_a_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "coloring.json"
+    path.write_text(content)
+    argv = ["run", "--gen", "complete:3", "--mode", "verify", "--coloring", str(path)]
+    err = _usage_error(capsys, argv)
+    assert err == f"error: {path}: expected a JSON object mapping vertex -> color\n"
+
+
+def test_a_declared_vertex_count_of_zero_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(deltacolor.ValidationError) as exc:
+        deltacolor.build_graph([], n=0)
+    assert str(exc.value) == "vertex count must be positive"
+    path = tmp_path / "empty.edges"
+    path.write_text("n 0\n")
+    err = _usage_error(capsys, ["run", "--input", str(path), "--mode", "decompose-only"])
+    assert err == "error: vertex count must be positive\n"

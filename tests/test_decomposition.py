@@ -34,7 +34,7 @@ from deltacolor.decomposition import (
 )
 from deltacolor.graph import edge_common_counts
 
-from conftest import clique_beside_bipartite, same_decomposition
+from conftest import clique_beside_bipartite, mixed_main_shaped, same_decomposition
 
 
 def cycle(n):
@@ -116,34 +116,55 @@ def twin_in_gnp():
     return build_graph(np.concatenate([edges, twin]), n=g.n)
 
 
+def largest_run_read(g, keep) -> int:
+    """Bytes of the largest float32 operand and product among the runs the
+    dense backend reads the kept rows in: a run of every kept row over all
+    n columns, any other over the columns its rows touch."""
+    kept = np.flatnonzero(keep)
+    far = graph_module._farthest_partners(g, keep, kept, np.cumsum(keep) - 1)
+    runs = graph_module._runs(far).tolist()
+    if runs == [[0, kept.size]]:
+        return 4 * kept.size * (g.n + kept.size)
+    touched = [np.unique(np.concatenate([g.neighbors(v) for v in kept[a:b]])).size for a, b in runs]
+    return max(4 * (b - a) * (width + b - a) for (a, b), width in zip(runs, touched))
+
+
 @pytest.mark.parametrize("branch", ["prune", "whole", "slots"])
 def test_only_the_slot_path_keys_every_kept_slot(monkeypatch, branch):
-    """Each branch of the friend-edge kernel, forced, finds the oracle's
-    friend edges. The dense reads, pruned or whole, never key the kept
-    slots (only ``edge_common_counts`` does), and their traced peak stays
-    within their k x n operand and k x k product plus one byte per kept
-    slot, so no array holds an entry per kept slot beside them."""
+    """Each branch of the friend-edge kernel, forced, finds the exact
+    counts' friend edges: on a twin in G(400, 0.5), one run of every kept
+    row, and on 12 planted 150-cliques with a periphery, one run per
+    clique. The dense reads, pruned or whole, never key the kept slots
+    (only ``edge_common_counts`` does), and their traced peak stays within
+    the largest run's operand and product plus one byte per kept slot, so
+    no array holds an entry per kept slot beside them."""
     monkeypatch.setattr(graph_module, "SLOT_BLOCK", 64)
-    monkeypatch.setattr(graph_module, "_dense_pays", lambda *priced: branch != "slots")
-    monkeypatch.setattr(graph_module, "_prune_pays", lambda held, sampled: branch == "prune")
-    keyed = []
     counts = graph_module.edge_common_counts
-    monkeypatch.setattr(graph_module, "edge_common_counts", lambda *args: keyed.append(1) or counts(*args))
-    g, eps = twin_in_gnp(), 0.19
-    tracemalloc.start()
-    try:
-        fast = compute_friend_edges(g, eps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    slow = brute_force_decomposition(g, eps).friend_graph
-    assert np.array_equal(fast.indptr, slow.indptr) and np.array_equal(fast.indices, slow.indices)
-    assert fast.num_edges == 1
-    assert bool(keyed) == (branch == "slots")
-    if branch != "slots":
-        keep = g.degrees() >= (1 - eps) * g.max_degree - THRESHOLD_TOL
-        k, slots = int(keep.sum()), int(keep[g.indices][np.repeat(keep, g.degrees())].sum())
-        assert peak < 4 * k * g.n + 4 * k * k + slots, (peak, k, slots)
+    for g, eps, friends in ((twin_in_gnp(), 0.19, 1), (mixed_main_shaped(size=150), 0.01, 113)):
+        threshold = (1 - eps) * g.max_degree - THRESHOLD_TOL
+        friend = np.flatnonzero(counts(g) >= threshold)  # the exact slot counts
+        with monkeypatch.context() as mp:
+            mp.setattr(graph_module, "_dense_pays", lambda *priced: branch != "slots")
+            mp.setattr(graph_module, "_prune_pays", lambda held, sampled: branch == "prune")
+            keyed = []
+            mp.setattr(graph_module, "edge_common_counts", lambda *args: keyed.append(1) or counts(*args))
+            tracemalloc.start()
+            try:
+                fast = compute_friend_edges(g, eps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(fast.indices, g.indices[friend])
+        assert np.array_equal(fast.indptr, np.searchsorted(friend, g.indptr))
+        assert fast.num_edges == friends
+        assert bool(keyed) == (branch == "slots")
+        if branch != "slots":
+            keep = g.degrees() >= threshold
+            slots = int(keep[g.indices][np.repeat(keep, g.degrees())].sum())
+            assert peak < largest_run_read(g, keep) + slots, (peak, slots)
+        if g.n <= 500:  # within the oracle's cap: the twin
+            slow = brute_force_decomposition(g, eps).friend_graph
+            assert np.array_equal(fast.indptr, slow.indptr) and np.array_equal(fast.indices, slow.indices)
 
 
 def test_k21_single_clique_with_leader_zero():

@@ -27,7 +27,7 @@ from deltacolor.graph import (
 )
 from deltacolor.io import dumps_json, read_edge_list, read_palettes, write_edge_list
 
-from conftest import clique_beside_bipartite
+from conftest import clique_beside_bipartite, mixed_main_shaped
 
 
 def test_path_graph():
@@ -647,10 +647,10 @@ def test_edge_common_counts_match_recount(draw):
     everything = recount_common(g, np.ones(n, dtype=bool))
     assert edge_common_counts(g).tolist() == everything.tolist()
     rows, pairs, counted = kept_pairs(g, keep)
-    row_runs = graph_module._row_runs(pairs, rows.shape[0])
-    dense = graph_module._dense_common_counts(rows, pairs, row_runs)
-    assert dense.tolist() == expected[counted].tolist()
-    assert graph_module._sparse_common_counts(rows, pairs).tolist() == expected[counted].tolist()
+    for dense in FORCED_BACKEND.values():  # the whole product, and SpGEMM
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_dense_pays", lambda *priced, dense=dense: dense)
+            assert graph_module.common_counts(rows, pairs).tolist() == expected[counted].tolist()
 
 
 def assert_edges_reaching(sub, g, counts, floor):
@@ -788,61 +788,75 @@ def clique_layouts(draw):
 FORCED_BACKEND = {"dense": True, "sparse": False}
 
 
+def kept_runs(g, keep):
+    """The kept rows' farthest partners as sharing_subgraph reads them, and
+    the runs it cuts them into, before any join."""
+    kept = np.flatnonzero(keep)
+    far = graph_module._farthest_partners(g, keep, kept, np.cumsum(keep) - 1)
+    return far, graph_module._runs(far)
+
+
+def recorded(mp, name):
+    """Patch graph_module.``name`` to record the arguments of its calls."""
+    calls = []
+    real = getattr(graph_module, name)
+    mp.setattr(graph_module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
 @settings(max_examples=80, deadline=None)
 @given(clique_layouts())
 @example(([3, 4, 2], [0, 1, 0, 2], [(0, 1)], 0.3, 1))  # a bridge merges two runs
 @example(([1, 3, 1, 1, 2], [2, 0, 1, 0, 0, 1], [], 0.7, 2))  # isolated kept rows
 @example(([2, 5], [1, 0, 0], [], 0.3, 3))  # a run ends at the last row
 @example(([1, 1, 1], [0, 1, 1, 0], [], 0.7, 4))  # no pairs at all
-def test_blocked_common_counts_match_recount(layout):
+def test_run_blocked_friend_edges_match_recount(layout):
+    """Under every floor, with each backend forced, and the prune forced or
+    left to the sample, the friend edges are the recount's. The kept rows
+    are cut into the runs that ``reference_runs`` finds on the keys, and
+    the dense backend reads each joined run once per call."""
     g, keep = clique_layout_graph(*layout)
     expected = recount_common(g, keep)
-    rows, pairs, counted = kept_pairs(g, keep)
-    k = rows.shape[0]
-    _, runs = graph_module._row_runs(pairs, k)
-    assert [tuple(r) for r in runs.tolist()] == reference_runs(pairs, k)
+    _, pairs, _ = kept_pairs(g, keep)
+    _, runs = kept_runs(g, keep)
+    assert [tuple(r) for r in runs.tolist()] == reference_runs(pairs, int(keep.sum()))
     for backend, dense in FORCED_BACKEND.items():
-        products = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph_module, "_dense_pays", lambda *priced, dense=dense: dense)
-            gram = graph_module._gram
-            mp.setattr(graph_module, "_gram", lambda dense: products.append(dense.shape) or gram(dense))
-            assert edge_common_counts(g, keep).tolist() == expected.tolist(), backend
-            direct = graph_module.common_counts(rows, pairs)
-            # the kernel runs twice; the dense backend multiplies once per run
-            assert len(products) == (2 * len(runs) if backend == "dense" else 0)
-            # keys of one side of the diagonal only: partners above, or below
-            for half in (pairs // k < pairs % k, pairs // k > pairs % k):
-                _, one_sided = graph_module._row_runs(pairs[half], k)
-                assert [tuple(r) for r in one_sided.tolist()] == reference_runs(pairs[half], k)
-                counts = graph_module.common_counts(rows, pairs[half])
-                assert counts.tolist() == expected[counted][half].tolist(), backend
-        assert direct.tolist() == expected[counted].tolist(), backend
+        for always in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(graph_module, "_dense_pays", lambda *priced, dense=dense: dense)
+                if always:
+                    mp.setattr(graph_module, "_prune_pays", lambda held, sampled: True)
+                joins = recorded(mp, "_join_runs")
+                reads = recorded(mp, "_run_keys")
+                for floor in range(6):
+                    sub = graph_module.sharing_subgraph(g, floor, keep)
+                    assert_edges_reaching(sub, g, expected, floor)
+            # no kept edge: no join and no read
+            assert len(joins) == (6 if runs.size else 0), backend
+            joined = sum(graph_module._join_runs(*args).shape[0] for args in joins)
+            assert len(reads) == (joined if backend == "dense" else 0), backend
 
 
 @settings(max_examples=80, deadline=None)
 @given(clique_layouts())
 @example(([3, 4, 2], [0, 1, 0, 2], [(0, 1)], 0.3, 1))  # a bridge merges two runs
-@example(([5, 4], [0, 0, 3], [], 0.7, 5))  # last neighbours unkept: the first slots cut
+@example(([5, 4], [0, 0, 3], [], 0.7, 5))  # last neighbours unkept: scanned
 @example(([5], [0, 3], [], 0.7, 6))  # one run, its last neighbours unkept: scanned
 @example(([1, 1, 1], [0, 1, 1, 0], [], 0.7, 4))  # no pairs at all
 def test_the_csr_rows_tell_one_run_as_the_keys_do(layout):
     """``_farthest_partners`` reads each kept row's farthest kept partner
-    off the CSR, or lower bounds of them that prove one run, or gives up
-    where the rows certainly form several runs, and a single run is found
-    exactly where ``_row_runs`` finds it."""
+    off the CSR, or lower bounds of them that prove one run, and
+    ``_runs`` cuts them into the runs that ``reference_runs`` finds on
+    the keys."""
     g, keep = clique_layout_graph(*layout)
     _, pairs, _ = kept_pairs(g, keep)
-    kept = np.flatnonzero(keep)
-    k = kept.size
-    far = graph_module._farthest_partners(g, keep, kept, np.cumsum(keep) - 1)
-    one = np.array_equal(graph_module._row_runs(pairs, k)[1], [[0, k]])
-    assert (far is not None and far.max(initial=-1) >= 0 and graph_module._spans_one_run(far)) == one
-    if far is not None:
-        farthest = [max((int(p) % k for p in pairs if p // k == i), default=-1) for i in range(k)]
-        assert all(-1 <= bound <= place for bound, place in zip(far.tolist(), farthest))
-        if not one:  # no bound proved one run, so the rows were scanned: exact places
-            assert far.tolist() == farthest
+    k = int(keep.sum())
+    far, runs = kept_runs(g, keep)
+    assert [tuple(r) for r in runs.tolist()] == reference_runs(pairs, k)
+    farthest = [max((int(p) % k for p in pairs if p // k == i), default=-1) for i in range(k)]
+    assert all(-1 <= bound <= place for bound, place in zip(far.tolist(), farthest))
+    if runs.tolist() != [[0, k]]:  # no bound proved one run, so the rows were scanned
+        assert far.tolist() == farthest
 
 
 @pytest.mark.parametrize("linked, scans", [(range(1, 5), 0), (range(5), 1)])
@@ -858,48 +872,49 @@ def test_kept_first_neighbours_spare_the_scan_when_they_prove_one_run(monkeypatc
     scan = graph_module.Graph.scan
     monkeypatch.setattr(graph_module.Graph, "scan", lambda *a: calls.append(1) or scan(*a))
     far = graph_module._farthest_partners(g, keep, np.arange(5), np.cumsum(keep) - 1)
-    assert len(calls) == scans and graph_module._spans_one_run(far)
+    assert len(calls) == scans and graph_module._runs(far).tolist() == [[0, 5]]
     assert far.tolist() == ([4, 0, 0, 0, 0] if scans == 0 else [4, 4, 4, 4, 3])
 
 
-def mixed_main_shaped(cliques=12, size=40, periphery=300, seed=1):
-    """Planted cliques in contiguous ID ranges, a G(periphery, 0.06) after
-    them, and at most one edge from each clique member into it."""
-    rng = np.random.default_rng(seed)
-    base = cliques * size
-    edges = [
-        (u, v)
-        for j in range(0, base, size)
-        for u, v in itertools.combinations(range(j, j + size), 2)
-    ]
-    periphery_pairs = itertools.combinations(range(base, base + periphery), 2)
-    edges += [pair for pair in periphery_pairs if rng.random() < 0.06]
-    edges += [(u, base + rng.integers(periphery)) for u in range(base) if rng.random() < 0.5]
-    return build_graph(edges, n=base + periphery)
+def disjoint_cliques(count, size, isolated=0):
+    """``count`` disjoint ``size``-cliques in contiguous ID ranges, then
+    ``isolated`` vertices with no edge."""
+    iu, ju = np.triu_indices(size, 1)
+    blocks = [np.column_stack((iu, ju)) + j * size for j in range(count)]
+    return build_graph(np.concatenate(blocks), n=count * size + isolated)
 
 
 def test_dense_products_follow_the_row_runs(monkeypatch):
-    products = []
-    gram = graph_module._gram
-    monkeypatch.setattr(graph_module, "_gram", lambda dense: products.append(dense.shape) or gram(dense))
-    # the degree prune keeps the clique members, one run per clique
+    products = recorded(monkeypatch, "_gram")
+    # the degree prune keeps the clique members, one run per clique, each
+    # read over its own rows and the periphery columns they touch
     g = mixed_main_shaped()
     friends = compute_friend_edges(g, 0.05)
     assert len(products) == 12 and friends.num_edges == 12 * 40 * 39 // 2
-    assert all(rows == 40 and 40 <= columns < g.n for rows, columns in products)
+    assert all(d.shape[0] == 40 and 40 <= d.shape[1] < g.n for (d,) in products)
+    # runs whose joined product stays within one run's fixed price are read
+    # as one: 40 K4 (degree 3) in joins of at most (7e6 / 4) ** (1/3) rows,
+    # with the dense backend forced (SpGEMM is cheaper on so small a graph)
+    products.clear()
+    g = disjoint_cliques(40, 4, isolated=5)
+    with monkeypatch.context() as mp:
+        mp.setattr(graph_module, "_dense_pays", lambda *priced: True)
+        assert graph_module.sharing_subgraph(g, 2, g.degrees() > 0).num_edges == 40 * 6
+    assert [d.shape for (d,) in products] == [(120, 120), (40, 40)]
     # rows that interleave, or cliques joined by bridges, stay one run: one
     # whole product over all n columns, five isolated and unkept ones too
     for spec in ("gnp:400,0.5", "clique_chain:21x8"):
-        products.clear()
         g = generate(GeneratorSpec.parse(spec, seed=1))
         padded = build_graph(g.edge_array(), n=g.n + 5)
-        edge_common_counts(padded, keep=padded.degrees() > 0)
-        assert products == [(g.n, g.n + 5)], spec
+        products.clear()
+        graph_module.sharing_subgraph(padded, 0, padded.degrees() > 0)
+        assert [d.shape for (d,) in products] == [(g.n, g.n + 5)], spec
         # under a floor above every degree, no pair's bound reaches it: the
         # product covers only the first quarter of the columns
         products.clear()
         friends = graph_module.sharing_subgraph(padded, g.max_degree + 1, padded.degrees() > 0)
-        assert products == [(g.n, math.ceil((g.n + 5) / 4))] and friends.num_edges == 0, spec
+        assert [d.shape for (d,) in products] == [(g.n, math.ceil((g.n + 5) / 4))], spec
+        assert friends.num_edges == 0, spec
 
 
 def test_edge_common_counts_mark_slots_outside_keep():
@@ -949,24 +964,21 @@ def test_sharing_subgraph_compares_counts_with_the_floor_exactly(monkeypatch):
 
 
 def test_backend_switch_follows_cost(monkeypatch):
-    picked = []
-    for name in ("_dense_common_counts", "_sparse_common_counts"):
-        real = getattr(graph_module, name)
-
-        def record(rows, pairs, *rest, real=real, name=name):
-            picked.append(name)
-            return real(rows, pairs, *rest)
-
-        monkeypatch.setattr(graph_module, name, record)
-    runs = graph_module._row_runs
-    found = []
-    monkeypatch.setattr(graph_module, "_row_runs", lambda pairs, k: found.append(k) or runs(pairs, k))
+    reads = recorded(monkeypatch, "_dense_sharing")
+    counts = recorded(monkeypatch, "edge_common_counts")
+    # one run of 400 rows; 300 K16 in 75 joined runs; 10000 K2 in 134 joined
+    # runs, whose fixed prices outweigh SpGEMM's 2e4 multiplies
+    for g in (generate(GeneratorSpec.parse("gnp:400,0.5", seed=1)), disjoint_cliques(300, 16),
+              disjoint_cliques(10_000, 2)):
+        graph_module.sharing_subgraph(g, 1)
+    # each dense read is handed its joined runs
+    assert [args[2].shape[0] for args in reads] == [1, 75] and len(counts) == 1
+    # common_counts: the whole product on a dense graph, SpGEMM on a sparse one
+    picked = recorded(monkeypatch, "_gram"), recorded(monkeypatch, "_sparse_common_counts")
     edge_common_counts(generate(GeneratorSpec("gnp", {"n": 400, "p": 0.5}, seed=1)))
     pairs = np.random.default_rng(1).integers(0, 20_000, size=(20_000, 2))
     edge_common_counts(build_graph(pairs[pairs[:, 0] != pairs[:, 1]], n=20_000))
-    assert picked == ["_dense_common_counts", "_sparse_common_counts"]
-    # each call finds its row runs once, and the dense backend is handed them
-    assert len(found) == 2
+    assert [len(calls) for calls in picked] == [1, 1]
 
 
 def test_unsigned_id_beyond_int64_is_out_of_range():
