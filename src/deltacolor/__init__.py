@@ -47,6 +47,7 @@ from .generators import (
 )
 from .graph import BLANK, Graph, build_graph
 from .io import canonical_palettes, read_edge_list, read_palettes, write_edge_list
+from .palettes import PaletteTable, palette_table
 from .schedule import (
     ACTIVATION_PROB,
     DEFAULT_K,
@@ -75,6 +76,7 @@ __all__ = [
     "GoodColorDiag",
     "Graph",
     "InvariantViolation",
+    "PaletteTable",
     "RoundParams",
     "RunReport",
     "ScheduleParams",
@@ -105,6 +107,7 @@ __all__ = [
     "initial_coloring_step",
     "is_locally_sparse",
     "neighborhood_edge_counts",
+    "palette_table",
     "properness_failures",
     "read_edge_list",
     "read_palettes",

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import operator
 from itertools import repeat
+from typing import Callable
 
 import numpy as np
 
 from .decomposition import check_decomposition_of
 from .errors import ValidationError
 from .graph import BLANK, Graph, first_non_integer, slot_components, vertex_ids
+from .palettes import PaletteTable, common_range, palette_table
 from .state import ColoringState, recompute_residuals
 
 _REPORT_CAP = 5
@@ -75,10 +77,12 @@ def verify_coloring(
 ) -> list[str]:
     """Check a saved coloring against a graph and its palettes.
 
-    ``palettes`` is one color collection per vertex, of any size (the
-    Δ+1 floor of :func:`~deltacolor.state.init_state` does not apply); a
-    list of another length raises :class:`ValidationError`. A map's keys
-    must be vertex IDs (integers, or strings of ASCII digits after an
+    ``palettes`` is a :class:`~deltacolor.palettes.PaletteTable` or one
+    color collection per vertex, of any size (the Δ+1 floor of
+    :func:`~deltacolor.state.init_state` does not apply); a list of
+    another length, or a color that is not an integer, raises
+    :class:`ValidationError` (:func:`_palette_test`). A map's keys must
+    be vertex IDs (integers, or strings of ASCII digits after an
     optional minus sign) and its colors integers, as must be the entries
     of a list or tuple; an array must have an integer dtype. Anything
     else raises :class:`ValidationError` rather than being truncated.
@@ -86,6 +90,7 @@ def verify_coloring(
     """
     if len(palettes) != graph.n:
         raise ValidationError(f"expected {graph.n} palettes, got {len(palettes)}")
+    holds = _palette_test(palettes)
     if isinstance(coloring, dict):
         vertices, values = vertex_ids(list(coloring), "coloring key"), list(coloring.values())
         bad = first_non_integer(values)
@@ -113,8 +118,25 @@ def verify_coloring(
     if colors.shape != (graph.n,):
         return [f"coloring has {colors.size} entries for {graph.n} vertices"]
 
-    inside = np.fromiter(map(operator.contains, palettes, colors.tolist()), bool, graph.n)
+    inside = holds(colors)
     return coloring_failures(graph, colors, np.flatnonzero(~inside & (colors != BLANK)))
+
+
+def _palette_test(palettes) -> Callable[[np.ndarray], np.ndarray]:
+    """The test of ``colors`` (one per vertex) against ``palettes``: True
+    where ``colors[v]`` is in vertex v's palette. ``range`` palettes are
+    never expanded: one range shared by every vertex is tested by two
+    comparisons, others one by one. Any other palettes become a
+    :class:`~deltacolor.palettes.PaletteTable` here, tested by array
+    operations, so a color that is not an integer raises before the
+    coloring is read."""
+    common = common_range(palettes)
+    if common is not None and common.step == 1:
+        return lambda colors: (colors >= common.start) & (colors < common.stop)
+    if isinstance(palettes, PaletteTable) or not set(map(type, palettes)) <= {range}:
+        return palette_table(palettes).holds
+    # ranges that differ: each vertex's is tested on its own
+    return lambda colors: np.fromiter(map(operator.contains, palettes, colors.tolist()), bool, len(palettes))
 
 
 def decomposition_failures(graph: Graph, decomp) -> list[str]:

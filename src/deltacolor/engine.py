@@ -421,7 +421,10 @@ class PhaseDriver:
     randomness, so every run of a graph can share one);
     :meth:`decompose` then adopts it instead of recomputing it.
     ``force_main_path`` and ``max_fallback_iters`` are the run options
-    of :meth:`full` and :meth:`fallback`.
+    of :meth:`full` and :meth:`fallback`. ``palettes`` are taken as
+    :func:`~deltacolor.state.init_state` takes them: a
+    :class:`~deltacolor.palettes.PaletteTable` is used as it is, so runs
+    that share one convert their palettes once.
     """
 
     def __init__(

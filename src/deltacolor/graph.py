@@ -398,9 +398,14 @@ def _pairs_pay(pairs: float, slots: int) -> bool:
 
 def _cut(degrees: np.ndarray) -> list[slice]:
     """Rows of the given degrees cut, in order, into the runs of
-    :meth:`Graph.scan`, as slices; no rows give no runs."""
+    :meth:`Graph.scan`, as slices; no rows give no runs. Rows whose slots
+    all fit in one block are one run, found with no search."""
     block = SLOT_BLOCK
+    if not degrees.size:
+        return []
     ends = np.cumsum(degrees)
+    if ends[-1] <= block:
+        return [slice(0, degrees.size)]
     out = []
     start = 0
     while start < degrees.size:

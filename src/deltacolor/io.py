@@ -15,7 +15,8 @@ from typing import Iterator, NoReturn, Sequence, TextIO
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Graph, build_graph, first_non_integer, vertex_ids
+from .graph import Graph, build_graph, vertex_ids
+from .palettes import PaletteTable, palette_table
 
 
 # Characters of an edge-list file checked and parsed together. The chunk's
@@ -132,8 +133,10 @@ def canonical_palettes(graph: Graph) -> list[range]:
     return [range(1, graph.max_degree + 2)] * graph.n
 
 
-def read_palettes(path: str | Path, n: int) -> list[list[int]]:
-    """Read a JSON object mapping vertex ID -> list of colors."""
+def read_palettes(path: str | Path, n: int) -> PaletteTable:
+    """Read a JSON object mapping vertex ID -> list of colors, as one
+    :class:`~deltacolor.palettes.PaletteTable`: its colors are converted
+    and checked once, here, and every error names the file."""
     data = read_json(path)
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: palette file must be a JSON object")
@@ -147,14 +150,14 @@ def read_palettes(path: str | Path, n: int) -> list[list[int]]:
         named[v] = key
         if not isinstance(colors, list):
             raise ValidationError(f"{path}: palette of vertex {v} must be a list")
-        bad = first_non_integer(colors)
-        if bad is not None:
-            raise ValidationError(f"{path}: palette of vertex {v} holds {colors[bad]!r}, not an integer color")
         out[v] = colors
     missing = [i for i, colors in enumerate(out) if colors is None]
     if missing:
         raise ValidationError(f"{path}: no palette for vertices {missing[:5]}{'...' if len(missing) > 5 else ''}")
-    return out
+    try:
+        return palette_table(out)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def load_palettes(spec: str, graph: Graph) -> Sequence[Sequence[int]]:

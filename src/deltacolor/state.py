@@ -11,7 +11,6 @@ palette entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +18,7 @@ from numpy.typing import ArrayLike
 
 from .errors import InvariantViolation, ValidationError
 from .graph import BLANK, Graph, as_int64, segment_sum
+from .palettes import common_range, palette_table
 
 # Most cells of the vertex-by-colour palette matrix: the state holds it
 # twice, and a commit builds one more of its size (its colour-major marks),
@@ -87,34 +87,29 @@ class ColoringState:
 def init_state(graph: Graph, palettes: Sequence[Sequence[int]]) -> ColoringState:
     """Validate palettes and build a fresh state.
 
-    Every palette must have at least max_degree + 1 colors, all >= 1
+    ``palettes`` is a :class:`~deltacolor.palettes.PaletteTable`, or any
+    sequence of color collections, which goes through the same builder,
+    :func:`~deltacolor.palettes.palette_table`, and so the same integer
+    rule. Every palette must have at least max_degree + 1 colors, all >= 1
     (the blank 0 is reserved); a color listed twice counts once.
     Oversized palettes are accepted but flagged, because the good-color
     diagnostic is calibrated for palettes of exactly max_degree + 1
-    colors.
+    colors. Canonical palettes, ``range(1, max_degree + 2)`` for every
+    vertex, are never expanded.
     """
     if len(palettes) != graph.n:
         raise ValidationError(f"expected {graph.n} palettes, got {len(palettes)}")
     need = graph.max_degree + 1
 
-    canonical = (
-        graph.n > 0
-        and set(map(type, palettes)) == {range}
-        and set(palettes) == {range(1, need + 1)}
-    )
-
-    if canonical:
+    if common_range(palettes) == range(1, need + 1):
         values = np.arange(1, need + 1, dtype=np.int64)
         _check_palette_cells(graph.n, values.size)
         pal = np.ones((graph.n, need), dtype=bool)
         oversized = False
     else:
-        lengths = np.fromiter(map(len, palettes), dtype=np.int64, count=graph.n)
-        try:
-            flat = np.fromiter(chain.from_iterable(palettes), dtype=np.int64, count=int(lengths.sum()))
-        except OverflowError as exc:
-            raise ValidationError("palette colors must lie inside the int64 range") from exc
-        owner = np.repeat(np.arange(graph.n), lengths)
+        table = palette_table(palettes)
+        flat = table.colors
+        owner = np.repeat(np.arange(graph.n), np.diff(table.offsets))
         values, column = _palette_columns(flat)
         _check_palette_cells(graph.n, values.size)
         # the scatter dedupes colors listed twice in one palette

@@ -39,6 +39,29 @@ def test_decompose_only_complete_clique(tmp_path):
     assert doc["invariant_failures"] == []
 
 
+def test_decompose_only_reports_each_invariant_failure(tmp_path, monkeypatch, capsys):
+    # the failure is planted in the check the CLI calls
+    planted = ["almost-clique 0 is not connected under friend edges"]
+    monkeypatch.setattr(deltacolor.cli, "decomposition_failures", lambda graph, decomp: list(planted))
+    out = tmp_path / "dec.json"
+    code = main(["run", "--gen", "complete:21", "--epsilon", "0.1", "--mode", "decompose-only",
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"invariant failure: {planted[0]}\n"
+    assert read_json(out)["invariant_failures"] == planted
+
+
+def test_an_invariant_violation_exits_one(tmp_path, monkeypatch, capsys):
+    def violated(graph, epsilon):
+        raise deltacolor.InvariantViolation("planted violation")
+
+    monkeypatch.setattr(deltacolor.cli, "decompose", violated)
+    out = tmp_path / "dec.json"
+    assert main(["run", "--gen", "complete:21", "--mode", "decompose-only", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "invariant violation: planted violation\n"
+    assert not out.exists()
+
+
 def test_full_run_and_verify_roundtrip(tmp_path):
     graph_file = tmp_path / "g.edges"
     assert main(["generate", "--gen", "gnp:60,0.3", "--seed", "3", "--out", str(graph_file)]) == 0

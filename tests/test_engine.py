@@ -79,6 +79,16 @@ def test_initial_injection_rejects_foreign_color():
         apply_initial_tentative(state, np.array([7, 0]))
 
 
+@pytest.mark.parametrize("size", [2, 4])
+def test_injected_draws_need_one_entry_per_vertex(size):
+    g = build_graph([(0, 1), (1, 2)])
+    state = init_state(g, canonical_palettes(g))
+    with pytest.raises(ValidationError) as exc:
+        apply_initial_tentative(state, np.zeros(size, dtype=np.int64))
+    assert str(exc.value) == "tentative array must have one entry per vertex"
+    assert state.num_uncolored() == 3
+
+
 def test_initial_step_requires_fresh_state():
     g = build_graph([(0, 1)])
     state = init_state(g, canonical_palettes(g))
@@ -178,6 +188,20 @@ def test_dense_decoloring_checks_tentative_not_committed():
     assert state.committed[30] == BLANK
     assert state.committed[60] == BLANK
     assert result.de_colored == 2
+
+
+def test_dense_injection_rejects_a_colour_drawn_twice_in_one_clique():
+    # the selection never repeats a colour inside a clique; an injected
+    # repeat is a broken selection, not a conflict to resolve
+    g = three_clique_chain()
+    decomp = decompose(g, 0.15)
+    state = init_state(g, canonical_palettes(g))
+    tentative = np.zeros(g.n, dtype=np.int64)
+    tentative[[31, 45]] = 7
+    with pytest.raises(InvariantViolation) as exc:
+        apply_dense_tentative(state, decomp, tentative)
+    assert str(exc.value) == "duplicate tentative colors inside the almost-clique led by 30"
+    assert state.num_uncolored() == g.n
 
 
 def test_dense_injection_rejects_sparse_participant():

@@ -523,7 +523,7 @@ def test_palette_file_negative_key_is_out_of_range(tmp_path):
     with pytest.raises(ValidationError, match=re.escape("vertex -1 out of range 0..1")):
         read_palettes(path, 2)
     path.write_text(json.dumps({"1": [1, 2], "00": [3, 4]}))
-    assert read_palettes(path, 2) == [[3, 4], [1, 2]]
+    assert [p.tolist() for p in read_palettes(path, 2)] == [[3, 4], [1, 2]]
 
 
 @settings(max_examples=100, deadline=None)
@@ -1007,6 +1007,19 @@ def reference_scan(g, rows):
         neighbors = g.indices[np.concatenate(slots)]
         out.append((block, neighbors.tolist(), [s.size for s in slots]))
     return out
+
+
+@pytest.mark.parametrize("over, blocks", [(0, 1), (1, 2)])
+def test_scan_rows_within_one_block_are_one_run(monkeypatch, over, blocks):
+    # K_10 has 9 slots a row: four rows want 36 slots, exactly one block
+    # of 36, or one slot over a block of 35
+    g = generate(GeneratorSpec("complete", {"n": 10}))
+    rows = np.array([1, 2, 3, 5], dtype=np.int64)
+    monkeypatch.setattr(graph_module, "SLOT_BLOCK", 36 - over)
+    got = [(b, nb.tolist(), d.tolist()) for b, nb, d in g.scan(rows)]
+    assert got == reference_scan(g, rows)
+    assert len(got) == blocks
+    assert graph_module._cut(np.full(4, 9)) == ([slice(0, 4)] if blocks == 1 else [slice(0, 3), slice(3, 4)])
 
 
 # what _mask_pays answers to leave the read of a block of ascending rows
