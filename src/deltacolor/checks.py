@@ -17,7 +17,7 @@ import numpy as np
 from .decomposition import check_decomposition_of
 from .errors import ValidationError
 from .graph import BLANK, Graph, first_non_integer, slot_components, vertex_ids
-from .palettes import PaletteTable, common_range, palette_table
+from .palettes import PaletteTable, palette_table
 from .state import ColoringState, recompute_residuals
 
 _REPORT_CAP = 5
@@ -130,11 +130,11 @@ def _palette_test(palettes) -> Callable[[np.ndarray], np.ndarray]:
     :class:`~deltacolor.palettes.PaletteTable` here, tested by array
     operations, so a color that is not an integer raises before the
     coloring is read."""
-    common = common_range(palettes)
-    if common is not None and common.step == 1:
-        return lambda colors: (colors >= common.start) & (colors < common.stop)
-    if isinstance(palettes, PaletteTable) or not set(map(type, palettes)) <= {range}:
+    if isinstance(palettes, PaletteTable) or set(map(type, palettes)) != {range}:
         return palette_table(palettes).holds
+    first = palettes[0]
+    if first.step == 1 and operator.countOf(palettes, first) == len(palettes):
+        return lambda colors: (colors >= first.start) & (colors < first.stop)
     # ranges that differ: each vertex's is tested on its own
     return lambda colors: np.fromiter(map(operator.contains, palettes, colors.tolist()), bool, len(palettes))
 

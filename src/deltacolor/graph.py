@@ -401,10 +401,8 @@ def _cut(degrees: np.ndarray) -> list[slice]:
     :meth:`Graph.scan`, as slices; no rows give no runs. Rows whose slots
     all fit in one block are one run, found with no search."""
     block = SLOT_BLOCK
-    if not degrees.size:
-        return []
     ends = np.cumsum(degrees)
-    if ends[-1] <= block:
+    if ends.size and ends[-1] <= block:
         return [slice(0, degrees.size)]
     out = []
     start = 0

@@ -27,10 +27,31 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 @dataclass(frozen=True, eq=False)
 class PaletteTable(Sequence):
     """Palettes in CSR form; a sequence of per-vertex read-only int64
-    views, so it goes wherever a list of palettes goes."""
+    views, so it goes wherever a list of palettes goes.
+
+    Both arrays must be 1-D int64, and ``offsets`` must rise from 0 to
+    ``colors.size``; anything else raises :class:`ValidationError`, so a
+    table made by hand meets the rule that :func:`palette_table` holds.
+    Writable arrays are copied, so a table never changes."""
 
     offsets: np.ndarray
     colors: np.ndarray
+
+    def __post_init__(self):
+        for name in ("offsets", "colors"):
+            arr = getattr(self, name)
+            if not isinstance(arr, np.ndarray) or arr.dtype != np.int64 or arr.ndim != 1:
+                got = f"{arr.ndim}-D {arr.dtype}" if isinstance(arr, np.ndarray) else type(arr).__name__
+                raise ValidationError(f"palette table {name} must be a 1-D int64 array, not {got}")
+            if arr.flags.writeable:
+                arr = arr.copy()
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
+        offsets = self.offsets
+        if not offsets.size or offsets[0] != 0 or offsets[-1] != self.colors.size or (np.diff(offsets) < 0).any():
+            raise ValidationError(
+                f"palette table offsets must rise from 0 to {self.colors.size}, the number of colors"
+            )
 
     def __len__(self) -> int:
         return self.offsets.size - 1
@@ -60,15 +81,14 @@ def palette_table(palettes) -> PaletteTable:
     """``palettes`` (one collection of colors per vertex) as a
     :class:`PaletteTable`; a table is returned as it is.
 
-    Palettes of one length are converted by one ``np.array`` call over
-    them, others by one over their flattened entries, with the dtype
-    inferred: a float, a string, None or a value outside int64 makes it
-    a non-integer dtype, which :func:`~deltacolor.graph.as_int64` refuses.
-    A bool becomes 0 or 1, so only the entries that read 0 or 1 are
-    tested by :func:`~deltacolor.graph.first_non_integer`. Palettes the
-    call refuses (or that it cannot lay out, such as sets) are tested
-    entry by entry. The first non-integer color, in vertex order, raises
-    :class:`ValidationError` naming its vertex.
+    The palettes' entries are flattened and converted by one ``np.array``
+    call, with the dtype inferred: a float, a string, None or a value
+    outside int64 makes it a non-integer dtype, which
+    :func:`~deltacolor.graph.as_int64` refuses. A bool becomes 0 or 1, so
+    only the entries that read 0 or 1 are tested by
+    :func:`~deltacolor.graph.first_non_integer`. Entries the call refuses
+    are tested one by one. The first non-integer color, in vertex order,
+    raises :class:`ValidationError` naming its vertex.
     """
     if isinstance(palettes, PaletteTable):
         return palettes
@@ -82,21 +102,16 @@ def palette_table(palettes) -> PaletteTable:
         raise
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    total = int(offsets[-1])
-    if rows and lengths.min() == lengths.max():
-        colors = _converted(rows, (len(rows), int(lengths[0])))
-    else:
-        colors = _converted(list(chain.from_iterable(rows)), (total,))
+    flat = list(chain.from_iterable(rows))
+    colors = _converted(flat)
     if colors is None:
-        colors = _checked(rows, total)
+        colors = _checked(flat, offsets)
     else:
         # the only entries a bool can have become
-        maybe = np.flatnonzero(colors.view(np.uint64) <= 1)
-        owner = np.searchsorted(offsets, maybe, side="right") - 1
-        entries = [_entry(rows[v], k) for v, k in zip(owner.tolist(), (maybe - offsets[owner]).tolist())]
-        bad = first_non_integer(entries)
+        maybe = np.flatnonzero(colors.view(np.uint64) <= 1).tolist()
+        bad = first_non_integer([flat[i] for i in maybe])
         if bad is not None:
-            raise _not_an_integer(int(owner[bad]), entries[bad])
+            raise _not_an_integer(_owner(offsets, maybe[bad]), flat[maybe[bad]])
     offsets.setflags(write=False)
     colors.setflags(write=False)
     return PaletteTable(offsets, colors)
@@ -112,35 +127,34 @@ def common_range(palettes) -> range | None:
     return first if countOf(palettes, first) == len(palettes) else None
 
 
-def _converted(values: list, shape: tuple[int, ...]) -> np.ndarray | None:
-    """The array ``np.array`` infers from ``values``, as flat int64, or
-    None unless it has ``shape`` and holds integers inside int64."""
+def _converted(flat: list) -> np.ndarray | None:
+    """The array ``np.array`` infers from the colors ``flat``, as int64,
+    or None unless it is one integer inside int64 per entry."""
     try:
-        colors = as_int64(np.array(values), "palette colors")
+        colors = as_int64(np.array(flat), "palette colors")
     except (ValidationError, ValueError, TypeError, OverflowError):
         return None
-    return colors.reshape(-1) if colors.shape == shape else None
+    return colors if colors.shape == (len(flat),) else None
 
 
-def _checked(rows: list, total: int) -> np.ndarray:
-    """The colors of palettes the array conversion refused, tested palette
-    by palette; the first bad color raises."""
-    for v, palette in enumerate(rows):
-        values = list(palette)
-        bad = first_non_integer(values)
-        if bad is not None:
-            raise _not_an_integer(v, values[bad])
-        outside = next((x for x in values if not _INT64_MIN <= x <= _INT64_MAX), None)
-        if outside is not None:
-            raise ValidationError(f"palette of vertex {v} holds {outside}, outside the int64 range")
-    return np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=total)
+def _checked(flat: list, offsets: np.ndarray) -> np.ndarray:
+    """The colors ``flat`` that the array conversion refused, tested entry
+    by entry; the first bad one raises."""
+    odd = first_non_integer(flat)
+    head = flat if odd is None else flat[:odd]
+    outside = next((i for i, x in enumerate(head) if not _INT64_MIN <= x <= _INT64_MAX), None)
+    if outside is not None:
+        raise ValidationError(
+            f"palette of vertex {_owner(offsets, outside)} holds {flat[outside]}, outside the int64 range"
+        )
+    if odd is not None:
+        raise _not_an_integer(_owner(offsets, odd), flat[odd])
+    return np.fromiter(flat, dtype=np.int64, count=len(flat))
 
 
-def _entry(palette, k: int):
-    """Entry ``k`` of ``palette`` in its iteration order."""
-    if not isinstance(palette, (list, tuple, range, np.ndarray)):
-        palette = list(palette)
-    return palette[k]
+def _owner(offsets: np.ndarray, i: int) -> int:
+    """The vertex whose palette holds flat entry ``i``."""
+    return int(np.searchsorted(offsets, i, side="right")) - 1
 
 
 def _not_an_integer(v: int, value) -> ValidationError:

@@ -158,6 +158,37 @@ def test_palette_table_is_a_sequence_of_read_only_int64_palettes(palettes):
             table[len(table)]
 
 
+NINE = np.array([1, 2, 3] * 3)
+
+
+@pytest.mark.parametrize("offsets, colors, message", [
+    ([0, 3, 6, 9], np.array([1.7, 2, 3] * 3), "palette table colors must be a 1-D int64 array, not 1-D float64"),
+    ([0.0, 3, 6, 9], NINE, "palette table offsets must be a 1-D int64 array, not 1-D float64"),
+    ([0, 3, 6, 9], [1, 2, 3] * 3, "palette table colors must be a 1-D int64 array, not list"),
+    ([0, 3, 6, 9], NINE.reshape(3, 3), "palette table colors must be a 1-D int64 array, not 2-D int64"),
+    ([0, 6, 3, 9], NINE, "palette table offsets must rise from 0 to 9, the number of colors"),
+    ([0, 3, 6, 8], NINE, "palette table offsets must rise from 0 to 9, the number of colors"),
+    ([1, 3, 6, 9], NINE, "palette table offsets must rise from 0 to 9, the number of colors"),
+    (np.array([], dtype=np.int64), NINE[:0], "palette table offsets must rise from 0 to 0, the number of colors"),
+])
+def test_a_table_made_by_hand_meets_the_same_rule(offsets, colors, message):
+    triangle = build_graph([(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValidationError) as exc:
+        run(triangle, PaletteTable(np.asarray(offsets), colors))
+    assert str(exc.value) == message
+
+
+def test_a_table_made_by_hand_is_a_read_only_copy():
+    offsets, colors = np.array([0, 3, 6, 9]), np.array([1, 2, 3] * 3)
+    table = PaletteTable(offsets, colors)
+    colors[0] = 0
+    assert table.colors.tolist() == [1, 2, 3] * 3
+    assert not table.colors.flags.writeable and not table.offsets.flags.writeable
+    triangle = build_graph([(0, 1), (1, 2), (0, 2)])
+    report = run(triangle, table, seed=1)
+    assert verify_coloring(triangle, table, report.coloring) == []
+
+
 def test_read_palettes_gives_the_table(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"1": [4, 2], "0": [1, 2, 3]}))
