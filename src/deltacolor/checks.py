@@ -8,16 +8,14 @@ them against saved colorings.
 
 from __future__ import annotations
 
-import operator
 from itertools import repeat
-from typing import Callable
 
 import numpy as np
 
 from .decomposition import check_decomposition_of
 from .errors import ValidationError
-from .graph import BLANK, Graph, first_non_integer, slot_components, vertex_ids
-from .palettes import PaletteTable, palette_table
+from .graph import BLANK, Graph, first_non_integer, slot_components, vertex_map
+from .palettes import membership
 from .state import ColoringState, recompute_residuals
 
 _REPORT_CAP = 5
@@ -81,29 +79,23 @@ def verify_coloring(
     color collection per vertex, of any size (the Δ+1 floor of
     :func:`~deltacolor.state.init_state` does not apply); a list of
     another length, or a color that is not an integer, raises
-    :class:`ValidationError` (:func:`_palette_test`). A map's keys must
-    be vertex IDs (integers, or strings of ASCII digits after an
-    optional minus sign) and its colors integers, as must be the entries
-    of a list or tuple; an array must have an integer dtype. Anything
-    else raises :class:`ValidationError` rather than being truncated.
-    The failures are :func:`coloring_failures`'.
+    :class:`ValidationError` (:func:`~deltacolor.palettes.membership`). A
+    map's keys must be vertex IDs, each named once
+    (:func:`~deltacolor.graph.vertex_map`), and its colors integers, as
+    must be the entries of a list or tuple; an array must have an integer
+    dtype. Anything else raises :class:`ValidationError` rather than
+    being truncated. The failures are :func:`coloring_failures`'.
     """
     if len(palettes) != graph.n:
         raise ValidationError(f"expected {graph.n} palettes, got {len(palettes)}")
-    holds = _palette_test(palettes)
+    holds = membership(palettes)
     if isinstance(coloring, dict):
-        vertices, values = vertex_ids(list(coloring), "coloring key"), list(coloring.values())
+        by_vertex = vertex_map(coloring, "coloring")
+        values = list(by_vertex.values())
         bad = first_non_integer(values)
         if bad is not None:
-            raise ValidationError(f"coloring of vertex {vertices[bad]}: {values[bad]!r} is not an integer")
-        by_vertex = dict(zip(vertices, values))
-        if len(by_vertex) < len(vertices):
-            named: dict[int, object] = {}  # the key that named each vertex
-            for key, v in zip(coloring, vertices):
-                if v in named:
-                    raise ValidationError(f"coloring names vertex {v} twice, by keys {named[v]!r} and {key!r}")
-                named[v] = key
-        outside = next((v for v in vertices if not 0 <= v < graph.n), None)
+            raise ValidationError(f"coloring of vertex {list(by_vertex)[bad]}: {values[bad]!r} is not an integer")
+        outside = next((v for v in by_vertex if not 0 <= v < graph.n), None)
         if outside is not None:
             return [f"coloring references unknown vertex {outside}"]
         # one color per vertex, blank where the map has none
@@ -120,23 +112,6 @@ def verify_coloring(
 
     inside = holds(colors)
     return coloring_failures(graph, colors, np.flatnonzero(~inside & (colors != BLANK)))
-
-
-def _palette_test(palettes) -> Callable[[np.ndarray], np.ndarray]:
-    """The test of ``colors`` (one per vertex) against ``palettes``: True
-    where ``colors[v]`` is in vertex v's palette. ``range`` palettes are
-    never expanded: one range shared by every vertex is tested by two
-    comparisons, others one by one. Any other palettes become a
-    :class:`~deltacolor.palettes.PaletteTable` here, tested by array
-    operations, so a color that is not an integer raises before the
-    coloring is read."""
-    if isinstance(palettes, PaletteTable) or set(map(type, palettes)) != {range}:
-        return palette_table(palettes).holds
-    first = palettes[0]
-    if first.step == 1 and operator.countOf(palettes, first) == len(palettes):
-        return lambda colors: (colors >= first.start) & (colors < first.stop)
-    # ranges that differ: each vertex's is tested on its own
-    return lambda colors: np.fromiter(map(operator.contains, palettes, colors.tolist()), bool, len(palettes))
 
 
 def decomposition_failures(graph: Graph, decomp) -> list[str]:

@@ -18,19 +18,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import ValidationError
-from .graph import (
-    BLANK,
-    Graph,
-    as_int64,
-    common_counts,
-    segment_sum,
-    sharing_subgraph,
-    slot_components,
-)
+from .graph import BLANK, Graph, as_int64, segment_sum, slot_components
 from .schedule import check_epsilon
+from .sharing import apart_common_counts, sharing_subgraph
 
 # Threshold comparisons against (1 - eps) * max_degree use this slack so
 # exact integer counts are not lost to float rounding at the boundary.
@@ -137,9 +129,13 @@ def compute_friend_edges(graph: Graph, epsilon: float) -> Graph:
     kernel, which only compares counts with the threshold, may prune
     pairs that cannot reach it.
     """
-    epsilon = check_epsilon(epsilon)
-    threshold = (1.0 - epsilon) * graph.max_degree - THRESHOLD_TOL
+    threshold = _friend_threshold(graph, check_epsilon(epsilon))
     return sharing_subgraph(graph, threshold, keep=graph.degrees() >= threshold)
+
+
+def _friend_threshold(graph: Graph, epsilon: float) -> float:
+    """(1 - eps) * max_degree - THRESHOLD_TOL, for shared and friend counts."""
+    return (1.0 - epsilon) * graph.max_degree - THRESHOLD_TOL
 
 
 def classify_and_components(graph: Graph, friend_graph: Graph, epsilon: float) -> Decomposition:
@@ -159,8 +155,7 @@ def classify_and_components(graph: Graph, friend_graph: Graph, epsilon: float) -
         # Degenerate graphs have no triangles; everything is sparse.
         dense_mask = np.zeros(n, dtype=bool)
     else:
-        threshold = (1.0 - epsilon) * graph.max_degree - THRESHOLD_TOL
-        dense_mask = friend_graph.degrees() >= threshold
+        dense_mask = friend_graph.degrees() >= _friend_threshold(graph, epsilon)
 
     dense_ids = np.flatnonzero(dense_mask)
     if dense_ids.size:
@@ -227,15 +222,11 @@ def structural_metrics(
     order = np.argsort(own, kind="stable")
     vertices = live[order].tolist()
     diameters = []
-    rows = None  # the live rows' adjacency, built once a clique needs it
     for j, clique in enumerate(decomp.cliques):
         if apart[j] == 0:  # every pair of live members adjacent: no kernel call
             diameters.append(int(sizes[j] > 1))
             continue
-        if rows is None:
-            rows = graph.sparse_adjacency(live)
-        members = clique.members[uncolored[clique.members]]
-        diameters.append(_weak_diameter(rows[np.searchsorted(live, members)], members))
+        diameters.append(_weak_diameter(graph, clique.members[uncolored[clique.members]]))
     return StructuralMetrics(
         external_degree=dict(zip(vertices, external[order].tolist())),
         anti_degree=dict(zip(vertices, anti[order].tolist())),
@@ -244,21 +235,14 @@ def structural_metrics(
     )
 
 
-def _weak_diameter(rows: csr_matrix, members: np.ndarray) -> int:
-    """Max pairwise distance in the full graph, reported as min(dist, 3).
-
-    ``rows`` are the full-graph adjacency rows of ``members``. Distances
-    beyond 2 are all mapped to DIAMETER_EXCEEDED: the theory promises at
-    most 2, so the exact larger value carries no information.
-    """
-    m = members.size
-    if m <= 1:
-        return 0
-    apart = np.flatnonzero(rows[:, members].toarray().ravel() == 0)
-    apart = apart[apart % (m + 1) != 0]  # the diagonal is no pair
-    if apart.size == 0:
+def _weak_diameter(graph: Graph, members: np.ndarray) -> int:
+    """Max pairwise distance in the full graph among ``members`` (sorted
+    vertex IDs, at least two), reported as min(dist, 3): the theory
+    promises at most 2, so a larger exact value carries no information."""
+    counts = apart_common_counts(graph, members)
+    if counts.size == 0:
         return 1
-    return 2 if np.all(common_counts(rows, apart) > 0) else DIAMETER_EXCEEDED
+    return 2 if np.all(counts > 0) else DIAMETER_EXCEEDED
 
 
 def decomposition_to_dict(

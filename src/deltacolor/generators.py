@@ -15,15 +15,9 @@ import numpy as np
 
 from .decomposition import THRESHOLD_TOL, Decomposition
 from .errors import GenerationError, ValidationError
-from .graph import (
-    _MAX_VERTICES,
-    Graph,
-    _csr_from_keys,
-    build_graph,
-    edge_common_counts,
-    segment_sum,
-)
+from .graph import _MAX_VERTICES, Graph, _csr_from_keys, build_graph, segment_sum
 from .schedule import check_epsilon
+from .sharing import edge_common_counts
 
 _BRUTE_FORCE_LIMIT = 500
 _LOCALLY_SPARSE_ATTEMPTS = 50

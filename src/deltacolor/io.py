@@ -15,7 +15,7 @@ from typing import Iterator, NoReturn, Sequence, TextIO
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Graph, build_graph, vertex_ids
+from .graph import Graph, build_graph, vertex_ids, vertex_map
 from .palettes import PaletteTable, palette_table
 
 
@@ -141,13 +141,9 @@ def read_palettes(path: str | Path, n: int) -> PaletteTable:
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: palette file must be a JSON object")
     out: list = [None] * n
-    named: dict[int, str] = {}  # the key that named each vertex
-    for v, (key, colors) in zip(vertex_ids(list(data), f"{path}: key"), data.items()):
+    for v, colors in vertex_map(data, f"{path}:").items():
         if not 0 <= v < n:
             raise ValidationError(f"{path}: vertex {v} out of range 0..{n - 1}")
-        if v in named:
-            raise ValidationError(f"{path}: names vertex {v} twice, by keys {named[v]!r} and {key!r}")
-        named[v] = key
         if not isinstance(colors, list):
             raise ValidationError(f"{path}: palette of vertex {v} must be a list")
         out[v] = colors

@@ -11,7 +11,7 @@ not), a string or None. The conversion and the check are one pass.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence
+from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
 from itertools import chain
 from operator import countOf, index
@@ -125,6 +125,18 @@ def common_range(palettes) -> range | None:
         return None
     first = palettes[0]
     return first if countOf(palettes, first) == len(palettes) else None
+
+
+def membership(palettes) -> Callable[[np.ndarray], np.ndarray]:
+    """The test of ``colors`` (one per vertex) against ``palettes``: True
+    where ``colors[v]`` is in vertex v's palette. A :func:`common_range`
+    of step 1 is two comparisons, never expanded; any other palettes,
+    ranges that differ included, become a :class:`PaletteTable` here, so
+    a color that is not an integer raises before any coloring is read."""
+    shared = common_range(palettes)
+    if shared is not None and shared.step == 1:
+        return lambda colors: (colors >= shared.start) & (colors < shared.stop)
+    return palette_table(palettes).holds
 
 
 def _converted(flat: list) -> np.ndarray | None:

@@ -14,7 +14,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import deltacolor
-from deltacolor import graph as graph_module
+from deltacolor import sharing as sharing_module
 from deltacolor.cli import MODES, main
 
 
@@ -570,10 +570,10 @@ def test_bipartite_console_step_takes_the_prune(monkeypatch, capsys):
     """The workflow's bipartite console-script step: no sampled row holds a
     survivor, so the prune is taken, though every non-edge within a side
     passes the bound; the adjacency test leaves no survivor to count."""
-    pays, gram = graph_module._prune_pays, graph_module._gram
+    pays, gram = sharing_module._prune_pays, sharing_module._gram
     taken, products = [], []
-    monkeypatch.setattr(graph_module, "_prune_pays", lambda *sampled: taken.append(pays(*sampled)) or taken[-1])
-    monkeypatch.setattr(graph_module, "_gram", lambda dense: products.append(dense.shape) or gram(dense))
+    monkeypatch.setattr(sharing_module, "_prune_pays", lambda *sampled: taken.append(pays(*sampled)) or taken[-1])
+    monkeypatch.setattr(sharing_module, "_gram", lambda dense: products.append(dense.shape) or gram(dense))
     argv = ["run", "--gen", "bipartite_random:400,0.95", "--seed", "1", "--epsilon", "0.1"]
     assert main(argv + ["--mode", "decompose-only"]) == 0, capsys.readouterr().err
     assert taken == [True] and products == [(400, 100)]

@@ -25,6 +25,7 @@ from deltacolor import (
 )
 from deltacolor import decomposition as decomposition_module
 from deltacolor import graph as graph_module
+from deltacolor import sharing as sharing_module
 from deltacolor.checks import decomposition_bound_failures, decomposition_failures
 from deltacolor.decomposition import (
     DIAMETER_EXCEEDED,
@@ -32,7 +33,7 @@ from deltacolor.decomposition import (
     Decomposition,
     decomposition_to_dict,
 )
-from deltacolor.graph import edge_common_counts
+from deltacolor.sharing import edge_common_counts
 
 from conftest import clique_beside_bipartite, mixed_main_shaped, same_decomposition
 
@@ -85,8 +86,8 @@ def test_friend_edges_threshold_the_exact_counts_in_every_regime(monkeypatch, sp
     threshold = (1 - eps) * g.max_degree - THRESHOLD_TOL
     friend = np.flatnonzero(edge_common_counts(g) >= threshold)
     products = []
-    gram = graph_module._gram
-    monkeypatch.setattr(graph_module, "_gram", lambda dense: products.append(dense.shape) or gram(dense))
+    gram = sharing_module._gram
+    monkeypatch.setattr(sharing_module, "_gram", lambda dense: products.append(dense.shape) or gram(dense))
     fast = compute_friend_edges(g, eps)
     assert np.array_equal(fast.indices, g.indices[friend])
     assert np.array_equal(fast.indptr, np.searchsorted(friend, g.indptr))
@@ -121,8 +122,8 @@ def largest_run_read(g, keep) -> int:
     dense backend reads the kept rows in: a run of every kept row over all
     n columns, any other over the columns its rows touch."""
     kept = np.flatnonzero(keep)
-    far = graph_module._farthest_partners(g, keep, kept, np.cumsum(keep) - 1)
-    runs = graph_module._runs(far).tolist()
+    far = sharing_module._farthest_partners(g, keep, kept, np.cumsum(keep) - 1)
+    runs = sharing_module._runs(far).tolist()
     if runs == [[0, kept.size]]:
         return 4 * kept.size * (g.n + kept.size)
     touched = [np.unique(np.concatenate([g.neighbors(v) for v in kept[a:b]])).size for a, b in runs]
@@ -139,15 +140,15 @@ def test_only_the_slot_path_keys_every_kept_slot(monkeypatch, branch):
     the largest run's operand and product plus one byte per kept slot, so
     no array holds an entry per kept slot beside them."""
     monkeypatch.setattr(graph_module, "SLOT_BLOCK", 64)
-    counts = graph_module.edge_common_counts
+    counts = sharing_module.edge_common_counts
     for g, eps, friends in ((twin_in_gnp(), 0.19, 1), (mixed_main_shaped(size=150), 0.01, 113)):
         threshold = (1 - eps) * g.max_degree - THRESHOLD_TOL
         friend = np.flatnonzero(counts(g) >= threshold)  # the exact slot counts
         with monkeypatch.context() as mp:
-            mp.setattr(graph_module, "_dense_pays", lambda *priced: branch != "slots")
-            mp.setattr(graph_module, "_prune_pays", lambda held, sampled: branch == "prune")
+            mp.setattr(sharing_module, "_dense_pays", lambda *priced: branch != "slots")
+            mp.setattr(sharing_module, "_prune_pays", lambda held, sampled: branch == "prune")
             keyed = []
-            mp.setattr(graph_module, "edge_common_counts", lambda *args: keyed.append(1) or counts(*args))
+            mp.setattr(sharing_module, "edge_common_counts", lambda *args: keyed.append(1) or counts(*args))
             tracemalloc.start()
             try:
                 fast = compute_friend_edges(g, eps)
@@ -330,8 +331,10 @@ def one_clique(g, members):
     ],
 )
 def test_weak_diameter_values(monkeypatch, backend, edges, members, expected):
-    # force one backend of the shared-neighbour kernel through its switch
-    monkeypatch.setattr(graph_module, "_dense_pays", lambda *priced: backend == "dense")
+    # force one backend of the apart-pair counts: "sparse" leaves no
+    # dense read within the memory bound, so SpGEMM counts the pairs
+    if backend == "sparse":
+        monkeypatch.setattr(sharing_module, "_DENSE_OPERAND_ELEMENTS", 0)
     g = build_graph(edges)
     m = structural_metrics(g, one_clique(g, members))
     assert m.weak_diameter == [expected]
@@ -363,9 +366,9 @@ def test_apart_free_cliques_skip_the_distance_count(monkeypatch):
     calls = []
     measure = decomposition_module._weak_diameter
 
-    def counted(rows, members):
+    def counted(graph, members):
         calls.append(members.tolist())
-        return measure(rows, members)
+        return measure(graph, members)
 
     monkeypatch.setattr(decomposition_module, "_weak_diameter", counted)
     assert structural_metrics(g, d).weak_diameter == [1, 2]
@@ -374,7 +377,7 @@ def test_apart_free_cliques_skip_the_distance_count(monkeypatch):
     def refuse(*args):
         raise AssertionError("a clique with no apart pair reached the kernel")
 
-    monkeypatch.setattr(decomposition_module, "common_counts", refuse)
+    monkeypatch.setattr(decomposition_module, "apart_common_counts", refuse)
     complete = generate(GeneratorSpec("clique_chain", {"size": 21, "count": 3}))
     assert structural_metrics(complete, decompose(complete, 0.1)).weak_diameter == [1, 1, 1]
     # coloring 5 takes the apart pair out of the residual view; then
@@ -403,7 +406,8 @@ def test_weak_diameter_skip_matches_the_distance_count(n, seed, p, eps, colored)
     expected = []
     for clique in d.cliques:
         members = clique.members[uncolored[clique.members]]
-        expected.append(decomposition_module._weak_diameter(g.sparse_adjacency(members), members))
+        # at most one live member has no pair to measure: diameter 0
+        expected.append(decomposition_module._weak_diameter(g, members) if members.size > 1 else 0)
     assert structural_metrics(g, d, committed).weak_diameter == expected
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from deltacolor import GeneratorSpec, build_graph, decompose, generate, structural_metrics
-from deltacolor import graph as graph_module
+from deltacolor import sharing as sharing_module
 from deltacolor.decomposition import decomposition_to_dict
 
 FIXTURE = Path(__file__).parent / "golden" / "decomposition.json"
@@ -95,7 +95,7 @@ def test_decomposition_matches_golden_hashes(monkeypatch, name, backend):
     # "dense" and "sparse" force the switch's answer, so it picks that
     # backend wherever its memory bound allows
     if backend != "auto":
-        monkeypatch.setattr(graph_module, "_dense_pays", lambda *priced: backend == "dense")
+        monkeypatch.setattr(sharing_module, "_dense_pays", lambda *priced: backend == "dense")
     golden = json.loads(FIXTURE.read_text())
     assert case_hashes(name) == golden[name]
 

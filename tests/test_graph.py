@@ -16,16 +16,11 @@ from scipy.sparse.csgraph import connected_components
 from deltacolor import GeneratorSpec, ValidationError, build_graph, generate
 from deltacolor import graph as graph_module
 from deltacolor import io as io_module
+from deltacolor import sharing as sharing_module
 from deltacolor.decomposition import THRESHOLD_TOL, compute_friend_edges
-from deltacolor.graph import (
-    BLANK,
-    edge_common_counts,
-    same_color_pairs,
-    segment_sum,
-    slot_components,
-    vertex_ids,
-)
+from deltacolor.graph import BLANK, same_color_pairs, segment_sum, slot_components, vertex_ids
 from deltacolor.io import dumps_json, read_edge_list, read_palettes, write_edge_list
+from deltacolor.sharing import edge_common_counts
 
 from conftest import clique_beside_bipartite, mixed_main_shaped
 
@@ -113,7 +108,7 @@ def test_edge_array_and_sparse_adjacency_agree():
     g = build_graph([(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
     arr = g.edge_array()
     assert arr.shape == (5, 2)
-    mat = g.sparse_adjacency().toarray()
+    mat = sharing_module._dense_rows(g, np.arange(g.n))()
     assert mat.sum() == 10
     for u, v in arr:
         assert mat[u, v] and mat[v, u]
@@ -619,13 +614,13 @@ def recount_common(g, keep):
 
 
 def kept_pairs(g, keep):
-    """The kept rows' adjacency and the row-major keys of their kept-kept slots."""
+    """The kept rows and the row-major keys of their kept-kept slots."""
     kept = np.flatnonzero(keep)
     position = np.cumsum(keep) - 1
     src = np.repeat(np.arange(g.n), g.degrees())
     counted = keep[src] & keep[g.indices]
     pairs = position[src[counted]] * kept.size + position[g.indices[counted]]
-    return g.sparse_adjacency()[kept], pairs, counted
+    return kept, pairs, counted
 
 
 gnp_and_keep = st.tuples(
@@ -646,11 +641,10 @@ def test_edge_common_counts_match_recount(draw):
     assert edge_common_counts(g, keep).tolist() == expected.tolist()
     everything = recount_common(g, np.ones(n, dtype=bool))
     assert edge_common_counts(g).tolist() == everything.tolist()
-    rows, pairs, counted = kept_pairs(g, keep)
     for dense in FORCED_BACKEND.values():  # the whole product, and SpGEMM
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph_module, "_dense_pays", lambda *priced, dense=dense: dense)
-            assert graph_module.common_counts(rows, pairs).tolist() == expected[counted].tolist()
+            mp.setattr(sharing_module, "_dense_pays", lambda *priced, dense=dense: dense)
+            assert edge_common_counts(g, keep).tolist() == expected.tolist()
 
 
 def assert_edges_reaching(sub, g, counts, floor):
@@ -679,11 +673,11 @@ def test_sharing_subgraph_keeps_the_edges_whose_counts_reach_the_floor(draw, m, 
     floor = m + offset
     with pytest.MonkeyPatch.context() as mp:
         if always:
-            mp.setattr(graph_module, "_prune_pays", lambda held, sampled: True)
+            mp.setattr(sharing_module, "_prune_pays", lambda held, sampled: True)
             mp.setattr(graph_module, "SLOT_BLOCK", 16)
         for dense in FORCED_BACKEND.values():
-            mp.setattr(graph_module, "_dense_pays", lambda *priced, dense=dense: dense)
-            assert_edges_reaching(graph_module.sharing_subgraph(g, floor, keep), g, expected, floor)
+            mp.setattr(sharing_module, "_dense_pays", lambda *priced, dense=dense: dense)
+            assert_edges_reaching(sharing_module.sharing_subgraph(g, floor, keep), g, expected, floor)
 
 
 def traced_peak(call) -> int:
@@ -719,29 +713,29 @@ def test_floor_keeps_the_memory_of_the_whole_product(monkeypatch, spec, eps, alw
     threshold = (1 - eps) * g.max_degree - THRESHOLD_TOL
     keep = g.degrees() >= threshold
     _, pairs, _ = kept_pairs(g, keep)
-    pays = graph_module._prune_pays
+    pays = sharing_module._prune_pays
     taken = []
     peaks = []
     for forced in (False, True if always else None):
         monkeypatch.setattr(
-            graph_module,
+            sharing_module,
             "_prune_pays",
             lambda *sampled, forced=forced: taken.append(pays(*sampled) if forced is None else forced)
             or taken[-1],
         )
-        peaks.append(traced_peak(lambda: graph_module.sharing_subgraph(g, threshold, keep)))
+        peaks.append(traced_peak(lambda: sharing_module.sharing_subgraph(g, threshold, keep)))
     assert taken == [False, always or spec != "gnp:200,0.8"]
     assert peaks[1] <= 1.01 * (peaks[0] + (4 * pairs.size if always else 0)), peaks
 
 
 @pytest.mark.parametrize("block", [1, 7, 100])
 def test_sparse_backend_row_blocks_match_recount(monkeypatch, block):
-    monkeypatch.setattr(graph_module, "_SPARSE_BLOCK_MULTIPLIES", block)
+    monkeypatch.setattr(sharing_module, "_SPARSE_BLOCK_MULTIPLIES", block)
     g = generate(GeneratorSpec("gnp", {"n": 60, "p": 0.3}, seed=4))
     keep = np.random.default_rng(4).random(g.n) < 0.8
-    rows, pairs, counted = kept_pairs(g, keep)
+    kept, pairs, counted = kept_pairs(g, keep)
     expected = recount_common(g, keep)[counted]
-    assert graph_module._sparse_common_counts(rows, pairs).tolist() == expected.tolist()
+    assert sharing_module._sparse_common_counts(g, kept, pairs).tolist() == expected.tolist()
 
 
 def clique_layout_graph(sizes, gaps, bridges, link_p, seed):
@@ -792,15 +786,15 @@ def kept_runs(g, keep):
     """The kept rows' farthest partners as sharing_subgraph reads them, and
     the runs it cuts them into, before any join."""
     kept = np.flatnonzero(keep)
-    far = graph_module._farthest_partners(g, keep, kept, np.cumsum(keep) - 1)
-    return far, graph_module._runs(far)
+    far = sharing_module._farthest_partners(g, keep, kept, np.cumsum(keep) - 1)
+    return far, sharing_module._runs(far)
 
 
 def recorded(mp, name):
-    """Patch graph_module.``name`` to record the arguments of its calls."""
+    """Patch sharing_module.``name`` to record the arguments of its calls."""
     calls = []
-    real = getattr(graph_module, name)
-    mp.setattr(graph_module, name, lambda *args: calls.append(args) or real(*args))
+    real = getattr(sharing_module, name)
+    mp.setattr(sharing_module, name, lambda *args: calls.append(args) or real(*args))
     return calls
 
 
@@ -823,17 +817,17 @@ def test_run_blocked_friend_edges_match_recount(layout):
     for backend, dense in FORCED_BACKEND.items():
         for always in (False, True):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(graph_module, "_dense_pays", lambda *priced, dense=dense: dense)
+                mp.setattr(sharing_module, "_dense_pays", lambda *priced, dense=dense: dense)
                 if always:
-                    mp.setattr(graph_module, "_prune_pays", lambda held, sampled: True)
+                    mp.setattr(sharing_module, "_prune_pays", lambda held, sampled: True)
                 joins = recorded(mp, "_join_runs")
                 reads = recorded(mp, "_run_keys")
                 for floor in range(6):
-                    sub = graph_module.sharing_subgraph(g, floor, keep)
+                    sub = sharing_module.sharing_subgraph(g, floor, keep)
                     assert_edges_reaching(sub, g, expected, floor)
             # no kept edge: no join and no read
             assert len(joins) == (6 if runs.size else 0), backend
-            joined = sum(graph_module._join_runs(*args).shape[0] for args in joins)
+            joined = sum(sharing_module._join_runs(*args).shape[0] for args in joins)
             assert len(reads) == (joined if backend == "dense" else 0), backend
 
 
@@ -871,8 +865,8 @@ def test_kept_first_neighbours_spare_the_scan_when_they_prove_one_run(monkeypatc
     calls = []
     scan = graph_module.Graph.scan
     monkeypatch.setattr(graph_module.Graph, "scan", lambda *a: calls.append(1) or scan(*a))
-    far = graph_module._farthest_partners(g, keep, np.arange(5), np.cumsum(keep) - 1)
-    assert len(calls) == scans and graph_module._runs(far).tolist() == [[0, 5]]
+    far = sharing_module._farthest_partners(g, keep, np.arange(5), np.cumsum(keep) - 1)
+    assert len(calls) == scans and sharing_module._runs(far).tolist() == [[0, 5]]
     assert far.tolist() == ([4, 0, 0, 0, 0] if scans == 0 else [4, 4, 4, 4, 3])
 
 
@@ -898,8 +892,8 @@ def test_dense_products_follow_the_row_runs(monkeypatch):
     products.clear()
     g = disjoint_cliques(40, 4, isolated=5)
     with monkeypatch.context() as mp:
-        mp.setattr(graph_module, "_dense_pays", lambda *priced: True)
-        assert graph_module.sharing_subgraph(g, 2, g.degrees() > 0).num_edges == 40 * 6
+        mp.setattr(sharing_module, "_dense_pays", lambda *priced: True)
+        assert sharing_module.sharing_subgraph(g, 2, g.degrees() > 0).num_edges == 40 * 6
     assert [d.shape for (d,) in products] == [(120, 120), (40, 40)]
     # rows that interleave, or cliques joined by bridges, stay one run: one
     # whole product over all n columns, five isolated and unkept ones too
@@ -907,12 +901,12 @@ def test_dense_products_follow_the_row_runs(monkeypatch):
         g = generate(GeneratorSpec.parse(spec, seed=1))
         padded = build_graph(g.edge_array(), n=g.n + 5)
         products.clear()
-        graph_module.sharing_subgraph(padded, 0, padded.degrees() > 0)
+        sharing_module.sharing_subgraph(padded, 0, padded.degrees() > 0)
         assert [d.shape for (d,) in products] == [(g.n, g.n + 5)], spec
         # under a floor above every degree, no pair's bound reaches it: the
         # product covers only the first quarter of the columns
         products.clear()
-        friends = graph_module.sharing_subgraph(padded, g.max_degree + 1, padded.degrees() > 0)
+        friends = sharing_module.sharing_subgraph(padded, g.max_degree + 1, padded.degrees() > 0)
         assert [d.shape for (d,) in products] == [(g.n, math.ceil((g.n + 5) / 4))], spec
         assert friends.num_edges == 0, spec
 
@@ -935,14 +929,14 @@ def test_edge_common_counts_rejects_bad_keep_mask():
 
 
 def test_common_counts_refuse_degrees_that_float32_would_round(monkeypatch):
-    monkeypatch.setattr(graph_module, "_FLOAT32_EXACT", 3)
+    monkeypatch.setattr(sharing_module, "_FLOAT32_EXACT", 3)
     g = generate(GeneratorSpec("complete", {"n": 5}))
     with pytest.raises(ValidationError, match="degrees below"):
         edge_common_counts(g)
     for dense in FORCED_BACKEND.values():  # the dense read, and the slot counts
-        monkeypatch.setattr(graph_module, "_dense_pays", lambda *priced, dense=dense: dense)
+        monkeypatch.setattr(sharing_module, "_dense_pays", lambda *priced, dense=dense: dense)
         with pytest.raises(ValidationError, match="degrees below"):
-            graph_module.sharing_subgraph(g, 3)
+            sharing_module.sharing_subgraph(g, 3)
 
 
 def test_sharing_subgraph_compares_counts_with_the_floor_exactly(monkeypatch):
@@ -956,10 +950,10 @@ def test_sharing_subgraph_compares_counts_with_the_floor_exactly(monkeypatch):
                             np.column_stack((np.ones_like(leaves), leaves))])
     g = build_graph(edges)
     read = []
-    dense_sharing = graph_module._dense_sharing
-    monkeypatch.setattr(graph_module, "_dense_sharing", lambda *args: read.append(1) or dense_sharing(*args))
+    dense_sharing = sharing_module._dense_sharing
+    monkeypatch.setattr(sharing_module, "_dense_sharing", lambda *args: read.append(1) or dense_sharing(*args))
     for floor, friends in ((shared, 1), (shared + 1e-6, 0), (shared - 1e-6, 1)):
-        assert graph_module.sharing_subgraph(g, floor, g.degrees() > 2).num_edges == friends, floor
+        assert sharing_module.sharing_subgraph(g, floor, g.degrees() > 2).num_edges == friends, floor
     assert len(read) == 3
 
 
@@ -970,7 +964,7 @@ def test_backend_switch_follows_cost(monkeypatch):
     # runs, whose fixed prices outweigh SpGEMM's 2e4 multiplies
     for g in (generate(GeneratorSpec.parse("gnp:400,0.5", seed=1)), disjoint_cliques(300, 16),
               disjoint_cliques(10_000, 2)):
-        graph_module.sharing_subgraph(g, 1)
+        sharing_module.sharing_subgraph(g, 1)
     # each dense read is handed its joined runs
     assert [args[2].shape[0] for args in reads] == [1, 75] and len(counts) == 1
     # common_counts: the whole product on a dense graph, SpGEMM on a sparse one
@@ -1100,10 +1094,12 @@ def test_scan_reads_each_kind_of_block(monkeypatch):
         # pairs that cost as much as the scan are scanned
         ("_pairs_pay", lambda: (5, 5 * graph_module.PAIR_SLOTS), False),
         # dense products that cost as much as SpGEMM go to SpGEMM
-        ("_dense_pays", lambda: (1000 * graph_module._SPARSE_MULTIPLY, 0, 1000), False),
+        ("_dense_pays", lambda: (1000 * sharing_module._SPARSE_MULTIPLY, 0, 1000), False),
         # exactly the held share of the sampled rows still prunes
-        ("_prune_pays", lambda: (64 * graph_module._HELD_SHARE, 64), True),
+        ("_prune_pays", lambda: (64 * sharing_module._HELD_SHARE, 64), True),
     ],
 )
 def test_each_switch_breaks_a_cost_tie_one_way(switch, tie, pays):
-    assert getattr(graph_module, switch)(*tie()) is pays
+    # the scan switches live in graph, the shared-neighbour ones in sharing
+    module = sharing_module if hasattr(sharing_module, switch) else graph_module
+    assert getattr(module, switch)(*tie()) is pays

@@ -222,9 +222,10 @@ def test_repetitions_build_the_palette_table_once(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "r.json").read_text())["repetitions"] == 3
 
 
-def test_range_palettes_are_never_expanded(monkeypatch):
-    # range palettes are tested arithmetically, list palettes on the table:
-    # both must give the same failures, and the ranges build no table
+def test_a_shared_range_palette_is_never_expanded(monkeypatch):
+    # one shared step-1 range is tested arithmetically and builds no table;
+    # ranges that differ are tested on the table, as list palettes are:
+    # each must give the same failures as its list form
     g = generate(GeneratorSpec.parse("gnp:40,0.3", seed=2))
     need = g.max_degree + 1
     report = run(g, canonical_palettes(g), seed=1)
@@ -242,7 +243,9 @@ def test_range_palettes_are_never_expanded(monkeypatch):
     built = _count_tables(monkeypatch)
     run(g, canonical_palettes(g), seed=1)
     init_state(g, [range(1, need + 1) for _ in range(g.n)])
+    assert built == []
     for ranges, failures in zip(cases, expected):
         assert [verify_coloring(g, ranges, c) for c in (report.coloring, colors)] == failures
     assert expected[0][0] == [] and expected[0][1] != []
-    assert built == []
+    # one table per verify call of the two cases whose ranges differ
+    assert len(built) == 4

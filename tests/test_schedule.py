@@ -75,6 +75,19 @@ def test_regularity_examples():
     assert not regularity_ok(10.0, 1e4, n=round(math.e**100), k=10.0)
 
 
+@pytest.mark.parametrize(
+    "d, z, n, message",
+    [
+        (0.0, 2.0, 10, "bounds must be positive"),
+        (1.0, -2.0, 10, "bounds must be positive"),
+        (1.0, 2.0, 0, "vertex count must be at least 1"),
+    ],
+)
+def test_regularity_gate_rejects_bad_bounds_and_vertex_counts(d, z, n, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        regularity_ok(d, z, n, k=2.0)
+
+
 def test_closed_form_delta_matches_recurrence():
     for dmax in (math.e**4, math.e**9, math.e**16, math.e**25):
         sched = build_schedule(dmax, n=10**6, k=16.0)
