@@ -8,6 +8,8 @@ the vertex count (needed for isolated vertices).
 from __future__ import annotations
 
 import json
+import re
+from array import array
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, NoReturn, Sequence, TextIO
@@ -16,14 +18,33 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import Graph, build_graph, vertex_ids, vertex_map
-from .palettes import PaletteTable, palette_table
+from .palettes import _INT64_MAX, _INT64_MIN, PaletteTable, palette_table
 
 
-# Characters of an edge-list file checked and parsed together. The chunk's
-# strings are the reader's only memory beyond the parsed IDs: at 2**14 the
-# peak RSS of a 2e5-edge read stays within 0.3 MB of a per-line parse
-# (+5 MB at 2**18), at no cost in time.
-_READ_CHARS = 2**14
+# Characters of an edge-list file checked and converted together. A chunk's
+# text, its bytes and its per-byte class and token arrays are the reader's only
+# memory beyond the IDs' one int64 buffer: at 2**18 they peak 5.6 MiB above it
+# on 2e5 edges (0.4 MiB at 2**14, 22.5 at 2**20), less than build_graph then
+# adds, so the whole read peaks at 1.07x build_graph given the same edges.
+_READ_CHARS = 2**18
+
+# Byte classes of a chunk. Whitespace other than a line end is a separator:
+# the ASCII separators np.fromstring refuses (\x1c-\x1f) become spaces first.
+_SPACE, _NEWLINE, _DIGIT, _MINUS, _OTHER = range(5)
+_CLASSES = np.full(256, _OTHER, dtype=np.uint8)
+_CLASSES[list(b" \t\v\f\r")] = _SPACE
+_CLASSES[ord("\n")] = _NEWLINE
+_CLASSES[list(b"0123456789")] = _DIGIT
+_CLASSES[ord("-")] = _MINUS
+_TO_SPACES = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
+_COMMENT = re.compile(r"#[^\n]*")
+_BLANK = re.compile(r"[^\S\n]")  # the whitespace str.split splits on, but a line end
+# Tokens shorter than this fit in int64 (19 digits at most, "-" included);
+# np.fromstring clamps longer ones, so those are tested exactly.
+_LONG_TOKEN = 19
+
+# Edges formatted by one % when an edge list is written.
+_WRITE_ROWS = 2**14
 
 
 @contextmanager
@@ -51,41 +72,100 @@ def read_edge_list(path: str | Path) -> Graph:
     """The graph of an edge-list file.
 
     Vertex IDs and the header count are ASCII ``-?[0-9]+``
-    (:func:`~deltacolor.graph.vertex_ids`). They and the shape of every
-    line are checked about a thousand lines at a time, in one pass over
-    each chunk's joined text; only a file that fails is read again, line
-    by line, to name its first bad line as ``path:lineno``. A byte that
-    is not UTF-8 is named by the file and its position.
+    (:func:`~deltacolor.graph.vertex_ids`), and fields are separated by
+    the whitespace ``str.split`` splits on. The file is read about
+    ``_READ_CHARS`` characters of whole lines at a time; array passes over
+    each chunk's bytes check the shape of every line and every ID, and one
+    ``np.fromstring`` call converts the chunk into one int64 buffer. Only
+    a file that fails is read again, line by line, to name its first bad
+    line as ``path:lineno``. A byte that is not UTF-8 is named by the file
+    and its position.
     """
     declared_n: int | None = None
-    ids: list[int] = []
+    ids = array("q")
     started = False  # some line before this chunk holds fields
+    outside = False  # some ID lies outside int64
     try:
         with _text_file(path) as fh:
-            for lines in iter(lambda: fh.readlines(_READ_CHARS), []):
-                text = "".join(lines)
-                if "#" in text:
-                    lines = [line.split("#", 1)[0] for line in lines]
-                    text = " ".join(lines)
-                # every line holds two fields or none: "u v", or the header "n <count>"
-                if set(map(len, map(str.split, lines))) - {0, 2}:
-                    raise ValidationError("a line holds neither zero nor two fields")
-                tokens = text.split()
-                if not started and tokens[:1] == ["n"]:
-                    declared_n = vertex_ids(tokens[1:2], "vertex count")[0]
-                    del tokens[:2]
+            for text in _whole_lines(fh):
+                data = _ascii(text)
+                if not started and data.strip():
                     started = True
-                started = started or bool(tokens)
-                ids += vertex_ids(tokens, "vertex ID")
+                    line, _, rest = data.lstrip().partition(b"\n")
+                    fields = line.split()
+                    if fields[0] == b"n":  # the header "n <count>"
+                        if len(fields) != 2:
+                            raise ValidationError("malformed header")
+                        declared_n = vertex_ids([fields[1].decode()], "vertex count")[0]
+                        data = rest
+                outside |= _append_ids(data, ids)
     except ValidationError:
         _raise_at_first_bad_line(path)
     if not started:
         raise ValidationError(f"{path}: empty edge list without an 'n <count>' header")
-    try:
-        edges = np.array(ids, dtype=np.int64).reshape(-1, 2)
-    except OverflowError as exc:
-        raise ValidationError(f"{path}: vertex ID outside the int64 range") from exc
-    return build_graph(edges, n=declared_n)
+    if outside:
+        raise ValidationError(f"{path}: vertex ID outside the int64 range")
+    return build_graph(np.frombuffer(ids, dtype=np.int64).reshape(-1, 2), n=declared_n)
+
+
+def _whole_lines(fh: TextIO) -> Iterator[str]:
+    """The text of ``fh`` in chunks of whole lines, each ending in a newline;
+    a partial last line is carried into the next chunk."""
+    carry: list[str] = []  # the reads since the last newline, joined once it comes
+    for part in iter(lambda: fh.read(_READ_CHARS), ""):
+        cut = part.rfind("\n") + 1
+        if cut:
+            yield "".join([*carry, part[:cut]])
+            carry = []
+        carry.append(part[cut:])
+    tail = "".join(carry)
+    if tail:
+        yield tail + "\n"
+
+
+def _ascii(text: str) -> bytes:
+    """Whole lines of an edge list as ASCII bytes, comments dropped and
+    every separator but a line end a space, tab, vertical tab or form feed;
+    a character left outside ASCII raises :class:`ValidationError`."""
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    if not text.isascii():
+        text = _BLANK.sub(" ", text)
+        if not text.isascii():
+            raise ValidationError("a character outside ASCII in a field")
+    return text.encode("ascii").translate(_TO_SPACES)
+
+
+def _append_ids(data: bytes, ids: array) -> bool:
+    """Append the IDs on ``data``'s lines (from :func:`_ascii`) to ``ids``,
+    and return whether one lies outside int64. A line that holds neither
+    zero nor two fields, or a field that is not ``-?[0-9]+``, raises
+    :class:`ValidationError`."""
+    classes = _CLASSES[np.frombuffer(data, dtype=np.uint8)]
+    if (classes == _OTHER).any():
+        raise ValidationError("a character that is neither a digit, a sign nor whitespace")
+    in_token = classes >= _DIGIT
+    marks = np.diff(in_token.view(np.int8), prepend=0, append=0)  # +1 at a token, -1 past it
+    starts = np.flatnonzero(marks == 1)
+    if not starts.size:
+        return False
+    # every line holds two fields or none, so the fields pair up line by line
+    line = np.searchsorted(np.flatnonzero(classes == _NEWLINE), starts)
+    if starts.size % 2 or (line[::2] != line[1::2]).any() or (line[2::2] == line[1:-1:2]).any():
+        raise ValidationError("a line holds neither zero nor two fields")
+    # a sign leads its token and precedes a digit; data ends in a newline, so
+    # minus - 1 and minus + 1 stay inside it (-1 reads that last newline)
+    minus = np.flatnonzero(classes == _MINUS)
+    if minus.size and (in_token[minus - 1].any() or (classes[minus + 1] != _DIGIT).any()):
+        raise ValidationError("a sign that does not lead a vertex ID")
+    ends = np.flatnonzero(marks == -1)
+    long = np.flatnonzero(ends - starts >= _LONG_TOKEN)
+    outside = any(not _INT64_MIN <= int(data[starts[i] : ends[i]]) <= _INT64_MAX for i in long)
+    values = np.fromstring(data, dtype=np.int64, sep=" ")
+    if values.size != starts.size:
+        raise ValidationError("np.fromstring read other fields than the check")
+    ids.frombytes(values.view(np.uint8))
+    return outside
 
 
 def _raise_at_first_bad_line(path: str | Path) -> NoReturn:
@@ -122,10 +202,14 @@ def _vertex_ids_ok(parts: list[str]) -> bool:
 
 
 def write_edge_list(graph: Graph, path: str | Path) -> None:
-    """Write the ``n <count>`` header and one ``u v`` line per edge (u < v)."""
+    """Write the ``n <count>`` header and one ``u v`` line per edge (u < v),
+    formatted ``_WRITE_ROWS`` edges at a time."""
     edges = graph.edge_array()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"n {graph.n}\n" + "%d %d\n" * len(edges) % tuple(edges.ravel().tolist()))
+        fh.write(f"n {graph.n}\n")
+        for start in range(0, len(edges), _WRITE_ROWS):
+            block = edges[start : start + _WRITE_ROWS]
+            fh.write("%d %d\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def canonical_palettes(graph: Graph) -> list[range]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, starmap
 from operator import countOf, index
 
 import numpy as np
@@ -22,6 +22,7 @@ from .errors import ValidationError
 from .graph import as_int64, first_non_integer
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_BITS = 2**64 - 1  # an int64 value's bits, read as uint64
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,14 +130,53 @@ def common_range(palettes) -> range | None:
 
 def membership(palettes) -> Callable[[np.ndarray], np.ndarray]:
     """The test of ``colors`` (one per vertex) against ``palettes``: True
-    where ``colors[v]`` is in vertex v's palette. A :func:`common_range`
-    of step 1 is two comparisons, never expanded; any other palettes,
-    ranges that differ included, become a :class:`PaletteTable` here, so
-    a color that is not an integer raises before any coloring is read."""
+    where ``colors[v]`` is in vertex v's palette.
+
+    ``range`` palettes are tested by arithmetic, never expanded: a color is
+    in one when it lies between the range's least and greatest colors and
+    its distance from the least is a multiple of the step. A
+    :func:`common_range` shares one row of these bounds; ranges that differ
+    get one row per vertex. Any other palettes become a
+    :class:`PaletteTable` here, so a color that is not an integer, or
+    outside int64, raises before any coloring is read."""
     shared = common_range(palettes)
-    if shared is not None and shared.step == 1:
-        return lambda colors: (colors >= shared.start) & (colors < shared.stop)
-    return palette_table(palettes).holds
+    if shared is not None:
+        ranges = [shared]
+    elif not isinstance(palettes, PaletteTable) and set(map(type, palettes)) == {range}:
+        ranges = palettes
+    else:
+        return palette_table(palettes).holds
+    rows = np.fromiter(starmap(_bounds, enumerate(ranges)), dtype=np.dtype((np.uint64, 3)), count=len(ranges))
+    least, greatest, step = rows.T
+    low, high = least.view(np.int64), greatest.view(np.int64)
+    stepped = bool((step > 1).any())  # a distance is always a multiple of 1
+
+    def holds(colors: np.ndarray) -> np.ndarray:
+        inside = (low <= colors) & (colors <= high)
+        if stepped:
+            # in uint64 the distance from ``least`` is exact: it is taken mod 2**64
+            inside &= (colors.astype(np.int64, copy=False).view(np.uint64) - least) % step == 0
+        return inside
+
+    return holds
+
+
+def _bounds(v: int, palette: range) -> tuple[int, int, int]:
+    """Vertex v's range palette as its least and greatest color, in the
+    bits of int64 values, and its step as a distance: (1, 0, 1) when it is
+    empty, step 1 when it holds one color. A color outside int64 raises
+    :class:`ValidationError`, naming the first, as :func:`palette_table`
+    would."""
+    if not palette:
+        return 1, 0, 1
+    least, greatest = sorted((palette[0], palette[-1]))
+    if least < _INT64_MIN or greatest > _INT64_MAX:
+        if _INT64_MIN <= palette[0] <= _INT64_MAX:
+            # from the first color past the int64 limit the range runs toward
+            beyond = _INT64_MAX + 1 if palette.step > 0 else _INT64_MIN - 1
+            palette = palette[-((palette[0] - beyond) // palette.step) :]
+        raise ValidationError(f"palette of vertex {v} holds {palette[0]}, outside the int64 range")
+    return least & _BITS, greatest & _BITS, abs(palette.step) if len(palette) > 1 else 1
 
 
 def _converted(flat: list) -> np.ndarray | None:

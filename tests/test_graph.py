@@ -441,15 +441,22 @@ def test_edge_list_names_its_first_bad_line(tmp_path, text, message):
         read_edge_list(path)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     st.lists(
-        st.sampled_from(["0 1", " 4\t5 ", "", "# c", "n 6", "n 1_1", "1 +2", "3", "1 2 3", "0 1_0 # c"]),
+        st.sampled_from(
+            ["0 1", " 4\t5 ", "", "# c", "n 6", "n 1_1", "1 +2", "3", "1 2 3", "0 1_0 # c"]
+            # separators: every whitespace str.split splits on, but a line end
+            + ["4\xa05", "4\u20035", "1\u20282", "7 8\x85", "4\x0b5", "4\x0c5", "4\x1c5"]
+            + ["-0 1", "-", "1 -", "1--2 3"]
+            + ["000000000000000000001 2", f"0 {2**63 - 1}", f"0 {2**63}", f"{-(2**63) - 1} 1"]
+        ),
         max_size=6,
     ),
     st.sampled_from([None, 1, 7]),
+    st.sampled_from(["\n", "\r\n", "\r"]),
 )
-def test_edge_list_check_matches_a_per_line_reading(lines, chars):
+def test_edge_list_check_matches_a_per_line_reading(lines, chars, end):
     # the chunked check and the per-line search agree: a file is read iff
     # no line is bad, and otherwise its first bad line is named; small
     # chunks put the header and the edges in chunks of their own
@@ -472,14 +479,48 @@ def test_edge_list_check_matches_a_per_line_reading(lines, chars):
         if chars is not None:
             mp.setattr(io_module, "_READ_CHARS", chars)
         path = Path(tmp) / "g.edges"
-        path.write_text("\n".join(lines), encoding="utf-8")
+        path.write_bytes(end.join(lines).encode())
         if first_bad is not None:
-            with pytest.raises(ValidationError, match=f"g.edges:{first_bad}: "):
-                read_edge_list(path)
-        elif started:
-            got = read_edge_list(path)
-            expected = build_graph(np.array(edges, dtype=np.int64).reshape(-1, 2), n=declared)
-            assert (got.n, got.edge_array().tolist()) == (expected.n, expected.edge_array().tolist())
+            message = f"g.edges:{first_bad}: "
+        elif not started:
+            message = "empty edge list"
+        elif not all(-(2**63) <= x < 2**63 for edge in edges for x in edge):
+            message = "g.edges: vertex ID outside the int64 range"
+        else:
+            try:
+                expected = build_graph(np.array(edges, dtype=np.int64).reshape(-1, 2), n=declared)
+            except ValidationError as exc:
+                message = str(exc)
+            else:
+                got = read_edge_list(path)
+                assert (got.n, got.edge_array().tolist()) == (expected.n, expected.edge_array().tolist())
+                return
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            read_edge_list(path)
+
+
+def test_edge_list_io_peaks_near_the_graph_it_holds(tmp_path):
+    # the reader converts each chunk into one int64 buffer, so it needs
+    # little beyond build_graph given the same edges as an array; the
+    # writer formats a block of edges at a time, not one string of all
+    pairs = np.random.default_rng(1).integers(0, 20000, size=(200000, 2))
+    pairs[:, 1] += 20000  # no self-loops, few repeated pairs
+    g = build_graph(pairs)
+    edges = g.edge_array()
+    path = tmp_path / "g.edges"
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    write_peak = peak(lambda: write_edge_list(g, path))
+    assert write_peak < 5 * edges.nbytes
+    build_peak = peak(lambda: build_graph(edges.copy(), n=g.n))
+    assert peak(lambda: read_edge_list(path)) < 1.5 * build_peak
 
 
 def test_edge_list_malformed_line(tmp_path):

@@ -26,6 +26,7 @@ from deltacolor import (
     verify_coloring,
     write_edge_list,
 )
+from deltacolor.checks import coloring_failures
 from deltacolor.cli import main
 
 # Values that are not integer colours, however an int64 cast would read them.
@@ -223,9 +224,8 @@ def test_repetitions_build_the_palette_table_once(tmp_path, monkeypatch):
 
 
 def test_a_shared_range_palette_is_never_expanded(monkeypatch):
-    # one shared step-1 range is tested arithmetically and builds no table;
-    # ranges that differ are tested on the table, as list palettes are:
-    # each must give the same failures as its list form
+    # range palettes, one shared or one per vertex, are tested by arithmetic
+    # and build no table: each must give the same failures as its list form
     g = generate(GeneratorSpec.parse("gnp:40,0.3", seed=2))
     need = g.max_degree + 1
     report = run(g, canonical_palettes(g), seed=1)
@@ -247,5 +247,42 @@ def test_a_shared_range_palette_is_never_expanded(monkeypatch):
     for ranges, failures in zip(cases, expected):
         assert [verify_coloring(g, ranges, c) for c in (report.coloring, colors)] == failures
     assert expected[0][0] == [] and expected[0][1] != []
-    # one table per verify call of the two cases whose ranges differ
-    assert len(built) == 4
+    assert built == []
+
+
+# int64 bounds and colors, small ones near each other and the extremes
+INT64S = st.one_of(st.integers(-12, 12), st.sampled_from([-(2**63), -(2**63) + 1, 2**63 - 2, 2**63 - 1]))
+RANGES = st.builds(
+    range, INT64S, INT64S, st.one_of(st.integers(-4, 4).filter(bool), st.sampled_from([2**63, -(2**63), 2**64]))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_range_palettes_hold_what_python_in_finds(data):
+    # steps other than 1, negative steps and empty ranges, shared or not
+    n = data.draw(st.integers(1, 6))
+    ranges = data.draw(st.one_of(RANGES.map(lambda r: [r] * n), st.lists(RANGES, min_size=n, max_size=n)))
+    colors = data.draw(st.lists(INT64S, min_size=n, max_size=n))
+    g = build_graph(np.zeros((0, 2), dtype=np.int64), n=n)
+    outside = [v for v, (c, r) in enumerate(zip(colors, ranges)) if c != 0 and c not in r]
+    expected = coloring_failures(g, np.array(colors, dtype=np.int64), np.array(outside, dtype=np.int64))
+    assert verify_coloring(g, ranges, colors) == expected
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [
+        [range(1, 3), range(2**63 - 2, 2**63 + 1)],
+        [range(1, 3), range(-(2**63) + 1, -(2**63) - 3, -1)],
+        [range(2**63 + 1, 2**63 + 5, 2), range(1, 3)],
+        [range(2**63 - 7, 2**63 + 9, 5)] * 2,
+    ],
+)
+def test_range_palettes_name_a_color_outside_int64_as_their_lists_do(ranges):
+    g = build_graph(np.zeros((0, 2), dtype=np.int64), n=2)
+    with pytest.raises(ValidationError) as listed:
+        palette_table([list(r) for r in ranges])
+    with pytest.raises(ValidationError) as ranged:
+        verify_coloring(g, ranges, [1, 1])
+    assert str(ranged.value) == str(listed.value)
