@@ -165,22 +165,20 @@ def generate(spec: GeneratorSpec) -> Graph:
         li, ri = np.nonzero(mask)
         return _csr_from_keys(li * n + (ri + left), n)
 
-    if kind == "locally_sparse":
-        n, p, delta = int(params["n"]), float(params["p"]), float(params["delta"])
-        _require(n >= 1, "locally_sparse needs n >= 1")
-        _require(0.0 < p < 1.0, "locally_sparse needs 0 < p < 1")
-        _require(0.0 < delta < 1.0, "locally_sparse needs 0 < delta < 1")
-        _require_gnp(kind, n, p)
-        for _ in range(_LOCALLY_SPARSE_ATTEMPTS):
-            g = _csr_from_keys(_gnp_edges(n, p, rng), n)
-            if is_locally_sparse(g, delta):
-                return g
-        raise GenerationError(
-            f"could not sample a (1-{delta})-locally-sparse graph with n={n}, p={p} "
-            f"in {_LOCALLY_SPARSE_ATTEMPTS} attempts; lower p or delta"
-        )
-
-    raise ValidationError(f"unknown generator kind {kind!r}")
+    # locally_sparse, the one kind left: GeneratorSpec admits no other
+    n, p, delta = int(params["n"]), float(params["p"]), float(params["delta"])
+    _require(n >= 1, "locally_sparse needs n >= 1")
+    _require(0.0 < p < 1.0, "locally_sparse needs 0 < p < 1")
+    _require(0.0 < delta < 1.0, "locally_sparse needs 0 < delta < 1")
+    _require_gnp(kind, n, p)
+    for _ in range(_LOCALLY_SPARSE_ATTEMPTS):
+        g = _csr_from_keys(_gnp_edges(n, p, rng), n)
+        if is_locally_sparse(g, delta):
+            return g
+    raise GenerationError(
+        f"could not sample a (1-{delta})-locally-sparse graph with n={n}, p={p} "
+        f"in {_LOCALLY_SPARSE_ATTEMPTS} attempts; lower p or delta"
+    )
 
 
 def neighborhood_edge_counts(graph: Graph) -> np.ndarray:

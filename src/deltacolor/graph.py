@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -173,15 +175,16 @@ def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int | None = N
     :func:`~deltacolor.io.write_edge_list` writes; :func:`_csr_from_keys`
     then lays out the CSR.
     """
+    pairs = edges if isinstance(edges, np.ndarray) else list(edges)
     try:
-        arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        arr = np.asarray(pairs)
     except ValueError as exc:
         raise ValidationError("edges must be (u, v) pairs; got a ragged sequence") from exc
     if arr.size == 0:
         arr = np.zeros((0, 2), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValidationError(f"edges must be (u, v) pairs, an (m, 2) array; got shape {arr.shape}")
-    arr = as_int64(arr, "edge pairs")
+    arr = as_int64(arr, "edge pairs", pairs)
 
     if arr.size and arr.min() < 0:
         raise ValidationError("vertex IDs must be nonnegative")
@@ -258,14 +261,24 @@ def _csr_from_keys(keys: np.ndarray, n: int) -> Graph:
     return _subgraph(indptr, indices)
 
 
-def as_int64(values, what: str) -> np.ndarray:
+def as_int64(values, what: str, source=None) -> np.ndarray:
     """``values`` as an int64 array, tested before the cast: a non-integer
     dtype, or an unsigned value beyond the int64 maximum, raises
     :class:`ValidationError` rather than being truncated or wrapped. An
-    empty input of any dtype gives an empty int64 array."""
+    empty input of any dtype gives an empty int64 array.
+
+    ``np.asarray`` reads a bool beside integers as 0 or 1, so where
+    ``values``, or the ``source`` it was converted from, is not an array,
+    the entries that read 0 or 1 are type-tested
+    (:func:`first_non_integer`); an array input costs no Python step."""
     arr = np.asarray(values)
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
         raise ValidationError(f"{what} must hold integers, not {arr.dtype}")
+    source = values if source is None else source
+    if arr.size and not isinstance(source, np.ndarray):
+        maybe = np.argwhere((arr == 0) | (arr == 1)).tolist()
+        if first_non_integer([reduce(operator.getitem, at, source) for at in maybe]) is not None:
+            raise ValidationError(f"{what} must hold integers, not bool")
     if arr.size and arr.dtype.kind == "u" and arr.max() > _INT64_MAX:
         raise ValidationError(f"{what} hold {int(arr.max())}, out of range: values must fit in int64")
     return arr.astype(np.int64, copy=False)

@@ -11,7 +11,7 @@ not), a string or None. The conversion and the check are one pass.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import chain, starmap
 from operator import countOf, index
@@ -98,9 +98,10 @@ def palette_table(palettes) -> PaletteTable:
         lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     except TypeError:
         for v, palette in enumerate(rows):
-            if not isinstance(palette, Collection):
+            try:
+                len(palette)  # a 0-d array, say, has a len() that fails
+            except TypeError:
                 raise ValidationError(f"palette of vertex {v} is not a collection of colors") from None
-        raise
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     flat = list(chain.from_iterable(rows))

@@ -13,7 +13,7 @@ from scipy.sparse import csr_matrix
 
 from . import graph as graph_module
 from .errors import ValidationError
-from .graph import _INT32_MAX, Graph, _subgraph, segment_sum
+from .graph import Graph, _subgraph, segment_sum
 
 # float32 holds every integer below 2**24, so products of 0/1 float32 rows
 # count shared neighbours exactly while row degrees stay below it.
@@ -29,7 +29,7 @@ _DENSE_RUN_MULTIPLIES = 7_000_000
 _DENSE_OPERAND_ELEMENTS = 2**28
 _SPARSE_BLOCK_MULTIPLIES = 2**22
 # Share of the columns whose product bounds every pair of a whole dense
-# product read under a floor (_dense_sharing). On dense-fallback
+# product read under a floor (_run_keys). On dense-fallback
 # (gnp:3000,0.5 at eps 0.1, floor about 1441, 4.3-4.4e6 pairs), seeds 1
 # and 2, 1/8 of the columns left 4.9-5.7e4 pairs whose bound reaches the
 # floor, 1/6 left 622-714 (on 95-100 rows) and 1/4 none. Yet 1/6 buys no
@@ -37,20 +37,11 @@ _SPARSE_BLOCK_MULTIPLIES = 2**22
 # 303 against 305 ms (seed 1) and 297 against 299 ms (seed 2) in median,
 # 1/6 faster in 6 and 7 of 12 pairs (in process, 2-vCPU x86 VM).
 _PREFIX_SHARE = 0.25
-# Rows sampled before the prune (_dense_sharing): 64 read the share of
+# Rows sampled before the prune (_run_keys): 64 read the share of
 # rows holding a survivor within 0.12 (two binomial deviations at one half).
 _BOUND_ROWS = 64
 # Largest sampled share of rows holding a survivor at which the prune pays (_prune_pays).
 _HELD_SHARE = 0.5
-
-
-def _keep_mask(graph: Graph, keep: np.ndarray | None) -> np.ndarray:
-    """``keep`` as a boolean mask over the vertices, every one when None."""
-    keep = np.ones(graph.n, dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
-    if keep.shape != (graph.n,):
-        raise ValidationError(f"keep mask has shape {keep.shape} for {graph.n} vertices")
-    return keep
-
 
 
 def sharing_subgraph(graph: Graph, floor: float, keep: np.ndarray | None = None) -> Graph:
@@ -61,21 +52,27 @@ def sharing_subgraph(graph: Graph, floor: float, keep: np.ndarray | None = None)
     The kept rows are cut into runs (:func:`_runs`) by their farthest kept
     neighbours (:func:`_farthest_partners`), without keying the slots, and
     cheap runs are joined (:func:`_join_runs`). Where the dense backend
-    pays (:func:`_dense_runs_pay`), :func:`_dense_sharing` reads the edges
-    off one product per run. Otherwise the exact counts of
-    :func:`edge_common_counts` are compared with ``floor``.
+    pays (:func:`_dense_runs_pay`), one product per run gives its edges
+    (:func:`_dense_keys`). Otherwise SpGEMM counts the kept pairs as one
+    run of every kept row (:func:`_sparse_keys`). Either way the edges
+    leave through :func:`_friend_csr`.
     """
-    keep = _keep_mask(graph, keep)
+    keep = np.ones(graph.n, dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
+    if keep.shape != (graph.n,):
+        raise ValidationError(f"keep mask has shape {keep.shape} for {graph.n} vertices")
     kept = np.flatnonzero(keep)
     runs = _runs(_farthest_partners(graph, keep, kept, np.cumsum(keep) - 1))
     if not runs.size:  # no edge has both ends kept
         return _subgraph(np.zeros(graph.n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    runs = _join_runs(runs, int(graph.degrees()[kept].max()))
+    degrees = graph.degrees()[kept]
+    _check_exact(int(degrees.max()))
+    # Bounds and counts are integers below 2**24, exact in float32, and so
+    # is the least integer at or above the floor, which they are compared with.
+    floor = math.ceil(floor)
+    runs = _join_runs(runs, int(degrees.max()))
     if _dense_runs_pay(graph, keep, kept, runs):
-        return _dense_sharing(graph, kept, runs, floor)
-    counts = edge_common_counts(graph, keep)
-    slots = np.flatnonzero(counts >= max(floor, 0))  # unkept slots read -1
-    return _subgraph(np.searchsorted(slots, graph.indptr), graph.indices[slots])
+        return _friend_csr(graph, kept, runs, _dense_keys(graph, kept, runs, degrees, floor))
+    return _friend_csr(graph, kept, np.array([[0, kept.size]]), [_sparse_keys(graph, keep, kept, floor)])
 
 
 def _dense_runs_pay(graph: Graph, keep: np.ndarray, kept: np.ndarray, runs: np.ndarray) -> bool:
@@ -158,40 +155,53 @@ def _farthest_partners(
     return far
 
 
-def _dense_sharing(graph: Graph, kept: np.ndarray, runs: np.ndarray, floor: float) -> Graph:
-    """:func:`sharing_subgraph` from one dense float32 product per run
-    of the k kept rows ``kept``. A run of every kept row reads all n
-    columns, any other only those its rows touch (:func:`_dense_rows`).
-    :func:`_run_keys` finds a run's edges as keys i * b + j among its b
-    rows, placed as keys i * k + j among the kept rows; these ascend, so
-    each kept row's first key places its edges.
+def _dense_keys(graph: Graph, kept: np.ndarray, runs: np.ndarray, degrees: np.ndarray, floor: int):
+    """Per run of ``runs`` over the kept rows ``kept`` (of ``degrees``),
+    the keys :func:`_run_keys` reads off one dense product of its rows. A
+    run of every kept row reads all n columns, any other only those its
+    rows touch (:func:`_dense_rows`)."""
+    whole = np.array_equal(runs, [[0, kept.size]])
+    rank = None if whole else np.full(graph.n, -1, dtype=np.int64)  # per vertex: its column in a run
+    for a, b in runs.tolist():
+        read = _dense_rows(graph, kept[a:b], rank, a * graph.n)
+        own = (slice(None) if kept.size == graph.n else kept) if whole else slice(0, b - a)
+        yield _run_keys(read, own, degrees[a:b], floor)
+
+
+def _sparse_keys(graph: Graph, keep: np.ndarray, kept: np.ndarray, floor: int) -> np.ndarray:
+    """The keys i * k + j, ascending, of the adjacent pairs among the k
+    kept rows ``kept`` (``keep`` as a mask) that share at least ``floor``
+    neighbours. One scan of the kept rows (:meth:`Graph.scan`) lists the
+    pairs, and SpGEMM counts them (:func:`_sparse_common_counts`)."""
+    k = kept.size
+    position = np.cumsum(keep) - 1
+    pairs = []
+    for block, neighbors, degrees in graph.scan(kept):
+        keys = np.repeat(np.arange(block.start, block.stop) * k, degrees) + position[neighbors]
+        pairs.append(keys[keep[neighbors]])
+    pairs = np.concatenate(pairs)
+    return pairs[_sparse_common_counts(graph, kept, pairs) >= floor]
+
+
+def _friend_csr(graph: Graph, kept: np.ndarray, runs: np.ndarray, keys) -> Graph:
+    """:func:`sharing_subgraph`'s graph from the keys of each run (a, b) of
+    the kept rows ``kept`` in ``runs``, one array per run in ``keys``: the
+    key i * (b - a) + j, ascending, is the edge from row a + i to row a + j.
+    The keys ascend, so each row's first key places its edges.
     """
-    k, n = kept.size, graph.n
-    degrees = graph.degrees()[kept]
-    _check_exact(int(degrees.max()))
-    # Bounds and counts are integers below 2**24, exact in float32, and so
-    # is the least integer at or above the floor, which they are compared with.
-    floor = math.ceil(floor)
-    if np.array_equal(runs, [[0, k]]):
-        keys = _run_keys(_dense_rows(graph, kept), slice(None) if k == n else kept, degrees, floor)
-    else:
-        kind = np.int32 if k * k <= _INT32_MAX else np.int64
-        found = array("i" if kind is np.int32 else "q")
-        rank = np.full(n, -1, dtype=np.int64)  # per vertex: its column in a run
-        for a, b in runs.tolist():
-            read = _dense_rows(graph, kept[a:b], rank, a * n)
-            keys = _run_keys(read, slice(0, b - a), degrees[a:b], floor).astype(kind)
-            # the local key i * (b - a) + j is row a + i, partner a + j
-            keys += keys // (b - a) * (k - b + a) + a * (k + 1)
-            found.frombytes(keys.tobytes())
-        keys = np.frombuffer(found, dtype=kind)
-    # a division by the scalar k is much cheaper than a remainder
-    starts = np.searchsorted(keys, np.arange(k + 1, dtype=keys.dtype) * k)
-    out = np.zeros(n + 1, dtype=np.int64)
-    out[kept + 1] = np.diff(starts)
-    np.cumsum(out, out=out)
-    partners = keys - keys // k * k
-    return _subgraph(out, partners.astype(np.int64) if k == n else kept[partners])
+    degrees = np.zeros(kept.size, dtype=np.int64)
+    partners = []
+    for (a, b), run in zip(runs.tolist(), keys):
+        size = b - a
+        starts = np.searchsorted(run, np.arange(0, size * size + 1, size, dtype=run.dtype))
+        degrees[a:b] = np.diff(starts)
+        # a division by the scalar size is much cheaper than a remainder,
+        # and numpy gathers faster by an int64 index than by an int32 one
+        partners.append(kept[a:b][(run - run // size * size).astype(np.int64)])
+    indptr = np.zeros(graph.n + 1, dtype=np.int64)
+    indptr[kept + 1] = degrees
+    np.cumsum(indptr, out=indptr)
+    return _subgraph(indptr, partners[0] if len(partners) == 1 else np.concatenate(partners))
 
 
 def _run_keys(read, own, degrees: np.ndarray, floor: int) -> np.ndarray:
@@ -308,37 +318,25 @@ def _dense_rows(graph: Graph, rows: np.ndarray, rank: np.ndarray | None = None, 
     return read
 
 
-def edge_common_counts(graph: Graph, keep: np.ndarray | None = None) -> np.ndarray:
+def edge_common_counts(graph: Graph) -> np.ndarray:
     """|N(u) & N(v)| for every CSR slot (u, v), aligned with ``graph.indices``.
 
-    Only slots whose endpoints both lie in ``keep`` (a boolean mask over
-    the vertices; all of them when None) are counted; the others read -1.
     Every count is exact, so slots (u, v) and (v, u) read the same. The
-    counted slots, keyed i * k + j over the k kept rows, are read off one
-    dense product of the whole kept rows where that pays (:func:`_dense_pays`,
-    one run) and its operand fits in memory, and counted by SpGEMM otherwise.
+    slots, keyed u * n + v, are read off one dense product of all rows
+    where that pays (:func:`_dense_pays`, one run) and its operand fits in
+    memory, and counted by SpGEMM otherwise.
     """
-    keep = _keep_mask(graph, keep)
-    degrees = graph.degrees()
-    counted = np.repeat(keep, degrees) & keep[graph.indices]
-    kept = np.flatnonzero(keep)
-    k, n = kept.size, graph.n
+    n, degrees = graph.n, graph.degrees()
+    _check_exact(int(degrees.max()))
+    vertices = np.arange(n)
     # int32 pair keys when they fit: less memory traffic on dense graphs
-    position = (np.cumsum(keep) - 1).astype(np.int32 if k * k < 2**31 else np.int64)
-    pairs = np.repeat(position * k, degrees)
-    pairs += position[graph.indices]
-    pairs = pairs[counted]
-    out = np.full(graph.indices.size, -1, dtype=np.int64)
-    if not pairs.size:
-        return out
-    _check_exact(int(degrees[kept].max()))
-    # per column, the kept rows holding it: by symmetry, its kept neighbours
-    columns = segment_sum(keep[graph.indices], graph.indptr).astype(np.float64)
-    if k * max(n, k) <= _DENSE_OPERAND_ELEMENTS and _dense_pays(float(k) * k * n, 1, columns @ columns):
-        out[counted] = _gram(_dense_rows(graph, kept)())[pairs]
+    pairs = np.repeat(vertices.astype(np.int32 if n * n < 2**31 else np.int64) * n, degrees)
+    pairs += graph.indices
+    if n * n <= _DENSE_OPERAND_ELEMENTS and _dense_pays(float(n) ** 3, 1, float(degrees @ degrees)):
+        counts = _gram(_dense_rows(graph, vertices)())[pairs]
     else:
-        out[counted] = _sparse_common_counts(graph, kept, pairs)
-    return out
+        counts = _sparse_common_counts(graph, vertices, pairs)
+    return counts.astype(np.int64)
 
 
 def apart_common_counts(graph: Graph, members: np.ndarray) -> np.ndarray:

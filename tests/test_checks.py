@@ -37,6 +37,14 @@ def test_verify_coloring_reports_uncolored_and_foreign_colors(palette_kind):
     ]
 
 
+@pytest.mark.parametrize("coloring", [[1, 2], np.array([1, 2, 1, 2])])
+def test_verify_coloring_reports_a_coloring_of_another_length(coloring):
+    g = build_graph([(0, 1), (1, 2)])
+    assert verify_coloring(g, canonical_palettes(g), coloring) == [
+        f"coloring has {len(coloring)} entries for 3 vertices"
+    ]
+
+
 @pytest.mark.parametrize("palettes", [[range(1, 4)] * 2, [], [range(1, 4)] * 4])
 def test_verify_coloring_rejects_a_palette_list_of_the_wrong_length(palettes):
     # a shorter list once left the vertices past its end unchecked

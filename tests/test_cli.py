@@ -806,6 +806,19 @@ def test_repetitions_decompose_a_graph_at_most_once(tmp_path, monkeypatch, mode,
     assert read_json(out)["repetitions"] == 3
 
 
+@pytest.mark.parametrize("forced", [True, False])
+def test_config_booleans_set_store_true_flags(tmp_path, forced):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"gen": "complete:25", "seed": 1, "force-main-path": forced}))
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    via_flags = tmp_path / "f.json"
+    flag = ["--force-main-path"] if forced else []
+    assert main(["run", "--gen", "complete:25", "--seed", "1", *flag, "--out", str(via_flags)]) == 0
+    assert out.read_bytes() == via_flags.read_bytes()
+    assert read_json(out)["forced_main_path"] is forced
+
+
 def test_config_strings_and_numbers_convert_as_flags_do(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"gen": "gnp:30,0.3", "seed": "4", "K": 2, "mode": "fallback-only"}))

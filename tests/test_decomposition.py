@@ -136,9 +136,9 @@ def test_only_the_slot_path_keys_every_kept_slot(monkeypatch, branch):
     counts' friend edges: on a twin in G(400, 0.5), one run of every kept
     row, and on 12 planted 150-cliques with a periphery, one run per
     clique. The dense reads, pruned or whole, never key the kept slots
-    (only ``edge_common_counts`` does), and their traced peak stays within
-    the largest run's operand and product plus one byte per kept slot, so
-    no array holds an entry per kept slot beside them."""
+    (only the SpGEMM route, ``_sparse_keys``, does), and their traced
+    peak stays within the largest run's operand and product plus one byte
+    per kept slot, so no array holds an entry per kept slot beside them."""
     monkeypatch.setattr(graph_module, "SLOT_BLOCK", 64)
     counts = sharing_module.edge_common_counts
     for g, eps, friends in ((twin_in_gnp(), 0.19, 1), (mixed_main_shaped(size=150), 0.01, 113)):
@@ -148,7 +148,8 @@ def test_only_the_slot_path_keys_every_kept_slot(monkeypatch, branch):
             mp.setattr(sharing_module, "_dense_pays", lambda *priced: branch != "slots")
             mp.setattr(sharing_module, "_prune_pays", lambda held, sampled: branch == "prune")
             keyed = []
-            mp.setattr(sharing_module, "edge_common_counts", lambda *args: keyed.append(1) or counts(*args))
+            keys = sharing_module._sparse_keys
+            mp.setattr(sharing_module, "_sparse_keys", lambda *args: keyed.append(1) or keys(*args))
             tracemalloc.start()
             try:
                 fast = compute_friend_edges(g, eps)

@@ -14,6 +14,7 @@ from deltacolor import (
     apply_initial_tentative,
     build_graph,
     canonical_palettes,
+    commit_colors,
     count_good_colors,
     decompose,
     dense_coloring_step,
@@ -34,6 +35,7 @@ from deltacolor.engine import (
 from deltacolor import graph as graph_module
 from deltacolor.graph import segment_sum
 from deltacolor.io import dumps_json
+from deltacolor.schedule import RoundParams
 
 from conftest import copy_state
 
@@ -251,6 +253,32 @@ def test_dense_step_counts_uncolored_dense_vertices_left_out_of_the_prefix():
     assert result.stats.initially_uncolored == 5
     assert int(np.count_nonzero(result.in_prefix)) == 6
     assert result.stats.palette_exhausted == 0
+
+
+def test_dense_step_skips_a_clique_with_no_uncolored_member():
+    # two disjoint 10-cliques, the first colored before the step: it draws
+    # no prefix, and the second, drawn from its own stream, is colored whole
+    g = build_graph([(i + s, j + s) for s in (0, 10) for i in range(10) for j in range(i + 1, 10)])
+    decomp = decompose(g, 0.15)
+    assert len(decomp.cliques) == 2
+    state = init_state(g, canonical_palettes(g))
+    commit_colors(state, np.arange(10), np.arange(1, 11))
+    result = dense_coloring_step(state, decomp, gamma=1.0, rng=rng_for(7))
+    assert not result.in_prefix[:10].any() and result.in_prefix[10:].all()
+    assert result.stats.colored == 10 and state.num_uncolored() == 0
+
+
+def test_palette_floor_skips_cliques_with_no_prefix_vertex():
+    # under a floor no vertex meets, gamma 0 puts no vertex of any clique
+    # in the prefix, so nothing is checked; gamma 1 fails once per clique
+    g = generate(GeneratorSpec.parse("clique_chain:50x4"))
+    unreachable = RoundParams(d=1e9, z=1.0, delta=1e9, gamma=None)
+    for gamma, failures in ((0.0, 0), (1.0, 4)):
+        driver = PhaseDriver(g, canonical_palettes(g), seed=1, epsilon=0.1)
+        driver.decompose()
+        assert len(driver.decomp.cliques) == 4
+        driver.dense([gamma], [unreachable])
+        assert len(driver.failures) == failures, driver.failures
 
 
 def test_dense_first_pick_is_uniform():
@@ -672,7 +700,6 @@ def test_run_list_coloring_respects_palettes():
 
 def test_driver_checks_palette_floor_only_with_schedule_bounds():
     from deltacolor.engine import PhaseDriver
-    from deltacolor.schedule import RoundParams
 
     g = generate(GeneratorSpec.parse("clique_chain:50x4"))
     tight = RoundParams(d=1e3, z=2e3, delta=0.5, gamma=None)
@@ -853,7 +880,9 @@ def test_initial_injection_names_the_first_foreign_color():
         apply_initial_tentative(state, np.array([0, 3, 1]))
 
 
-@pytest.mark.parametrize("tentative", [np.array([1.7, 0.0, 0.0]), np.array([1, 0, 2], dtype=bool)])
+@pytest.mark.parametrize(
+    "tentative", [np.array([1.7, 0.0, 0.0]), np.array([1, 0, 2], dtype=bool), [True, 0, 0], [0, np.False_, 2]]
+)
 def test_initial_injection_rejects_non_integer_colors(tentative):
     g = build_graph([(0, 1), (1, 2)])
     state = init_state(g, canonical_palettes(g))

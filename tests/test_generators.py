@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from deltacolor import (
     GeneratorSpec,
     ValidationError,
     brute_force_decomposition,
+    build_graph,
     decompose,
     generate,
     is_locally_sparse,
@@ -217,6 +219,16 @@ def test_brute_force_guard():
 def test_brute_force_matches_on_fixed_gnp():
     g = generate(GeneratorSpec("gnp", {"n": 150, "p": 0.6}, seed=17))
     assert same_decomposition(decompose(g, 0.12), brute_force_decomposition(g, 0.12))
+
+
+def test_brute_force_joins_friends_whose_least_member_comes_last():
+    # K17 without the edges 0-1 and 0-2 at epsilon 0.19: every edge left is
+    # a friend edge, but 1 and 2 are not 0's friends, so the oracle's
+    # union-find hangs 2 under 1 before 1 under 0, then shortens 2 -> 1 -> 0
+    g = build_graph([e for e in itertools.combinations(range(17), 2) if e not in {(0, 1), (0, 2)}])
+    slow = brute_force_decomposition(g, 0.19)
+    assert slow.membership.tolist() == [0] * 17 and slow.friend_graph.num_edges == 134
+    assert same_decomposition(decompose(g, 0.19), slow)
 
 
 def test_brute_force_matches_on_structured_graphs():

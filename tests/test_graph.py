@@ -63,7 +63,14 @@ def test_malformed_pair_rejected():
 
 @pytest.mark.parametrize(
     "edges",
-    [[(0, 1.7), (1, 2)], [(0, "2")], [(0, None)], [(True, False)], np.array([[0.0, 1.0]])],
+    [
+        [(0, 1.7), (1, 2)],
+        [(0, "2")],
+        [(0, None)],
+        [(True, False)],
+        np.array([[0.0, 1.0]]),
+        [(0, True), (1, 2)],  # numpy reads a bool beside integers as 1
+    ],
 )
 def test_non_integer_pairs_rejected_not_truncated(edges):
     with pytest.raises(ValidationError, match="integers"):
@@ -441,6 +448,20 @@ def test_edge_list_names_its_first_bad_line(tmp_path, text, message):
         read_edge_list(path)
 
 
+def test_a_chunk_numpy_reads_otherwise_than_its_check_is_refused(tmp_path, monkeypatch):
+    # should np.fromstring read a checked chunk into other fields than the
+    # check counted, the chunk is refused; the per-line reader then finds
+    # no bad line and raises AssertionError rather than return a graph
+    path = tmp_path / "g.edges"
+    path.write_text("0 1\n1 2\n")
+    fromstring = np.fromstring
+    monkeypatch.setattr(np, "fromstring", lambda *args, **kwargs: fromstring(*args, **kwargs)[:-1])
+    with pytest.raises(AssertionError, match=re.escape(f"{path}: no bad line in an edge list that failed its check")):
+        read_edge_list(path)
+    monkeypatch.undo()
+    assert read_edge_list(path).edge_array().tolist() == [[0, 1], [1, 2]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(
@@ -675,17 +696,14 @@ gnp_and_keep = st.tuples(
 @settings(max_examples=60, deadline=None)
 @given(gnp_and_keep)
 def test_edge_common_counts_match_recount(draw):
-    n, p, seed, keep_p = draw
+    n, p, seed, _ = draw
     g = generate(GeneratorSpec("gnp", {"n": n, "p": p}, seed=seed))
-    keep = np.random.default_rng(seed).random(n) < keep_p
-    expected = recount_common(g, keep)
-    assert edge_common_counts(g, keep).tolist() == expected.tolist()
-    everything = recount_common(g, np.ones(n, dtype=bool))
-    assert edge_common_counts(g).tolist() == everything.tolist()
+    expected = recount_common(g, np.ones(n, dtype=bool))
+    assert edge_common_counts(g).tolist() == expected.tolist()
     for dense in FORCED_BACKEND.values():  # the whole product, and SpGEMM
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sharing_module, "_dense_pays", lambda *priced, dense=dense: dense)
-            assert edge_common_counts(g, keep).tolist() == expected.tolist()
+            assert edge_common_counts(g).tolist() == expected.tolist()
 
 
 def assert_edges_reaching(sub, g, counts, floor):
@@ -952,21 +970,10 @@ def test_dense_products_follow_the_row_runs(monkeypatch):
         assert friends.num_edges == 0, spec
 
 
-def test_edge_common_counts_mark_slots_outside_keep():
-    g = generate(GeneratorSpec("complete", {"n": 5}))
-    keep = np.array([True, True, False, True, False])
-    counts = edge_common_counts(g, keep)
-    src = np.repeat(np.arange(g.n), g.degrees())
-    inside = keep[src] & keep[g.indices]
-    assert np.all(counts[~inside] == -1)
-    assert np.all(counts[inside] == 3)
-    assert np.all(edge_common_counts(g, np.zeros(g.n, dtype=bool)) == -1)
-
-
-def test_edge_common_counts_rejects_bad_keep_mask():
+def test_sharing_subgraph_rejects_bad_keep_mask():
     g = build_graph([(0, 1), (1, 2)])
     with pytest.raises(ValidationError, match="keep mask"):
-        edge_common_counts(g, np.ones(2, dtype=bool))
+        sharing_module.sharing_subgraph(g, 0, np.ones(2, dtype=bool))
 
 
 def test_common_counts_refuse_degrees_that_float32_would_round(monkeypatch):
@@ -982,38 +989,69 @@ def test_common_counts_refuse_degrees_that_float32_would_round(monkeypatch):
 
 def test_sharing_subgraph_compares_counts_with_the_floor_exactly(monkeypatch):
     """Two adjacent hubs share 2**20 + 1 leaves. float32 cannot tell that
-    count from a floor 1e-6 above it, yet the dense read, which holds its
-    counts in float32, keeps the edge only under floors it reaches."""
+    count from a floor 1e-6 above it, yet each backend, forced in turn,
+    holds its counts in float32 and keeps the edge only under floors
+    they reach."""
     shared = 2**20 + 1
     assert np.float32(shared + 1e-6) == np.float32(shared)
     leaves = np.arange(2, shared + 2)
     edges = np.concatenate([[(0, 1)], np.column_stack((np.zeros_like(leaves), leaves)),
                             np.column_stack((np.ones_like(leaves), leaves))])
     g = build_graph(edges)
-    read = []
-    dense_sharing = sharing_module._dense_sharing
-    monkeypatch.setattr(sharing_module, "_dense_sharing", lambda *args: read.append(1) or dense_sharing(*args))
-    for floor, friends in ((shared, 1), (shared + 1e-6, 0), (shared - 1e-6, 1)):
-        assert sharing_module.sharing_subgraph(g, floor, g.degrees() > 2).num_edges == friends, floor
-    assert len(read) == 3
+    for dense in FORCED_BACKEND.values():
+        with monkeypatch.context() as mp:
+            mp.setattr(sharing_module, "_dense_pays", lambda *priced, dense=dense: dense)
+            reads, counts = recorded(mp, "_run_keys"), recorded(mp, "_sparse_common_counts")
+            for floor, friends in ((shared, 1), (shared + 1e-6, 0), (shared - 1e-6, 1)):
+                assert sharing_module.sharing_subgraph(g, floor, g.degrees() > 2).num_edges == friends, floor
+        assert (len(reads), len(counts)) == ((3, 0) if dense else (0, 3))
 
 
 def test_backend_switch_follows_cost(monkeypatch):
-    reads = recorded(monkeypatch, "_dense_sharing")
-    counts = recorded(monkeypatch, "edge_common_counts")
+    reads = recorded(monkeypatch, "_dense_keys")
+    counts = recorded(monkeypatch, "_sparse_keys")
     # one run of 400 rows; 300 K16 in 75 joined runs; 10000 K2 in 134 joined
     # runs, whose fixed prices outweigh SpGEMM's 2e4 multiplies
     for g in (generate(GeneratorSpec.parse("gnp:400,0.5", seed=1)), disjoint_cliques(300, 16),
               disjoint_cliques(10_000, 2)):
         sharing_module.sharing_subgraph(g, 1)
-    # each dense read is handed its joined runs
+    # the dense reads are handed their joined runs
     assert [args[2].shape[0] for args in reads] == [1, 75] and len(counts) == 1
-    # common_counts: the whole product on a dense graph, SpGEMM on a sparse one
+    # edge_common_counts: the whole product on a dense graph, SpGEMM on a sparse one
     picked = recorded(monkeypatch, "_gram"), recorded(monkeypatch, "_sparse_common_counts")
     edge_common_counts(generate(GeneratorSpec("gnp", {"n": 400, "p": 0.5}, seed=1)))
     pairs = np.random.default_rng(1).integers(0, 20_000, size=(20_000, 2))
     edge_common_counts(build_graph(pairs[pairs[:, 0] != pairs[:, 1]], n=20_000))
     assert [len(calls) for calls in picked] == [1, 1]
+
+
+def test_runs_over_the_dense_operand_bound_go_to_spgemm_unpriced(monkeypatch):
+    # one run of 400 rows over 400 columns, one element over a lowered
+    # bound: SpGEMM counts the pairs, and no price is asked
+    g = generate(GeneratorSpec.parse("gnp:400,0.5", seed=1))
+    dense = sharing_module.sharing_subgraph(g, 105)
+    monkeypatch.setattr(sharing_module, "_DENSE_OPERAND_ELEMENTS", 400 * 400 - 1)
+    priced, keyed = recorded(monkeypatch, "_dense_pays"), recorded(monkeypatch, "_sparse_keys")
+    sparse = sharing_module.sharing_subgraph(g, 105)
+    assert (len(priced), len(keyed)) == (0, 1) and dense.num_edges > 0
+    assert np.array_equal(sparse.indptr, dense.indptr) and np.array_equal(sparse.indices, dense.indices)
+
+
+def test_sparse_row_blocks_with_no_wanted_pair_are_skipped(monkeypatch):
+    """A K4 on the kept vertices 0..3, and kept vertex 4 joined only to
+    the unkept vertex 5. In blocks of one multiply each row is a block of
+    its own, and row 4's holds no kept pair: SpGEMM builds no mask for it
+    (one ``csr_matrix`` for the operand, one mask per other block)."""
+    monkeypatch.setattr(sharing_module, "_SPARSE_BLOCK_MULTIPLIES", 1)
+    monkeypatch.setattr(sharing_module, "_dense_pays", lambda *priced: False)
+    built = []
+    monkeypatch.setattr(
+        sharing_module, "csr_matrix", lambda *args, **kwargs: built.append(1) or csr_matrix(*args, **kwargs)
+    )
+    g = build_graph(list(itertools.combinations(range(4), 2)) + [(4, 5)])
+    friends = sharing_module.sharing_subgraph(g, 2, np.arange(6) < 5)
+    assert friends.edge_array().tolist() == list(map(list, itertools.combinations(range(4), 2)))
+    assert len(built) == 1 + 4
 
 
 def test_unsigned_id_beyond_int64_is_out_of_range():

@@ -462,6 +462,13 @@ def test_init_state_repeats_do_not_count_toward_the_size():
         init_state(g, [[1, 2, 3], [1, 2, 3], [1, 2, 2, 1]])
 
 
+def test_init_state_refuses_palettes_that_are_all_empty():
+    # no color at all: the column map has nothing to rank
+    g = build_graph([], n=3)
+    with pytest.raises(ValidationError, match="palette of vertex 0 has 0 colors, need at least 1"):
+        init_state(g, [[], [], []])
+
+
 def test_init_state_names_the_first_bad_vertex():
     g = k3()
     # vertex 1 is short, vertex 2 holds a reserved colour: vertex 1 is named
@@ -604,7 +611,14 @@ def test_row_recount_matches_the_full_slot_recount(case, data, block):
 
 @pytest.mark.parametrize(
     "vertices, colors",
-    [([0], [1.9]), ([0.0], [1]), ([0], np.array([1], dtype=bool)), ([0], [2**63])],
+    [
+        ([0], [1.9]),
+        ([0.0], [1]),
+        ([0], np.array([1], dtype=bool)),
+        ([0], [2**63]),
+        ([2, 0], [True, 2]),  # numpy reads a bool beside integers as 1
+        ([True, 2], [1, 2]),
+    ],
 )
 def test_commit_rejects_non_integer_batches(vertices, colors):
     g = k3()
