@@ -122,11 +122,11 @@ def test_init_state_wants_one_palette_per_vertex():
 
 @pytest.mark.parametrize("palettes, message", [
     ([[1, 2], 5], "palette of vertex 1 is not a collection of colors"),
-    ([[1, 2], np.array(3)], "palette of vertex 1 is not a collection of colors"),
     ([[1, 2], [[3], 4]], "palette of vertex 1 holds [3], not an integer color"),
     ([[1, 2], [np.uint64(2**63)]], "palette of vertex 1 holds 9223372036854775808, outside the int64 range"),
     ([[1, 2], [2**64, 1]], "palette of vertex 1 holds 18446744073709551616, outside the int64 range"),
     ([[1, np.True_]], "palette of vertex 0 holds np.True_, not an integer color"),
+    ([[1, 2], np.array(3)], "palette of vertex 1 is not a collection of colors"),
 ])
 def test_palette_table_names_the_first_bad_entry(palettes, message):
     with pytest.raises(ValidationError) as exc:
