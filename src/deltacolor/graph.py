@@ -304,14 +304,26 @@ def vertex_ids(keys: list, what: str) -> list[int]:
     return list(map(int, keys))
 
 
+class RepeatedKeys(dict):
+    """A JSON object whose keys repeat, as :func:`~deltacolor.io.read_json`
+    reads it: a dict of each key's last value, as ``json.load`` keeps it,
+    with every (key, value) pair in file order in ``pairs``."""
+
+    def __init__(self, pairs: list[tuple[str, object]]):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+
 def vertex_map(data: dict, owner: str) -> dict[int, object]:
     """The values of the JSON object ``data`` by vertex ID, its keys read by
-    :func:`vertex_ids`; two keys that name one vertex raise, naming both."""
-    vertices = vertex_ids(list(data), f"{owner} key")
-    by_vertex = dict(zip(vertices, data.values()))
+    :func:`vertex_ids`; two keys that name one vertex raise, naming both,
+    as does one key written twice (:class:`RepeatedKeys`)."""
+    keys, values = zip(*data.pairs) if isinstance(data, RepeatedKeys) else (list(data), data.values())
+    vertices = vertex_ids(list(keys), f"{owner} key")
+    by_vertex = dict(zip(vertices, values))
     if len(by_vertex) < len(vertices):
         named: dict[int, object] = {}  # the key that named each vertex
-        for key, v in zip(data, vertices):
+        for key, v in zip(keys, vertices):
             if v in named:
                 raise ValidationError(f"{owner} names vertex {v} twice, by keys {named[v]!r} and {key!r}")
             named[v] = key

@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import json
 import re
+import warnings
 from array import array
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, NoReturn, Sequence, TextIO
+from typing import IO, AnyStr, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Graph, build_graph, vertex_ids, vertex_map
+from .graph import Graph, RepeatedKeys, build_graph, vertex_ids, vertex_map
 from .palettes import _INT64_MAX, _INT64_MIN, PaletteTable, palette_table
 
 
@@ -26,6 +27,8 @@ from .palettes import _INT64_MAX, _INT64_MIN, PaletteTable, palette_table
 # memory beyond the IDs' one int64 buffer: at 2**18 they peak 5.6 MiB above it
 # on 2e5 edges (0.4 MiB at 2**14, 22.5 at 2**20), less than build_graph then
 # adds, so the whole read peaks at 1.07x build_graph given the same edges.
+# Palette files are read as many bytes at a time: on the benchmark's mixed-main
+# file (3.8 MB, 8e5 colors) the read peaks at 1.3x the table's colors.
 _READ_CHARS = 2**18
 
 # Byte classes of a chunk. Whitespace other than a line end is a separator:
@@ -42,6 +45,15 @@ _BLANK = re.compile(r"[^\S\n]")  # the whitespace str.split splits on, but a lin
 # Tokens shorter than this fit in int64 (19 digits at most, "-" included);
 # np.fromstring clamps longer ones, so those are tested exactly.
 _LONG_TOKEN = 19
+
+# Palette files. JSON whitespace: bytes.strip() would also take \v and \f.
+_JSON_SPACE = b" \t\n\r"
+_TO_SPACE = bytes.maketrans(b"\t\n\r", b"   ")
+_FIELD_BYTES = b"0123456789-,"
+# An entry up to its list's "[": "{" or ",", then the quoted vertex ID without
+# a sign or a leading zero, short enough for int64, and the colon.
+_ENTRY_HEAD = re.compile(rb'[ \t\n\r]*([{,])[ \t\n\r]*"(0|[1-9][0-9]{0,17})"[ \t\n\r]*:[ \t\n\r]*\[')
+_LEADING_ZERO = re.compile(rb",0[0-9]")
 
 # Edges formatted by one % when an edge list is written.
 _WRITE_ROWS = 2**14
@@ -60,12 +72,19 @@ def _text_file(path: str | Path) -> Iterator[TextIO]:
 
 def read_json(path: str | Path):
     """The JSON value in the file at ``path``; text that is not UTF-8 JSON
-    raises :class:`ValidationError` naming the file."""
+    raises :class:`ValidationError` naming the file. An object whose keys
+    repeat is a :class:`~deltacolor.graph.RepeatedKeys`, so that
+    :func:`~deltacolor.graph.vertex_map` refuses a vertex key written twice."""
     with _text_file(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_json_object)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    return obj if len(obj) == len(pairs) else RepeatedKeys(pairs)
 
 
 def read_edge_list(path: str | Path) -> Graph:
@@ -110,17 +129,25 @@ def read_edge_list(path: str | Path) -> Graph:
 
 def _whole_lines(fh: TextIO) -> Iterator[str]:
     """The text of ``fh`` in chunks of whole lines, each ending in a newline;
-    a partial last line is carried into the next chunk."""
-    carry: list[str] = []  # the reads since the last newline, joined once it comes
-    for part in iter(lambda: fh.read(_READ_CHARS), ""):
-        cut = part.rfind("\n") + 1
+    a partial last line gets one."""
+    for text in _cut_after(fh, "\n"):
+        if text:
+            yield text if text.endswith("\n") else text + "\n"
+
+
+def _cut_after(fh: IO, mark: AnyStr) -> Iterator[AnyStr]:
+    """What ``fh`` holds, read ``_READ_CHARS`` at a time and yielded in
+    chunks that each end in the one-character ``mark``, then whatever
+    follows the last mark (maybe empty)."""
+    empty = mark[:0]
+    carry = []  # the reads since the last mark, joined once it comes
+    for part in iter(lambda: fh.read(_READ_CHARS), empty):
+        cut = part.rfind(mark) + 1
         if cut:
-            yield "".join([*carry, part[:cut]])
+            yield empty.join([*carry, part[:cut]])
             carry = []
         carry.append(part[cut:])
-    tail = "".join(carry)
-    if tail:
-        yield tail + "\n"
+    yield empty.join(carry)
 
 
 def _ascii(text: str) -> bytes:
@@ -220,7 +247,19 @@ def canonical_palettes(graph: Graph) -> list[range]:
 def read_palettes(path: str | Path, n: int) -> PaletteTable:
     """Read a JSON object mapping vertex ID -> list of colors, as one
     :class:`~deltacolor.palettes.PaletteTable`: its colors are converted
-    and checked once, here, and every error names the file."""
+    and checked once, here, and every error names the file.
+
+    A file laid out as ``{"<id>": [<int>, ...], ...}`` is read straight
+    into the table (:func:`_direct_table`). Any other file, and any file
+    that fails, is read by :func:`read_json`, and that path alone words
+    every message."""
+    table = _direct_table(path, n)
+    return table if table is not None else _json_table(path, n)
+
+
+def _json_table(path: str | Path, n: int) -> PaletteTable:
+    """:func:`read_palettes` through :func:`read_json`, one Python value
+    per JSON value."""
     data = read_json(path)
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: palette file must be a JSON object")
@@ -238,6 +277,105 @@ def read_palettes(path: str | Path, n: int) -> PaletteTable:
         return palette_table(out)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _direct_table(path: str | Path, n: int) -> PaletteTable | None:
+    """The palette table of a file laid out as ``{"<id>": [<int>, ...], ...}``,
+    or None for any other file.
+
+    The layout allows JSON whitespace between any two tokens, the entries
+    in any order and empty lists. Each of the n vertex IDs is a key once,
+    without a sign or a leading zero; each color is a JSON integer off
+    the int64 limits. The file is read about ``_READ_CHARS`` bytes of
+    whole entries at a time: their keys are checked one by one, and their
+    lists' text is checked by byte passes and converted by one
+    ``np.fromstring`` call (:func:`_integers`)."""
+    keys: list[bytes] = []  # each entry's vertex ID, in file order
+    sizes, colors = array("q"), array("q")
+    try:
+        with open(path, "rb") as fh:
+            for chunk in _cut_after(fh, b"]"):
+                *entries, rest = chunk.split(b"]")
+                if not _append_entries(entries, keys, sizes, colors):
+                    return None
+    except OSError:
+        return None
+    if not keys or len(keys) != n or rest.strip(_JSON_SPACE) != b"}":
+        return None
+    vertices = np.fromiter(map(int, keys), dtype=np.int64, count=n)
+    if vertices.max() >= n or (np.bincount(vertices, minlength=n) != 1).any():
+        return None
+    lengths = np.frombuffer(sizes, dtype=np.int64)
+    flat = np.frombuffer(colors, dtype=np.int64)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    if (vertices == np.arange(n)).all():
+        np.cumsum(lengths, out=offsets[1:])
+    else:
+        entry = np.empty(n, dtype=np.int64)  # the entry of each vertex
+        entry[vertices] = np.arange(n)
+        np.cumsum(lengths[entry], out=offsets[1:])
+        starts = np.cumsum(lengths) - lengths  # where each entry's colors start in ``flat``
+        flat = flat[np.arange(flat.size) + np.repeat(starts[entry] - offsets[:-1], lengths[entry])]
+    offsets.setflags(write=False)
+    flat.setflags(write=False)  # so the table keeps it, not a copy
+    return PaletteTable(offsets, flat)
+
+
+def _append_entries(entries: list[bytes], keys: list[bytes], sizes: array, colors: array) -> bool:
+    """Append the vertex ID, the list's length and the list's colors of
+    each of ``entries`` (an entry's text up to its list's closing ``]``)
+    to ``keys``, ``sizes`` and ``colors``; return False, and leave them
+    unfinished, when an entry is not in :func:`_direct_table`'s layout."""
+    lists = []
+    count = 0  # the colors in ``lists``
+    for entry in entries:
+        head = _ENTRY_HEAD.match(entry)
+        if head is None or (head[1] == b"{") != (not keys):  # "{" leads the first entry, "," every other
+            return False
+        keys.append(head[2])
+        body = entry[head.end() :]
+        commas = body.count(b",")
+        size = commas + 1 if commas or body.strip(_JSON_SPACE) else 0
+        if size:
+            lists.append(body)
+            count += size
+        sizes.append(size)
+    if not lists:
+        return True
+    values = _integers(b",".join(lists), count)
+    if values is None:
+        return False
+    colors.frombytes(values.view(np.uint8))
+    return True
+
+
+def _integers(text: bytes, count: int) -> np.ndarray | None:
+    """The ``count`` comma-separated JSON integers in ``text`` as int64, or
+    None unless ``text`` is just those, JSON whitespace around each, and
+    none lies at an int64 limit.
+
+    ``np.fromstring`` refuses a sign or a space inside a field, but it
+    reads ``+1``, ``01`` and ``- 1`` as numbers, a blank field or a lone
+    sign as 0, skips ``\\v`` and ``\\f``, and reads a value past int64 as a
+    limit. The byte checks before it and the limit check after it refuse
+    these, and ``-0`` too."""
+    bare = b"," + text.translate(None, _JSON_SPACE)  # every field after a comma
+    if bare.translate(None, _FIELD_BYTES) or b",," in bare or bare.endswith(b",") or _LEADING_ZERO.search(bare):
+        return None
+    if b"-" in bare and (
+        b"-," in bare or bare.endswith(b"-") or b"-0" in bare or b"- " in text.translate(_TO_SPACE)
+    ):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.26 warns and stops short where numpy 2 raises
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(text, dtype=np.int64, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    if values.size != count or values.max() == _INT64_MAX or values.min() == _INT64_MIN:
+        return None
+    return values
 
 
 def load_palettes(spec: str, graph: Graph) -> Sequence[Sequence[int]]:

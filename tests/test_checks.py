@@ -37,6 +37,15 @@ def test_verify_coloring_reports_uncolored_and_foreign_colors(palette_kind):
     ]
 
 
+def test_coloring_failures_cap_the_outside_lines_after_the_uncolored_one():
+    g = build_graph([], n=8)
+    colors = np.array([0, 9, 9, 9, 9, 9, 9, 9])
+    failures = coloring_failures(g, colors, np.arange(1, 8))
+    assert failures == ["1 vertices left uncolored (first: 0)"] + [
+        f"vertex {v} wears color 9 outside its own palette" for v in range(1, 5)
+    ]
+
+
 @pytest.mark.parametrize("coloring", [[1, 2], np.array([1, 2, 1, 2])])
 def test_verify_coloring_reports_a_coloring_of_another_length(coloring):
     g = build_graph([(0, 1), (1, 2)])

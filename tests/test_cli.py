@@ -727,6 +727,20 @@ def test_a_vertex_named_twice_is_a_usage_error(tmp_path, capsys):
     assert "coloring names vertex 0 twice, by keys '0' and '00'" in message
 
 
+
+def test_a_key_written_twice_is_a_usage_error(tmp_path, capsys):
+    # json.load keeps the last value of a repeated key; both files once read
+    # as if the first entry were not there
+    graph = str(_path_graph(tmp_path))
+    palettes = tmp_path / "palettes.json"
+    palettes.write_text('{"0": [1, 2, 3], "1": [1, 2, 3], "2": [1, 2, 3], "0": [4, 5, 6]}')
+    message = _usage_error(capsys, ["run", "--input", graph, "--palettes", str(palettes)])
+    assert message == f"error: {palettes}: names vertex 0 twice, by keys '0' and '0'\n"
+    colors = tmp_path / "colors.json"
+    colors.write_text('{"coloring": {"0": 1, "1": 2, "2": 1, "1": 3}}')
+    message = _usage_error(capsys, ["run", "--input", graph, "--mode", "verify", "--coloring", str(colors)])
+    assert message == "error: coloring names vertex 1 twice, by keys '1' and '1'\n"
+
 def test_palette_color_beyond_int64_is_a_usage_error(tmp_path, capsys):
     palettes = tmp_path / "palettes.json"
     palettes.write_text(json.dumps({"0": [1, 2, 3], "1": [1, 2, 2**64], "2": [1, 2, 3]}))

@@ -26,16 +26,18 @@ from deltacolor import (
 )
 from deltacolor.engine import (
     ROUND_COST,
+    DenseStepResult,
     PhaseDriver,
     StepStats,
     _conflicted,
     _select_dense_tentative,
     _uniform_pick,
+    schedule_plan,
 )
 from deltacolor import graph as graph_module
 from deltacolor.graph import segment_sum
 from deltacolor.io import dumps_json
-from deltacolor.schedule import RoundParams
+from deltacolor.schedule import RoundParams, build_schedule
 
 from conftest import copy_state
 
@@ -709,6 +711,42 @@ def test_driver_checks_palette_floor_only_with_schedule_bounds():
         driver.dense([0.6], bounds)
         failures = driver.report().invariant_failures
         assert any("palette floor violated" in msg for msg in failures) is flagged
+
+
+
+@pytest.mark.parametrize("margin, flagged", [(1.0, True), (0.0, False)])
+def test_palette_floor_takes_the_prefix_from_q(margin, flagged):
+    # three prefix vertices of one clique, Q = Δ + 1 each: a floor ``margin``
+    # above Q - L fails them, one at Q - L passes, and Q + L would clear both
+    g = generate(GeneratorSpec.parse("clique_chain:50x4"))
+    driver = PhaseDriver(g, canonical_palettes(g), seed=1, epsilon=0.1)
+    driver.decompose()
+    in_prefix = np.zeros(g.n, dtype=bool)
+    in_prefix[driver.decomp.cliques[0].members[:3]] = True
+    q_pre = driver.state.residual_palette_size.copy()
+    q = int(q_pre[driver.decomp.cliques[0].members[0]])
+    d = q - 3 + margin - 0.5  # floor = sqrt(z d) + d = d + 0.5
+    driver._check_palette_floor(DenseStepResult(StepStats("dense"), in_prefix), q_pre,
+                                RoundParams(d=d, z=0.25 / d, delta=0.0, gamma=None), 1)
+    assert any("palette floor violated" in msg for msg in driver.failures) is flagged
+
+
+def test_schedule_plan_stops_at_the_end_of_the_table():
+    # Δ = 50 at ε = 1e-5: two dense rows, both with a positive gamma
+    sched = build_schedule(50, 100, epsilon=1e-5)
+    assert len(sched.rounds) == 3 and all(r.gamma > 0 for r in sched.rounds[1:])
+    gammas, bounds = schedule_plan(sched, count=len(sched.rounds) + 2)
+    assert gammas == [r.gamma for r in sched.rounds[1:]]
+    assert bounds == list(sched.rounds[:-1])
+
+
+def test_forced_main_path_runs_on_a_perfect_matching():
+    # max degree 1: the main path's phases run, though no dense step is planned
+    g = build_graph([(2 * i, 2 * i + 1) for i in range(10)], n=20)
+    report = run(g, canonical_palettes(g), seed=1, epsilon=0.1, force_main_path=True)
+    assert [s.kind for s in report.steps[:2]] == ["decompose", "initial"]
+    assert schedule_plan(report.schedule) == ([], [])
+    assert report.invariant_failures == []
 
 
 # ------------------------------------------- array kernels vs per-vertex loops

@@ -5,6 +5,8 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from deltacolor import (
     verify_coloring,
     write_edge_list,
 )
+from deltacolor import io as io_module
 from deltacolor.checks import coloring_failures
 from deltacolor.cli import main
 
@@ -197,6 +200,174 @@ def test_read_palettes_gives_the_table(tmp_path):
     table = read_palettes(path, 2)
     assert isinstance(table, PaletteTable)
     assert table.offsets.tolist() == [0, 3, 5] and table.colors.tolist() == [1, 2, 3, 4, 2]
+
+
+# Palette files in the layout the reader converts directly, and files just
+# outside it: each of these must go to the JSON path, which alone words a
+# message. The last five are valid JSON that the direct read still declines.
+DECLINED = {
+    "trailing comma": '{"0": [1, 2,], "1": [3]}',
+    "trailing comma and space": '{"0": [1, 2, ], "1": [3]}',
+    "trailing comma in the last list": '{"0": [1, 2], "1": [3, ]}',
+    "leading zero": '{"0": [01, 2], "1": [3]}',
+    "space after a sign": '{"0": [- 1, 2], "1": [3]}',
+    "plus sign": '{"0": [+1, 2], "1": [3]}',
+    "lone sign": '{"0": [-], "1": [3]}',
+    "lone sign in the last list": '{"0": [1, 2], "1": [-]}',
+    "sign as a field": '{"0": [1,-,2], "1": [3]}',
+    "blank field": '{"0": [1, ,2], "1": [3]}',
+    "two signs": '{"0": [--1], "1": [3]}',
+    "space inside a number": '{"0": [1 2], "1": [3]}',
+    "vertical tab": '{"0": [1,\x0b2], "1": [3]}',
+    "2**63": '{"0": [9223372036854775808], "1": [3]}',
+    "-2**63 - 1": '{"0": [-9223372036854775809], "1": [3]}',
+    "exponent": '{"0": [1e0], "1": [3]}',
+    "fraction": '{"0": [1.0], "1": [3]}',
+    "true": '{"0": [true], "1": [3]}',
+    "null": '{"0": [null], "1": [3]}',
+    "nested list": '{"0": [[1], 2], "1": [3]}',
+    "non-ASCII space": '{"0": [1,\u00a02], "1": [3]}',
+    "BOM": '\ufeff{"0": [1, 2], "1": [3]}',
+    "key repeated": '{"0": [1, 2], "0": [3]}',
+    "key missing": '{"0": [1, 2]}',
+    "key out of range": '{"0": [1, 2], "999999999999999999": [3]}',
+    "no opening brace": ', "0": [1, 2], "1": [3]}',
+    "a brace for a comma": '{"0": [1, 2]{"1": [3]}',
+    "comma after the last entry": '{"0": [1, 2], "1": [3],}',
+    "text after the object": '{"0": [1, 2], "1": [3]} 0',
+    "a list, not an object": '[[1, 2], [3]]',
+    "float key": '{"0": [1, 2], "1.0": [3]}',
+    "escape in a key": '{"\\u0030": [1, 2], "1": [3]}',
+    "leading zero in a key": '{"00": [1, 2], "1": [3]}',
+    "int64 limit": '{"0": [9223372036854775807, 2], "1": [3]}',
+    "-2**63": '{"0": [-9223372036854775808, 2], "1": [3]}',
+    "-0": '{"0": [-0, 2], "1": [3]}',
+}
+
+
+@pytest.mark.parametrize("text", DECLINED.values(), ids=DECLINED)
+def test_files_outside_the_direct_layout_take_the_json_path(tmp_path, text):
+    path = tmp_path / "p.json"
+    path.write_text(text, encoding="utf-8")
+    assert io_module._direct_table(path, 2) is None
+    try:
+        expected = io_module._json_table(path, 2)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            read_palettes(path, 2)
+        assert str(got.value) == str(exc)
+    else:
+        _assert_same_table(read_palettes(path, 2), expected)
+
+
+@pytest.mark.parametrize("text", ["", "}", "{}", "{ }"])
+def test_a_file_without_entries_takes_the_json_path(tmp_path, text):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    assert io_module._direct_table(path, 0) is None
+    assert io_module._direct_table(path, 1) is None
+
+
+@pytest.mark.parametrize("warns", [True, False])
+def test_a_short_conversion_declines_without_a_warning(tmp_path, monkeypatch, warns):
+    # numpy 1.26 warns and stops short where numpy 2 raises; either way the
+    # file goes to the JSON path, and no warning escapes
+    path = tmp_path / "p.json"
+    path.write_text('{"0": [1, 2], "1": [3]}')
+    fromstring = np.fromstring
+
+    def short(*args, **kwargs):
+        if warns:
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return fromstring(*args, **kwargs)[:-1]
+
+    monkeypatch.setattr(np, "fromstring", short)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert io_module._direct_table(path, 2) is None
+        assert [p.tolist() for p in read_palettes(path, 2)] == [[1, 2], [3]]
+
+
+def _assert_same_table(got: PaletteTable, expected: PaletteTable) -> None:
+    assert got.offsets.tolist() == expected.offsets.tolist()
+    assert got.colors.tolist() == expected.colors.tolist()
+
+
+_SPACE = st.text(alphabet=" \t\n\r", max_size=2)
+_COLOR = st.one_of(st.integers(-300, 300), st.integers(-(2**63), 2**63 - 1))
+
+
+@st.composite
+def palette_files(draw):
+    """A palette file's bytes and vertex count: JSON whitespace drawn
+    between every two tokens, the keys in any order, and sometimes one byte
+    inserted or replaced."""
+    n = draw(st.integers(1, 5))
+    palettes = draw(st.lists(st.lists(_COLOR, max_size=4), min_size=n, max_size=n))
+    entries = []
+    for v in draw(st.permutations(range(n))):
+        colors = ",".join(f"{draw(_SPACE)}{c}{draw(_SPACE)}" for c in palettes[v])
+        entries.append(f'{draw(_SPACE)}"{v}"{draw(_SPACE)}:{draw(_SPACE)}[{colors}{draw(_SPACE)}]')
+    data = f'{draw(_SPACE)}{{{",".join(entries)}{draw(_SPACE)}}}{draw(_SPACE)}'.encode()
+    edit = draw(st.sampled_from([None, "insert", "replace"]))
+    if edit is not None:
+        at = draw(st.integers(0, len(data) - (edit == "replace")))
+        byte = draw(st.sampled_from(b' \t\n\x0b\x00,:-+0159e.[]{}"x\xa0'))
+        data = data[:at] + bytes([byte]) + data[at + (edit == "replace") :]
+    return data, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(palette_files(), st.sampled_from([1, 7, 2**18]))
+def test_the_direct_read_gives_the_json_table_or_declines(file, chars):
+    data, n = file
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io_module, "_READ_CHARS", chars)  # entries cut across reads
+        path = Path(tmp) / "p.json"
+        path.write_bytes(data)
+        direct = io_module._direct_table(path, n)
+        try:
+            expected = io_module._json_table(path, n)
+        except ValidationError as exc:
+            assert direct is None
+            with pytest.raises(ValidationError) as got:
+                read_palettes(path, n)
+            assert str(got.value) == str(exc)
+            return
+        if direct is not None:
+            _assert_same_table(direct, expected)
+        _assert_same_table(read_palettes(path, n), expected)
+
+
+def _mixed_main_file(path: Path, n: int, size: int) -> list:
+    """Palettes written as the benchmark's mixed-main workload writes them:
+    ``json.dumps`` of sorted lists of ``size`` colours from 1..2 size."""
+    rng = np.random.default_rng(1)
+    rows = np.sort(rng.permuted(np.tile(np.arange(1, 2 * size + 1), (n, 1)), axis=1)[:, :size], axis=1)
+    path.write_text(json.dumps({str(v): row for v, row in enumerate(rows.tolist())}))
+    return rows.tolist()
+
+
+def test_the_benchmark_layout_takes_the_direct_read(tmp_path, monkeypatch):
+    path = tmp_path / "p.json"
+    rows = _mixed_main_file(path, 1000, 101)
+
+    def refuse(path):
+        raise AssertionError("read_json was called")
+
+    monkeypatch.setattr(io_module, "read_json", refuse)
+    monkeypatch.setattr(io_module, "_READ_CHARS", 2**12)
+    tracemalloc.start()
+    try:
+        table = read_palettes(path, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [p.tolist() for p in table] == rows
+    assert not table.colors.flags.writeable and not table.offsets.flags.writeable
+    # a chunk at a time: the read peaks near the colours' own bytes (1.2x),
+    # where json.load's Python ints take 3.5x
+    assert peak < 1.5 * table.colors.nbytes
 
 
 def _count_tables(monkeypatch) -> list:

@@ -298,6 +298,7 @@ def test_commit_marks_neither_a_committed_nor_an_in_batch_neighbour(monkeypatch,
         ([3, 0], [2, 2], "vertices 3 and 0 are neighbors but both assigned color 2"),
         ([0, 1], [3, 3], "vertices 0 and 1 are neighbors but both assigned color 3"),
         ([0], [1, 2], "1-D vertex and color arrays of one length"),
+        ([0, 4], [1, 1], "assignment to unknown vertex 4"),  # n itself
     ],
 )
 def test_commit_violation_messages_name_the_first_bad_entry(vertices, colors, message):
@@ -650,3 +651,12 @@ def test_init_state_rejects_an_oversized_palette_matrix_before_allocating(kind):
         tracemalloc.stop()
     # the rejected matrix would take more than 2**28 bytes
     assert peak < 2**22 < state_module._MAX_PALETTE_CELLS
+
+
+def test_palette_cell_limit_is_inclusive():
+    limit = state_module._MAX_PALETTE_CELLS
+    state_module._check_palette_cells(2**14, limit // 2**14)
+    state_module._check_palette_cells(limit, 1)
+    for n, colors in ((limit + 1, 1), (1, limit + 1)):
+        with pytest.raises(ValidationError, match=f"over the limit of {limit} cells"):
+            state_module._check_palette_cells(n, colors)
