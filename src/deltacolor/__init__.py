@@ -40,7 +40,6 @@ from .engine import (
 from .errors import DeltaColorError, GenerationError, InvariantViolation, ValidationError
 from .generators import (
     GeneratorSpec,
-    brute_force_decomposition,
     generate,
     is_locally_sparse,
     neighborhood_edge_counts,
@@ -86,7 +85,6 @@ __all__ = [
     "advance_params",
     "apply_dense_tentative",
     "apply_initial_tentative",
-    "brute_force_decomposition",
     "build_graph",
     "build_schedule",
     "canonical_palettes",

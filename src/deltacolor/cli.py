@@ -33,7 +33,7 @@ from .engine import (
 )
 from .errors import DeltaColorError, InvariantViolation, ValidationError
 from .generators import GeneratorSpec, generate
-from .graph import Graph
+from .graph import Graph, RepeatedKeys
 from .io import dumps_json, load_palettes, read_edge_list, read_json, write_edge_list
 from .schedule import DEFAULT_K, build_schedule
 
@@ -105,6 +105,8 @@ def _parse_args(
     cfg = read_json(args.config)
     if not isinstance(cfg, dict):
         raise ValidationError(f"{args.config}: config must be a JSON object")
+    if isinstance(cfg, RepeatedKeys):
+        raise ValidationError(f"{args.config}: config key {cfg.repeated()[0]!r} written twice")
     actions = {a.dest: a for a in run_p._actions if a.dest not in ("help", "config")}
     defaults = {}
     for key, value in cfg.items():
@@ -127,6 +129,8 @@ def _config_value(action: argparse.Action, value, where: str):
     be a generator spec object.
     """
     if action.dest == "gen" and isinstance(value, dict):
+        if isinstance(value, RepeatedKeys):
+            raise ValidationError(f"{where}: key {value.repeated()[0]!r} written twice")
         return value
     convert = action.type or str
     numbers = {int: (int,), float: (int, float)}.get(convert, ())
@@ -267,6 +271,8 @@ def _mode_decompose(graph: Graph, args) -> int:
 
 def _mode_verify(graph: Graph, palettes, args) -> int:
     data = read_json(args.coloring)
+    if isinstance(data, RepeatedKeys) and "coloring" in data.repeated():
+        raise ValidationError(f"{args.coloring}: key 'coloring' written twice")
     coloring = data.get("coloring", data) if isinstance(data, dict) else data
     if not isinstance(coloring, dict):
         raise ValidationError(f"{args.coloring}: expected a JSON object mapping vertex -> color")

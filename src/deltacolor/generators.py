@@ -1,10 +1,4 @@
-"""Seeded graph generators and brute-force oracles for testing.
-
-Generators are deterministic for a fixed spec and seed. The brute-force
-decomposition is an independent implementation (plain Python sets and a
-hand-rolled union-find) kept deliberately free of the optimized code
-paths so it can serve as an oracle.
-"""
+"""Seeded graph generators, deterministic for a fixed spec and seed."""
 
 from __future__ import annotations
 
@@ -13,13 +7,11 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .decomposition import THRESHOLD_TOL, Decomposition
+from .decomposition import THRESHOLD_TOL
 from .errors import GenerationError, ValidationError
 from .graph import _MAX_VERTICES, Graph, _csr_from_keys, build_graph, segment_sum
-from .schedule import check_epsilon
 from .sharing import edge_common_counts
 
-_BRUTE_FORCE_LIMIT = 500
 _LOCALLY_SPARSE_ATTEMPTS = 50
 # Most vertex pairs a generator may enumerate or draw at once: the kinds
 # that list or draw every pair of a set (complete, clique_chain,
@@ -191,58 +183,3 @@ def is_locally_sparse(graph: Graph, delta: float) -> bool:
     dmax = graph.max_degree
     bound = (1.0 - delta) * dmax * (dmax - 1) / 2.0
     return bool(np.all(neighborhood_edge_counts(graph) <= bound + THRESHOLD_TOL))
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def brute_force_decomposition(graph: Graph, epsilon: float) -> Decomposition:
-    """Oracle decomposition by direct definition chasing (small graphs only)."""
-    if graph.n > _BRUTE_FORCE_LIMIT:
-        raise ValidationError(f"brute-force oracle capped at n={_BRUTE_FORCE_LIMIT}")
-    epsilon = check_epsilon(epsilon)
-
-    nsets = [graph.neighbor_set(v) for v in range(graph.n)]
-    threshold = (1.0 - epsilon) * graph.max_degree - THRESHOLD_TOL
-    friend_pairs = []
-    friend_count = [0] * graph.n
-    for u in range(graph.n):
-        for v in nsets[u]:
-            if u < v and len(nsets[u] & nsets[v]) >= threshold:
-                friend_pairs.append((u, v))
-                friend_count[u] += 1
-                friend_count[v] += 1
-
-    if graph.max_degree == 0:
-        dense = set()
-    else:
-        dense = {v for v in range(graph.n) if friend_count[v] >= threshold}
-
-    uf = _UnionFind(sorted(dense))
-    for u, v in friend_pairs:
-        if u in dense and v in dense:
-            uf.union(u, v)
-    groups: dict[int, list[int]] = {}
-    for v in sorted(dense):
-        groups.setdefault(uf.find(v), []).append(v)
-
-    membership = np.full(graph.n, -1, dtype=np.int64)
-    for j, root in enumerate(sorted(groups)):  # a root is its group's least member
-        membership[groups[root]] = j
-    friend_graph = build_graph(friend_pairs, n=graph.n)
-    return Decomposition(epsilon=epsilon, friend_graph=friend_graph, membership=membership)

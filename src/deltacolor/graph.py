@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator
@@ -149,9 +150,6 @@ class Graph:
                 us.append(part[np.searchsorted(np.cumsum(degrees), clash, side="right")])
                 vs.append(neighbors[clash])
         return np.concatenate(us), np.concatenate(vs)
-
-    def neighbor_set(self, v: int) -> set[int]:
-        return set(int(w) for w in self.neighbors(v))
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v, lexicographically sorted."""
@@ -312,6 +310,10 @@ class RepeatedKeys(dict):
     def __init__(self, pairs: list[tuple[str, object]]):
         super().__init__(pairs)
         self.pairs = pairs
+
+    def repeated(self) -> list[str]:
+        """The keys written more than once, in the order of their first writing."""
+        return [key for key, count in Counter(key for key, _ in self.pairs).items() if count > 1]
 
 
 def vertex_map(data: dict, owner: str) -> dict[int, object]:

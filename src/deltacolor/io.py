@@ -98,7 +98,8 @@ def read_edge_list(path: str | Path) -> Graph:
     ``np.fromstring`` call converts the chunk into one int64 buffer. Only
     a file that fails is read again, line by line, to name its first bad
     line as ``path:lineno``. A byte that is not UTF-8 is named by the file
-    and its position.
+    and its position, and a graph that :func:`~deltacolor.graph.build_graph`
+    refuses by the file.
     """
     declared_n: int | None = None
     ids = array("q")
@@ -124,7 +125,10 @@ def read_edge_list(path: str | Path) -> Graph:
         raise ValidationError(f"{path}: empty edge list without an 'n <count>' header")
     if outside:
         raise ValidationError(f"{path}: vertex ID outside the int64 range")
-    return build_graph(np.frombuffer(ids, dtype=np.int64).reshape(-1, 2), n=declared_n)
+    try:
+        return build_graph(np.frombuffer(ids, dtype=np.int64).reshape(-1, 2), n=declared_n)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _whole_lines(fh: TextIO) -> Iterator[str]:

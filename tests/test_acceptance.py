@@ -16,7 +16,6 @@ from deltacolor import (
     GeneratorSpec,
     advance_params,
     apply_dense_tentative,
-    brute_force_decomposition,
     build_graph,
     build_schedule,
     canonical_palettes,
@@ -34,6 +33,7 @@ from deltacolor.checks import decomposition_bound_failures, decomposition_failur
 from deltacolor.engine import _select_dense_tentative
 
 from conftest import copy_state, same_decomposition
+from reference import brute_force_decomposition
 
 
 @dataclass

@@ -741,6 +741,30 @@ def test_a_key_written_twice_is_a_usage_error(tmp_path, capsys):
     message = _usage_error(capsys, ["run", "--input", graph, "--mode", "verify", "--coloring", str(colors)])
     assert message == "error: coloring names vertex 1 twice, by keys '1' and '1'\n"
 
+
+def test_a_config_key_written_twice_is_a_usage_error(tmp_path, capsys):
+    # json.load keeps the last value: this config once ran with seed 5
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"gen": "complete:4", "seed": 1, "seed": 5}')
+    message = _usage_error(capsys, ["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+    assert message == f"error: {cfg}: config key 'seed' written twice\n"
+    assert not (tmp_path / "r.json").exists()
+    # a generator spec object too: this one once ran on complete:6
+    cfg.write_text('{"gen": {"kind": "complete", "n": 4, "n": 6}}')
+    message = _usage_error(capsys, ["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+    assert message == f"error: {cfg}: config key 'gen': key 'n' written twice\n"
+
+
+def test_a_report_that_writes_its_coloring_twice_is_a_usage_error(tmp_path, capsys):
+    # the first map alone fails verify (vertex 0 outside its palette); the
+    # second alone passes, and json.load would keep only the second
+    graph = str(_path_graph(tmp_path))
+    colors = tmp_path / "report.json"
+    colors.write_text('{"coloring": {"0": 9, "1": 2, "2": 1}, "seed": 0, "coloring": {"0": 1, "1": 2, "2": 1}}')
+    message = _usage_error(capsys, ["run", "--input", graph, "--mode", "verify", "--coloring", str(colors)])
+    assert message == f"error: {colors}: key 'coloring' written twice\n"
+
+
 def test_palette_color_beyond_int64_is_a_usage_error(tmp_path, capsys):
     palettes = tmp_path / "palettes.json"
     palettes.write_text(json.dumps({"0": [1, 2, 3], "1": [1, 2, 2**64], "2": [1, 2, 3]}))
@@ -1040,4 +1064,15 @@ def test_a_declared_vertex_count_of_zero_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "empty.edges"
     path.write_text("n 0\n")
     err = _usage_error(capsys, ["run", "--input", str(path), "--mode", "decompose-only"])
-    assert err == "error: vertex count must be positive\n"
+    assert err == f"error: {path}: vertex count must be positive\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n 3\n0 1\n1 1\n", "self-loop at vertex 1"),
+    ("n 3\n0 5\n", "edge references vertex 5 but only 3 vertices were declared"),
+])
+def test_a_graph_the_edge_list_describes_badly_is_named_by_its_file(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    err = _usage_error(capsys, ["run", "--input", str(path)])
+    assert err == f"error: {path}: {message}\n"

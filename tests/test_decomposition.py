@@ -11,7 +11,6 @@ from scipy.sparse.csgraph import connected_components
 from deltacolor import (
     GeneratorSpec,
     ValidationError,
-    brute_force_decomposition,
     build_graph,
     canonical_palettes,
     classify_and_components,
@@ -28,7 +27,6 @@ from deltacolor import graph as graph_module
 from deltacolor import sharing as sharing_module
 from deltacolor.checks import decomposition_bound_failures, decomposition_failures
 from deltacolor.decomposition import (
-    DIAMETER_EXCEEDED,
     THRESHOLD_TOL,
     Decomposition,
     decomposition_to_dict,
@@ -36,6 +34,7 @@ from deltacolor.decomposition import (
 from deltacolor.sharing import edge_common_counts
 
 from conftest import clique_beside_bipartite, mixed_main_shaped, same_decomposition
+from reference import brute_force_decomposition, neighbors
 
 
 def cycle(n):
@@ -314,6 +313,19 @@ def test_oracle_equivalence_property(n, seed, p, eps):
     assert same_decomposition(decompose(g, eps), brute_force_decomposition(g, eps))
 
 
+def test_a_friend_count_at_the_threshold_is_dense():
+    # K12 without five edges, at the epsilon where (1 - eps) * 11 - tol is
+    # 9.0 exactly: vertices 0, 1, 2 and 7 have exactly 9 friends
+    missing = {(3, 11), (4, 9), (5, 8), (5, 10), (6, 11)}
+    g = build_graph([(u, v) for u in range(12) for v in range(u + 1, 12) if (u, v) not in missing])
+    eps = 0.1818181817272727
+    assert (1.0 - eps) * g.max_degree - THRESHOLD_TOL == 9.0
+    assert compute_friend_edges(g, eps).degrees()[[0, 1, 2, 7]].tolist() == [9] * 4
+    d = decompose(g, eps)
+    assert (d.membership[[0, 1, 2, 7]] >= 0).all()
+    assert same_decomposition(d, brute_force_decomposition(g, eps))
+
+
 def one_clique(g, members):
     """A hand-made decomposition declaring ``members`` one almost-clique."""
     membership = np.full(g.n, -1, dtype=np.int64)
@@ -327,11 +339,12 @@ def one_clique(g, members):
     [
         ([(0, 1), (1, 2), (0, 2)], [0, 1, 2], 1),
         ([(0, 1), (1, 2)], [0, 1, 2], 2),
-        ([(0, 1), (1, 2), (2, 3)], [0, 1, 2, 3], DIAMETER_EXCEEDED),
-        ([(0, 4), (4, 1), (1, 5), (5, 2)], [0, 1, 2], DIAMETER_EXCEEDED),
+        ([(0, 1), (1, 2), (2, 3)], [0, 1, 2, 3], 3),
+        ([(0, 4), (4, 1), (1, 5), (5, 2)], [0, 1, 2], 3),
     ],
 )
 def test_weak_diameter_values(monkeypatch, backend, edges, members, expected):
+    # a distance above 2 is reported as 3, whatever it is (3 and 4 here)
     # force one backend of the apart-pair counts: "sparse" leaves no
     # dense read within the memory bound, so SpGEMM counts the pairs
     if backend == "sparse":
@@ -450,7 +463,7 @@ def test_structural_metrics_match_per_member_loop(seed):
     state = init_state(g, canonical_palettes(g))
     batch = {}
     for v in rng.permutation(g.n)[: g.n // 3].tolist():
-        if not batch.keys() & g.neighbor_set(v):
+        if not batch.keys() & neighbors(g, v):
             batch[v] = 1 + v % (g.max_degree + 1)
     commit_colors(state, list(batch), list(batch.values()))
     uncolored = state.committed == 0
@@ -486,6 +499,7 @@ def test_decomposition_records_only_the_membership():
         (np.array([0, 2, 1]), "vertex 1 is 2, not -1 .sparse. or a clique index up to 1"),
         (np.array([-1, 1, 0]), "vertex 1 is 1, not -1 .sparse. or a clique index up to 0"),
         (np.array([0, -1, 2]), "vertex 2 is 2, not -1 .sparse. or a clique index up to 1"),
+        (np.array([1, 3, -1]), "vertex 0 is 1, not -1 .sparse. or a clique index up to 0"),
     ],
 )
 def test_malformed_membership_is_rejected(membership, match):

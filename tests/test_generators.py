@@ -10,7 +10,6 @@ from deltacolor import (
     GenerationError,
     GeneratorSpec,
     ValidationError,
-    brute_force_decomposition,
     build_graph,
     decompose,
     generate,
@@ -20,6 +19,7 @@ from deltacolor import (
 from deltacolor import generators
 
 from conftest import same_decomposition
+from reference import brute_force_decomposition
 
 
 def test_spec_parse_forms():
@@ -211,7 +211,7 @@ def test_neighborhood_edge_counts_match_recount():
 
 
 def test_brute_force_guard():
-    g = generate(GeneratorSpec("gnp", {"n": 501, "p": 0.01}, seed=0))
+    g = generate(GeneratorSpec("gnp", {"n": 1001, "p": 0.01}, seed=0))
     with pytest.raises(ValidationError, match="capped"):
         brute_force_decomposition(g, 0.1)
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from deltacolor import (
     ValidationError,
     advance_params,
-    brute_force_decomposition,
     build_graph,
     build_schedule,
     compute_friend_edges,
@@ -15,6 +14,8 @@ from deltacolor import (
     density_epsilon,
     regularity_ok,
 )
+
+from reference import brute_force_decomposition
 
 
 def test_epsilon_formula_at_e9():
@@ -56,14 +57,11 @@ def test_advance_params_ratio_always_twelve_fold():
 
 
 def test_advance_params_domain_errors():
-    with pytest.raises(ValidationError):
-        advance_params(4.0, 4.0)
-    with pytest.raises(ValidationError):
-        advance_params(5.0, 4.0)
-    with pytest.raises(ValidationError):
-        advance_params(0.0, 4.0)
-    with pytest.raises(ValidationError):
-        advance_params(1.0, -2.0)
+    for d, z, message in ((4.0, 4.0, "recurrence needs d < z"), (5.0, 4.0, "recurrence needs d < z"),
+                          (0.0, 4.0, "bounds must be positive"), (1.0, -2.0, "bounds must be positive"),
+                          (1.0, 0.0, "bounds must be positive")):
+        with pytest.raises(ValidationError, match=message):
+            advance_params(d, z)
 
 
 def test_regularity_examples():
@@ -73,6 +71,10 @@ def test_regularity_examples():
     assert regularity_ok(1e6, 1e8, n=round(math.e**10), k=10.0)
     # d*delta = 0.01 < 10*100
     assert not regularity_ok(10.0, 1e4, n=round(math.e**100), k=10.0)
+    # both conditions are inclusive: d*delta = K ln n = 0.5, then delta = 1/K = 0.25
+    k = 0.5 / math.log(20)
+    assert k * math.log(20) == 0.5 and regularity_ok(2.0, 8.0, n=20, k=k)
+    assert regularity_ok(1.0, 4.0, n=1, k=4.0)
 
 
 @pytest.mark.parametrize(
@@ -81,6 +83,7 @@ def test_regularity_examples():
         (0.0, 2.0, 10, "bounds must be positive"),
         (1.0, -2.0, 10, "bounds must be positive"),
         (1.0, 2.0, 0, "vertex count must be at least 1"),
+        (1.0, 0.0, 10, "bounds must be positive"),
     ],
 )
 def test_regularity_gate_rejects_bad_bounds_and_vertex_counts(d, z, n, message):
@@ -145,6 +148,11 @@ def test_main_path_gate():
     # but an explicit epsilon can, given a forgiving K and tiny n
     sched2 = build_schedule(10**6, n=2, k=0.01, epsilon=0.19)
     assert sched2.main_path
+    # the gate is inclusive: here eps^4 * max degree = K ln n = 1 exactly
+    k = 1.0 / math.log(20)
+    assert 0.125**4 * 4096 == k * math.log(20) == 1.0
+    assert build_schedule(4096, n=20, k=k, epsilon=0.125).main_path
+    assert not build_schedule(4096, n=20, k=1.01 * k, epsilon=0.125).main_path
 
 
 def test_epsilon_override_validation():
@@ -158,6 +166,10 @@ def test_epsilon_override_validation():
 def test_input_validation():
     with pytest.raises(ValidationError):
         build_schedule(0, n=10, k=1.0)
+    # with an epsilon override the density formula is not there to refuse it
+    for delta in (0, 0.5):
+        with pytest.raises(ValidationError, match="^max degree must be at least 1$"):
+            build_schedule(delta, n=10, k=1.0, epsilon=0.1)
     with pytest.raises(ValidationError):
         build_schedule(10, n=0, k=1.0)
     with pytest.raises(ValidationError):
@@ -182,6 +194,9 @@ def test_regularity_horizon_stops_at_first_failure():
     sched = build_schedule(200, n=1000, k=0.5, epsilon=0.035)
     assert sched.regularity_horizon == 1
     assert sched.rounds[1].gamma == pytest.approx(1 - 2 * math.sqrt(0.21), rel=1e-12)
+    # one regular row of four: delta = 0.006 <= 1/K = 0.01, then 0.072 > 0.01
+    sched = build_schedule(math.e**9, n=1, k=100.0, epsilon=0.001)
+    assert len(sched.rounds) == 4 and sched.regularity_horizon == 1
 
 
 def test_table_truncates_when_ratio_reaches_one():
@@ -190,6 +205,9 @@ def test_table_truncates_when_ratio_reaches_one():
     # no row may carry a ratio >= 1 except the last one
     for row in sched.rounds[:-1]:
         assert row.delta < 1.0
+    # a ratio of exactly 1 ends the table too: the recurrence needs d < z
+    sched = build_schedule(100, n=100, k=1.0, epsilon=1 / 6)
+    assert sched.rounds[0].delta == 1.0 and len(sched.rounds) == 1
 
 
 @settings(max_examples=200, deadline=None)
