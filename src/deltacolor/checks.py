@@ -21,23 +21,37 @@ from .state import ColoringState, recompute_residuals
 _REPORT_CAP = 5
 
 
-def properness_failures(graph: Graph, committed: np.ndarray) -> list[str]:
+def properness_failures(
+    graph: Graph, committed: np.ndarray, rows: np.ndarray | None = None
+) -> list[str]:
     """Monochromatic edges among committed vertices, from one
-    :meth:`~deltacolor.graph.Graph.same_color_edges` query over every
-    row; names the first bad slots in (row, column) order."""
-    rows, columns = graph.same_color_edges(committed)
-    if not rows.size:
+    :meth:`~deltacolor.graph.Graph.same_color_edges` query over ``rows``
+    (every row when None); names the first bad slots in (row, column)
+    order.
+
+    Given ``rows`` (committed vertices), every monochromatic edge with an
+    end in ``rows`` is found, and the pair lookup may find others; each
+    edge is named once, by its ends in ascending order.
+    """
+    ends, others = graph.same_color_edges(committed, rows)
+    if not ends.size:
         return []
-    first = np.lexsort((columns, rows))[: 2 * _REPORT_CAP]
-    bad = zip(rows[first].tolist(), columns[first].tolist())
+    if rows is not None:
+        # a scan finds an edge from its ends in rows only
+        keys = np.unique(np.minimum(ends, others) * graph.n + np.maximum(ends, others))
+        ends, others = np.divmod(keys, graph.n)
+    first = np.lexsort((others, ends))[: 2 * _REPORT_CAP]
+    bad = zip(ends[first].tolist(), others[first].tolist())
     out = [f"edge ({u}, {v}) is monochromatic with color {int(committed[u])}" for u, v in bad if u < v]
-    return out[:_REPORT_CAP] or [f"{rows.size // 2} monochromatic edges among committed vertices"]
+    return out[:_REPORT_CAP] or [f"{ends.size // 2} monochromatic edges among committed vertices"]
 
 
-def residual_consistency_failures(state: ColoringState) -> list[str]:
-    """Incrementally maintained Q/d of every uncolored vertex must match
-    a from-scratch recount of its row."""
-    rows = np.flatnonzero(state.committed == BLANK)
+def residual_consistency_failures(state: ColoringState, rows: np.ndarray | None = None) -> list[str]:
+    """Incrementally maintained Q/d of every uncolored vertex in ``rows``
+    (ascending vertex IDs; every vertex when None) must match a
+    from-scratch recount of its row."""
+    uncolored = state.committed == BLANK
+    rows = np.flatnonzero(uncolored) if rows is None else rows[uncolored[rows]]
     q, d = recompute_residuals(state, rows)
     out = []
     for i in np.flatnonzero(q != state.residual_palette_size[rows])[:_REPORT_CAP]:

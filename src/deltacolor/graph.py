@@ -121,12 +121,13 @@ class Graph:
         in ``colors`` (one per vertex), as two aligned arrays, each edge
         by both of its slots, in no set order.
 
-        ``rows`` must hold every non-blank vertex; None means every row.
-        The same-color pairs are looked up by :meth:`adjacent` when that
-        is cheaper (:func:`same_color_pairs`), which assumes the symmetric
-        CSR that :func:`build_graph` guarantees; otherwise ``rows`` are
-        scanned (:meth:`scan`), and only a scan of every row tests for
-        blank rows.
+        Every such slot whose row is in ``rows`` (non-blank vertices;
+        None means every row) is found. The same-color pairs are looked up
+        by :meth:`adjacent` when that is cheaper (:func:`same_color_pairs`),
+        which assumes the symmetric CSR that :func:`build_graph`
+        guarantees, and may then also return other real same-color edges;
+        otherwise ``rows`` are scanned (:meth:`scan`), and only a scan of
+        every row tests for blank rows.
         """
         every = rows is None
         if every:

@@ -29,8 +29,14 @@ from deltacolor import (
     structural_metrics,
     verify_coloring,
 )
-from deltacolor.checks import decomposition_bound_failures, decomposition_failures
-from deltacolor.engine import _select_dense_tentative
+from deltacolor.checks import (
+    decomposition_bound_failures,
+    decomposition_failures,
+    properness_failures,
+    residual_consistency_failures,
+)
+from deltacolor.engine import PhaseDriver, _select_dense_tentative
+from deltacolor.io import dumps_json
 
 from conftest import copy_state, same_decomposition
 from reference import brute_force_decomposition
@@ -234,6 +240,32 @@ def test_criterion_04_surplus_and_residual_consistency(sweep):
     assert commits > 0
     print(f"\n[acceptance] criterion 4 surplus monotonicity + residual consistency: PASS "
           f"({commits} checked steps)")
+
+
+def test_delta_and_full_monitors_agree_on_the_sweep(sweep, monkeypatch):
+    """The sweep again, every step reporting the full check's messages:
+    each step's delta monitor says the same, and each report's bytes
+    equal the sweep's, whose monitor took the delta."""
+    monitor = PhaseDriver._monitor
+    steps = []
+
+    def full_beside_delta(self, uncolored):
+        delta = monitor(self, uncolored)
+        state = self.state
+        full = properness_failures(state.graph, state.committed)
+        full += residual_consistency_failures(state)
+        steps.append((delta, full))
+        return full
+
+    monkeypatch.setattr(PhaseDriver, "_monitor", full_beside_delta)
+    for item in sweep.runs:
+        cfg = next(cfg for cfg in SWEEP_CONFIGS if cfg.tag == item.tag)
+        report = run(item.graph, item.palettes, k=cfg.k, seed=item.seed,
+                     epsilon=cfg.epsilon, force_main_path=cfg.force)
+        assert dumps_json(report.to_dict()) == dumps_json(item.report.to_dict()), (item.tag, item.seed)
+    assert [delta for delta, _ in steps] == [full for _, full in steps]
+    # one check per coloring step
+    assert len(steps) == sum(s.kind != "decompose" for item in sweep.runs for s in item.report.steps)
 
 
 def test_criterion_05_good_color_bound():

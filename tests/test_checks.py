@@ -211,6 +211,35 @@ def test_blocked_properness_scan_matches_the_full_slot_scan(n, raw, colors, bloc
         assert properness_failures(g, committed) == full_slot_properness(g, committed)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    raw=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=120),
+    colors=st.lists(st.integers(0, 3), min_size=30, max_size=30),
+    keep=st.lists(st.booleans(), min_size=30, max_size=30),
+    pair_slots=st.sampled_from([0, 10**9]),
+)
+def test_properness_over_some_rows_names_their_edges(n, raw, colors, keep, pair_slots):
+    # rows: some committed vertices. PAIR_SLOTS 10**9 scans them and names
+    # the first edges with an end among them; 0 looks every same-colour
+    # pair up and so names the first of all monochromatic edges
+    g = build_graph([(u % n, v % n) for u, v in raw if u % n != v % n], n=n)
+    committed = np.array(colors[:n], dtype=np.int64)
+    colored = np.flatnonzero(committed != 0)
+    rows = colored[np.array(keep[: colored.size], dtype=bool)]
+    own = np.repeat(committed, g.degrees())
+    bad = (own == committed[g.indices]) & (own != 0) & (g.slot_owners() < g.indices)
+    edges = list(zip(g.slot_owners()[bad].tolist(), g.indices[bad].tolist()))
+    if pair_slots:
+        edges = [(u, v) for u, v in edges if u in rows or v in rows]
+    elif not g.degrees()[rows].sum():
+        edges = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "PAIR_SLOTS", pair_slots)
+        got = properness_failures(g, committed, rows)
+    assert got == [f"edge ({u}, {v}) is monochromatic with color {committed[u]}" for u, v in edges[:5]]
+
+
 @pytest.mark.parametrize("block", [None, 1, 3, 64])
 def test_properness_count_message_spans_blocks(block):
     # hand-built one-way rows 1..11 -> 0: every bad slot has u > v, so no

@@ -240,17 +240,29 @@ STEP_MODES = {
 
 @pytest.mark.parametrize("mode", sorted(STEP_MODES))
 def test_step_modes_run_the_monitor_after_every_step(tmp_path, monkeypatch, mode):
+    # The failure is injected from the second recount on, so it lands on a
+    # step checked after a passing one, where the delta runs first. The
+    # initial step is its mode's one step, so there it lands on the first.
     import deltacolor.engine
 
-    monkeypatch.setattr(
-        deltacolor.engine, "residual_consistency_failures", lambda state: ["injected"]
-    )
+    recount = deltacolor.engine.residual_consistency_failures
+    calls = []
+
+    def injected(state, rows=None):
+        calls.append(rows)
+        first = 1 if mode == "initial-only" else 2
+        return ["injected"] if len(calls) >= first else recount(state, rows)
+
+    monkeypatch.setattr(deltacolor.engine, "residual_consistency_failures", injected)
     out = tmp_path / "r.json"
     argv = ["run", *STEP_MODES[mode], "--seed", "1", "--mode", mode, "--out", str(out)]
+    if mode == "dense-steps":
+        argv += ["--steps", "2"]
     assert main(argv) == 1
     doc = read_json(out)
     kind = {"initial-only": "initial", "dense-steps": "dense", "fallback-only": "fallback"}[mode]
-    assert any(msg.endswith(f"({kind}): injected") for msg in doc["invariant_failures"])
+    step = {"initial-only": 1, "dense-steps": 3, "fallback-only": 2}[mode]
+    assert doc["invariant_failures"][0] == f"step {step} ({kind}): injected"
 
 
 def plant_surplus_drop(monkeypatch, planted):

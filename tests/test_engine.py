@@ -30,11 +30,14 @@ from deltacolor.engine import (
     PhaseDriver,
     StepStats,
     _conflicted,
+    _delta_pays,
     _select_dense_tentative,
     _uniform_pick,
     schedule_plan,
 )
+from deltacolor import engine as engine_module
 from deltacolor import graph as graph_module
+from deltacolor.checks import properness_failures, residual_consistency_failures
 from deltacolor.graph import segment_sum
 from deltacolor.io import dumps_json
 from deltacolor.schedule import RoundParams, build_schedule
@@ -976,3 +979,99 @@ def test_live_row_conflicts_match_the_full_slot_scan(n, raw, colors, blank, bloc
         assert np.array_equal(
             _conflicted(g, tentative, rank), full_slot_conflicted(g, tentative, rank)
         )
+
+
+# ------------------------------------------------------------ delta monitor
+
+
+def test_the_delta_recount_pays_below_half_the_uncolored_slots():
+    assert not _delta_pays(5, 10)
+    assert _delta_pays(5, 11)
+    assert not _delta_pays(0, 0)
+
+
+def test_the_delta_recount_finds_a_touched_row_whose_q_and_d_held(monkeypatch):
+    # step 2's commit leaves one live neighbour of a batch vertex as it
+    # was, so that row's maintained Q and d still equal the snapshot: only
+    # the delta's scan of the new rows puts it among the rows recounted
+    g = generate(GeneratorSpec.parse("gnp:60,0.3", seed=1))
+    commit, calls, skipped = engine_module.commit_colors, [], []
+
+    def commit_and_skip(state, vertices, colors):
+        calls.append(vertices)
+        before = copy_state(state)
+        commit(state, vertices, colors)
+        if len(calls) == 2:
+            v = next(int(w) for u in vertices for w in g.neighbors(u) if state.committed[w] == BLANK)
+            for name in ("residual_degree", "residual_palette_size", "palette"):
+                getattr(state, name)[v] = getattr(before, name)[v]
+            skipped.append(v)
+
+    recounted = []
+    recount = engine_module.residual_consistency_failures
+
+    def recording(state, rows=None):
+        recounted.append(rows)
+        return recount(state, rows)
+
+    monkeypatch.setattr(engine_module, "commit_colors", commit_and_skip)
+    monkeypatch.setattr(engine_module, "residual_consistency_failures", recording)
+    monkeypatch.setattr(engine_module, "_delta_pays", lambda new_slots, uncolored_slots: True)
+    driver = PhaseDriver(g, canonical_palettes(g), seed=1, max_fallback_iters=2)
+    driver.fallback()
+    expected = [f"step 2 (fallback): {msg}" for msg in recount(driver.state)]
+    assert expected and skipped
+    assert driver.failures[:-1] == expected
+    assert driver.failures[-1].startswith("fallback exhausted after 2 rounds")
+    # step 1 full, step 2 the delta over the scanned rows, then the full
+    assert [rows is None for rows in recounted] == [True, False, True]
+    assert skipped[0] in recounted[1]
+
+
+def test_a_recoloured_vertex_sends_the_check_to_the_full_path(monkeypatch):
+    # between steps 1 and 2, vertex 0 takes the colour of its one
+    # neighbour 1. Neither is new at step 2 and 0 has no uncolored
+    # neighbour, so only the snapshot compare sees the change; the scan
+    # path is forced, since a pair lookup would find the edge anyway
+    g = build_graph([(0, 1)] + [(u, v) for u in range(2, 10) for v in range(u + 1, 10)])
+    rounds = engine_module.fallback_round
+    recoloured = []
+
+    def recolour_then_round(state, rng, eligible=None):
+        if state.num_uncolored() < g.n:
+            assert state.committed[0] and state.committed[1] and not recoloured
+            state.committed[0] = state.committed[1]
+            recoloured.append(int(state.committed[1]))
+        return rounds(state, rng, eligible)
+
+    monkeypatch.setattr(engine_module, "fallback_round", recolour_then_round)
+    monkeypatch.setattr(graph_module, "PAIR_SLOTS", 10**9)
+    driver = PhaseDriver(g, canonical_palettes(g), seed=2, max_fallback_iters=2)
+    driver.fallback()
+    state = driver.state
+    full = properness_failures(g, state.committed) + residual_consistency_failures(state)
+    assert full == [f"edge (0, 1) is monochromatic with color {recoloured[0]}"]
+    assert state.num_uncolored()
+    assert driver.failures[:-1] == [f"step 2 (fallback): {msg}" for msg in full]
+
+
+@pytest.mark.parametrize("field, change", [("residual_palette_size", 1), ("residual_degree", -1)])
+def test_the_delta_recount_takes_a_row_whose_q_or_d_moved(monkeypatch, field, change):
+    # vertices 0 and 1 are never eligible, so no step colours a neighbour
+    # of theirs; between steps 1 and 2 vertex 0's maintained Q or d moves
+    # (its surplus rises), and only that move puts it among the rows recounted
+    g = build_graph([(0, 1)] + [(u, v) for u in range(2, 14) for v in range(u + 1, 14)])
+    rounds = engine_module.fallback_round
+
+    def tamper_then_round(state, rng, eligible=None):
+        if state.num_uncolored() < g.n:
+            getattr(state, field)[0] += change
+        return rounds(state, rng, eligible)
+
+    monkeypatch.setattr(engine_module, "fallback_round", tamper_then_round)
+    monkeypatch.setattr(engine_module, "_delta_pays", lambda new_slots, uncolored_slots: True)
+    driver = PhaseDriver(g, canonical_palettes(g), seed=1, max_fallback_iters=2)
+    driver.fallback(eligible=np.arange(g.n) >= 2)
+    expected = [f"step 2 (fallback): {msg}" for msg in residual_consistency_failures(driver.state)]
+    assert len(driver.steps) == 2 and len(expected) == 1
+    assert driver.failures[: len(expected)] == expected

@@ -384,6 +384,36 @@ def test_same_color_edges_match_the_full_slot_scan(n, raw, colors, given_rows, p
     assert sorted(zip(u.tolist(), v.tolist())) == full_slot_same_color_edges(g, arr)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    raw=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=120),
+    colors=st.lists(st.integers(0, 3), min_size=30, max_size=30),
+    keep=st.lists(st.booleans(), min_size=30, max_size=30),
+    pair_slots=st.sampled_from([0, 10**9]),
+)
+def test_same_color_edges_of_some_rows_cover_those_rows(n, raw, colors, keep, pair_slots):
+    # a strict subset of the non-blank vertices as rows; PAIR_SLOTS 0 looks
+    # every same-colour pair up, 10**9 scans the rows. Both find every
+    # same-colour slot of the rows; the scan finds nothing else, the pair
+    # lookup only other real same-colour slots
+    g = build_graph([(u % n, v % n) for u, v in raw if u % n != v % n], n=n)
+    arr = np.array(colors[:n], dtype=np.int64)
+    colored = np.flatnonzero(arr != BLANK)
+    rows = colored[np.array(keep[: colored.size], dtype=bool)][1:]
+    every = full_slot_same_color_edges(g, arr)
+    wanted = [(u, v) for u, v in every if u in set(rows.tolist())]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "PAIR_SLOTS", pair_slots)
+        u, v = g.same_color_edges(arr, rows)
+    got = sorted(zip(u.tolist(), v.tolist()))
+    if pair_slots:
+        assert got == wanted
+    else:
+        assert set(wanted) <= set(got) <= set(every)
+        assert len(got) == len(set(got))
+
+
 def test_edge_list_roundtrip(tmp_path):
     g = build_graph([(0, 1), (2, 3), (1, 3)], n=5)
     path = tmp_path / "g.edges"
