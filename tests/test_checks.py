@@ -240,6 +240,15 @@ def test_properness_over_some_rows_names_their_edges(n, raw, colors, keep, pair_
     assert got == [f"edge ({u}, {v}) is monochromatic with color {committed[u]}" for u, v in edges[:5]]
 
 
+def test_properness_names_five_edges_of_a_monochromatic_path():
+    # in (row, column) order the first five bad slots of a path hold only
+    # three of its edges, (0, 1), (1, 2) and (2, 3); ten hold five
+    g = build_graph([(v, v + 1) for v in range(6)])
+    assert properness_failures(g, np.ones(7, dtype=np.int64)) == [
+        f"edge ({v}, {v + 1}) is monochromatic with color 1" for v in range(5)
+    ]
+
+
 @pytest.mark.parametrize("block", [None, 1, 3, 64])
 def test_properness_count_message_spans_blocks(block):
     # hand-built one-way rows 1..11 -> 0: every bad slot has u > v, so no

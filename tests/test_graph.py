@@ -334,6 +334,9 @@ def test_adjacent_matches_neighbor_sets(n, raw, data):
     colors=st.lists(st.integers(-3, 3) | st.sampled_from([-(2**63), 2**63 - 1]), max_size=30),
     slots=st.integers(0, 10**4),
 )
+# three colours twice each: the min/max bound, 3 pairs, is exact, and the
+# pairs pay by one slot
+@example(colors=[1, 1, 2, 2, 3, 3], slots=3 * graph_module.PAIR_SLOTS + 1)
 def test_same_color_pairs_match_combinations(colors, slots):
     # the blank 0 pairs with nothing; extreme colours stretch the span
     arr = np.array(colors, dtype=np.int64)
@@ -412,6 +415,22 @@ def test_same_color_edges_of_some_rows_cover_those_rows(n, raw, colors, keep, pa
     else:
         assert set(wanted) <= set(got) <= set(every)
         assert len(got) == len(set(got))
+
+
+def test_same_color_edges_price_the_slots_of_their_rows(monkeypatch):
+    # the pair lookup is weighed against a scan of the given rows' slots
+    g = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (4, 5)], n=7)
+    priced = []
+
+    def refuse(colors, slots):
+        priced.append(slots)
+
+    monkeypatch.setattr(graph_module, "same_color_pairs", refuse)
+    colors = np.array([1, 1, 2, 2, 3, 3, 0], dtype=np.int64)
+    for rows in ([0, 4], [1, 2, 5], [6], []):
+        g.same_color_edges(colors, np.array(rows, dtype=np.int64))
+    g.same_color_edges(colors)
+    assert priced == [4, 5, 0, 0, g.indices.size]
 
 
 def test_edge_list_roundtrip(tmp_path):
