@@ -37,7 +37,8 @@ def properness_failures(
     if not ends.size:
         return []
     if rows is not None:
-        # a scan finds an edge from its ends in rows only
+        # a scan finds an edge once per end in rows, a pair lookup by both
+        # slots: key each edge by its ascending ends, once
         keys = np.unique(np.minimum(ends, others) * graph.n + np.maximum(ends, others))
         ends, others = np.divmod(keys, graph.n)
     first = np.lexsort((others, ends))[: 2 * _REPORT_CAP]
